@@ -73,12 +73,10 @@ class DiracContext:
     buffer: int = 4
 
     def __post_init__(self):
-        if isinstance(self.lb, MagneticLength):
-            object.__setattr__(self, "lb", self.lb.lb)
-        if self.lb <= 0:
-            raise ValueError("magnetic length must be positive")
-        if self.eps <= 0:
-            raise ValueError("regularization must be positive")
+        lb = self.lb if isinstance(self.lb, MagneticLength) else MagneticLength(self.lb)
+        object.__setattr__(self, "lb", lb.lb)
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError(f"regularization must be positive and finite, got {self.eps}")
         if self.buffer < 2:
             raise ValueError("buffer must be >= 2")
         if self.n_max < 2 or self.m_max < 2:

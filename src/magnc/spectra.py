@@ -17,7 +17,7 @@ from scipy.special import digamma, polygamma
 
 from .algebra import MagneticElement
 from .basis import b_minus_matrix, b_plus_matrix
-from .dirac import BLOCK_SHIFTS, DiracContext, QuartetOperator, dirac_phase, represent
+from .dirac import BLOCK_SHIFTS, DiracContext, QuartetOperator, defect_operators
 
 __all__ = [
     "SingularSpectrum",
@@ -86,12 +86,6 @@ class IdealVerdict:
 # Singular values of lattice operators.
 # ---------------------------------------------------------------------------
 
-def _as_quartet(t):
-    if isinstance(t, QuartetOperator):
-        return t.op, t.ctx, t.diag_in_m
-    return sp.csr_matrix(t), None, False
-
-
 def _n_window(op: sp.csr_matrix, ctx: DiracContext) -> int:
     """Smallest n_win so every nonzero entry has level index < n_win."""
     coo = op.tocoo()
@@ -107,80 +101,73 @@ def _window_selection(ctx: DiracContext, n_win: int) -> np.ndarray:
     return (base[..., None] + np.arange(4)).ravel()
 
 
+def _blockwise_svdvals(op: sp.csr_matrix) -> np.ndarray:
+    """All min(shape) singular values, one dense SVD per block of the pattern.
+
+    Rows and columns are the two vertex classes of a bipartite graph with an
+    edge per nonzero; its connected components are the diagonal blocks of a
+    row and column permutation of ``op``, so the spectrum is the union of the
+    block spectra, padded with zeros.  Exact for any sparsity pattern; the
+    conserved J = n - m + s of D and F keeps the blocks small.
+    """
+    # imported here: csgraph adds about 3 MB of resident memory to every
+    # process that imports the package, most of which never take an SVD
+    from scipy.sparse.csgraph import connected_components
+
+    n_rows = op.shape[0]
+    pattern = op != 0
+    graph = sp.bmat([[None, pattern], [pattern.T, None]])
+    n_comp, labels = connected_components(graph, directed=False)
+    # permute so block c holds rows r_off[c]:r_off[c+1], columns c_off[c]:c_off[c+1]
+    row_order = np.argsort(labels[:n_rows], kind="stable")
+    col_order = np.argsort(labels[n_rows:], kind="stable")
+    bounds = np.arange(n_comp + 1)
+    r_off = np.searchsorted(labels[:n_rows][row_order], bounds)
+    c_off = np.searchsorted(labels[n_rows:][col_order], bounds)
+    perm = op[row_order][:, col_order].tocoo()
+    perm.sum_duplicates()
+    nz = perm.data != 0
+    rows, cols, vals = perm.row[nz], perm.col[nz], perm.data[nz]
+    nz_off = np.searchsorted(rows, r_off)
+    mu = []
+    for c in np.nonzero(np.diff(nz_off))[0]:
+        block = np.zeros((r_off[c + 1] - r_off[c], c_off[c + 1] - c_off[c]), op.dtype)
+        k = slice(nz_off[c], nz_off[c + 1])
+        block[rows[k] - r_off[c], cols[k] - c_off[c]] = vals[k]
+        mu.append(scipy.linalg.svdvals(block))
+    mu.append(np.zeros(min(op.shape) - sum(len(m) for m in mu)))
+    return np.sort(np.concatenate(mu))[::-1]
+
+
 def singular_values(t, k: int | None = None) -> SingularSpectrum:
     """Top-k singular values (all of them when k is None), descending.
 
-    Degeneracy-diagonal operators are diagonalized sector by sector; banded
-    operators (everything built from commutators of localized elements with
-    the phase) are restricted to their level window and handled with the
-    banded Hermitian eigensolver on T*T; small operators fall back to a dense
-    SVD.
+    Lattice operators are first restricted to their level window (rows and
+    columns with level index below the highest occupied one); every input
+    then takes one dense SVD per connected block of its nonzero pattern.
     """
-    op, ctx, diag_m = _as_quartet(t)
-    name = getattr(t, "name", "")
-    if ctx is not None:
-        n_win = _n_window(op, ctx)
-        sel = _window_selection(ctx, n_win)
-        sub = op[sel][:, sel].tocsr()
-        if diag_m:
-            mu = _sector_svd_concat(sub, 4 * n_win)
-        else:
-            mu = _banded_singular_values(sub, 4 * n_win)
+    if isinstance(t, QuartetOperator):
+        sel = _window_selection(t.ctx, _n_window(t.op, t.ctx))
+        op = t.op[sel][:, sel].tocsr()
     else:
-        dense = op.toarray()
-        mu = scipy.linalg.svdvals(dense)
-    mu = np.sort(np.asarray(mu))[::-1]
+        op = sp.csr_matrix(t)
+    mu = _blockwise_svdvals(op)
     if k is not None:
         if k > len(mu):
             raise ValueError(f"requested {k} singular values, have {len(mu)}")
         mu = mu[:k]
-    return SingularSpectrum(mu, source=name)
-
-
-def _sector_svd_concat(sub: sp.csr_matrix, block: int) -> np.ndarray:
-    sectors = sub.shape[0] // block
-    out = []
-    for m in range(sectors):
-        sl = sub[m * block : (m + 1) * block, m * block : (m + 1) * block]
-        if sl.nnz == 0:
-            continue
-        out.append(scipy.linalg.svdvals(sl.toarray()))
-    if not out:
-        return np.zeros(1)
-    return np.concatenate(out)
-
-
-def _banded_singular_values(sub: sp.csr_matrix, block: int) -> np.ndarray:
-    """All singular values via the banded eigensolver on the Gram matrix."""
-    h = (sub.conj().T @ sub).tocoo()
-    if h.nnz == 0:
-        return np.zeros(1)
-    bw = int(np.max(np.abs(h.row - h.col)))
-    dim = h.shape[0]
-    if dim <= 2048 or bw > max(512, dim // 4):
-        # small enough for a dense solve, or not meaningfully banded
-        vals = scipy.linalg.svdvals(sub.toarray())
-        return vals
-    ab = np.zeros((bw + 1, dim), dtype=complex)
-    lower = h.row >= h.col
-    ab[h.row[lower] - h.col[lower], h.col[lower]] = h.data[lower]
-    eig = scipy.linalg.eig_banded(
-        ab, lower=True, eigvals_only=True, check_finite=False
-    )
-    return np.sqrt(np.clip(eig, 0.0, None))
+    return SingularSpectrum(mu, source=getattr(t, "name", ""))
 
 
 def sector_singular_values(t: QuartetOperator, m_stop: int) -> list[np.ndarray]:
     """Per-degeneracy-sector singular values of an m-diagonal operator."""
-    op, ctx, diag_m = _as_quartet(t)
-    if ctx is None or not diag_m:
+    if not isinstance(t, QuartetOperator) or not t.verify_m_diagonal():
         raise ValueError("per-sector singular values need an m-diagonal operator")
-    block = 4 * ctx.n_tot
-    out = []
-    for m in range(m_stop):
-        sl = op[m * block : (m + 1) * block, m * block : (m + 1) * block]
-        out.append(np.sort(scipy.linalg.svdvals(sl.toarray()))[::-1])
-    return out
+    block = 4 * t.ctx.n_tot
+    return [
+        singular_values(t.op[m * block : (m + 1) * block, m * block : (m + 1) * block]).mu
+        for m in range(m_stop)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +546,6 @@ def stable_spectrum(build, ctx: DiracContext, shrink: float = 0.5,
     return SingularSpectrum(big[:stop], source=s_big.source + " [stable prefix]")
 
 
-def _phase_cache(ctx: DiracContext, cache: dict):
-    f = cache.get(ctx)
-    if f is None:
-        f = dirac_phase(ctx, check=False)
-        cache[ctx] = f
-    return f
-
-
 def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dict:
     """Classify the defect products of the phase module on a test set.
 
@@ -578,32 +557,12 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
     and norm panels.
     """
     report: dict = {"elements": [], "pairs": [], "triples": []}
-    phases: dict = {}
-
-    def fcomm(a, c):
-        f = _phase_cache(c, phases)
-        pa = represent(a, c)
-        return QuartetOperator((f.op @ pa.op - pa.op @ f.op).tocsr(), c,
-                               name="[F,pi(A)]")
-
-    def rdef(a, c):
-        from .dirac import gamma_grading
-
-        g = gamma_grading(c)
-        fc = fcomm(a, c)
-        return QuartetOperator((g.op @ fc.op @ g.op + fc.op).tocsr(), c, name="R(A)")
-
-    def fsq_comm(a, c):
-        from .dirac import exact_phase_square
-
-        fsq = exact_phase_square(c)
-        pa = represent(a, c)
-        return QuartetOperator((fsq.op @ pa.op - pa.op @ fsq.op).tocsr(), c,
-                               diag_in_m=True, name="[F^2,pi(A)]")
 
     for a in test_set:
-        v_f = classify_decay(stable_spectrum(lambda c: fcomm(a, c), ctx))
-        v_sq = classify_decay(stable_spectrum(lambda c: fsq_comm(a, c), ctx))
+        v_f = classify_decay(stable_spectrum(
+            lambda c: defect_operators(a, c)["F_comm"], ctx))
+        v_sq = classify_decay(stable_spectrum(
+            lambda c: defect_operators(a, c)["Fsq_comm"], ctx))
         report["elements"].append(
             {
                 "support": a.support_bound,
@@ -615,12 +574,12 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
         )
     for a, a2 in zip(test_set, test_set[1:]):
         def left(c, a=a, a2=a2):
-            return QuartetOperator((rdef(a, c).op @ fcomm(a2, c).op).tocsr(), c,
-                                   name="R(A)[F,A']")
+            r, fc = defect_operators(a, c)["R"], defect_operators(a2, c)["F_comm"]
+            return QuartetOperator((r.op @ fc.op).tocsr(), c, name="R(A)[F,A']")
 
         def right(c, a=a, a2=a2):
-            return QuartetOperator((fcomm(a2, c).op @ rdef(a, c).op).tocsr(), c,
-                                   name="[F,A']R(A)")
+            r, fc = defect_operators(a, c)["R"], defect_operators(a2, c)["F_comm"]
+            return QuartetOperator((fc.op @ r.op).tocsr(), c, name="[F,A']R(A)")
 
         v_l = classify_decay(stable_spectrum(left, ctx))
         v_r = classify_decay(stable_spectrum(right, ctx))
@@ -633,10 +592,8 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
         )
     for a0, a1, a2 in zip(test_set, test_set[1:], test_set[2:]):
         def triple(c, a0=a0, a1=a1, a2=a2):
-            return QuartetOperator(
-                (fcomm(a0, c).op @ fcomm(a1, c).op @ fcomm(a2, c).op).tocsr(), c,
-                name="triple",
-            )
+            f0, f1, f2 = (defect_operators(x, c)["F_comm"].op for x in (a0, a1, a2))
+            return QuartetOperator((f0 @ f1 @ f2).tocsr(), c, name="triple")
 
         v = classify_decay(stable_spectrum(triple, ctx))
         report["triples"].append(

@@ -50,6 +50,17 @@ class TestConfig:
     def test_empty_ladder_rejected(self):
         assert run_cli(["--ladder", "10", "dixmier-ladder", "d4"]) == 2
 
+    def test_nan_regularization_rejected(self):
+        assert run_cli(["--eps", "nan", "invariant", "nc-integral", "pi:0"]) == 2
+
+    def test_infinite_magnetic_length_rejected(self):
+        assert run_cli(["--lb", "inf", "invariant", "chern", "pi:0"]) == 2
+
+    def test_non_increasing_ladder_rejected(self):
+        assert run_cli(["--ladder", "5,4,3", "invariant", "nc-integral", "pi:0"]) == 2
+        assert run_cli(["--ladder", "1,10,100", "dixmier-ladder", "d4"]) == 2
+        assert run_cli(["--ladder", "10,100,inf", "dixmier-ladder", "d4"]) == 2
+
 
 class TestElementInputs:
     def test_builtin_projections(self):
@@ -189,3 +200,25 @@ class TestVerifyAll:
         assert run_cli(["--out", str(out), "verify-all"]) == 1
         payload = json.loads(out.read_text())
         assert "precondition failure" in payload["checks"][0]["got"]
+
+    def test_runtime_error_keeps_the_other_records(self, tmp_path, monkeypatch):
+        import magnc.cli as cli
+
+        def passing(name):
+            def check(cfg):
+                return cli._record(name, "plumbing", 1, 1, 0.0, 0.1, True)
+            return check
+
+        def check_unstable(cfg):
+            raise RuntimeError("stable prefix too short (12); increase the truncation")
+
+        checks = [("s", passing(f"ok-{i}")) for i in range(8)]
+        checks.insert(1, ("s", check_unstable))
+        monkeypatch.setattr(cli, "CHECKS", checks)
+        out = tmp_path / "r.json"
+        assert run_cli(["--out", str(out), "verify-all"]) == 1
+        records = json.loads(out.read_text())["checks"]
+        assert len(records) == 9
+        assert [r["pass"] for r in records] == [True, False] + [True] * 7
+        assert records[1]["name"] == "unstable"
+        assert records[1]["got"].startswith("RuntimeError: stable prefix too short")

@@ -106,6 +106,18 @@ class TestDiracOperator:
         assert anti.nnz == 0 or np.abs(anti.data).max() < 1e-15
 
 
+    def test_dirac_and_phase_conserve_j(self):
+        # J = n - m + s with spinor weights s = (0, -1, 0, 1) is conserved,
+        # which keeps the blocks of the singular-value path small
+        idx = np.arange(CTX.dim)
+        site, spin = idx // 4, idx % 4
+        j = site % CTX.n_tot - site // CTX.n_tot + np.array([0, -1, 0, 1])[spin]
+        for op in (build_dirac(CTX, check=False), dirac_phase(CTX, check=False)):
+            coo = op.op.tocoo()
+            assert coo.nnz > 0
+            assert np.count_nonzero(j[coo.row] != j[coo.col]) == 0
+
+
 class TestRegularizedInverse:
     def test_block_with_negative_shift_hits_inverse_eps(self):
         w = reg_inverse(CTX, 2.0)

@@ -65,19 +65,43 @@ class TestSingularValues:
         sv = singular_values(np.diag(np.arange(1.0, 9.0)), k=3)
         assert list(sv.mu) == [8.0, 7.0, 6.0]
 
-    def test_banded_path_matches_dense(self):
-        # a genuinely banded operator large enough to take the banded branch
+    def test_blockwise_path_matches_dense(self):
+        # a lattice operator whose nonzero pattern splits into many blocks
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=256, buffer=2)
         d = defect_operators(upsilon(0, 1), ctx)["F_comm"]
-        mu_banded = singular_values(d).mu
+        mu_blocks = singular_values(d).mu
         from magnc.spectra import _n_window, _window_selection
 
         sel = _window_selection(ctx, _n_window(d.op, ctx))
         import scipy.linalg
 
         dense = scipy.linalg.svdvals(d.op[sel][:, sel].toarray())
-        n = min(len(mu_banded), len(dense))
-        assert np.allclose(mu_banded[:n], np.sort(dense)[::-1][:n], atol=1e-9)
+        n = min(len(mu_blocks), len(dense))
+        assert np.allclose(mu_blocks[:n], np.sort(dense)[::-1][:n], atol=1e-9)
+
+    def test_permuted_blocks_with_empty_lines(self):
+        # blocks 3x3 (complex), 2x4 and 1x1, two empty rows and three empty
+        # columns, rows and columns shuffled, plus a stored zero joining two
+        # blocks: the spectrum is the dense one, count min(shape)
+        import scipy.linalg
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+                  rng.standard_normal((2, 4)), rng.standard_normal((1, 1)),
+                  np.zeros((2, 3))]
+        core = sp.block_diag(blocks, format="coo")
+        stored_zero = sp.coo_matrix(([0.0], ([0], [5])), shape=core.shape)
+        mat = sp.coo_matrix((np.concatenate([core.data, stored_zero.data]),
+                             (np.concatenate([core.row, stored_zero.row]),
+                              np.concatenate([core.col, stored_zero.col]))),
+                            shape=core.shape).tocsr()
+        mat = mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+        assert mat.shape == (8, 11)
+        sv = singular_values(mat)
+        want = scipy.linalg.svdvals(mat.toarray())
+        assert sv.count == len(want) == 8
+        assert np.allclose(sv.mu, want, rtol=1e-12, atol=1e-12)
 
 
 class TestIdealNorms:
