@@ -192,33 +192,43 @@ def _lb_value(lb) -> float:
     return lb
 
 
-def eval_basis_function(idx, x, lb=1.0):
-    """psi_{n,m}(x), x in Cartesian coordinates (units of length).
+def _polar_parts(x, l: float):
+    """u = (x1 + i x2)/(sqrt2 l), zeta = |u|^2 and the ground state psi_{0,0}."""
+    x = np.asarray(x, dtype=float)
+    u = (x[..., 0] + 1j * x[..., 1]) / (np.sqrt(2.0) * l)
+    zeta = u.real**2 + u.imag**2
+    return u, zeta, np.exp(-zeta / 2.0) / (np.sqrt(2.0 * pi) * l)
+
+
+def _basis_over_psi00(n: int, m: int, u, zeta):
+    """psi_{n,m} / psi_{0,0} from shared u = (x1 + i x2)/(sqrt2 l) and zeta = |u|^2.
 
     For m > n the power of (x1 + i x2) in the defining product is negative;
     the vanishing low-order Laguerre coefficients absorb it, leaving the
-    finite closed form (-1)^(m-n) psi00 sqrt(n!/m!) ubar^(m-n) L_n^(m-n), so
-    the value is finite everywhere and 0 at x = 0 whenever n != m.
+    finite closed form (-1)^(m-n) sqrt(n!/m!) ubar^(m-n) L_n^(m-n).  The
+    power is built by repeated multiplication (numpy's complex ``**`` with an
+    integer exponent takes the general-power path).
+    """
+    lo, d = min(n, m), abs(n - m)
+    base = u if n >= m else np.conj(u)
+    amp = np.exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1)))
+    if n < m and d % 2:
+        amp = -amp
+    val = amp * eval_generalized_laguerre(lo, d, zeta)
+    for _ in range(d):
+        val = val * base
+    return val
+
+
+def eval_basis_function(idx, x, lb=1.0):
+    """psi_{n,m}(x), x in Cartesian coordinates (units of length).
+
+    Finite everywhere (see ``_basis_over_psi00`` for m > n) and 0 at x = 0
+    whenever n != m.
     """
     n, m = _index_pair(idx)
-    l = _lb_value(lb)
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    u = (x1 + 1j * x2) / (np.sqrt(2.0) * l)
-    zeta = np.abs(u) ** 2
-    psi00 = np.exp(-zeta / 2.0) / (np.sqrt(2.0 * pi) * l)
-    if n >= m:
-        amp = np.exp(0.5 * (lgamma(m + 1) - lgamma(n + 1)))
-        val = psi00 * amp * u ** (n - m) * eval_generalized_laguerre(m, n - m, zeta)
-    else:
-        amp = np.exp(0.5 * (lgamma(n + 1) - lgamma(m + 1)))
-        sign = -1.0 if (m - n) % 2 else 1.0
-        val = (
-            sign * psi00 * amp
-            * np.conj(u) ** (m - n)
-            * eval_generalized_laguerre(n, m - n, zeta)
-        )
-    val = np.asarray(val, dtype=complex)
+    u, zeta, psi00 = _polar_parts(x, _lb_value(lb))
+    val = np.asarray(psi00 * _basis_over_psi00(n, m, u, zeta), dtype=complex)
     if not np.all(np.isfinite(val)):
         raise FloatingPointError(f"basis function ({n},{m}) evaluated non-finite")
     if val.ndim == 0:
@@ -234,12 +244,9 @@ def basis_with_gradient(idx, x, lb=1.0):
     n, m = _index_pair(idx)
     l = _lb_value(lb)
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    u = (x1 + 1j * x2) / (np.sqrt(2.0) * l)
-    zeta = np.abs(u) ** 2
-    psi00 = np.exp(-zeta / 2.0) / (np.sqrt(2.0 * pi) * l)
+    u, zeta, psi00 = _polar_parts(x, l)
     # dzeta/dx_i = x_i / l^2
-    dz1, dz2 = x1 / l**2, x2 / l**2
+    dz1, dz2 = x[..., 0] / l**2, x[..., 1] / l**2
 
     if n >= m:
         p, q, alpha = n - m, m, n - m

@@ -24,9 +24,8 @@ from . import cocycles as cc
 from . import kernel as ker
 from . import spectra as spx
 from .basis import QuadratureScheme, default_radius, verify_ladder_phases
-from .dirac import DiracContext, QuartetOperator, dirac_phase
-
-DEFAULT_LADDER = [10**3, 10**4, 10**5, 10**6, 10**7]
+from .dirac import (DiracContext, QuartetOperator, dirac_phase, exact_phase_square,
+                    max_interior_deviation)
 
 
 @dataclass
@@ -36,7 +35,7 @@ class RunConfig:
     n_max: int = 16
     m_max: int = 4096
     buffer: int = 4
-    ladder: list = field(default_factory=lambda: list(DEFAULT_LADDER))
+    ladder: list = field(default_factory=lambda: list(spx.DEFAULT_LADDER))
     tol_exact: float = 1e-8
     tol_dixmier: float = 0.05
     seed: int = 0
@@ -131,6 +130,7 @@ def parse_element(text: str, cfg: RunConfig) -> alg.MagneticElement:
 
 # ---------------------------------------------------------------------------
 # The check registry: one record per acceptance criterion, dependency order.
+# The only definition of the criteria: tests/test_acceptance.py runs CHECKS.
 # ---------------------------------------------------------------------------
 
 def _record(name, ref, expected, got, error, tol, ok) -> dict:
@@ -156,31 +156,28 @@ def _triple_corpus(cfg: RunConfig, count: int, support: int = 4):
 def _projection_corpus(cfg: RunConfig):
     ps = [alg.landau_projection(j, cfg.lb) for j in range(6)]
     ps.append(alg.projection_sum((0, 1), cfg.lb))
-    ps += [alg.conjugated_projection(cfg.seed + 100 + s, 5, cfg.lb) for s in range(4)]
+    ps += [alg.conjugated_projection(cfg.seed + 100 + s, 5, cfg.lb) for s in range(6)]
     return ps
 
 
 def check_representation_consistency(cfg: RunConfig) -> dict:
-    ctx = cfg.context()
     worst_phase = verify_ladder_phases(cfg.lb, 3, 3)
-    scheme = QuadratureScheme(default_radius(4, 4), 48)
+    scheme = QuadratureScheme(default_radius(4, 4), 56)
     a = alg.random_element(cfg.seed + 1, 3, 1.0, cfg.lb)
-    labels = [(n, 1) for n in range(3)]
+    labels = [(n, m) for n in range(3) for m in range(2)]
     gram = ker.gram_via_kernel(a, labels, labels, scheme)
-    want = np.array([[a.coeff(kn, bn) for (kn, _) in labels] for (bn, _) in labels])
+    # A acts on the level index only: entries between different m vanish
+    want = np.array([[a.coeff(kn, bn) if km == bm else 0.0 for (kn, km) in labels]
+                     for (bn, bm) in labels])
     worst_kernel = float(np.abs(gram - want).max())
-    tpuv = ker.trace_per_unit_volume(alg.landau_projection(0, cfg.lb), 2.0 * cfg.lb, 4)
+    tpuv = ker.trace_per_unit_volume(alg.landau_projection(0, cfg.lb), 2.0 * cfg.lb, 5)
     worst_tpuv = max(abs(v - 1.0) for v in tpuv)
     small = DiracContext(lb=cfg.lb, eps=cfg.eps, n_max=8,
                          m_max=min(cfg.m_max, 64), buffer=cfg.buffer)
     f = dirac_phase(small, check=False)
-    fsq = (f.op @ f.op).tocsr()
-    import scipy.sparse as sp
-    from .dirac import oscillator_energies, max_interior_deviation
-    target = sp.diags(1.0 - small.eps / oscillator_energies(small)).tocsr()
-    worst_f = max_interior_deviation(QuartetOperator(fsq, small),
-                                     QuartetOperator(target, small), margin=2)
-    ok = worst_phase <= 1e-6 and worst_kernel <= 1e-6 and worst_tpuv <= 1e-4 and worst_f <= 1e-10
+    worst_f = max_interior_deviation(QuartetOperator((f.op @ f.op).tocsr(), small),
+                                     exact_phase_square(small), margin=2)
+    ok = worst_phase < 1e-6 and worst_kernel < 1e-6 and worst_tpuv < 1e-4 and worst_f < 1e-10
     got = {"ladder_vs_quadrature": worst_phase, "kernel_vs_coefficients": worst_kernel,
            "trace_per_unit_volume": worst_tpuv, "phase_square_identity": worst_f}
     return _record("representation-consistency", "kernel-and-phase-identities",
@@ -190,24 +187,24 @@ def check_representation_consistency(cfg: RunConfig) -> dict:
 
 def check_singular_value_laws(cfg: RunConfig) -> dict:
     eps = cfg.eps
-    # resolvent-commutator law vs an honestly built sparse operator
-    worst_law = 0.0
-    m_grid = np.arange(48)
-    for (j, k) in [(0, 1), (1, 3), (2, 0)]:
-        y = alg.upsilon(j, k, cfg.lb)
-        num = spx.build_shifted_commutator("D", y, 6 + max(j, k), 56, eps, eps)
-        law = spx.closed_form_mu("D", j, k, eps, eps, 0.0, m_grid)
-        for m in m_grid:
-            blk = num[int(m) * (6 + max(j, k)):(int(m) + 1) * (6 + max(j, k)),
-                      int(m) * (6 + max(j, k)):(int(m) + 1) * (6 + max(j, k))]
-            sv = float(np.abs(blk.toarray()).max())
-            worst_law = max(worst_law, abs(sv - law[int(m)]))
+    # resolvent-commutator law vs an honestly built sparse operator, every
+    # sector clear of the degeneracy cutoff
+    worst_law, m_tot = 0.0, 72
+    for (j, k, e1, e2) in [(0, 1, eps, eps), (1, 3, eps, eps), (2, 0, eps, eps),
+                           (0, 1, 0.5, 0.5), (1, 3, 0.25, 1.25), (2, 0, 1.5, 0.5),
+                           (0, 2, 0.5, 1.5)]:
+        size = 6 + max(j, k)
+        num = spx.build_shifted_commutator("D", alg.upsilon(j, k, cfg.lb), size, m_tot, e1, e2)
+        law = spx.closed_form_mu("D", j, k, e1, e2, 0.0, np.arange(m_tot - 8))
+        for m in range(m_tot - 8):
+            blk = num[m * size:(m + 1) * size, m * size:(m + 1) * size]
+            worst_law = max(worst_law, abs(float(np.abs(blk.toarray()).max()) - law[m]))
     # alpha bound over nonnegative shifts
     bound_ok = True
-    for e1 in (0.0, 0.5, 1.5):
-        for e2 in (0.0, 0.5, 1.5):
-            for (j, k) in [(0, 1), (0, 3), (2, 5)]:
-                am = spx.c_alpha(j, k, e1, e2, np.arange(200))
+    for e1 in (0.0, 0.5, 1.5, 3.0):
+        for e2 in (0.0, 0.5, 1.5, 3.0):
+            for (j, k) in [(0, 1), (0, 3), (0, 4), (3, 1), (2, 5), (2, 6)]:
+                am = spx.c_alpha(j, k, e1, e2, np.arange(512))
                 bound_ok &= bool(np.all(am <= abs((j + e2) - (k + e1)) / 2 + 1e-12))
     # decay exponents on a reduced context
     ctx = DiracContext(lb=cfg.lb, eps=eps, n_max=8, m_max=384, buffer=4)
@@ -216,7 +213,7 @@ def check_singular_value_laws(cfg: RunConfig) -> dict:
                                        alg.random_element(cfg.seed + 6, 3, 1.0, cfg.lb)])
     exps = [e["F_comm"].exponent for e in rep["elements"]]
     exp_ok = all(abs(e + 0.5) <= 0.05 for e in exps)
-    ok = worst_law <= 1e-8 and bound_ok and exp_ok and rep["ok"]
+    ok = worst_law < 1e-8 and bound_ok and exp_ok and rep["ok"]
     got = {"law_deviation": worst_law, "alpha_bound_ok": bound_ok,
            "F_comm_exponent": exps[0], "quasi_even_ok": rep["ok"]}
     return _record("singular-value-laws", "resolvent-commutator-spectra",
@@ -240,7 +237,7 @@ def check_gap_labeling(cfg: RunConfig) -> dict:
         worst_gl = max(worst_gl, abs(cc.gap_label(p) - 1.0))
         v = cc.nc_integral(p, ctx, cfg.ladder)
         worst_int = max(worst_int, abs(v.value - 1.0))
-    ok = worst_gl <= 1e-9 and worst_int <= 0.02
+    ok = worst_gl < 1e-9 and worst_int < 0.02
     return _record("gap-labeling", "trace-pairing-integrality",
                    {"gap_label": 1.0, "nc_integral": 1.0},
                    {"gap_label_dev": worst_gl, "nc_integral_dev": worst_int},
@@ -248,17 +245,19 @@ def check_gap_labeling(cfg: RunConfig) -> dict:
 
 
 def check_chern_integrality_streda(cfg: RunConfig) -> dict:
+    worst_level = max(abs(cc.chern_number(alg.landau_projection(j, cfg.lb)) - 1.0)
+                      for j in range(6))
     worst_int, worst_streda = 0.0, 0.0
     for p in _projection_corpus(cfg):
         c = cc.chern_number(p)
         g = cc.gap_label(p)
         worst_int = max(worst_int, abs(c - round(c)))
         worst_streda = max(worst_streda, abs(c - g))
-    ok = worst_int <= 1e-8 and worst_streda <= 1e-8
+    got = {"level_dev": worst_level, "integrality_dev": worst_int, "streda_dev": worst_streda}
     return _record("chern-integrality-streda", "streda-equality",
-                   "integer Chern numbers equal to gap labels",
-                   {"integrality_dev": worst_int, "streda_dev": worst_streda},
-                   max(worst_int, worst_streda), 1e-8, ok)
+                   "every Landau level has Chern number 1; integer Chern numbers "
+                   "equal to gap labels", got, max(got.values()), 1e-8,
+                   max(got.values()) < 1e-8)
 
 
 def _rel_err(got: complex, want: complex, floor: float) -> float:
@@ -276,7 +275,7 @@ def check_connes_formula_1(cfg: RunConfig, count: int = 50) -> dict:
         worst = max(worst, _rel_err(got, want, floor))
     return _record("connes-formula-1", "derivation-vs-dirac-character",
                    "relative error < 5% on the seeded corpus", worst,
-                   worst, cfg.tol_dixmier, worst < cfg.tol_dixmier)
+                   worst, 0.05, worst < 0.05)
 
 
 def check_connes_formula_2(cfg: RunConfig, count: int = 20) -> dict:
@@ -297,13 +296,13 @@ def check_connes_formula_2(cfg: RunConfig, count: int = 20) -> dict:
                    max(worst_i, worst_ii), 0.10, ok)
 
 
-def check_chi_triviality(cfg: RunConfig, count: int = 20) -> dict:
+def check_chi_triviality(cfg: RunConfig, count: int = 50) -> dict:
     ctx = cfg.context()
     worst = 0.0
     for t in _triple_corpus(cfg, count):
         worst = max(worst, abs(cc.ch_hat(*t, ctx, cfg.ladder).value))
-    p0 = alg.landau_projection(0, cfg.lb)
-    worst = max(worst, abs(cc.ch_hat(p0, p0, p0, ctx, cfg.ladder).value))
+    for p in _projection_corpus(cfg):
+        worst = max(worst, abs(cc.ch_hat(p, p, p, ctx, cfg.ladder).value))
     return _record("chi-triviality", "anticommuting-grading-character",
                    0.0, worst, worst, 1e-10, worst < 1e-10)
 
@@ -331,7 +330,7 @@ def check_quantized_calculus_structure(cfg: RunConfig, tuples: int = 100) -> dic
         y0 = alg.random_element(cfg.seed + 77, 4, 1.0, cfg.lb)
         v12 = cc.graded_one_form_product_trace(x0, x1, y0, y1, ctx, cfg.ladder)
         v21 = cc.graded_one_form_product_trace(y0, y1, x0, x1, ctx, cfg.ladder)
-        tol = 3.0 * (v12.error + v21.error) + 1e-6 * max(abs(v12.value), 1.0)
+        tol = 3.0 * (v12.error + v21.error) + 1e-6
         anti_ok &= abs(v12.value + v21.value) <= tol
     ok = worst_b <= 1e-9 and worst_cyc <= 1e-10 and worst_closed <= 0.05 and anti_ok
     got = {"coboundary_of_cocycle": worst_b, "cyclicity": worst_cyc,
@@ -392,27 +391,38 @@ def _emit(payload: dict, cfg: RunConfig):
         sys.stdout.write(text + "\n")
 
 
+def check_name(fn) -> str:
+    """Registry name of a check function: check_chi_triviality -> chi-triviality."""
+    return fn.__name__.replace("check_", "").replace("_", "-")
+
+
+def run_check(stage: str, fn, cfg: RunConfig) -> dict:
+    """Run one registry entry and print its [PASS]/[FAIL] line to stderr.
+
+    An exception becomes a failed record, so one failing check cannot drop
+    the rest of a report.
+    """
+    try:
+        rec = fn(cfg)
+    except Exception as exc:  # noqa: BLE001 - one failing check must not drop the report
+        traceback.print_exc(file=sys.stderr)
+        kind = "precondition failure" if isinstance(exc, ValueError) else type(exc).__name__
+        rec = _record(check_name(fn), "plumbing", "completes", f"{kind}: {exc}",
+                      float("nan"), 0.0, False)
+    rec["stage"] = stage
+    print(f"[{'PASS' if rec['pass'] else 'FAIL'}] {rec['name']}", file=sys.stderr)
+    return rec
+
+
 def cmd_verify_all(cfg: RunConfig, dry_run: bool = False) -> int:
     if dry_run:
-        plan = [fn.__name__.replace("check_", "").replace("_", "-") for _, fn in CHECKS]
-        _emit({"config": cfg.echo(), "plan": plan}, cfg)
+        _emit({"config": cfg.echo(), "plan": [check_name(fn) for _, fn in CHECKS]}, cfg)
         return 0
     records, timings = [], {}
     for stage, fn in CHECKS:
         t0 = time.perf_counter()
-        try:
-            rec = fn(cfg)
-        except Exception as exc:  # noqa: BLE001 - one failing check must not drop the report
-            traceback.print_exc(file=sys.stderr)
-            kind = "precondition failure" if isinstance(exc, ValueError) else type(exc).__name__
-            rec = _record(fn.__name__.replace("check_", "").replace("_", "-"),
-                          "plumbing", "completes", f"{kind}: {exc}",
-                          float("nan"), 0.0, False)
-        rec["stage"] = stage
-        records.append(rec)
-        timings[rec["name"]] = round(time.perf_counter() - t0, 3)
-        line = "PASS" if rec["pass"] else "FAIL"
-        print(f"[{line}] {rec['name']}", file=sys.stderr)
+        records.append(run_check(stage, fn, cfg))
+        timings[records[-1]["name"]] = round(time.perf_counter() - t0, 3)
     report = {"config": cfg.echo(), "checks": records, "timings": timings}
     _emit(report, cfg)
     return 0 if all(r["pass"] for r in records) else 1
@@ -428,24 +438,25 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
         rec = _record(which, "integer-pairing", "integer", val,
                       abs(val - round(val)), cfg.tol_exact,
                       abs(val - round(val)) <= cfg.tol_exact)
-    elif which == "nc-integral":
-        v = cc.nc_integral(el, ctx, cfg.ladder)
-        rec = _record(which, "volume-weighted-trace", None, v.value, v.error,
-                      cfg.tol_dixmier, True)
-    elif which == "psi":
-        v = cc.psi(el, el, el)
-        rec = _record(which, "derivation-trace-cocycle", None, v.value, v.error,
-                      cfg.tol_exact, True)
-    elif which == "ch":
-        v = cc.ch_dix(el, el, el, ctx, cfg.ladder)
-        rec = _record(which, "dirac-character", None, v.value, v.error,
-                      cfg.tol_dixmier, True)
-    elif which == "tau2":
-        v = cc.tau2(el, el, el, ctx, "reduced", cfg.ladder)
-        rec = _record(which, "fredholm-character", None, v.value, v.error,
-                      cfg.tol_dixmier, True)
     else:
-        raise ConfigError(f"unknown invariant {which!r}")
+        if which == "nc-integral":
+            ref, tol = "volume-weighted-trace", cfg.tol_dixmier
+            v = cc.nc_integral(el, ctx, cfg.ladder)
+        elif which == "psi":
+            ref, tol = "derivation-trace-cocycle", cfg.tol_exact
+            v = cc.psi(el, el, el)
+        elif which == "ch":
+            ref, tol = "dirac-character", cfg.tol_dixmier
+            v = cc.ch_dix(el, el, el, ctx, cfg.ladder)
+        elif which == "tau2":
+            ref, tol = "fredholm-character", cfg.tol_dixmier
+            v = cc.tau2(el, el, el, ctx, "reduced", cfg.ladder)
+        else:
+            raise ConfigError(f"unknown invariant {which!r}")
+        # nothing to compare against: a value passes when it is finite and
+        # its estimator did not flag it
+        ok = np.isfinite(v.value) and np.isfinite(v.error) and "flagged" not in v.method
+        rec = _record(which, ref, None, v.value, v.error, tol, ok)
     _emit({"config": cfg.echo(), "checks": [rec]}, cfg)
     return 0 if rec["pass"] else 1
 
@@ -486,7 +497,8 @@ def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    finite = np.all(np.isfinite([complex(sig) for _, sig in est.ladder]))
+    return 0 if finite and np.isfinite(est.value) and np.isfinite(est.stderr) else 1
 
 
 # ---------------------------------------------------------------------------

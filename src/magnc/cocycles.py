@@ -31,7 +31,7 @@ from .dirac import (
     GAMMA_GRADING,
     DiracContext,
     QuartetOperator,
-    dirac_phase,
+    cached_phase,
     gamma_grading,
     represent,
     sector_traces,
@@ -342,17 +342,6 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
 # The Fredholm-module character, both evaluation routes.
 # ---------------------------------------------------------------------------
 
-_PHASE_CACHE: dict = {}
-
-
-def _cached_phase(ctx: DiracContext) -> QuartetOperator:
-    got = _PHASE_CACHE.get(ctx)
-    if got is None:
-        got = dirac_phase(ctx, check=False)
-        _PHASE_CACHE[ctx] = got
-    return got
-
-
 def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
          ctx: DiracContext, route: str = "reduced",
          ladder=DEFAULT_LADDER) -> CocycleValue:
@@ -383,7 +372,7 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
         return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    f = _cached_phase(ctx)
+    f = cached_phase(ctx)
     pa0 = represent(a0, ctx)
     pa1 = represent(a1, ctx)
     pa2 = represent(a2, ctx)

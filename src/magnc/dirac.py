@@ -11,6 +11,7 @@ rows and columns, and identities are asserted on the interior window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -282,6 +283,18 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     return f
 
 
+@lru_cache(maxsize=2)
+def cached_phase(ctx: DiracContext) -> QuartetOperator:
+    """The unchecked phase F of ``ctx``, shared by the defect operators and
+    the direct route of the Fredholm character; callers must not modify it.
+
+    The two slots cover ``spectra.stable_spectrum``, which alternates between
+    a context and its shrunken copy; the bound keeps a sweep over many
+    truncations from holding every F it has built.
+    """
+    return dirac_phase(ctx, check=False)
+
+
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
     """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator."""
     d = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
@@ -357,7 +370,7 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     """
     if a.support_bound > ctx.n_max - ctx.buffer:
         raise ValueError("support must stay within the truncation minus the buffer")
-    f = dirac_phase(ctx, check=False)
+    f = cached_phase(ctx)
     pa = represent(a, ctx)
     g = gamma_grading(ctx)
     fcomm = (f.op @ pa.op - pa.op @ f.op).tocsr()

@@ -16,7 +16,8 @@ from math import pi
 import numpy as np
 
 from .algebra import MagneticElement, trace_int
-from .basis import QuadratureScheme, default_radius, eval_basis_function
+from .basis import (QuadratureScheme, _basis_over_psi00, _polar_parts, default_radius,
+                    eval_basis_function)
 
 __all__ = [
     "KernelFunction",
@@ -53,10 +54,13 @@ class KernelFunction:
     norm_sq: float
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=complex)
+        u, zeta, psi00 = _polar_parts(x, self.lb)
+        out = np.zeros(np.shape(u), dtype=complex)
         for (n, m), c in self.terms:
-            out = out + c * eval_basis_function((n, m), x, self.lb)
+            out += c * _basis_over_psi00(n, m, u, zeta)
+        out *= psi00
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("kernel function evaluated non-finite")
         if out.ndim == 0:
             return complex(out)
         return out
@@ -127,7 +131,7 @@ def gram_via_kernel(a: MagneticElement, bras, kets,
     ket_mat = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets])
     bra_mat = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w for bb in bras])
     out = np.zeros((len(bras), len(kets)), dtype=complex)
-    chunk = 256
+    chunk = 128
     for lo in range(0, len(pts), chunk):
         xs = pts[lo : lo + chunk]
         fv = f(pts[None, :, :] - xs[:, None, :])

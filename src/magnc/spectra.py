@@ -471,6 +471,8 @@ def _octave_summable(mu: np.ndarray) -> bool:
     For mu ~ r^e the ratio of consecutive octave sums tends to 2^(1+e); the
     0.85 cutoff (e below roughly -1.2) keeps a noise margin on truncated
     spectra while rejecting everything at or above the harmonic borderline.
+    Like the exponent fit, the test reads only the tail half (here of the
+    octave ratios): the pre-asymptotic head says nothing about summability.
     """
     sums = []
     hi = len(mu)
@@ -484,7 +486,7 @@ def _octave_summable(mu: np.ndarray) -> bool:
     ratios = np.array([b / a for a, b in zip(sums, sums[1:]) if a > 0])
     if len(ratios) == 0:
         return False
-    return bool(np.median(ratios) < 0.85 and ratios[-1] < 0.9)
+    return bool(np.median(ratios[len(ratios) // 2:]) < 0.85 and ratios[-1] < 0.9)
 
 
 def _norm_panel(mu: np.ndarray, exponent: float) -> dict:

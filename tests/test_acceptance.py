@@ -1,250 +1,76 @@
-"""Acceptance suite: every exit criterion at its stated tolerance.
+"""Acceptance suite: the nine criteria of ``magnc.cli.CHECKS`` at the default
+configuration (seed 0).
 
-One pass/fail line is printed per criterion (visible on the terminal even
-under capture).  Tolerances are pinned here and nowhere else.
+The criteria, their corpora and their tolerances live in ``cli.CHECKS`` and
+nowhere else; each test runs one registry entry, as ``magnc verify-all`` does,
+asserts its ``pass`` and, where the criterion carries one, its wall-time
+budget.  The ``[PASS]``/``[FAIL] <name>`` line of each check is printed
+outside pytest's capture, so it is visible in any mode.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from magnc import algebra as alg
-from magnc import cocycles as cc
-from magnc import kernel as ker
-from magnc import spectra as spx
-from magnc.basis import QuadratureScheme, default_radius, verify_ladder_phases
-from magnc.dirac import (
-    DiracContext,
-    QuartetOperator,
-    defect_operators,
-    dirac_phase,
-    exact_phase_square,
-    max_interior_deviation,
-    oscillator_energies,
-)
-
-LB = 1.0
-LADDER = (10**3, 10**4, 10**5, 10**6, 10**7)
-CTX = DiracContext(lb=LB, eps=0.5, n_max=16, m_max=4096, buffer=4)
+from magnc import cli
 
 
 @pytest.fixture
-def emit(capsys):
-    def _emit(name: str, ok: bool, detail: str):
+def criterion(capsys):
+    def run(name: str, budget_s: float | None = None):
+        [(stage, fn)] = [entry for entry in cli.CHECKS if cli.check_name(entry[1]) == name]
+        t0 = time.perf_counter()
         with capsys.disabled():
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        assert ok, f"{name}: {detail}"
+            rec = cli.run_check(stage, fn, cli.RunConfig())
+        dt = time.perf_counter() - t0
+        assert rec["pass"], rec
+        if budget_s is not None:
+            assert dt < budget_s, f"{name} took {dt:.1f} s (budget {budget_s} s)"
 
-    return _emit
-
-
-def triple_corpus(count, support=4, base=0):
-    return [
-        tuple(alg.random_element(base + 3 * t + s, support, 1.0, LB) for s in range(3))
-        for t in range(count)
-    ]
+    return run
 
 
-def projection_corpus():
-    ps = [alg.landau_projection(j, LB) for j in range(6)]
-    ps.append(alg.projection_sum((0, 1), LB))
-    ps += [alg.conjugated_projection(100 + s, 5, LB) for s in range(6)]
-    return ps
+def test_every_registry_entry_has_a_criterion_test():
+    tested = {
+        "dixmier-normalization", "gap-labeling", "chern-integrality-streda",
+        "connes-formula-1", "connes-formula-2", "chi-triviality",
+        "singular-value-laws", "quantized-calculus-structure",
+        "representation-consistency",
+    }
+    assert sorted(cli.check_name(fn) for _, fn in cli.CHECKS) == sorted(tested)
 
 
-def test_criterion_1_dixmier_normalization(emit):
-    t0 = time.perf_counter()
-    ns, sums = spx.d4_partial_sums(CTX.eps, LADDER)
-    est = spx.dixmier_from_partial_sums(ns, sums)
-    dt = time.perf_counter() - t0
-    rel = abs(est.value - 2.0) / 2.0
-    emit(
-        "criterion-1 dixmier-normalization",
-        rel <= 0.02 and dt < 60.0,
-        f"value={est.value:.5f} rel={rel:.4f} time={dt:.2f}s",
-    )
+def test_criterion_1_dixmier_normalization(criterion):
+    criterion("dixmier-normalization", budget_s=60.0)
 
 
-def test_criterion_2_gap_labeling(emit):
-    t0 = time.perf_counter()
-    worst_gl = max(abs(cc.gap_label(alg.landau_projection(j, LB)) - 1.0) for j in range(6))
-    worst_int = max(
-        abs(cc.nc_integral(alg.landau_projection(j, LB), CTX, LADDER).value - 1.0)
-        for j in range(6)
-    )
-    dt = time.perf_counter() - t0
-    emit(
-        "criterion-2 gap-labeling",
-        worst_gl < 1e-9 and worst_int < 0.02 and dt < 120.0,
-        f"gl dev={worst_gl:.2e} ncint dev={worst_int:.2e} time={dt:.2f}s",
-    )
+def test_criterion_2_gap_labeling(criterion):
+    criterion("gap-labeling", budget_s=120.0)
 
 
-def test_criterion_3_chern_integrality_streda(emit):
-    worst_level = max(
-        abs(cc.chern_number(alg.landau_projection(j, LB)) - 1.0) for j in range(6)
-    )
-    worst_integer, worst_streda = 0.0, 0.0
-    for p in projection_corpus():
-        c = cc.chern_number(p)
-        g = cc.gap_label(p)
-        worst_integer = max(worst_integer, abs(c - round(c)))
-        worst_streda = max(worst_streda, abs(c - g))
-    ok = worst_level < 1e-8 and worst_integer < 1e-8 and worst_streda < 1e-8
-    emit(
-        "criterion-3 chern-integrality-streda",
-        ok,
-        f"levels={worst_level:.2e} integer={worst_integer:.2e} streda={worst_streda:.2e}",
-    )
+def test_criterion_3_chern_integrality_streda(criterion):
+    criterion("chern-integrality-streda")
 
 
-def test_criterion_4_second_connes_formula_1(emit):
-    t0 = time.perf_counter()
-    triples = triple_corpus(50)
-    targets = [(1j / LB**2) * cc.psi(*t).value for t in triples]
-    floor = 0.02 * float(np.sqrt(np.mean([abs(v) ** 2 for v in targets])))
-    worst = 0.0
-    for t, want in zip(triples, targets):
-        got = cc.ch_dix(*t, CTX, LADDER).value
-        worst = max(worst, abs(got - want) / max(abs(want), floor))
-    dt = time.perf_counter() - t0
-    emit(
-        "criterion-4 second-connes-formula-1",
-        worst < 0.05 and dt < 600.0,
-        f"worst rel={worst:.4f} over 50 triples, time={dt:.2f}s",
-    )
+def test_criterion_4_second_connes_formula_1(criterion):
+    criterion("connes-formula-1", budget_s=600.0)
 
 
-def test_criterion_5_second_connes_formula_2(emit):
-    assert CTX.m_max == 4096 and CTX.buffer == 4
-    triples = triple_corpus(20)
-    targets = [(1j / LB**2) * cc.psi(*t).value for t in triples]
-    floor = 0.02 * float(np.sqrt(np.mean([abs(v) ** 2 for v in targets])))
-    worst_i = worst_ii = 0.0
-    for t, want in zip(triples, targets):
-        got_i = cc.tau2(*t, CTX, "reduced", LADDER).value
-        got_ii = cc.tau2(*t, CTX, "direct").value
-        worst_i = max(worst_i, abs(got_i - want) / max(abs(want), floor))
-        worst_ii = max(worst_ii, abs(got_ii - want) / max(abs(want), floor))
-    emit(
-        "criterion-5 second-connes-formula-2",
-        worst_i < 0.05 and worst_ii < 0.10,
-        f"route-i={worst_i:.4f} route-ii={worst_ii:.4f} over 20 triples",
-    )
+def test_criterion_5_second_connes_formula_2(criterion):
+    criterion("connes-formula-2")
 
 
-def test_criterion_6_chi_triviality(emit):
-    worst = 0.0
-    for t in triple_corpus(50):
-        worst = max(worst, abs(cc.ch_hat(*t, CTX, LADDER).value))
-    for p in projection_corpus():
-        worst = max(worst, abs(cc.ch_hat(p, p, p, CTX, LADDER).value))
-    emit("criterion-6 chi-triviality", worst < 1e-10, f"worst |value|={worst:.2e}")
+def test_criterion_6_chi_triviality(criterion):
+    criterion("chi-triviality")
 
 
-def test_criterion_7_singular_value_laws(emit):
-    # closed-form law vs honestly assembled operators, all interior sectors
-    worst_law = 0.0
-    for (j, k, e1, e2) in [(0, 1, 0.5, 0.5), (1, 3, 0.25, 1.25), (2, 0, 1.5, 0.5),
-                           (0, 2, 0.5, 1.5)]:
-        size = max(j, k) + 3
-        m_tot = 72
-        num = spx.build_shifted_commutator("D", alg.upsilon(j, k, LB), size, m_tot, e1, e2)
-        law = spx.closed_form_mu("D", j, k, e1, e2, 0.0, np.arange(m_tot - 8))
-        for m in range(m_tot - 8):
-            blk = num[m * size:(m + 1) * size, m * size:(m + 1) * size]
-            worst_law = max(worst_law, abs(np.abs(blk.toarray()).max() - law[m]))
-    # alpha-prefactor bound over nonnegative shifts
-    bound_ok = True
-    for e1 in (0.0, 0.5, 1.5, 3.0):
-        for e2 in (0.0, 0.5, 1.5, 3.0):
-            for (j, k) in [(0, 1), (0, 4), (3, 1), (2, 6)]:
-                am = spx.c_alpha(j, k, e1, e2, np.arange(512))
-                bound_ok &= bool(np.all(am <= abs((j + e2) - (k + e1)) / 2 + 1e-12))
-    # decay classification of the defect products
-    ctx = DiracContext(lb=LB, eps=0.5, n_max=8, m_max=384, buffer=4)
-    rep = spx.verify_quasi_even(
-        ctx,
-        [alg.upsilon(0, 1, LB), alg.random_element(5, 3, 1.0, LB),
-         alg.random_element(6, 3, 1.0, LB)],
-    )
-    exps = [e["F_comm"].exponent for e in rep["elements"]]
-    exp_ok = all(abs(e + 0.5) <= 0.05 for e in exps)
-    ok = worst_law < 1e-8 and bound_ok and exp_ok and rep["ok"]
-    emit(
-        "criterion-7 singular-value-laws",
-        ok,
-        f"law dev={worst_law:.2e} alpha bound={bound_ok} "
-        f"exponents={[round(e, 3) for e in exps]} quasi-even={rep['ok']}",
-    )
+def test_criterion_7_singular_value_laws(criterion):
+    criterion("singular-value-laws")
 
 
-def test_criterion_8_quantized_calculus_structure(emit):
-    # closedness of the graded trace
-    worst_closed = 0.0
-    for seed in range(5):
-        a1, a2 = alg.random_element(800 + 2 * seed, 4, 1.0, LB), alg.random_element(
-            801 + 2 * seed, 4, 1.0, LB
-        )
-        v = cc.graded_two_form_trace(a1, a2, CTX, LADDER)
-        worst_closed = max(worst_closed, abs(v.value) / cc.two_form_scale(a1, a2, LB))
-    # graded anticyclicity on degree-1 pairs
-    anti_ok = True
-    for seed in range(3):
-        x0, x1, y0, y1 = (alg.random_element(900 + 4 * seed + s, 4, 1.0, LB) for s in range(4))
-        v12 = cc.graded_one_form_product_trace(x0, x1, y0, y1, CTX, LADDER)
-        v21 = cc.graded_one_form_product_trace(y0, y1, x0, x1, CTX, LADDER)
-        anti_ok &= abs(v12.value + v21.value) <= 3 * (v12.error + v21.error) + 1e-6
-    # Hochschild coboundary and cyclicity of the exact cocycle
-    phi = cc.psi_cochain(LB)
-    worst_b = max(
-        abs(cc.hochschild_b(phi, [alg.random_element(4 * t + s, 4, 1.0, LB) for s in range(4)]))
-        for t in range(100)
-    )
-    worst_cyc = 0.0
-    for t in triple_corpus(25, base=3000):
-        worst_cyc = max(worst_cyc, abs(cc.psi(*t).value - cc.psi(t[2], t[0], t[1]).value))
-    ok = worst_closed <= 0.05 and anti_ok and worst_b <= 1e-9 and worst_cyc <= 1e-10
-    emit(
-        "criterion-8 quantized-calculus-structure",
-        ok,
-        f"closedness={worst_closed:.2e} anticyclic={anti_ok} "
-        f"b(psi)={worst_b:.2e} cyclicity={worst_cyc:.2e}",
-    )
+def test_criterion_8_quantized_calculus_structure(criterion):
+    criterion("quantized-calculus-structure")
 
 
-def test_criterion_9_representation_consistency(emit):
-    # ladder rules against the quadrature oracle
-    worst_phase = verify_ladder_phases(LB, 3, 3)
-    # kernel matrix elements against the coefficient action
-    scheme = QuadratureScheme(default_radius(4, 4), 56)
-    a = alg.random_element(77, 3, 1.0, LB)
-    labels = [(n, m) for n in range(3) for m in range(2)]
-    gram = ker.gram_via_kernel(a, labels, labels, scheme)
-    worst_kernel = 0.0
-    for i, (nb, mb) in enumerate(labels):
-        for j, (nk, mk) in enumerate(labels):
-            want = a.coeff(nk, nb) if mb == mk else 0.0
-            worst_kernel = max(worst_kernel, abs(gram[i, j] - want))
-    # trace per unit volume of the lowest projection, every box
-    tpuv = ker.trace_per_unit_volume(alg.landau_projection(0, LB), 2.0, 5)
-    worst_tpuv = max(abs(v - 1.0) for v in tpuv)
-    # the phase-square identity on the interior
-    small = DiracContext(lb=LB, eps=0.5, n_max=8, m_max=64, buffer=4)
-    f = dirac_phase(small, check=False)
-    import scipy.sparse as sp
-
-    fsq = QuartetOperator((f.op @ f.op).tocsr(), small)
-    target = QuartetOperator(
-        sp.diags(1.0 - small.eps / oscillator_energies(small)).tocsr(), small
-    )
-    worst_f = max_interior_deviation(fsq, target, margin=2)
-    ok = (worst_phase < 1e-6 and worst_kernel < 1e-6 and worst_tpuv < 1e-4
-          and worst_f < 1e-10)
-    emit(
-        "criterion-9 representation-consistency",
-        ok,
-        f"oracle={worst_phase:.2e} kernel={worst_kernel:.2e} "
-        f"tpuv={worst_tpuv:.2e} phase-square={worst_f:.2e}",
-    )
+def test_criterion_9_representation_consistency(criterion):
+    criterion("representation-consistency")

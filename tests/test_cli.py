@@ -140,6 +140,31 @@ class TestSubcommands:
         fit = float(out.read_text().strip().splitlines()[1].split(",")[3])
         assert abs(fit - 1.0) < 0.02
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dixmier_ladder_non_finite_exits_one(self, tmp_path):
+        # eps - 1 sits at the digamma pole: the sigma rows are infinite
+        out = tmp_path / "ladder.csv"
+        assert run_cli(["--eps", "1e-300", "--out", str(out), "dixmier-ladder", "d4"]) == 1
+        assert "inf" in out.read_text()
+
+    @pytest.mark.parametrize("which", ["nc-integral", "psi", "ch", "tau2"])
+    @pytest.mark.parametrize("value, method", [
+        (complex("nan"), "dixmier-extrapolated"),
+        (1.0, "dixmier-extrapolated (flagged: not measurable at this truncation)"),
+    ])
+    def test_invariant_not_finite_or_flagged_fails(self, tmp_path, monkeypatch,
+                                                    which, value, method):
+        import magnc.cocycles as cc
+
+        def fake(*args, **kwargs):
+            return cc.CocycleValue(value, method, 0.0)
+
+        for name in ("nc_integral", "psi", "ch_dix", "tau2"):
+            monkeypatch.setattr(cc, name, fake)
+        out = tmp_path / "r.json"
+        assert run_cli(["--mmax", "128", "--out", str(out), "invariant", which, "pi:0"]) == 1
+        assert json.loads(out.read_text())["checks"][0]["pass"] is False
+
     def test_dixmier_ladder_unknown_target(self):
         assert run_cli(["dixmier-ladder", "d5"]) == 2
 
@@ -169,6 +194,22 @@ class TestVerifyAll:
 
         names = [fn.__name__ for _, fn in CHECKS]
         assert len(names) == len(set(names)) == 9
+
+    def test_tol_dixmier_cannot_loosen_an_acceptance_check(self):
+        from magnc.cli import check_connes_formula_1
+
+        rec = check_connes_formula_1(RunConfig(tol_dixmier=10.0))
+        assert rec["tolerance"] == 0.05
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_quasi_even_products_pass_at_seed(self, seed):
+        # verify_quasi_even on the check's inputs: at these seeds the second
+        # pair's octave sums rise over a pre-asymptotic head before the
+        # summable r^-1.43 tail
+        from magnc.cli import check_singular_value_laws
+
+        rec = check_singular_value_laws(RunConfig(seed=seed))
+        assert rec["got"]["quasi_even_ok"] and rec["pass"]
 
     def test_exit_codes_and_partial_report(self, tmp_path, monkeypatch):
         import magnc.cli as cli

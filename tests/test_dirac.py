@@ -14,6 +14,7 @@ from magnc.dirac import (
     InteriorIdentityError,
     QuartetOperator,
     build_dirac,
+    cached_phase,
     chi_grading,
     commutator_with_D,
     defect_operators,
@@ -268,6 +269,20 @@ class TestDefectOperators:
             d["gamma_F_anticomm"], QuartetOperator(want, CTX), margin=2
         )
         assert dev < 1e-12
+
+    def test_phase_is_built_once_per_context_in_a_bounded_cache(self):
+        small = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=64, buffer=4)
+        other = DiracContext(lb=1.0, eps=0.25, n_max=8, m_max=64, buffer=4)
+        cached_phase.cache_clear()
+        for c in (CTX, small, CTX, small):
+            defect_operators(upsilon(0, 1), c)
+            defect_operators(random_element(3, 3, 1.0), c)
+        info = cached_phase.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
+        cached_phase(other)
+        assert cached_phase.cache_info().currsize == 2
+        f = cached_phase(CTX)  # evicted by ``other``, rebuilt unchanged
+        assert abs(f.op - dirac_phase(CTX, check=False).op).max() == 0.0
 
     def test_rejects_support_in_buffer(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,29 @@ class TestKernelFunction:
             2 * np.pi * np.sum(np.abs(a.block) ** 2), rel=1e-14
         )
 
+    def test_matches_term_by_term_basis_sum(self):
+        # shared u, zeta and Gaussian against one eval_basis_function per term
+        rng = np.random.default_rng(4)
+        radius = default_radius(6, 6)
+        pts = rng.uniform(-radius, radius, (200, 2))
+        pts[0] = 0.0
+        pts[1] = [0.6 * radius, 0.8 * radius]
+        pts[2] = [-radius, 0.0]
+        # the kernel of upsilon(j, k) is a multiple of psi_{k,j}: m > n for j > k
+        for a in (random_element(2, 5, 1.3), upsilon(4, 0, 0.7), upsilon(1, 3)):
+            f = kernel_of(a)
+            want = sum(c * eval_basis_function(nm, pts, f.lb) for nm, c in f.terms)
+            assert np.abs(f(pts) - want).max() < 1e-13
+            one = f(pts[1])
+            assert type(one) is complex
+            assert abs(one - want[1]) < 1e-13
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_value_raises(self):
+        f = kernel_of(upsilon(0, 3))
+        with pytest.raises(FloatingPointError):
+            f(np.array([[0.0, 0.0], [1e120, 0.0]]))
+
     def test_phase_antisymmetry(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 2))

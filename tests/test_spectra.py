@@ -300,6 +300,20 @@ class TestClassification:
         v = classify_decay(mu)
         assert v.verdict == "trace-class"
 
+    def test_rising_head_then_summable_tail(self):
+        # a flat head makes the first octave sums rise (ratio 2); only the
+        # r^-1.43 tail decides summability
+        mu = np.maximum(np.arange(1.0, 4097.0), 256.0) ** -1.43
+        v = classify_decay(mu)
+        assert v.exponent == pytest.approx(-1.43, abs=1e-3)
+        assert v.verdict == "trace-class"
+
+    @pytest.mark.parametrize("exponent", [-1.0, -1.1, -0.5])
+    def test_harmonic_and_slower_decay_not_trace_class(self, exponent):
+        v = classify_decay(np.arange(1.0, 4097.0) ** exponent)
+        assert v.exponent == pytest.approx(exponent, abs=1e-3)
+        assert v.verdict != "trace-class"
+
     def test_unclassified_on_noise(self):
         rng = np.random.default_rng(1)
         mu = np.sort(np.abs(rng.standard_normal(512)) + 0.5 * rng.random(512))[::-1]
