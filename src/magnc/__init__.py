@@ -48,7 +48,6 @@ from .spectra import (
     IdealVerdict,
     singular_values,
     ideal_norm,
-    dixmier_estimate,
     closed_form_mu,
     classify_decay,
     verify_quasi_even,

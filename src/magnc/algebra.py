@@ -10,12 +10,13 @@ computations on that block.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 import scipy.linalg
 
-from .basis import MagneticLength, number_ladders
+from .basis import magnetic_length, number_ladders
 
 __all__ = [
     "MagneticElement",
@@ -38,15 +39,6 @@ __all__ = [
 ]
 
 
-def _lb_of(lb) -> float:
-    if isinstance(lb, MagneticLength):
-        return lb.lb
-    lb = float(lb)
-    if lb <= 0:
-        raise ValueError("magnetic length must be positive")
-    return lb
-
-
 class MagneticElement:
     """Finitely supported element of the magnetic algebra.
 
@@ -62,7 +54,7 @@ class MagneticElement:
         if not np.all(np.isfinite(block)):
             raise ValueError("coefficients must be finite")
         self.block = block
-        self.lb = _lb_of(lb)
+        self.lb = magnetic_length(lb)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,18 +181,10 @@ def trace_int(a: MagneticElement) -> complex:
     return complex(np.trace(a.block))
 
 
-_K_CACHE: dict = {}
-
-
+@lru_cache(maxsize=32)
 def _k_ladders(size: int):
-    got = _K_CACHE.get(size)
-    if got is None:
-        got = (
-            number_ladders(size, "K1").toarray(),
-            number_ladders(size, "K2").toarray(),
-        )
-        _K_CACHE[size] = got
-    return got
+    """Dense K1, K2 on ``size`` levels; callers must not modify them."""
+    return number_ladders(size, "K1").toarray(), number_ladders(size, "K2").toarray()
 
 
 def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:

@@ -24,7 +24,7 @@ giving b+ b- = m on the interior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, pi
+from math import isfinite, lgamma, pi
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +46,7 @@ __all__ = [
     "verify_ladder_phases",
     "gram_matrix",
     "default_radius",
-    "save_oracle_cache",
-    "load_oracle_cache",
+    "magnetic_length",
 ]
 
 MOMENTA = ("K1", "K2", "G1", "G2")
@@ -72,8 +71,16 @@ class MagneticLength:
     lb: float = 1.0
 
     def __post_init__(self):
-        if not (self.lb > 0 and np.isfinite(self.lb)):
-            raise ValueError(f"magnetic length must be positive, got {self.lb}")
+        object.__setattr__(self, "lb", magnetic_length(self.lb))
+
+
+def magnetic_length(lb) -> float:
+    """l_B as a float, from a number or a MagneticLength; the one check that
+    it is positive and finite (NaN and +-inf are rejected)."""
+    lb = lb.lb if isinstance(lb, MagneticLength) else float(lb)
+    if not (lb > 0 and isfinite(lb)):
+        raise ValueError(f"magnetic length must be positive and finite, got {lb}")
+    return lb
 
 
 def default_radius(n_max: int, m_max: int) -> float:
@@ -183,15 +190,6 @@ def _index_pair(idx) -> tuple[int, int]:
     return int(n), int(m)
 
 
-def _lb_value(lb) -> float:
-    if isinstance(lb, MagneticLength):
-        return lb.lb
-    lb = float(lb)
-    if lb <= 0:
-        raise ValueError("magnetic length must be positive")
-    return lb
-
-
 def _polar_parts(x, l: float):
     """u = (x1 + i x2)/(sqrt2 l), zeta = |u|^2 and the ground state psi_{0,0}."""
     x = np.asarray(x, dtype=float)
@@ -227,7 +225,7 @@ def eval_basis_function(idx, x, lb=1.0):
     whenever n != m.
     """
     n, m = _index_pair(idx)
-    u, zeta, psi00 = _polar_parts(x, _lb_value(lb))
+    u, zeta, psi00 = _polar_parts(x, magnetic_length(lb))
     val = np.asarray(psi00 * _basis_over_psi00(n, m, u, zeta), dtype=complex)
     if not np.all(np.isfinite(val)):
         raise FloatingPointError(f"basis function ({n},{m}) evaluated non-finite")
@@ -242,7 +240,7 @@ def basis_with_gradient(idx, x, lb=1.0):
     Used by the quadrature oracle for first-order differential operators.
     """
     n, m = _index_pair(idx)
-    l = _lb_value(lb)
+    l = magnetic_length(lb)
     x = np.asarray(x, dtype=float)
     u, zeta, psi00 = _polar_parts(x, l)
     # dzeta/dx_i = x_i / l^2
@@ -332,7 +330,7 @@ def momentum_matrix(which: str, n_max: int, m_max: int, lb=1.0) -> sp.csr_matrix
     dimensionless (coordinates in units of l), hence independent of lb; the
     argument is accepted for interface symmetry with the quadrature oracle.
     """
-    _lb_value(lb)
+    magnetic_length(lb)
     if n_max < 2 or m_max < 2:
         raise ValueError("truncation sizes must be >= 2")
     if which in ("K1", "K2"):
@@ -348,30 +346,30 @@ def momentum_matrix(which: str, n_max: int, m_max: int, lb=1.0) -> sp.csr_matrix
 # Quadrature oracle.
 # ---------------------------------------------------------------------------
 
-def _apply_momentum_pointwise(which: str, idx, pts, lb: float):
-    """(Op psi_idx)(x) on sample points, from the exact gradient."""
+def _apply_momenta_pointwise(idx, pts, lb: float) -> dict:
+    """(Op psi_idx)(x) on sample points for all four momenta, from one exact
+    gradient evaluation."""
     psi, g1, g2 = basis_with_gradient(idx, pts, lb)
     x1, x2 = pts[..., 0], pts[..., 1]
-    if which == "K1":
-        return -1j * lb * g1 - x2 / (2.0 * lb) * psi
-    if which == "K2":
-        return -1j * lb * g2 + x1 / (2.0 * lb) * psi
-    if which == "G1":
-        return -1j * lb * g2 - x1 / (2.0 * lb) * psi
-    if which == "G2":
-        return -1j * lb * g1 + x2 / (2.0 * lb) * psi
-    raise ValueError(f"unknown momentum {which!r}")
+    return {
+        "K1": -1j * lb * g1 - x2 / (2.0 * lb) * psi,
+        "K2": -1j * lb * g2 + x1 / (2.0 * lb) * psi,
+        "G1": -1j * lb * g2 - x1 / (2.0 * lb) * psi,
+        "G2": -1j * lb * g1 + x2 / (2.0 * lb) * psi,
+    }
 
 
 def momentum_quadrature(which: str, bra, ket, lb=1.0, scheme: QuadratureScheme | None = None):
     """<psi_bra, Op psi_ket> by tensor quadrature (the phase-pinning oracle)."""
-    l = _lb_value(lb)
+    if which not in MOMENTA:
+        raise ValueError(f"unknown momentum {which!r}")
+    l = magnetic_length(lb)
     nb, mb = _index_pair(bra)
     nk, mk = _index_pair(ket)
     if scheme is None:
         scheme = QuadratureScheme(default_radius(max(nb, nk) + 1, max(mb, mk) + 1))
     pts, w = scheme.grid(l)
-    op_ket = _apply_momentum_pointwise(which, (nk, mk), pts, l)
+    op_ket = _apply_momenta_pointwise((nk, mk), pts, l)[which]
     bra_vals = eval_basis_function((nb, mb), pts, l)
     return complex(np.sum(w * np.conj(bra_vals) * op_ket))
 
@@ -382,7 +380,7 @@ def gram_matrix(max_total: int, lb=1.0, scheme: QuadratureScheme | None = None):
     Returns (labels, gram) with gram[a, b] the overlap; orthonormality says
     gram is the identity up to quadrature error.
     """
-    l = _lb_value(lb)
+    l = magnetic_length(lb)
     if scheme is None:
         scheme = QuadratureScheme(default_radius(max_total, max_total))
     labels = [(n, m) for n in range(max_total + 1) for m in range(max_total + 1 - n)]
@@ -402,24 +400,17 @@ def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3,
     four operators).  Returns the worst deviation; raises
     PhaseConventionError beyond ``tol``.
     """
-    l = _lb_value(lb)
+    l = magnetic_length(lb)
     if scheme is None:
         scheme = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1))
     pts, w = scheme.grid(l)
-    x1, x2 = pts[..., 0], pts[..., 1]
     idxs = [(n, m) for n in range(n_sub) for m in range(m_sub)]
     bra_vals = {ix: w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs}
     closed = {which: momentum_matrix(which, n_sub, m_sub, l).toarray()
               for which in MOMENTA}
     worst = 0.0
     for ket in idxs:
-        psi, g1, g2 = basis_with_gradient(ket, pts, l)
-        op_ket = {
-            "K1": -1j * l * g1 - x2 / (2.0 * l) * psi,
-            "K2": -1j * l * g2 + x1 / (2.0 * l) * psi,
-            "G1": -1j * l * g2 - x1 / (2.0 * l) * psi,
-            "G2": -1j * l * g1 + x2 / (2.0 * l) * psi,
-        }
+        op_ket = _apply_momenta_pointwise(ket, pts, l)
         for which in MOMENTA:
             for bra in _ladder_targets(which, ket, n_sub, m_sub):
                 got = complex(np.sum(bra_vals[bra] * op_ket[which]))
@@ -430,45 +421,6 @@ def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3,
             f"ladder rules vs quadrature disagree by {worst:.3e} (> {tol:.1e})"
         )
     return worst
-
-
-def save_oracle_cache(path, n_sub: int, m_sub: int, lb=1.0,
-                      scheme: QuadratureScheme | None = None):
-    """Cache quadrature matrix elements: one record per entry.
-
-    Text format, keyed by the truncation and rule in the header; records are
-    ``which n m n' m' re im`` for every ladder-reachable entry.
-    """
-    l = _lb_value(lb)
-    if scheme is None:
-        scheme = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1))
-    with open(path, "w") as fh:
-        fh.write(f"# n_max={n_sub} m_max={m_sub} lb={l:.12g} "
-                 f"radius={scheme.radius:.12g} nodes={scheme.nodes_per_axis} "
-                 f"rule={scheme.rule}\n")
-        fh.write("which n m n2 m2 re im\n")
-        for which in MOMENTA:
-            for ket in [(n, m) for n in range(n_sub) for m in range(m_sub)]:
-                for bra in _ladder_targets(which, ket, n_sub, m_sub):
-                    v = momentum_quadrature(which, bra, ket, l, scheme)
-                    fh.write(
-                        f"{which} {ket[0]} {ket[1]} {bra[0]} {bra[1]} "
-                        f"{v.real:.15g} {v.imag:.15g}\n"
-                    )
-
-
-def load_oracle_cache(path) -> dict:
-    """Read a cache file back as {(which, n, m, n', m'): complex}."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("which"):
-                continue
-            which, n, m, n2, m2, re, im = line.split()
-            out[(which, int(n), int(m), int(n2), int(m2))] = complex(
-                float(re), float(im)
-            )
-    return out
 
 
 def _flat(idx, n_max: int) -> int:

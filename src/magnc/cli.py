@@ -105,6 +105,10 @@ def build_config(args) -> RunConfig:
         raise ConfigError("ladder must be strictly increasing with N >= 2")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
+    for key in ("tol_exact", "tol_dixmier"):
+        tol = getattr(cfg, key)
+        if not (tol > 0 and np.isfinite(tol)):
+            raise ConfigError(f"{key} must be positive and finite, got {tol}")
     cfg.context()  # validates lb, eps, truncation, buffer
     return cfg
 

@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 GAMMA_SIGNS = np.real(np.diag(GAMMA_GRADING)).copy()   # (+1, +1, -1, -1)
+CHI_SIGNS = np.real(np.diag(CHI_GRADING)).copy()       # (-1, +1, -1, +1)
+CHI_GAMMA_SIGNS = CHI_SIGNS * GAMMA_SIGNS
+UNIT_SIGNS = np.ones(4)
 
 
 @dataclass
@@ -187,10 +190,12 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
 
 
 def _graded_functional(z0: UnitalElement, z1: MagneticElement,
-                       z2: MagneticElement, ctx: DiracContext,
-                       ladder, spin_signs: np.ndarray) -> CocycleValue:
-    """Dixmier trace of |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) G + (i/2l^2) pi(Z0 d1) ]
-    with G the grading carrying ``spin_signs`` on the four blocks."""
+                       z2: MagneticElement, ctx: DiracContext, ladder,
+                       signs0: np.ndarray = GAMMA_SIGNS,
+                       signs1: np.ndarray = UNIT_SIGNS) -> CocycleValue:
+    """Dixmier trace of |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) G0 + (i/2l^2) pi(Z0 d1) G1 ]
+    with G0, G1 the diagonal spin factors carrying ``signs0``, ``signs1`` on
+    the four blocks."""
     lb = ctx.lb
     d0 = delta0(z1, z2)
     d1 = delta1(z1, z2)
@@ -200,8 +205,8 @@ def _graded_functional(z0: UnitalElement, z1: MagneticElement,
     e1 = _block_estimates(s1, ctx, ladder)
     c0 = -1.0 / (2.0 * lb**2)
     c1 = 1j / (2.0 * lb**2)
-    value = c0 * sum(s * e.value for s, e in zip(spin_signs, e0))
-    value += c1 * sum(e.value for e in e1)
+    value = c0 * sum(s * e.value for s, e in zip(signs0, e0))
+    value += c1 * sum(s * e.value for s, e in zip(signs1, e1))
     err = abs(c0) * sqrt(sum(e.stderr**2 for e in e0))
     err += abs(c1) * sqrt(sum(e.stderr**2 for e in e1))
     return CocycleValue(value, "dixmier-extrapolated", err)
@@ -215,7 +220,7 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     after extrapolation; the identity-weighted part carries the value.
     """
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder, GAMMA_SIGNS)
+    t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder)
     return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
 
 
@@ -232,21 +237,9 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     """
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
     if block_resolved:
-        chi_signs = np.real(np.diag(CHI_GRADING)).copy()
-        d0 = delta0(a1, a2)
-        d1 = delta1(a1, a2)
-        s0 = compose(a0, d0)
-        s1 = compose(a0, d1)
-        e0 = _block_estimates(s0, ctx, ladder)
-        e1 = _block_estimates(s1, ctx, ladder)
-        chi_gamma = np.real(np.diag(CHI_GRADING @ GAMMA_GRADING)).copy()
-        c0 = -1.0 / (2.0 * ctx.lb**2)
-        c1 = 1j / (2.0 * ctx.lb**2)
-        value = c0 * sum(s * e.value for s, e in zip(chi_signs, e0))
-        value += c1 * sum(s * e.value for s, e in zip(chi_gamma, e1))
-        err = abs(c0) * sqrt(sum(e.stderr**2 for e in e0))
-        err += abs(c1) * sqrt(sum(e.stderr**2 for e in e1))
-        return CocycleValue(0.5 * value, "dixmier-extrapolated", 0.5 * err)
+        t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder,
+                               CHI_SIGNS, CHI_GAMMA_SIGNS)
+        return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
     # spin-trace factorization at a common diagonal shift (the block value is
     # shift-independent): each term multiplies an exactly vanishing 4x4 trace.
     tr_chi = complex(np.trace(CHI_GRADING))
@@ -272,28 +265,34 @@ def graded_trace(omega: QuartetOperator, ctx: DiracContext,
     over a geometric ladder of sector counts and extrapolated.  Trace-class
     inputs extrapolate to zero.
     """
-    if not omega.diag_in_m:
+    if not omega.verify_m_diagonal():
         raise ValueError(
             "graded_trace needs a degeneracy-diagonal operator; reduce the "
             "two-form first (graded_two_form_trace)"
         )
     g = gamma_grading(ctx)
-    tw = QuartetOperator((g.op @ omega.op).tocsr(), ctx, diag_in_m=True)
-    s = sector_traces(tw, ctx.m_max)
-    csum = np.cumsum(s)
-    if ladder is None:
-        ladder = _direct_ladder(ctx.m_max)
-    sums = np.array([csum[m - 1] for m in ladder])
-    est = dixmier_from_partial_sums(np.array(ladder, dtype=float), sums)
-    cv = CocycleValue(est.value, "dixmier-extrapolated", est.stderr)
-    if not est.measurable:
-        cv.method += " (flagged: not measurable at this truncation)"
-    return cv
+    tw = QuartetOperator((g.op @ omega.op).tocsr(), ctx)
+    return _sector_ladder_fit(tw, ladder, 0.05, "dixmier-extrapolated")
 
 
 def _direct_ladder(m_max: int, rungs: int = 6) -> list[int]:
     ms = [max(4, m_max >> k) for k in range(rungs)][::-1]
     return sorted(set(ms))
+
+
+def _sector_ladder_fit(t: QuartetOperator, ladder, rel_tol: float,
+                       method: str) -> CocycleValue:
+    """Fit of the cumulative sector traces of ``t`` at the sector counts of
+    ``ladder`` (by default ``_direct_ladder``), flagged when not measurable."""
+    csum = np.cumsum(sector_traces(t, t.ctx.m_max))
+    if ladder is None:
+        ladder = _direct_ladder(t.ctx.m_max)
+    sums = np.array([csum[m - 1] for m in ladder])
+    est = dixmier_from_partial_sums(np.array(ladder, dtype=float), sums, rel_tol=rel_tol)
+    cv = CocycleValue(est.value, method, est.stderr)
+    if not est.measurable:
+        cv.method += " (flagged: not measurable at this truncation)"
+    return cv
 
 
 def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
@@ -304,7 +303,7 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     """
     _support_check(ctx, a1, a2, margin=ctx.buffer)
     unit = UnitalElement(1.0, zero_element(ctx.lb))
-    return _graded_functional(unit, a1, a2, ctx, ladder, GAMMA_SIGNS)
+    return _graded_functional(unit, a1, a2, ctx, ladder)
 
 
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
@@ -331,9 +330,8 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     y0 = UnitalElement.lift(y0)
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
     x1y0 = y0.scalar * x1 + compose(x1, y0.element)
-    t1 = _graded_functional(x0, x1y0, y1, ctx, ladder, GAMMA_SIGNS)
-    t2 = _graded_functional(x0 @ UnitalElement(0.0, x1), y0.element, y1, ctx,
-                            ladder, GAMMA_SIGNS)
+    t1 = _graded_functional(x0, x1y0, y1, ctx, ladder)
+    t2 = _graded_functional(x0 @ UnitalElement(0.0, x1), y0.element, y1, ctx, ladder)
     return CocycleValue(t1.value - t2.value, "dixmier-extrapolated",
                         t1.error + t2.error)
 
@@ -367,8 +365,7 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
             method += " [flagged: routes disagree beyond 10%]"
         return CocycleValue(v_red.value, method, v_red.error + gap * scale)
     if route == "reduced":
-        t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder,
-                               GAMMA_SIGNS)
+        t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder)
         return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
@@ -379,19 +376,9 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     c1 = (f.op @ pa1.op - pa1.op @ f.op).tocsr()
     c2 = (f.op @ pa2.op - pa2.op @ f.op).tocsr()
     g = gamma_grading(ctx)
-    omega = (g.op @ pa0.op @ c1 @ c2).tocsr()
-    diag = omega.diagonal()
-    block = 4 * ctx.n_tot
-    sect = diag[: ctx.m_max * block].reshape(ctx.m_max, block).sum(axis=1)
-    csum = np.cumsum(sect)
-    ms = _direct_ladder(ctx.m_max)
-    sums = np.array([csum[m - 1] for m in ms])
-    est = dixmier_from_partial_sums(np.array(ms, dtype=float), sums,
-                                    rel_tol=0.2)
-    cv = CocycleValue(0.5 * est.value, "dixmier-direct-partial-trace", 0.5 * est.stderr)
-    if not est.measurable:
-        cv.method += " (flagged: not measurable at this truncation)"
-    return cv
+    omega = QuartetOperator((g.op @ pa0.op @ c1 @ c2).tocsr(), ctx)
+    t = _sector_ladder_fit(omega, None, 0.2, "dixmier-direct-partial-trace")
+    return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import MagneticElement, UnitalElement, spatial_derivative
-from .basis import MagneticLength, number_ladders
+from .basis import magnetic_length, number_ladders
 
 __all__ = [
     "GAMMA",
@@ -74,10 +74,13 @@ class DiracContext:
     buffer: int = 4
 
     def __post_init__(self):
-        lb = self.lb if isinstance(self.lb, MagneticLength) else MagneticLength(self.lb)
-        object.__setattr__(self, "lb", lb.lb)
-        if not (self.eps > 0 and np.isfinite(self.eps)):
-            raise ValueError(f"regularization must be positive and finite, got {self.eps}")
+        object.__setattr__(self, "lb", magnetic_length(self.lb))
+        # eps - 1 > -1 in floating point, exactly where the shifted resolvent
+        # ladders have no pole; also rejects eps <= 0
+        if not (np.isfinite(self.eps) and self.shifted_energies().min() > -1):
+            raise ValueError(
+                f"regularization must be finite and keep eps - 1 above -1, got {self.eps}"
+            )
         if self.buffer < 2:
             raise ValueError("buffer must be >= 2")
         if self.n_max < 2 or self.m_max < 2:
@@ -106,24 +109,19 @@ class QuartetOperator:
 
     op: sp.csr_matrix
     ctx: DiracContext
-    diag_in_m: bool = False
     name: str = ""
 
     def __matmul__(self, other):
         if isinstance(other, QuartetOperator):
             return QuartetOperator(
-                (self.op @ other.op).tocsr(), self.ctx,
-                self.diag_in_m and other.diag_in_m,
-                f"({self.name}@{other.name})",
+                (self.op @ other.op).tocsr(), self.ctx, f"({self.name}@{other.name})"
             )
         return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, QuartetOperator):
             return QuartetOperator(
-                (self.op + other.op).tocsr(), self.ctx,
-                self.diag_in_m and other.diag_in_m,
-                f"({self.name}+{other.name})",
+                (self.op + other.op).tocsr(), self.ctx, f"({self.name}+{other.name})"
             )
         return NotImplemented
 
@@ -132,17 +130,13 @@ class QuartetOperator:
 
     def __mul__(self, c):
         if np.isscalar(c):
-            return QuartetOperator(
-                (c * self.op).tocsr(), self.ctx, self.diag_in_m, self.name
-            )
+            return QuartetOperator((c * self.op).tocsr(), self.ctx, self.name)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def dagger(self) -> "QuartetOperator":
-        return QuartetOperator(
-            self.op.conj().T.tocsr(), self.ctx, self.diag_in_m, self.name + "*"
-        )
+        return QuartetOperator(self.op.conj().T.tocsr(), self.ctx, self.name + "*")
 
     def diagonal(self) -> np.ndarray:
         return self.op.diagonal()
@@ -152,14 +146,10 @@ class QuartetOperator:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
     def verify_m_diagonal(self) -> bool:
-        """Structural check of the diag_in_m flag: no cross-sector entries."""
+        """Degeneracy-diagonal: no entry couples two different sectors m."""
         coo = self.op.tocoo()
         block = 4 * self.ctx.n_tot
         return bool(np.all(coo.row // block == coo.col // block))
-
-
-def _flatten_index(ctx: DiracContext):
-    return lambda n, m, i: (m * ctx.n_tot + n) * 4 + i
 
 
 def interior_mask(ctx: DiracContext, margin: int | None = None) -> np.ndarray:
@@ -188,29 +178,14 @@ def _kron3(a, b, c):
     return sp.kron(sp.kron(a, b, format="csr"), c, format="csr")
 
 
-def _sp_gamma(g) -> sp.csr_matrix:
-    return sp.csr_matrix(g)
-
-
 def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     """D = (K1 g1 + K2 g2 + G1 g3 + G2 g4)/sqrt(2) on the truncated lattice.
 
     With ``check`` the diagonal identity D^2 = Q + diag(-1, 0, +1, 0) is
     asserted on the interior to 1e-10.
     """
-    im = sp.identity(ctx.m_tot, format="csr")
-    inn = sp.identity(ctx.n_tot, format="csr")
-    k1 = number_ladders(ctx.n_tot, "K1")
-    k2 = number_ladders(ctx.n_tot, "K2")
-    g1 = number_ladders(ctx.m_tot, "G1")
-    g2 = number_ladders(ctx.m_tot, "G2")
-    d = (
-        _kron3(im, k1, _sp_gamma(GAMMA[0]))
-        + _kron3(im, k2, _sp_gamma(GAMMA[1]))
-        + _kron3(g1, inn, _sp_gamma(GAMMA[2]))
-        + _kron3(g2, inn, _sp_gamma(GAMMA[3]))
-    ) / np.sqrt(2.0)
-    out = QuartetOperator(d.tocsr(), ctx, diag_in_m=False, name="D")
+    dm, dp = split_dirac(ctx)
+    out = QuartetOperator((dm.op + dp.op).tocsr(), ctx, name="D")
     if check:
         sq = (out.op @ out.op).tocsr()
         target = sp.diags(oscillator_energies(ctx, include_eps=False))
@@ -225,18 +200,27 @@ def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
 
 
 def split_dirac(ctx: DiracContext) -> tuple[QuartetOperator, QuartetOperator]:
-    """(D_minus, D_plus): level-ladder part and degeneracy-ladder part."""
+    """(D_minus, D_plus): level-ladder part and degeneracy-ladder part.
+
+    The two parts touch disjoint entries (D_minus moves n, D_plus moves m),
+    so their sum is D entry for entry.
+    """
     im = sp.identity(ctx.m_tot, format="csr")
     inn = sp.identity(ctx.n_tot, format="csr")
     k1 = number_ladders(ctx.n_tot, "K1")
     k2 = number_ladders(ctx.n_tot, "K2")
     g1 = number_ladders(ctx.m_tot, "G1")
     g2 = number_ladders(ctx.m_tot, "G2")
-    dm = (_kron3(im, k1, _sp_gamma(GAMMA[0])) + _kron3(im, k2, _sp_gamma(GAMMA[1]))) / np.sqrt(2.0)
-    dp = (_kron3(g1, inn, _sp_gamma(GAMMA[2])) + _kron3(g2, inn, _sp_gamma(GAMMA[3]))) / np.sqrt(2.0)
+    gam = [sp.csr_matrix(g) for g in GAMMA]
+    dm = _kron3(im, k1, gam[0]) + _kron3(im, k2, gam[1])
+    dp = _kron3(g1, inn, gam[2]) + _kron3(g2, inn, gam[3])
+    # scaled in place (the same product a sparse ``/`` forms), sparing a
+    # lattice-sized copy of each part
+    dm.data *= 1 / np.sqrt(2.0)
+    dp.data *= 1 / np.sqrt(2.0)
     return (
-        QuartetOperator(dm.tocsr(), ctx, diag_in_m=True, name="D-"),
-        QuartetOperator(dp.tocsr(), ctx, diag_in_m=False, name="D+"),
+        QuartetOperator(dm.tocsr(), ctx, name="D-"),
+        QuartetOperator(dp.tocsr(), ctx, name="D+"),
     )
 
 
@@ -259,14 +243,14 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
     if e.min() <= 0:
         raise ValueError("regularized spectrum not positive; need eps > 0")
     d = sp.diags(e ** (-s / 2.0)).tocsr()
-    return QuartetOperator(d, ctx, diag_in_m=True, name=f"|D_eps|^-{s}")
+    return QuartetOperator(d, ctx, name=f"|D_eps|^-{s}")
 
 
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     """F = D |D_eps|^{-1}; Hermitian compression with exact matrix elements."""
     d = build_dirac(ctx, check=False)
     w = reg_inverse(ctx, 1.0)
-    f = QuartetOperator((d.op @ w.op).tocsr(), ctx, diag_in_m=False, name="F")
+    f = QuartetOperator((d.op @ w.op).tocsr(), ctx, name="F")
     if check:
         herm = f.hermiticity_defect()
         if herm > 1e-12:
@@ -298,21 +282,21 @@ def cached_phase(ctx: DiracContext) -> QuartetOperator:
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
     """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator."""
     d = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
-    return QuartetOperator(d, ctx, diag_in_m=True, name="F^2")
+    return QuartetOperator(d, ctx, name="F^2")
 
 
 def gamma_grading(ctx: DiracContext) -> QuartetOperator:
     """The quasi-even grading, diag(+1, +1, -1, -1) on the spinor factor."""
     site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
     g = sp.kron(site, sp.csr_matrix(GAMMA_GRADING), format="csr")
-    return QuartetOperator(g, ctx, diag_in_m=True, name="Gamma")
+    return QuartetOperator(g, ctx, name="Gamma")
 
 
 def chi_grading(ctx: DiracContext) -> QuartetOperator:
     """The anticommuting grading, diag(-1, +1, -1, +1) on the spinor factor."""
     site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
     g = sp.kron(site, sp.csr_matrix(CHI_GRADING), format="csr")
-    return QuartetOperator(g, ctx, diag_in_m=True, name="chi")
+    return QuartetOperator(g, ctx, name="chi")
 
 
 def represent(a, ctx: DiracContext) -> QuartetOperator:
@@ -328,7 +312,7 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
     op = _kron3(sp.identity(ctx.m_tot, format="csr"), block, sp.identity(4, format="csr"))
     if u.scalar != 0:
         op = op + u.scalar * sp.identity(ctx.dim, format="csr")
-    return QuartetOperator(op.tocsr(), ctx, diag_in_m=True, name="pi(A)")
+    return QuartetOperator(op.tocsr(), ctx, name="pi(A)")
 
 
 def commutator_with_D(a: MagneticElement, ctx: DiracContext,
@@ -343,15 +327,15 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
     d = build_dirac(ctx, check=False)
     pa = represent(a, ctx)
     comm = QuartetOperator(
-        (d.op @ pa.op - pa.op @ d.op).tocsr(), ctx, diag_in_m=False, name="[D,pi(A)]"
+        (d.op @ pa.op - pa.op @ d.op).tocsr(), ctx, name="[D,pi(A)]"
     )
     if check:
         im = sp.identity(ctx.m_tot, format="csr")
         scale = 1j / (np.sqrt(2.0) * ctx.lb)
         g1a = sp.csr_matrix(spatial_derivative(a, 1).padded(ctx.n_tot))
         g2a = sp.csr_matrix(spatial_derivative(a, 2).padded(ctx.n_tot))
-        closed = _kron3(im, g1a, _sp_gamma(scale * GAMMA[1])) - _kron3(
-            im, g2a, _sp_gamma(scale * GAMMA[0])
+        closed = _kron3(im, g1a, sp.csr_matrix(scale * GAMMA[1])) - _kron3(
+            im, g2a, sp.csr_matrix(scale * GAMMA[0])
         )
         dev = max_interior_deviation(comm, QuartetOperator(closed.tocsr(), ctx), margin=2)
         if dev > tol:
@@ -380,7 +364,7 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     anti = (g.op @ f.op + f.op @ g.op).tocsr()
     return {
         "R": QuartetOperator(r, ctx, name="R(A)"),
-        "Fsq_comm": QuartetOperator(fsq_comm, ctx, diag_in_m=True, name="[F^2,pi(A)]"),
+        "Fsq_comm": QuartetOperator(fsq_comm, ctx, name="[F^2,pi(A)]"),
         "gamma_F_anticomm": QuartetOperator(anti, ctx, name="{Gamma,F}"),
         "F_comm": QuartetOperator(fcomm, ctx, name="[F,pi(A)]"),
     }
@@ -394,7 +378,7 @@ def dual_landau_projection(ctx: DiracContext, m: int) -> QuartetOperator:
         (np.ones(1), (np.array([m]), np.array([m]))), shape=(ctx.m_tot, ctx.m_tot)
     )
     op = _kron3(e, sp.identity(ctx.n_tot, format="csr"), sp.identity(4, format="csr"))
-    return QuartetOperator(op.tocsr(), ctx, diag_in_m=True, name=f"P_{m}")
+    return QuartetOperator(op.tocsr(), ctx, name=f"P_{m}")
 
 
 def sector_traces(t: QuartetOperator, m_stop: int | None = None) -> np.ndarray:

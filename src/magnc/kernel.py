@@ -28,7 +28,6 @@ __all__ = [
     "gram_via_kernel",
     "plancherel_inner",
     "trace_per_unit_volume",
-    "dump_kernel_csv",
 ]
 
 
@@ -181,15 +180,3 @@ def trace_per_unit_volume(a: MagneticElement, box_side: float, n_boxes: int,
         box_trace = np.sum(w2 * diag) / (2.0 * pi * a.lb**2)
         vals.append(float((2.0 * pi * a.lb**2 * box_trace / area).real))
     return vals
-
-
-def dump_kernel_csv(f: KernelFunction, path, extent: float, points: int = 64):
-    """Sample the kernel on a square grid to CSV rows x1, x2, re, im."""
-    g = np.linspace(-extent, extent, points)
-    with open(path, "w") as fh:
-        fh.write("x1,x2,re,im\n")
-        for x1 in g:
-            row = np.stack([np.full_like(g, x1), g], axis=-1)
-            vals = f(row)
-            for x2, v in zip(g, vals):
-                fh.write(f"{x1:.9g},{x2:.9g},{v.real:.12g},{v.imag:.12g}\n")

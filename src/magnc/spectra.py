@@ -24,13 +24,10 @@ __all__ = [
     "DixmierEstimate",
     "IdealVerdict",
     "singular_values",
-    "sector_singular_values",
     "ideal_norm",
-    "dixmier_estimate",
     "dixmier_from_spectrum",
     "dixmier_from_partial_sums",
     "shifted_resolvent_ladder",
-    "tr_dix_shifted_resolvent",
     "stable_spectrum",
     "d4_partial_sums",
     "closed_form_mu",
@@ -159,17 +156,6 @@ def singular_values(t, k: int | None = None) -> SingularSpectrum:
     return SingularSpectrum(mu, source=getattr(t, "name", ""))
 
 
-def sector_singular_values(t: QuartetOperator, m_stop: int) -> list[np.ndarray]:
-    """Per-degeneracy-sector singular values of an m-diagonal operator."""
-    if not isinstance(t, QuartetOperator) or not t.verify_m_diagonal():
-        raise ValueError("per-sector singular values need an m-diagonal operator")
-    block = 4 * t.ctx.n_tot
-    return [
-        singular_values(t.op[m * block : (m + 1) * block, m * block : (m + 1) * block]).mu
-        for m in range(m_stop)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Count-limited ideal norms.
 # ---------------------------------------------------------------------------
@@ -287,16 +273,6 @@ def dixmier_from_spectrum(mu, ladder=DEFAULT_LADDER) -> DixmierEstimate:
     return dixmier_from_partial_sums(np.array(ladder, dtype=float), sums)
 
 
-def dixmier_estimate(data, ladder=DEFAULT_LADDER) -> DixmierEstimate:
-    """Dispatch on input: a spectrum, or precomputed (N, partial sum) pairs."""
-    if isinstance(data, SingularSpectrum) or (
-        isinstance(data, np.ndarray) and data.ndim == 1 and not np.iscomplexobj(data)
-    ):
-        return dixmier_from_spectrum(data, ladder)
-    ns, sums = data
-    return dixmier_from_partial_sums(ns, sums)
-
-
 def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,
                              ladder=DEFAULT_LADDER):
     """Exact partial sums of the sector traces of (Q + xi)^{-1} S.
@@ -315,13 +291,6 @@ def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,
     a = n_idx + 1.0 + xi
     sums = np.array([np.sum(diag * (digamma(n + a) - digamma(a))) for n in ns])
     return ns, sums
-
-
-def tr_dix_shifted_resolvent(s_el: MagneticElement, xi: float,
-                             ladder=DEFAULT_LADDER) -> DixmierEstimate:
-    """Dixmier trace of (Q + xi)^{-1} S by ladder extrapolation."""
-    ns, sums = shifted_resolvent_ladder(s_el, xi, ladder)
-    return dixmier_from_partial_sums(ns, sums)
 
 
 def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):

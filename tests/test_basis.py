@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from magnc.algebra import MagneticElement
 from magnc.basis import (
     BasisIndex,
     MagneticLength,
@@ -213,16 +214,13 @@ class TestMomentumMatrices:
     def test_default_radius_grows(self):
         assert default_radius(8, 8) > default_radius(2, 2) > 4.0
 
-    def test_oracle_cache_roundtrip(self, tmp_path):
-        from magnc.basis import load_oracle_cache, save_oracle_cache
 
-        path = tmp_path / "oracle.txt"
-        save_oracle_cache(path, 2, 2, 1.0)
-        cache = load_oracle_cache(path)
-        got = cache[("K1", 0, 0, 1, 0)]
-        want = momentum_matrix("K1", 2, 2).toarray()[1, 0]
-        assert abs(got - want) < 1e-7
-        # every cached entry agrees with the ladder tables
-        for (which, n, m, n2, m2), v in cache.items():
-            closed = momentum_matrix(which, 2, 2).toarray()
-            assert abs(v - closed[m2 * 2 + n2, m * 2 + n]) < 1e-6
+@pytest.mark.parametrize("lb", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    lambda lb: MagneticElement(np.eye(2), lb=lb),
+    lambda lb: eval_basis_function((0, 0), np.zeros(2), lb=lb),
+    lambda lb: momentum_matrix("K1", 4, 4, lb=lb),
+], ids=["MagneticElement", "eval_basis_function", "momentum_matrix"])
+def test_bad_magnetic_length_rejected(entry, lb):
+    with pytest.raises(ValueError, match="magnetic length"):
+        entry(lb)

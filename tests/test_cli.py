@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from magnc.algebra import random_element, save_element
@@ -55,6 +56,27 @@ class TestConfig:
 
     def test_infinite_magnetic_length_rejected(self):
         assert run_cli(["--lb", "inf", "invariant", "chern", "pi:0"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["invariant", "nc-integral", "pi:0"],
+        ["invariant", "ch", "pi:0"],
+        ["invariant", "tau2", "pi:0"],
+        ["dixmier-ladder", "d4"],
+    ], ids=["nc-integral", "ch", "tau2", "dixmier-ladder-d4"])
+    def test_eps_on_the_resolvent_pole_rejected(self, command):
+        # eps - 1 rounds to -1, the pole of the shifted resolvent ladders
+        assert run_cli(["--eps", "1e-300"] + command) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-dixmier"])
+    def test_bad_tolerance_flag_rejected(self, flag, value):
+        assert run_cli([flag, value, "invariant", "psi", "pi:0"]) == 2
+
+    @pytest.mark.parametrize("key", ["tol_exact", "tol-dixmier"])
+    def test_bad_tolerance_in_config_file_rejected(self, tmp_path, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = nan\n")
+        assert run_cli(["--config", str(cfgfile), "invariant", "psi", "pi:0"]) == 2
 
     def test_non_increasing_ladder_rejected(self):
         assert run_cli(["--ladder", "5,4,3", "invariant", "nc-integral", "pi:0"]) == 2
@@ -141,10 +163,19 @@ class TestSubcommands:
         assert abs(fit - 1.0) < 0.02
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_dixmier_ladder_non_finite_exits_one(self, tmp_path):
-        # eps - 1 sits at the digamma pole: the sigma rows are infinite
+    def test_dixmier_ladder_non_finite_exits_one(self, tmp_path, monkeypatch):
+        import magnc.spectra as spx
+
+        exact = spx.d4_partial_sums
+
+        def infinite_row(eps, ladder):
+            ns, sums = exact(eps, ladder)
+            sums[1] = np.inf
+            return ns, sums
+
+        monkeypatch.setattr(spx, "d4_partial_sums", infinite_row)
         out = tmp_path / "ladder.csv"
-        assert run_cli(["--eps", "1e-300", "--out", str(out), "dixmier-ladder", "d4"]) == 1
+        assert run_cli(["--out", str(out), "dixmier-ladder", "d4"]) == 1
         assert "inf" in out.read_text()
 
     @pytest.mark.parametrize("which", ["nc-integral", "psi", "ch", "tau2"])

@@ -206,6 +206,14 @@ class TestGradedTrace:
             tol = 3 * (v12.error + v21.error) + 1e-6
             assert abs(v12.value + v21.value) <= tol
 
+    def test_reads_m_diagonality_off_the_matrix(self):
+        # a bare QuartetOperator around a sector projection is m-diagonal:
+        # accepted, with the same value as the projection itself
+        op = dual_landau_projection(CTX, 2)
+        v = graded_trace(QuartetOperator(op.op, CTX), CTX)
+        assert v.value == graded_trace(op, CTX).value
+        assert abs(v.value) < 1e-4
+
     def test_rejects_non_m_diagonal(self):
         from magnc.dirac import build_dirac
 

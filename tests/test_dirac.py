@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from magnc.algebra import UnitalElement, landau_projection, random_element, upsilon, zero_element
 from magnc.dirac import (
@@ -32,6 +33,13 @@ from magnc.dirac import (
 )
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
+
+
+def j_numbers(ctx):
+    """J = n - m + s on the lattice, spinor weights s = (0, -1, 0, 1)."""
+    idx = np.arange(ctx.dim)
+    site, spin = idx // 4, idx % 4
+    return site % ctx.n_tot - site // ctx.n_tot + np.array([0, -1, 0, 1])[spin]
 
 
 class TestCliffordData:
@@ -110,13 +118,25 @@ class TestDiracOperator:
     def test_dirac_and_phase_conserve_j(self):
         # J = n - m + s with spinor weights s = (0, -1, 0, 1) is conserved,
         # which keeps the blocks of the singular-value path small
-        idx = np.arange(CTX.dim)
-        site, spin = idx // 4, idx % 4
-        j = site % CTX.n_tot - site // CTX.n_tot + np.array([0, -1, 0, 1])[spin]
+        j = j_numbers(CTX)
         for op in (build_dirac(CTX, check=False), dirac_phase(CTX, check=False)):
             coo = op.op.tocoo()
             assert coo.nnz > 0
             assert np.count_nonzero(j[coo.row] != j[coo.col]) == 0
+
+    # eps below about 1e-16 is rejected: eps - 1 rounds onto the resolvent pole
+    @settings(max_examples=25, deadline=None)
+    @given(n_max=st.integers(2, 8), m_max=st.integers(2, 32), buffer=st.integers(2, 4),
+           eps=st.floats(1e-12, 3.0, exclude_max=True), s=st.floats(1.0, 4.0))
+    def test_random_contexts_split_and_conserve_j(self, n_max, m_max, buffer, eps, s):
+        ctx = DiracContext(lb=1.0, eps=eps, n_max=n_max, m_max=m_max, buffer=buffer)
+        d = build_dirac(ctx, check=False)
+        dm, dp = split_dirac(ctx)
+        assert (d.op != dm.op + dp.op).nnz == 0
+        j = j_numbers(ctx)
+        for op in (d, dirac_phase(ctx, check=False), reg_inverse(ctx, s)):
+            coo = op.op.tocoo()
+            assert np.array_equal(j[coo.row], j[coo.col])
 
 
 class TestRegularizedInverse:
@@ -129,7 +149,7 @@ class TestRegularizedInverse:
 
     def test_diagonal_in_m_flag(self):
         w = reg_inverse(CTX, 2.0)
-        assert w.diag_in_m and w.verify_m_diagonal()
+        assert w.verify_m_diagonal()
 
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
@@ -306,5 +326,4 @@ class TestLatticePlumbing:
         assert s[0] == pytest.approx(float(want.sum()), rel=1e-12)
 
     def test_m_diagonal_structural_check(self):
-        d = build_dirac(CTX, check=False)
-        assert not QuartetOperator(d.op, CTX, diag_in_m=True).verify_m_diagonal()
+        assert not build_dirac(CTX, check=False).verify_m_diagonal()

@@ -15,7 +15,6 @@ from magnc.algebra import (
 from magnc.basis import QuadratureScheme, default_radius, eval_basis_function
 from magnc.kernel import (
     apply_via_kernel,
-    dump_kernel_csv,
     gram_via_kernel,
     kernel_of,
     magnetic_phase,
@@ -179,12 +178,3 @@ class TestTracePerUnitVolume:
     def test_rejects_bad_boxes(self):
         with pytest.raises(ValueError):
             trace_per_unit_volume(landau_projection(0), -1.0, 2)
-
-
-def test_kernel_csv_dump(tmp_path):
-    f = kernel_of(landau_projection(0))
-    path = tmp_path / "kernel.csv"
-    dump_kernel_csv(f, path, extent=3.0, points=8)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,re,im"
-    assert len(lines) == 1 + 64
