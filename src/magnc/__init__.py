@@ -20,8 +20,6 @@ from .algebra import (
     conjugated_projection,
 )
 from .basis import (
-    BasisIndex,
-    MagneticLength,
     QuadratureScheme,
     eval_generalized_laguerre,
     eval_basis_function,

@@ -98,10 +98,6 @@ class MagneticElement:
         out[: self.block.shape[0], : self.block.shape[0]] = self.block
         return out
 
-    def trimmed(self) -> "MagneticElement":
-        k = max(self.support_bound, 1)
-        return MagneticElement(self.block[:k, :k], self.lb)
-
     # -- algebra -----------------------------------------------------------
 
     def _check_same_lb(self, other: "MagneticElement"):
@@ -237,8 +233,7 @@ def is_projection(p: MagneticElement, tol: float = 1e-10) -> bool:
     return bool(herm <= tol and idem <= tol)
 
 
-def conjugated_projection(seed: int, size: int, lb=1.0,
-                          strength: float = 1.0) -> MagneticElement:
+def conjugated_projection(seed: int, size: int, lb=1.0) -> MagneticElement:
     """U Pi_0 U* with U = exp(i H), H a seeded Hermitian block.
 
     U is unitary on the block and the identity outside, so the conjugation
@@ -246,7 +241,7 @@ def conjugated_projection(seed: int, size: int, lb=1.0,
     """
     if size < 1:
         raise ValueError("block size must be >= 1")
-    h = hermitize(random_element(seed, size, strength, lb))
+    h = hermitize(random_element(seed, size, 1.0, lb))
     u = scipy.linalg.expm(1j * h.padded(size))
     p0 = np.zeros((size, size), dtype=complex)
     p0[0, 0] = 1.0

@@ -23,15 +23,13 @@ giving b+ b- = m on the interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, lgamma, pi
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "BasisIndex",
-    "MagneticLength",
     "QuadratureScheme",
     "PhaseConventionError",
     "eval_generalized_laguerre",
@@ -52,32 +50,10 @@ __all__ = [
 MOMENTA = ("K1", "K2", "G1", "G2")
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Basis label (n, m): Landau level n >= 0, degeneracy index m >= 0."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"basis indices must be nonnegative, got {self}")
-
-
-@dataclass(frozen=True)
-class MagneticLength:
-    """The length scale l_B > 0 set by the magnetic field."""
-
-    lb: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "lb", magnetic_length(self.lb))
-
-
 def magnetic_length(lb) -> float:
-    """l_B as a float, from a number or a MagneticLength; the one check that
-    it is positive and finite (NaN and +-inf are rejected)."""
-    lb = lb.lb if isinstance(lb, MagneticLength) else float(lb)
+    """l_B as a float; the one check that it is positive and finite (NaN and
+    +-inf are rejected)."""
+    lb = float(lb)
     if not (lb > 0 and isfinite(lb)):
         raise ValueError(f"magnetic length must be positive and finite, got {lb}")
     return lb
@@ -94,15 +70,12 @@ class QuadratureScheme:
 
     radius: float
     nodes_per_axis: int = 64
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("quadrature radius must be positive")
         if self.nodes_per_axis < 8:
             raise ValueError("need at least 8 nodes per axis")
-        if self.rule != "gauss-legendre":
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     def nodes_1d(self, lb: float = 1.0):
         """1D nodes and weights scaled to [-radius*lb, radius*lb]."""
@@ -182,8 +155,6 @@ def eval_generalized_laguerre(n: int, alpha: float, zeta):
 # ---------------------------------------------------------------------------
 
 def _index_pair(idx) -> tuple[int, int]:
-    if isinstance(idx, BasisIndex):
-        return idx.n, idx.m
     n, m = idx
     if n < 0 or m < 0:
         raise ValueError("basis indices must be nonnegative")
@@ -323,14 +294,12 @@ def b_minus_matrix(size: int) -> sp.csr_matrix:
     return (-am).tocsr()
 
 
-def momentum_matrix(which: str, n_max: int, m_max: int, lb=1.0) -> sp.csr_matrix:
+def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
     """Matrix of one momentum on the truncated (n, m) lattice.
 
     Layout: index = m * n_max + n (degeneracy-major).  The matrices are
-    dimensionless (coordinates in units of l), hence independent of lb; the
-    argument is accepted for interface symmetry with the quadrature oracle.
+    dimensionless (coordinates in units of l), hence independent of lb.
     """
-    magnetic_length(lb)
     if n_max < 2 or m_max < 2:
         raise ValueError("truncation sizes must be >= 2")
     if which in ("K1", "K2"):
@@ -390,23 +359,20 @@ def gram_matrix(max_total: int, lb=1.0, scheme: QuadratureScheme | None = None):
     return labels, gram
 
 
-def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3,
-                         scheme: QuadratureScheme | None = None,
-                         tol: float = 1e-6) -> float:
+def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3) -> float:
     """Compare the ladder tables against the quadrature oracle entrywise.
 
     Checks every matrix element of the four momenta inside the sub-block
     n < n_sub, m < m_sub (the gradient evaluations are shared across the
     four operators).  Returns the worst deviation; raises
-    PhaseConventionError beyond ``tol``.
+    PhaseConventionError beyond 1e-6.
     """
+    tol = 1e-6
     l = magnetic_length(lb)
-    if scheme is None:
-        scheme = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1))
-    pts, w = scheme.grid(l)
+    pts, w = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1)).grid(l)
     idxs = [(n, m) for n in range(n_sub) for m in range(m_sub)]
     bra_vals = {ix: w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs}
-    closed = {which: momentum_matrix(which, n_sub, m_sub, l).toarray()
+    closed = {which: momentum_matrix(which, n_sub, m_sub).toarray()
               for which in MOMENTA}
     worst = 0.0
     for ket in idxs:

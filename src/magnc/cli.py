@@ -149,10 +149,10 @@ def _record(name, ref, expected, got, error, tol, ok) -> dict:
     }
 
 
-def _triple_corpus(cfg: RunConfig, count: int, support: int = 4):
+def _triple_corpus(cfg: RunConfig, count: int):
     base = cfg.seed * 1000
     return [
-        tuple(alg.random_element(base + 3 * t + s, support, 1.0, cfg.lb) for s in range(3))
+        tuple(alg.random_element(base + 3 * t + s, 4, 1.0, cfg.lb) for s in range(3))
         for t in range(count)
     ]
 
@@ -268,9 +268,9 @@ def _rel_err(got: complex, want: complex, floor: float) -> float:
     return abs(got - want) / max(abs(want), floor)
 
 
-def check_connes_formula_1(cfg: RunConfig, count: int = 50) -> dict:
+def check_connes_formula_1(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    triples = _triple_corpus(cfg, count)
+    triples = _triple_corpus(cfg, 50)
     targets = [(1j / cfg.lb**2) * cc.psi(*t).value for t in triples]
     floor = 0.02 * float(np.sqrt(np.mean([abs(t) ** 2 for t in targets])))
     worst = 0.0
@@ -282,9 +282,9 @@ def check_connes_formula_1(cfg: RunConfig, count: int = 50) -> dict:
                    worst, 0.05, worst < 0.05)
 
 
-def check_connes_formula_2(cfg: RunConfig, count: int = 20) -> dict:
+def check_connes_formula_2(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    triples = _triple_corpus(cfg, count)
+    triples = _triple_corpus(cfg, 20)
     targets = [(1j / cfg.lb**2) * cc.psi(*t).value for t in triples]
     floor = 0.02 * float(np.sqrt(np.mean([abs(t) ** 2 for t in targets])))
     worst_i, worst_ii = 0.0, 0.0
@@ -300,10 +300,10 @@ def check_connes_formula_2(cfg: RunConfig, count: int = 20) -> dict:
                    max(worst_i, worst_ii), 0.10, ok)
 
 
-def check_chi_triviality(cfg: RunConfig, count: int = 50) -> dict:
+def check_chi_triviality(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     worst = 0.0
-    for t in _triple_corpus(cfg, count):
+    for t in _triple_corpus(cfg, 50):
         worst = max(worst, abs(cc.ch_hat(*t, ctx, cfg.ladder).value))
     for p in _projection_corpus(cfg):
         worst = max(worst, abs(cc.ch_hat(p, p, p, ctx, cfg.ladder).value))
@@ -311,12 +311,12 @@ def check_chi_triviality(cfg: RunConfig, count: int = 50) -> dict:
                    0.0, worst, worst, 1e-10, worst < 1e-10)
 
 
-def check_quantized_calculus_structure(cfg: RunConfig, tuples: int = 100) -> dict:
+def check_quantized_calculus_structure(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     rng_base = cfg.seed * 4000
     worst_b = 0.0
-    phi = cc.psi_cochain(cfg.lb)
-    for t in range(tuples):
+    phi = cc.psi_cochain()
+    for t in range(100):
         args = [alg.random_element(rng_base + 4 * t + s, 4, 1.0, cfg.lb) for s in range(4)]
         worst_b = max(worst_b, abs(cc.hochschild_b(phi, args)))
     worst_cyc = 0.0
@@ -468,26 +468,21 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
 def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
     if target == "d4":
         ns, sums = spx.d4_partial_sums(cfg.eps, cfg.ladder)
-    elif target.startswith("ncint:"):
-        el = parse_element(target[len("ncint:"):], cfg)
-        ctx = cfg.context()
+    elif target.startswith(("ncint:", "ch:")):
+        kind, text = target.split(":", 1)
+        el = parse_element(text, cfg)
+        if kind == "ncint":
+            integrand, weight = el, 0.25
+        else:
+            # the grading-weighted part cancels blockwise and is omitted from
+            # the dumped ladder; the fit target is the full character value
+            integrand = alg.compose(el, cc.delta1(el, el))
+            weight = 0.5 * (1j / (2.0 * cfg.lb**2))
         ns = np.asarray(cfg.ladder, dtype=float)
         sums = np.zeros(len(ns), dtype=complex)
-        for xi in ctx.shifted_energies():
-            _, s = spx.shifted_resolvent_ladder(el, xi, cfg.ladder)
-            sums = sums + s / 4.0
-    elif target.startswith("ch:"):
-        el = parse_element(target[len("ch:"):], cfg)
-        ctx = cfg.context()
-        d1 = cc.delta1(el, el)
-        s1 = alg.compose(el, d1)
-        ns = np.asarray(cfg.ladder, dtype=float)
-        sums = np.zeros(len(ns), dtype=complex)
-        for xi in ctx.shifted_energies():
-            _, s = spx.shifted_resolvent_ladder(s1, xi, cfg.ladder)
-            sums = sums + 0.5 * (1j / (2.0 * cfg.lb**2)) * s
-        # the grading-weighted part cancels blockwise and is omitted from
-        # the dumped ladder; the fit target is the full character value
+        for xi in cfg.context().shifted_energies():
+            _, s = spx.shifted_resolvent_ladder(integrand, xi, cfg.ladder)
+            sums = sums + weight * s
     else:
         raise ConfigError(f"unknown ladder target {target!r}")
     est = spx.dixmier_from_partial_sums(ns, np.asarray(sums))
@@ -523,7 +518,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--dry-run", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("verify-all", help="run every acceptance check")
     pv.add_argument("--dry-run", action="store_true", dest="dry_run")

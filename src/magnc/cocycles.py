@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import (
     MagneticElement,
@@ -23,11 +22,9 @@ from .algebra import (
     is_projection,
     spatial_derivative,
     trace_int,
-    zero_element,
 )
 from .dirac import (
     CHI_GRADING,
-    GAMMA,
     GAMMA_GRADING,
     DiracContext,
     QuartetOperator,
@@ -126,8 +123,8 @@ def psi(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement) -> Cocycl
     return CocycleValue(val, "exact-algebraic", 0.0)
 
 
-def _require_projection(p: MagneticElement, tol: float = 1e-10):
-    if not is_projection(p, tol):
+def _require_projection(p: MagneticElement):
+    if not is_projection(p):
         raise ValueError("input is not a projection (P* = P = P^2 fails)")
 
 
@@ -275,8 +272,8 @@ def graded_trace(omega: QuartetOperator, ctx: DiracContext,
     return _sector_ladder_fit(tw, ladder, 0.05, "dixmier-extrapolated")
 
 
-def _direct_ladder(m_max: int, rungs: int = 6) -> list[int]:
-    ms = [max(4, m_max >> k) for k in range(rungs)][::-1]
+def _direct_ladder(m_max: int) -> list[int]:
+    ms = [max(4, m_max >> k) for k in range(6)][::-1]
     return sorted(set(ms))
 
 
@@ -302,8 +299,7 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     Closedness of the graded trace makes this vanish for every pair.
     """
     _support_check(ctx, a1, a2, margin=ctx.buffer)
-    unit = UnitalElement(1.0, zero_element(ctx.lb))
-    return _graded_functional(unit, a1, a2, ctx, ladder)
+    return _graded_functional(UnitalElement.unit(ctx.lb), a1, a2, ctx, ladder)
 
 
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
@@ -351,24 +347,13 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] over growing degeneracy windows,
     divided by the logarithm of the sector count; coarser, with the larger
     provisional tolerance carried by the caller.
-    route "both": evaluates the two routes and flags a disagreement beyond
-    10% in the returned method string.
     """
-    _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    if route == "both":
-        v_red = tau2(a0, a1, a2, ctx, "reduced", ladder)
-        v_dir = tau2(a0, a1, a2, ctx, "direct", ladder)
-        scale = max(abs(v_red.value), abs(v_dir.value), 1e-12)
-        gap = abs(v_red.value - v_dir.value) / scale
-        method = f"dixmier-two-routes (direct within {gap:.1%})"
-        if gap > 0.10:
-            method += " [flagged: routes disagree beyond 10%]"
-        return CocycleValue(v_red.value, method, v_red.error + gap * scale)
     if route == "reduced":
-        t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder)
-        return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
+        # with the trace-class remainder dropped, tau2 is the Dirac character
+        return ch_dix(a0, a1, a2, ctx, ladder)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
+    _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
     f = cached_phase(ctx)
     pa0 = represent(a0, ctx)
     pa1 = represent(a1, ctx)
@@ -407,7 +392,7 @@ def hochschild_coboundary(phi: Cochain) -> Cochain:
                    name=f"b({phi.name})")
 
 
-def psi_cochain(lb: float = 1.0) -> Cochain:
+def psi_cochain() -> Cochain:
     """The derivation-trace cocycle on the unitization (units drop under
     the derivations; the scalar part of the first slot multiplies the plain
     trace of the curl bilinear)."""
@@ -419,7 +404,7 @@ def psi_cochain(lb: float = 1.0) -> Cochain:
     return Cochain(2, ev, name="psi")
 
 
-def trace_cochain(lb: float = 1.0) -> Cochain:
+def trace_cochain() -> Cochain:
     """The algebra trace as a 0-cochain (defined on the algebra part)."""
 
     def ev(u0: UnitalElement) -> complex:
@@ -434,17 +419,15 @@ def trace_cochain(lb: float = 1.0) -> Cochain:
 # Physical observables.
 # ---------------------------------------------------------------------------
 
-def physical_observables(p: MagneticElement, lb: float | None = None) -> dict:
+def physical_observables(p: MagneticElement) -> dict:
     """Integrated density of states and Hall conductance of a projection.
 
     idos carries units of inverse area (1 / (2 pi l^2) per unit of trace);
     the Hall value is reported in conductance quanta e^2/h.
     """
-    if lb is None:
-        lb = p.lb
     gl = gap_label(p)
     c = chern_number(p)
     return {
-        "idos": gl / (2.0 * pi * lb**2),
+        "idos": gl / (2.0 * pi * p.lb**2),
         "hall_in_conductance_quanta": c,
     }

@@ -111,36 +111,6 @@ class QuartetOperator:
     ctx: DiracContext
     name: str = ""
 
-    def __matmul__(self, other):
-        if isinstance(other, QuartetOperator):
-            return QuartetOperator(
-                (self.op @ other.op).tocsr(), self.ctx, f"({self.name}@{other.name})"
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, QuartetOperator):
-            return QuartetOperator(
-                (self.op + other.op).tocsr(), self.ctx, f"({self.name}+{other.name})"
-            )
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, c):
-        if np.isscalar(c):
-            return QuartetOperator((c * self.op).tocsr(), self.ctx, self.name)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "QuartetOperator":
-        return QuartetOperator(self.op.conj().T.tocsr(), self.ctx, self.name + "*")
-
-    def diagonal(self) -> np.ndarray:
-        return self.op.diagonal()
-
     def hermiticity_defect(self) -> float:
         d = self.op - self.op.conj().T
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
@@ -256,9 +226,8 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
         if herm > 1e-12:
             raise InteriorIdentityError(f"Dirac phase not Hermitian: {herm:.3e}")
         fsq = (f.op @ f.op).tocsr()
-        target = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
         dev = max_interior_deviation(
-            QuartetOperator(fsq, ctx), QuartetOperator(target, ctx), margin=2
+            QuartetOperator(fsq, ctx), exact_phase_square(ctx), margin=2
         )
         if dev > 1e-10:
             raise InteriorIdentityError(
@@ -316,7 +285,7 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
 
 
 def commutator_with_D(a: MagneticElement, ctx: DiracContext,
-                      check: bool = True, tol: float = 1e-10) -> QuartetOperator:
+                      check: bool = True) -> QuartetOperator:
     """[D, pi(A)], asserted equal to its derivation closed form on the interior.
 
     The closed form is grad_1 A x (i g2 / (sqrt2 l)) - grad_2 A x (i g1 / (sqrt2 l)),
@@ -338,7 +307,7 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
             im, g2a, sp.csr_matrix(scale * GAMMA[0])
         )
         dev = max_interior_deviation(comm, QuartetOperator(closed.tocsr(), ctx), margin=2)
-        if dev > tol:
+        if dev > 1e-10:
             raise InteriorIdentityError(
                 f"[D, pi(A)] differs from its derivation form by {dev:.3e}"
             )

@@ -15,7 +15,7 @@ from math import pi
 
 import numpy as np
 
-from .algebra import MagneticElement, trace_int
+from .algebra import MagneticElement
 from .basis import (QuadratureScheme, _basis_over_psi00, _polar_parts, default_radius,
                     eval_basis_function)
 
@@ -100,7 +100,7 @@ def apply_via_kernel(f: KernelFunction, phi, x, scheme: QuadratureScheme,
 
     vals = run(scheme)
     if check_convergence:
-        finer = QuadratureScheme(scheme.radius, 2 * scheme.nodes_per_axis, scheme.rule)
+        finer = QuadratureScheme(scheme.radius, 2 * scheme.nodes_per_axis)
         vals2 = run(finer)
         drift = np.abs(vals2 - vals).max()
         if drift > conv_tol:
@@ -155,8 +155,8 @@ def plancherel_inner(a: MagneticElement, b: MagneticElement,
     return complex(np.sum(w * np.conj(fa(pts)) * fb(pts)))
 
 
-def trace_per_unit_volume(a: MagneticElement, box_side: float, n_boxes: int,
-                          nodes_per_axis: int = 32) -> list[float]:
+def trace_per_unit_volume(a: MagneticElement, box_side: float,
+                          n_boxes: int) -> list[float]:
     """2 pi l^2 Tr(chi A chi)/|box| over a growing family of centered squares.
 
     The kernel diagonal k(x, x) = f_A(0) Phi(x, x) / (2 pi l^2) is integrated
@@ -168,7 +168,7 @@ def trace_per_unit_volume(a: MagneticElement, box_side: float, n_boxes: int,
         raise ValueError("need a positive box side and at least one box")
     f = kernel_of(a)
     vals = []
-    x, wts = np.polynomial.legendre.leggauss(nodes_per_axis)
+    x, wts = np.polynomial.legendre.leggauss(32)
     for t in range(1, n_boxes + 1):
         half = 0.5 * box_side * t
         nodes = x * half

@@ -136,8 +136,8 @@ def _blockwise_svdvals(op: sp.csr_matrix) -> np.ndarray:
     return np.sort(np.concatenate(mu))[::-1]
 
 
-def singular_values(t, k: int | None = None) -> SingularSpectrum:
-    """Top-k singular values (all of them when k is None), descending.
+def singular_values(t) -> SingularSpectrum:
+    """All singular values, descending.
 
     Lattice operators are first restricted to their level window (rows and
     columns with level index below the highest occupied one); every input
@@ -148,12 +148,7 @@ def singular_values(t, k: int | None = None) -> SingularSpectrum:
         op = t.op[sel][:, sel].tocsr()
     else:
         op = sp.csr_matrix(t)
-    mu = _blockwise_svdvals(op)
-    if k is not None:
-        if k > len(mu):
-            raise ValueError(f"requested {k} singular values, have {len(mu)}")
-        mu = mu[:k]
-    return SingularSpectrum(mu, source=getattr(t, "name", ""))
+    return SingularSpectrum(_blockwise_svdvals(op), source=getattr(t, "name", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +392,19 @@ def build_shifted_commutator(kind: str, a: MagneticElement, n_tot: int,
 # Decay classification.
 # ---------------------------------------------------------------------------
 
-def classify_decay(mu, fit_floor: float = 1e-14) -> IdealVerdict:
+def classify_decay(mu) -> IdealVerdict:
     """Log-log tail fit of the ranked singular values.
 
     Fits mu_r ~ (r+1)^e over the tail half, maps e to the weak-Schatten order
     p = -1/e, and upgrades to "trace-class" when consecutive octave sums of
-    the tail decay geometrically (a summability ratio test).  Poor fits
-    (R^2 < 0.95) return "unclassified".
+    the tail decay geometrically (a summability ratio test).  Values at or
+    below 1e-14 are dropped before the fit.  Poor fits (R^2 < 0.95) return
+    "unclassified".
     """
     mu = _mu_array(mu)
     if len(mu) < 64:
         raise ValueError("need at least 64 singular values to classify")
-    good = mu > fit_floor
-    mu = mu[good]
+    mu = mu[mu > 1e-14]
     if len(mu) < 64:
         return IdealVerdict(-np.inf, 1.0, {}, "trace-class")
     lo = len(mu) // 2
@@ -488,16 +483,16 @@ def _norm_panel(mu: np.ndarray, exponent: float) -> dict:
 # Quasi-even module verification.
 # ---------------------------------------------------------------------------
 
-def stable_spectrum(build, ctx: DiracContext, shrink: float = 0.5,
-                    agree_rtol: float = 1e-6) -> SingularSpectrum:
+def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
     """Ranked singular values stable under shrinking the degeneracy truncation.
 
     The compressed spectrum is exact on a ranked prefix and falls off
-    spuriously near its capacity; comparing two truncations isolates the
-    honest prefix, which is what decay fits may use.
+    spuriously near its capacity; comparing m_max with m_max / 2 (agreement
+    to 1e-6 relative) isolates the honest prefix, which is what decay fits
+    may use.
     """
     small = DiracContext(lb=ctx.lb, eps=ctx.eps, n_max=ctx.n_max,
-                         m_max=max(int(ctx.m_max * shrink), 64),
+                         m_max=max(ctx.m_max // 2, 64),
                          buffer=ctx.buffer)
     s_big = singular_values(build(ctx))
     if s_big.count == 0 or s_big.mu[0] <= 1e-14:
@@ -507,7 +502,7 @@ def stable_spectrum(build, ctx: DiracContext, shrink: float = 0.5,
     n = min(s_big.count, s_small.count)
     big, sml = s_big.mu[:n], s_small.mu[:n]
     scale = big[0] if n and big[0] > 0 else 1.0
-    ok = np.abs(big - sml) <= agree_rtol * np.maximum(big, 1e-300) + 1e-12 * scale
+    ok = np.abs(big - sml) <= 1e-6 * np.maximum(big, 1e-300) + 1e-12 * scale
     bad = np.nonzero(~ok)[0]
     stop = int(bad[0]) if len(bad) else n
     if stop < 64:

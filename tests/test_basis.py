@@ -6,8 +6,6 @@ from scipy.special import eval_genlaguerre
 
 from magnc.algebra import MagneticElement
 from magnc.basis import (
-    BasisIndex,
-    MagneticLength,
     PhaseConventionError,
     QuadratureScheme,
     b_minus_matrix,
@@ -131,9 +129,7 @@ class TestBasisFunction:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            BasisIndex(-1, 0)
-        with pytest.raises(ValueError):
-            MagneticLength(0.0)
+            eval_basis_function((-1, 0), np.zeros(2))
         with pytest.raises(ValueError):
             QuadratureScheme(radius=5.0, nodes_per_axis=4)
 
@@ -219,8 +215,8 @@ class TestMomentumMatrices:
 @pytest.mark.parametrize("entry", [
     lambda lb: MagneticElement(np.eye(2), lb=lb),
     lambda lb: eval_basis_function((0, 0), np.zeros(2), lb=lb),
-    lambda lb: momentum_matrix("K1", 4, 4, lb=lb),
-], ids=["MagneticElement", "eval_basis_function", "momentum_matrix"])
+    lambda lb: basis_with_gradient((0, 0), np.zeros(2), lb=lb),
+], ids=["MagneticElement", "eval_basis_function", "basis_with_gradient"])
 def test_bad_magnetic_length_rejected(entry, lb):
     with pytest.raises(ValueError, match="magnetic length"):
         entry(lb)

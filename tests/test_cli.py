@@ -114,6 +114,21 @@ class TestSubcommands:
         assert len(payload["plan"]) == 9
         assert "representation-consistency" in payload["plan"]
 
+    def test_global_dry_run_is_a_usage_error(self, monkeypatch, capsys):
+        import magnc.cli as cli
+
+        ran = []
+
+        def recording_check(cfg):
+            ran.append(cfg)
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "CHECKS", [("s", recording_check)])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--dry-run", "verify-all"])
+        assert exc.value.code == 2
+        assert ran == []
+
     def test_invariant_chern(self, tmp_path):
         out = tmp_path / "r.json"
         rc = run_cli(["--out", str(out), "invariant", "chern", "pi:0"])

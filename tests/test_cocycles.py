@@ -55,7 +55,7 @@ class TestExactTier:
             assert val == pytest.approx(-1j * lb**2, abs=1e-12)
 
     def test_psi_kills_unit_slots(self):
-        phi = psi_cochain(LB)
+        phi = psi_cochain()
         a = rand(1)
         one = UnitalElement.unit(LB)
         assert phi(a, one, a) == pytest.approx(0.0, abs=1e-14)
@@ -247,13 +247,6 @@ class TestFredholmCharacter:
             assert abs(v_i.value - want) / abs(want) < 0.05
             assert abs(v_ii.value - want) / abs(want) < 0.10
 
-    def test_both_routes_with_agreement_flag(self):
-        p = landau_projection(0, LB)
-        v = tau2(p, p, p, CTX, "both")
-        assert v.value == pytest.approx(1.0, rel=0.05)
-        assert "two-routes" in v.method
-        assert "flagged" not in v.method
-
     def test_unknown_route_rejected(self):
         a = rand(1)
         with pytest.raises(ValueError):
@@ -262,13 +255,13 @@ class TestFredholmCharacter:
 
 class TestHochschild:
     def test_trace_is_a_cocycle(self):
-        tr = trace_cochain(LB)
+        tr = trace_cochain()
         for seed in range(20):
             a0, a1 = rand(2 * seed), rand(2 * seed + 1)
             assert abs(hochschild_b(tr, (a0, a1))) < 1e-12
 
     def test_psi_is_a_cocycle(self):
-        phi = psi_cochain(LB)
+        phi = psi_cochain()
         for seed in range(100):
             args = [rand(4 * seed + s) for s in range(4)]
             assert abs(hochschild_b(phi, args)) < 1e-9
@@ -285,12 +278,12 @@ class TestHochschild:
             assert abs(bb(*args)) < 1e-10
 
     def test_arity_enforced(self):
-        phi = psi_cochain(LB)
+        phi = psi_cochain()
         with pytest.raises(ValueError):
             hochschild_b(phi, (rand(0), rand(1)))
 
     def test_cochain_call_arity(self):
-        phi = psi_cochain(LB)
+        phi = psi_cochain()
         with pytest.raises(ValueError):
             phi(rand(0), rand(1))
 

@@ -94,12 +94,6 @@ class TestDiracOperator:
         anti = QuartetOperator((dm.op @ dp.op + dp.op @ dm.op).tocsr(), CTX)
         assert max_interior_deviation(anti, margin=2) < 1e-10
 
-    def test_split_sums_to_dirac(self):
-        d = build_dirac(CTX, check=False)
-        dm, dp = split_dirac(CTX)
-        diff = (d.op - dm.op - dp.op)
-        assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-15
-
     def test_grading_signs_of_split(self):
         g = gamma_grading(CTX)
         dm, dp = split_dirac(CTX)
