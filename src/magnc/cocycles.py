@@ -28,10 +28,11 @@ from .dirac import (
     GAMMA_GRADING,
     DiracContext,
     QuartetOperator,
-    cached_phase,
     gamma_grading,
-    represent,
+    sector_blocks,
+    sector_represent,
     sector_traces,
+    sector_weights,
 )
 from .spectra import (
     DEFAULT_LADDER,
@@ -269,7 +270,7 @@ def graded_trace(omega: QuartetOperator, ctx: DiracContext,
         )
     g = gamma_grading(ctx)
     tw = QuartetOperator((g.op @ omega.op).tocsr(), ctx)
-    return _sector_ladder_fit(tw, ladder, 0.05, "dixmier-extrapolated")
+    return _sector_ladder_fit(sector_traces(tw), ladder, 0.05, "dixmier-extrapolated")
 
 
 def _direct_ladder(m_max: int) -> list[int]:
@@ -277,13 +278,14 @@ def _direct_ladder(m_max: int) -> list[int]:
     return sorted(set(ms))
 
 
-def _sector_ladder_fit(t: QuartetOperator, ladder, rel_tol: float,
+def _sector_ladder_fit(traces: np.ndarray, ladder, rel_tol: float,
                        method: str) -> CocycleValue:
-    """Fit of the cumulative sector traces of ``t`` at the sector counts of
-    ``ladder`` (by default ``_direct_ladder``), flagged when not measurable."""
-    csum = np.cumsum(sector_traces(t, t.ctx.m_max))
+    """Fit of the cumulative sector traces ``traces`` (sectors m < m_max) at
+    the sector counts of ``ladder`` (by default ``_direct_ladder``), flagged
+    when not measurable."""
+    csum = np.cumsum(traces)
     if ladder is None:
-        ladder = _direct_ladder(t.ctx.m_max)
+        ladder = _direct_ladder(len(traces))
     sums = np.array([csum[m - 1] for m in ladder])
     est = dixmier_from_partial_sums(np.array(ladder, dtype=float), sums, rel_tol=rel_tol)
     cv = CocycleValue(est.value, method, est.stderr)
@@ -336,6 +338,44 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
 # The Fredholm-module character, both evaluation routes.
 # ---------------------------------------------------------------------------
 
+def _fredholm_sector_traces(a0: MagneticElement, a1: MagneticElement,
+                            a2: MagneticElement, ctx: DiracContext) -> np.ndarray:
+    """Sector traces T(m), m < m_max, of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)].
+
+    F = D diag(W), and D is block-tridiagonal in m (``sector_blocks``), so
+    sector m's trace runs over the intermediate sectors m' = m + delta,
+    delta in (0, +1, -1), whose two D blocks carry the factor c = 1, m + 1,
+    m.  Each of the four terms of [F, pi1][F, pi2] is tr(X diag(u) Y diag(v))
+    = u^T (Y o X^T) v with u = W(m'), v = W(m), hence
+    T(m) = sum_delta c_delta(m) W(m')^T K_delta W(m) with three fixed window
+    matrices K_delta.  The window n < max support + 2 holds every level the
+    product passes through, so T(m) is the lattice product's sector trace.
+    """
+    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
+    blocks = sector_blocks(ctx, levels)
+    p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
+    gp0 = blocks.gamma @ p0
+
+    def kernel(d_out, d_back):
+        # (X, Y) of the four terms, with D(m, m') = c' d_out, D(m', m) = c'' d_back
+        terms = ((p2 @ gp0 @ d_out, p1 @ d_back), (gp0 @ d_out, -p1 @ p2 @ d_back),
+                 (p2 @ gp0 @ p1 @ d_out, -d_back), (gp0 @ p1 @ d_out, p2 @ d_back))
+        return sum(y * x.T for x, y in terms)
+
+    def form(u, k, v):
+        # u^T k v row by row; real products, since a real-by-complex matmul
+        # costs ten times as much
+        return np.sum((u @ k.real) * v, axis=1) + 1j * np.sum((u @ k.imag) * v, axis=1)
+
+    w = sector_weights(ctx, levels)   # rows m = 0..m_max
+    v = w[:-1]
+    m = np.arange(ctx.m_max)
+    t = form(v, kernel(blocks.m0, blocks.m0), v)
+    t += (m + 1) * form(w[1:], kernel(blocks.plus, blocks.minus), v)
+    t[1:] += m[1:] * form(w[:-2], kernel(blocks.minus, blocks.plus), v[1:])
+    return t
+
+
 def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
          ctx: DiracContext, route: str = "reduced",
          ladder=DEFAULT_LADDER) -> CocycleValue:
@@ -343,10 +383,12 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
 
     route "reduced": replace the two-form by its volume-weighted reduction
     (trace-class remainder dropped) and extrapolate the exact sector ladders.
-    route "direct": truncated partial traces of the honest sparse product
-    Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] over growing degeneracy windows,
-    divided by the logarithm of the sector count; coarser, with the larger
-    provisional tolerance carried by the caller.
+    route "direct": the degeneracy-sector traces of
+    Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] at the context's truncation,
+    evaluated as per-sector quadratic forms in the phase weights
+    (``_fredholm_sector_traces``), summed over growing sector windows and
+    fitted against the logarithm of the sector count; coarser, with the
+    larger provisional tolerance carried by the caller.
     """
     if route == "reduced":
         # with the trace-class remainder dropped, tau2 is the Dirac character
@@ -354,15 +396,8 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    f = cached_phase(ctx)
-    pa0 = represent(a0, ctx)
-    pa1 = represent(a1, ctx)
-    pa2 = represent(a2, ctx)
-    c1 = (f.op @ pa1.op - pa1.op @ f.op).tocsr()
-    c2 = (f.op @ pa2.op - pa2.op @ f.op).tocsr()
-    g = gamma_grading(ctx)
-    omega = QuartetOperator((g.op @ pa0.op @ c1 @ c2).tocsr(), ctx)
-    t = _sector_ladder_fit(omega, None, 0.2, "dixmier-direct-partial-trace")
+    t = _sector_ladder_fit(_fredholm_sector_traces(a0, a1, a2, ctx), None, 0.2,
+                           "dixmier-direct-partial-trace")
     return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
 
 

@@ -10,8 +10,9 @@ rows and columns, and identities are asserted on the interior window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +27,7 @@ __all__ = [
     "BLOCK_SHIFTS",
     "DiracContext",
     "QuartetOperator",
+    "SectorBlocks",
     "InteriorIdentityError",
     "build_dirac",
     "split_dirac",
@@ -35,6 +37,9 @@ __all__ = [
     "gamma_grading",
     "chi_grading",
     "represent",
+    "sector_blocks",
+    "sector_weights",
+    "sector_represent",
     "commutator_with_D",
     "defect_operators",
     "dual_landau_projection",
@@ -194,15 +199,67 @@ def split_dirac(ctx: DiracContext) -> tuple[QuartetOperator, QuartetOperator]:
     )
 
 
-def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarray:
-    """Diagonal of D^2 (+ eps): (n + m + 1 + shift_i) + eps over the lattice."""
-    n = np.arange(ctx.n_tot)
-    m = np.arange(ctx.m_tot)
+class SectorBlocks(NamedTuple):
+    """D and the grading on the level window of one degeneracy sector.
+
+    D is block-tridiagonal in m: block (m, m) is ``m0``, block (m, m+1) is
+    sqrt(m+1) ``plus`` and block (m, m-1) is sqrt(m) ``minus``; ``gamma`` is
+    the grading's diagonal block.  Rows and columns are (n, i) in lattice
+    order, n < the window's level count.
+    """
+
+    m0: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    gamma: np.ndarray
+
+
+def _sector_block(t: QuartetOperator, m: int, m2: int, levels: int) -> np.ndarray:
+    """Dense (m, m2) degeneracy block of a lattice operator, levels n < ``levels``."""
+    block = 4 * t.ctx.n_tot
+    rows = slice(m * block, m * block + 4 * levels)
+    cols = slice(m2 * block, m2 * block + 4 * levels)
+    return t.op[rows, cols].toarray()
+
+
+def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
+    """The blocks of D and Gamma on the level window n < ``levels``, read off
+    ``split_dirac`` and ``gamma_grading`` on a two-sector copy of ``ctx``.
+
+    Cached on that copy, so contexts differing only in m_max share one
+    entry; building the blocks costs about as much as the quadratic forms
+    of one direct-route Fredholm character.  The arrays are read-only.
+    """
+    if not 1 <= levels <= ctx.n_tot:
+        raise ValueError(f"level window {levels} outside 1..{ctx.n_tot}")
+    return _two_sector_blocks(replace(ctx, m_max=2), levels)
+
+
+@lru_cache(maxsize=4)
+def _two_sector_blocks(two: DiracContext, levels: int) -> SectorBlocks:
+    dm, dp = split_dirac(two)
+    blocks = SectorBlocks(_sector_block(dm, 0, 0, levels), _sector_block(dp, 0, 1, levels),
+                          _sector_block(dp, 1, 0, levels),
+                          _sector_block(gamma_grading(two), 0, 0, levels))
+    for b in blocks:
+        b.setflags(write=False)
+    return blocks
+
+
+def _energies(eps: float | None, sectors: int, levels: int) -> np.ndarray:
+    """(n + m + 1 + shift_i) (+ eps) for m < sectors, n < levels, in lattice order."""
+    n = np.arange(levels)
+    m = np.arange(sectors)
     q = (m[:, None] + n[None, :] + 1.0).ravel()
     e = q[:, None] + BLOCK_SHIFTS[None, :]
-    if include_eps:
-        e = e + ctx.eps
+    if eps is not None:
+        e = e + eps
     return e.ravel()
+
+
+def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarray:
+    """Diagonal of D^2 (+ eps): (n + m + 1 + shift_i) + eps over the lattice."""
+    return _energies(ctx.eps if include_eps else None, ctx.m_tot, ctx.n_tot)
 
 
 def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
@@ -214,6 +271,13 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
         raise ValueError("regularized spectrum not positive; need eps > 0")
     d = sp.diags(e ** (-s / 2.0)).tocsr()
     return QuartetOperator(d, ctx, name=f"|D_eps|^-{s}")
+
+
+def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
+    """Row m is the diagonal of |D_eps|^-1 on the level window n < ``levels``
+    of sector m, for m = 0..m_max (the sectors the first m_max couple to)."""
+    e = _energies(ctx.eps, ctx.m_max + 1, levels)
+    return (e ** -0.5).reshape(ctx.m_max + 1, 4 * levels)
 
 
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
@@ -238,8 +302,8 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
 
 @lru_cache(maxsize=2)
 def cached_phase(ctx: DiracContext) -> QuartetOperator:
-    """The unchecked phase F of ``ctx``, shared by the defect operators and
-    the direct route of the Fredholm character; callers must not modify it.
+    """The unchecked phase F of ``ctx``, shared by the defect operators of
+    every element at one truncation; callers must not modify it.
 
     The two slots cover ``spectra.stable_spectrum``, which alternates between
     a context and its shrunken copy; the bound keeps a sweep over many
@@ -268,8 +332,9 @@ def chi_grading(ctx: DiracContext) -> QuartetOperator:
     return QuartetOperator(g, ctx, name="chi")
 
 
-def represent(a, ctx: DiracContext) -> QuartetOperator:
-    """Diagonal representation (c*1 + A) x 1_4 on the quartet space."""
+def _lift_for(a, ctx: DiracContext) -> UnitalElement:
+    """``a`` as a unital element, checked against the context's magnetic
+    length and level truncation."""
     u = UnitalElement.lift(a)
     if abs(u.lb - ctx.lb) > 1e-15 * max(u.lb, ctx.lb):
         raise ValueError("element and context magnetic lengths differ")
@@ -277,11 +342,27 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
         raise ValueError(
             f"support {u.element.support_bound} exceeds the level truncation {ctx.n_max}"
         )
+    return u
+
+
+def represent(a, ctx: DiracContext) -> QuartetOperator:
+    """Diagonal representation (c*1 + A) x 1_4 on the quartet space."""
+    u = _lift_for(a, ctx)
     block = sp.csr_matrix(u.element.padded(ctx.n_tot))
     op = _kron3(sp.identity(ctx.m_tot, format="csr"), block, sp.identity(4, format="csr"))
     if u.scalar != 0:
         op = op + u.scalar * sp.identity(ctx.dim, format="csr")
     return QuartetOperator(op.tocsr(), ctx, name="pi(A)")
+
+
+def sector_represent(a, ctx: DiracContext, levels: int) -> np.ndarray:
+    """(c*1 + A) x 1_4 on the level window n < ``levels`` of one sector: the
+    diagonal block of ``represent`` that ``sector_blocks``' window sees."""
+    u = _lift_for(a, ctx)
+    if u.element.support_bound > levels:
+        raise ValueError(f"support {u.element.support_bound} exceeds the window {levels}")
+    block = u.element.padded(levels)[:levels, :levels]
+    return np.kron(block, np.eye(4)) + u.scalar * np.eye(4 * levels)
 
 
 def commutator_with_D(a: MagneticElement, ctx: DiracContext,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import digamma, polygamma
 
@@ -99,7 +98,7 @@ def _window_selection(ctx: DiracContext, n_win: int) -> np.ndarray:
 
 
 def _blockwise_svdvals(op: sp.csr_matrix) -> np.ndarray:
-    """All min(shape) singular values, one dense SVD per block of the pattern.
+    """All min(shape) singular values, one stacked dense SVD per block shape.
 
     Rows and columns are the two vertex classes of a bipartite graph with an
     edge per nonzero; its connected components are the diagonal blocks of a
@@ -126,12 +125,25 @@ def _blockwise_svdvals(op: sp.csr_matrix) -> np.ndarray:
     nz = perm.data != 0
     rows, cols, vals = perm.row[nz], perm.col[nz], perm.data[nz]
     nz_off = np.searchsorted(rows, r_off)
+    nz_comp = np.repeat(np.arange(n_comp), np.diff(nz_off))
+    # blocks holding a nonzero, grouped by shape: one stacked SVD per shape
+    occupied = np.nonzero(np.diff(nz_off))[0]
+    shapes, group = np.unique(
+        np.stack([np.diff(r_off)[occupied], np.diff(c_off)[occupied]], axis=1),
+        axis=0, return_inverse=True)
+    comp_group = np.full(n_comp, -1)
+    comp_group[occupied] = group
+    nz_group = comp_group[nz_comp]
+    comp_slot = np.zeros(n_comp, dtype=np.intp)   # a block's place in its stack
     mu = []
-    for c in np.nonzero(np.diff(nz_off))[0]:
-        block = np.zeros((r_off[c + 1] - r_off[c], c_off[c + 1] - c_off[c]), op.dtype)
-        k = slice(nz_off[c], nz_off[c + 1])
-        block[rows[k] - r_off[c], cols[k] - c_off[c]] = vals[k]
-        mu.append(scipy.linalg.svdvals(block))
+    for g, (height, width) in enumerate(shapes):
+        members = occupied[group == g]
+        comp_slot[members] = np.arange(len(members))
+        k = nz_group == g
+        c = nz_comp[k]
+        stack = np.zeros((len(members), height, width), op.dtype)
+        stack[comp_slot[c], rows[k] - r_off[c], cols[k] - c_off[c]] = vals[k]
+        mu.append(np.linalg.svd(stack, compute_uv=False).ravel())
     mu.append(np.zeros(min(op.shape) - sum(len(m) for m in mu)))
     return np.sort(np.concatenate(mu))[::-1]
 

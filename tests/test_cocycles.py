@@ -15,8 +15,10 @@ from magnc.algebra import (
     upsilon,
     zero_element,
 )
+from magnc.cli import RunConfig, _projection_corpus, _triple_corpus
 from magnc.cocycles import (
     Cochain,
+    _fredholm_sector_traces,
     chern_number,
     ch_dix,
     ch_hat,
@@ -36,7 +38,15 @@ from magnc.cocycles import (
     trace_cochain,
     two_form_scale,
 )
-from magnc.dirac import DiracContext, QuartetOperator, dual_landau_projection
+from magnc.dirac import (
+    DiracContext,
+    QuartetOperator,
+    cached_phase,
+    dual_landau_projection,
+    gamma_grading,
+    represent,
+    sector_traces,
+)
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=512, buffer=4)
 LB = 1.0
@@ -251,6 +261,46 @@ class TestFredholmCharacter:
         a = rand(1)
         with pytest.raises(ValueError):
             tau2(a, a, a, CTX, "sideways")
+
+
+def lattice_sector_traces(a0, a1, a2, ctx):
+    """Oracle: sector traces of the lattice product Gamma pi(A0) [F, pi(A1)] [F, pi(A2)]."""
+    f = cached_phase(ctx).op
+    p0, p1, p2 = (represent(a, ctx).op for a in (a0, a1, a2))
+    c1 = (f @ p1 - p1 @ f).tocsr()
+    c2 = (f @ p2 - p2 @ f).tocsr()
+    omega = (gamma_grading(ctx).op @ p0 @ c1 @ c2).tocsr()
+    return sector_traces(QuartetOperator(omega, ctx))
+
+
+class TestFredholmSectorTraces:
+    TRIPLES = _triple_corpus(RunConfig(), 5) + [(landau_projection(0, LB),) * 3]
+
+    @pytest.mark.parametrize("triple", TRIPLES,
+                             ids=[f"corpus-{i}" for i in range(5)] + ["P0-P0-P0"])
+    def test_quadratic_forms_match_the_lattice_product(self, triple):
+        a0, a1, a2 = triple
+        for ctx in (DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4),
+                    DiracContext(lb=1.0, eps=0.25, n_max=16, m_max=48, buffer=4)):
+            want = lattice_sector_traces(a0, a1, a2, ctx)
+            got = _fredholm_sector_traces(a0, a1, a2, ctx)
+            assert got.shape == (ctx.m_max,)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_fredholm_pairing_converges_to_the_chern_number(self):
+        # |tau2(P,P,P) - Ch(P)| falls like 1/m_max; 16x from 2^12 to 2^16
+        cfg = RunConfig(seed=0)
+        for p in _projection_corpus(cfg):
+            want = chern_number(p)
+            err = []
+            for m_max in (2**12, 2**16):
+                ctx = DiracContext(lb=cfg.lb, eps=cfg.eps, n_max=cfg.n_max, m_max=m_max,
+                                   buffer=cfg.buffer)
+                v = tau2(p, p, p, ctx, "direct")
+                assert "flagged" not in v.method
+                err.append(abs(v.value - want) / abs(want))
+            assert err[1] < 2e-3
+            assert err[0] >= 8 * err[1]
 
 
 class TestHochschild:

@@ -1,5 +1,7 @@
 """Dirac operator assembly, gradings, phases, and defect operators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,7 +30,10 @@ from magnc.dirac import (
     oscillator_energies,
     reg_inverse,
     represent,
+    sector_blocks,
+    sector_represent,
     sector_traces,
+    sector_weights,
     split_dirac,
 )
 
@@ -321,3 +326,56 @@ class TestLatticePlumbing:
 
     def test_m_diagonal_structural_check(self):
         assert not build_dirac(CTX, check=False).verify_m_diagonal()
+
+
+class TestSectorBlocks:
+    """The structure the direct-route Fredholm character relies on: D is
+    block-tridiagonal in m with one fixed block per offset, and pi(A), Gamma
+    and |D_eps|^-1 act sector by sector."""
+
+    SMALL = [DiracContext(lb=1.0, eps=eps, n_max=8, m_max=m_max, buffer=4)
+             for m_max in (5, 64) for eps in (0.5, 0.25)]
+
+    @staticmethod
+    def block(op, ctx, m, m2):
+        b = 4 * ctx.n_tot
+        return op[m * b:(m + 1) * b, m2 * b:(m2 + 1) * b].toarray()
+
+    @pytest.mark.parametrize("ctx", SMALL)
+    def test_blocks_reproduce_split_dirac_entry_for_entry(self, ctx):
+        m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
+        dm, dp = split_dirac(ctx)
+        d = (dm.op + dp.op).tocsr()
+        zero = np.zeros_like(m0)
+        for m in range(ctx.m_tot):
+            for m2 in range(ctx.m_tot):
+                want = {0: m0, 1: np.sqrt(m + 1) * plus, -1: np.sqrt(m) * minus}.get(
+                    m2 - m, zero)
+                # sqrt(m+1) M+ rounds once more than the lattice's own product
+                assert np.abs(self.block(d, ctx, m, m2) - want).max() <= 1e-15 * np.sqrt(m + 1)
+
+    @pytest.mark.parametrize("ctx", SMALL)
+    def test_grading_representation_and_weights_act_per_sector(self, ctx):
+        levels = 6
+        gamma = sector_blocks(ctx, levels).gamma
+        a = random_element(5, 4, 1.0)
+        pa = sector_represent(a, ctx, levels)
+        g, p = gamma_grading(ctx).op, represent(a, ctx).op
+        w = sector_weights(ctx, levels)
+        rinv = reg_inverse(ctx, 1.0).op.diagonal().reshape(ctx.m_tot, -1)
+        assert w.shape == (ctx.m_max + 1, 4 * levels)
+        assert np.array_equal(w, rinv[: ctx.m_max + 1, : 4 * levels])
+        w_ = slice(0, 4 * levels)
+        for m in range(ctx.m_tot):
+            assert np.array_equal(self.block(g, ctx, m, m)[w_, w_], gamma)
+            assert np.array_equal(self.block(p, ctx, m, m)[w_, w_], pa)
+
+    def test_blocks_are_read_only_shared_across_m_max_and_window_is_checked(self):
+        m0 = sector_blocks(CTX, 4).m0
+        with pytest.raises(ValueError):
+            m0[0, 0] = 1.0
+        assert sector_blocks(replace(CTX, m_max=CTX.m_max + 7), 4).m0 is m0
+        with pytest.raises(ValueError):
+            sector_blocks(CTX, CTX.n_tot + 1)
+        with pytest.raises(ValueError):
+            sector_represent(upsilon(0, 5), CTX, 4)

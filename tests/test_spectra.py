@@ -76,6 +76,34 @@ class TestSingularValues:
         n = min(len(mu_blocks), len(dense))
         assert np.allclose(mu_blocks[:n], np.sort(dense)[::-1][:n], atol=1e-9)
 
+    @pytest.mark.parametrize("which", ["D", "F", "F_comm"])
+    def test_stacked_path_matches_per_block_svd(self, which):
+        # many same-shape blocks go through one stacked SVD per shape; the
+        # oracle takes one scipy SVD per connected block, as before stacking
+        import scipy.linalg
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        from magnc.dirac import build_dirac, dirac_phase
+        from magnc.spectra import _n_window, _window_selection
+
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
+        t = {"D": lambda: build_dirac(ctx, check=False),
+             "F": lambda: dirac_phase(ctx, check=False),
+             "F_comm": lambda: defect_operators(random_element(3, 3, 1.0), ctx)["F_comm"]}[which]()
+        sel = _window_selection(ctx, _n_window(t.op, ctx))
+        op = t.op[sel][:, sel].tocsr()
+        pattern = op != 0
+        n_comp, labels = connected_components(sp.bmat([[None, pattern], [pattern.T, None]]),
+                                              directed=False)
+        rows, cols = labels[: op.shape[0]], labels[op.shape[0]:]
+        want = [scipy.linalg.svdvals(op[rows == c][:, cols == c].toarray())
+                for c in range(n_comp) if (rows == c).any() and (cols == c).any()]
+        want = np.concatenate(want + [np.zeros(min(op.shape) - sum(map(len, want)))])
+        got = singular_values(t).mu
+        assert len(got) == len(want) == min(op.shape)
+        assert np.abs(got - np.sort(want)[::-1]).max() <= 1e-12
+
     def test_permuted_blocks_with_empty_lines(self):
         # blocks 3x3 (complex), 2x4 and 1x1, two empty rows and three empty
         # columns, rows and columns shuffled, plus a stored zero joining two
