@@ -34,18 +34,15 @@ from .cocycles import (
     ch_dix,
     ch_hat,
     tau2,
-    graded_trace,
     hochschild_b,
-    physical_observables,
 )
 from .dirac import DiracContext, QuartetOperator, build_dirac, dirac_phase, reg_inverse
-from .kernel import KernelFunction, kernel_of, apply_via_kernel, trace_per_unit_volume
+from .kernel import KernelFunction, kernel_of, trace_per_unit_volume
 from .spectra import (
     SingularSpectrum,
     DixmierEstimate,
     IdealVerdict,
     singular_values,
-    ideal_norm,
     closed_form_mu,
     classify_decay,
     verify_quasi_even,

@@ -300,10 +300,6 @@ class UnitalElement:
     def adjoint(self) -> "UnitalElement":
         return UnitalElement(np.conj(self.scalar), self.element.adjoint())
 
-    def derivative(self, axis: int) -> MagneticElement:
-        """The unit part is annihilated by both derivations."""
-        return spatial_derivative(self.element, axis)
-
     def __repr__(self):
         return f"UnitalElement({self.scalar!r} * 1 + {self.element!r})"
 

@@ -42,7 +42,6 @@ __all__ = [
     "b_minus_matrix",
     "momentum_quadrature",
     "verify_ladder_phases",
-    "gram_matrix",
     "default_radius",
     "magnetic_length",
 ]
@@ -341,22 +340,6 @@ def momentum_quadrature(which: str, bra, ket, lb=1.0, scheme: QuadratureScheme |
     op_ket = _apply_momenta_pointwise((nk, mk), pts, l)[which]
     bra_vals = eval_basis_function((nb, mb), pts, l)
     return complex(np.sum(w * np.conj(bra_vals) * op_ket))
-
-
-def gram_matrix(max_total: int, lb=1.0, scheme: QuadratureScheme | None = None):
-    """Quadrature overlaps <psi_a, psi_b> for all indices with n + m <= max_total.
-
-    Returns (labels, gram) with gram[a, b] the overlap; orthonormality says
-    gram is the identity up to quadrature error.
-    """
-    l = magnetic_length(lb)
-    if scheme is None:
-        scheme = QuadratureScheme(default_radius(max_total, max_total))
-    labels = [(n, m) for n in range(max_total + 1) for m in range(max_total + 1 - n)]
-    pts, w = scheme.grid(l)
-    vals = np.stack([eval_basis_function(ix, pts, l) for ix in labels])
-    gram = (np.conj(vals) * w) @ vals.T
-    return labels, gram
 
 
 def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3) -> float:

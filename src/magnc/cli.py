@@ -118,18 +118,29 @@ def build_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def parse_element(text: str, cfg: RunConfig) -> alg.MagneticElement:
-    if text.startswith("pi-sum:"):
-        spec_ = text[len("pi-sum:"):]
-        if ".." not in spec_:
-            raise ConfigError("pi-sum wants a range like pi-sum:0..2")
-        lo, hi = (int(s) for s in spec_.split("..", 1))
-        return alg.projection_sum(range(lo, hi + 1), cfg.lb)
-    if text.startswith("pi:"):
-        return alg.landau_projection(int(text[3:]), cfg.lb)
+    """The element named by pi:j, pi-sum:a..b or an element file.
+
+    Malformed input is a ConfigError: a level that is not a nonnegative
+    integer, an empty range, records that are not a list of (j, k, re, im)
+    objects, a negative index or a non-finite coefficient.
+    """
     path = Path(text)
-    if not path.exists():
+    if not text.startswith(("pi:", "pi-sum:")) and not path.exists():
         raise ConfigError(f"no such element input: {text!r}")
-    return alg.load_element(path, cfg.lb)
+    try:
+        if text.startswith("pi-sum:"):
+            lo, sep, hi = text[len("pi-sum:"):].partition("..")
+            if not sep:
+                raise ValueError("pi-sum wants a range like pi-sum:0..2")
+            levels = range(int(lo), int(hi) + 1)
+            if not levels:
+                raise ValueError("empty level range")
+            return alg.projection_sum(levels, cfg.lb)
+        if text.startswith("pi:"):
+            return alg.landau_projection(int(text[3:]), cfg.lb)
+        return alg.load_element(path, cfg.lb)
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise ConfigError(f"bad element input {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +556,8 @@ def main(argv=None) -> int:
         if args.command == "dixmier-ladder":
             return cmd_dixmier_ladder(cfg, args.target)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, cc.TruncationError) as exc:
+        # an input too wide for --nmax is bad input, like a malformed one
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the exit-code contract wants 3

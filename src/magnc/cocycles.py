@@ -3,7 +3,7 @@
 Two evaluation tiers coexist deliberately.  The derivation-trace cocycle, the
 gap label and the Chern number are exact finite computations on coefficient
 blocks.  The phase-module quantities (noncommutative integral, the two
-Dirac-operator characters, the graded trace) are honest Dixmier
+Dirac-operator characters, the graded two-form traces) are honest Dixmier
 extrapolations over the degeneracy ladder; their agreement with the exact
 tier is the content of the verification suite.
 """
@@ -11,7 +11,7 @@ tier is the content of the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -27,11 +27,8 @@ from .dirac import (
     CHI_GRADING,
     GAMMA_GRADING,
     DiracContext,
-    QuartetOperator,
-    gamma_grading,
     sector_blocks,
     sector_represent,
-    sector_traces,
     sector_weights,
 )
 from .spectra import (
@@ -43,6 +40,7 @@ from .spectra import (
 
 __all__ = [
     "CocycleValue",
+    "TruncationError",
     "Cochain",
     "delta0",
     "delta1",
@@ -52,15 +50,11 @@ __all__ = [
     "nc_integral",
     "ch_dix",
     "ch_hat",
-    "graded_trace",
     "graded_two_form_trace",
     "graded_one_form_product_trace",
     "tau2",
     "hochschild_b",
-    "hochschild_coboundary",
     "psi_cochain",
-    "trace_cochain",
-    "physical_observables",
 ]
 
 GAMMA_SIGNS = np.real(np.diag(GAMMA_GRADING)).copy()   # (+1, +1, -1, -1)
@@ -85,12 +79,11 @@ class CocycleValue:
 class Cochain:
     """Multilinear functional on the unitized algebra."""
 
-    def __init__(self, degree: int, evaluator, name: str = ""):
+    def __init__(self, degree: int, evaluator):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
         self.degree = degree
         self.evaluator = evaluator
-        self.name = name
 
     def __call__(self, *args) -> complex:
         if len(args) != self.degree + 1:
@@ -151,10 +144,14 @@ def chern_number(p: MagneticElement) -> float:
 # Dixmier tier: block ladders over the shifted oscillator resolvents.
 # ---------------------------------------------------------------------------
 
+class TruncationError(ValueError):
+    """An element's support does not fit the context's level truncation."""
+
+
 def _support_check(ctx: DiracContext, *els: MagneticElement, margin: int = 0):
     for e in els:
         if e.support_bound > ctx.n_max - margin:
-            raise ValueError(
+            raise TruncationError(
                 f"support {e.support_bound} exceeds truncation {ctx.n_max} - {margin}"
             )
 
@@ -253,45 +250,6 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     value = 0.5 * (c0 * est0.value * tr_chi + c1 * est1.value * tr_chi_gamma)
     err = 0.5 * (abs(c0 * tr_chi) * est0.stderr + abs(c1 * tr_chi_gamma) * est1.stderr)
     return CocycleValue(value, "spin-trace-factorized", err)
-
-
-def graded_trace(omega: QuartetOperator, ctx: DiracContext,
-                 ladder=None) -> CocycleValue:
-    """Grading-twisted Dixmier trace of a degeneracy-diagonal operator.
-
-    Sector traces (eigenvalue sums per degeneracy sector) are accumulated
-    over a geometric ladder of sector counts and extrapolated.  Trace-class
-    inputs extrapolate to zero.
-    """
-    if not omega.verify_m_diagonal():
-        raise ValueError(
-            "graded_trace needs a degeneracy-diagonal operator; reduce the "
-            "two-form first (graded_two_form_trace)"
-        )
-    g = gamma_grading(ctx)
-    tw = QuartetOperator((g.op @ omega.op).tocsr(), ctx)
-    return _sector_ladder_fit(sector_traces(tw), ladder, 0.05, "dixmier-extrapolated")
-
-
-def _direct_ladder(m_max: int) -> list[int]:
-    ms = [max(4, m_max >> k) for k in range(6)][::-1]
-    return sorted(set(ms))
-
-
-def _sector_ladder_fit(traces: np.ndarray, ladder, rel_tol: float,
-                       method: str) -> CocycleValue:
-    """Fit of the cumulative sector traces ``traces`` (sectors m < m_max) at
-    the sector counts of ``ladder`` (by default ``_direct_ladder``), flagged
-    when not measurable."""
-    csum = np.cumsum(traces)
-    if ladder is None:
-        ladder = _direct_ladder(len(traces))
-    sums = np.array([csum[m - 1] for m in ladder])
-    est = dixmier_from_partial_sums(np.array(ladder, dtype=float), sums, rel_tol=rel_tol)
-    cv = CocycleValue(est.value, method, est.stderr)
-    if not est.measurable:
-        cv.method += " (flagged: not measurable at this truncation)"
-    return cv
 
 
 def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
@@ -396,9 +354,14 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    t = _sector_ladder_fit(_fredholm_sector_traces(a0, a1, a2, ctx), None, 0.2,
-                           "dixmier-direct-partial-trace")
-    return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
+    csum = np.cumsum(_fredholm_sector_traces(a0, a1, a2, ctx))
+    ms = sorted({max(4, ctx.m_max >> k) for k in range(6)})   # windows m_max / 2^k
+    est = dixmier_from_partial_sums(np.array(ms, dtype=float),
+                                    np.array([csum[m - 1] for m in ms]), rel_tol=0.2)
+    method = "dixmier-direct-partial-trace"
+    if not est.measurable:
+        method += " (flagged: not measurable at this truncation)"
+    return CocycleValue(0.5 * est.value, method, 0.5 * est.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +384,6 @@ def hochschild_b(phi: Cochain, args) -> complex:
     return complex(total)
 
 
-def hochschild_coboundary(phi: Cochain) -> Cochain:
-    """b(phi) as a cochain of one higher degree (enables b(b(.)) checks)."""
-    return Cochain(phi.degree + 1, lambda *args: hochschild_b(phi, args),
-                   name=f"b({phi.name})")
-
-
 def psi_cochain() -> Cochain:
     """The derivation-trace cocycle on the unitization (units drop under
     the derivations; the scalar part of the first slot multiplies the plain
@@ -436,33 +393,4 @@ def psi_cochain() -> Cochain:
         d1 = delta1(u1.element, u2.element)
         return u0.scalar * trace_int(d1) + trace_int(compose(u0.element, d1))
 
-    return Cochain(2, ev, name="psi")
-
-
-def trace_cochain() -> Cochain:
-    """The algebra trace as a 0-cochain (defined on the algebra part)."""
-
-    def ev(u0: UnitalElement) -> complex:
-        if u0.scalar != 0:
-            raise ValueError("the trace is not defined on the unit")
-        return trace_int(u0.element)
-
-    return Cochain(0, ev, name="trace")
-
-
-# ---------------------------------------------------------------------------
-# Physical observables.
-# ---------------------------------------------------------------------------
-
-def physical_observables(p: MagneticElement) -> dict:
-    """Integrated density of states and Hall conductance of a projection.
-
-    idos carries units of inverse area (1 / (2 pi l^2) per unit of trace);
-    the Hall value is reported in conductance quanta e^2/h.
-    """
-    gl = gap_label(p)
-    c = chern_number(p)
-    return {
-        "idos": gl / (2.0 * pi * p.lb**2),
-        "hall_in_conductance_quanta": c,
-    }
+    return Cochain(2, ev)

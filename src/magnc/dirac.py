@@ -35,17 +35,14 @@ __all__ = [
     "reg_inverse",
     "dirac_phase",
     "gamma_grading",
-    "chi_grading",
     "represent",
     "sector_blocks",
     "sector_weights",
     "sector_represent",
     "commutator_with_D",
     "defect_operators",
-    "dual_landau_projection",
     "interior_mask",
     "max_interior_deviation",
-    "sector_traces",
 ]
 
 # Hermitian generators of Cl_4: gamma_i gamma_j + gamma_j gamma_i = 2 delta_ij.
@@ -281,10 +278,13 @@ def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
 
 
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
-    """F = D |D_eps|^{-1}; Hermitian compression with exact matrix elements."""
-    d = build_dirac(ctx, check=False)
-    w = reg_inverse(ctx, 1.0)
-    f = QuartetOperator((d.op @ w.op).tocsr(), ctx, name="F")
+    """F = D |D_eps|^{-1}; Hermitian compression with exact matrix elements.
+
+    Built once per context and shared by every caller, which must not modify
+    it; ``check`` asserts Hermiticity and the exact form of F^2 on the
+    interior.
+    """
+    f = _phase(ctx)
     if check:
         herm = f.hermiticity_defect()
         if herm > 1e-12:
@@ -301,15 +301,16 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
 
 
 @lru_cache(maxsize=2)
-def cached_phase(ctx: DiracContext) -> QuartetOperator:
-    """The unchecked phase F of ``ctx``, shared by the defect operators of
-    every element at one truncation; callers must not modify it.
+def _phase(ctx: DiracContext) -> QuartetOperator:
+    """The unchecked phase of ``ctx``.
 
     The two slots cover ``spectra.stable_spectrum``, which alternates between
     a context and its shrunken copy; the bound keeps a sweep over many
     truncations from holding every F it has built.
     """
-    return dirac_phase(ctx, check=False)
+    d = build_dirac(ctx, check=False)
+    w = reg_inverse(ctx, 1.0)
+    return QuartetOperator((d.op @ w.op).tocsr(), ctx, name="F")
 
 
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
@@ -323,13 +324,6 @@ def gamma_grading(ctx: DiracContext) -> QuartetOperator:
     site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
     g = sp.kron(site, sp.csr_matrix(GAMMA_GRADING), format="csr")
     return QuartetOperator(g, ctx, name="Gamma")
-
-
-def chi_grading(ctx: DiracContext) -> QuartetOperator:
-    """The anticommuting grading, diag(-1, +1, -1, +1) on the spinor factor."""
-    site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
-    g = sp.kron(site, sp.csr_matrix(CHI_GRADING), format="csr")
-    return QuartetOperator(g, ctx, name="chi")
 
 
 def _lift_for(a, ctx: DiracContext) -> UnitalElement:
@@ -400,43 +394,19 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
 
     R        = Gamma [F, pi(A)] Gamma + [F, pi(A)]
     Fsq_comm = [F^2, pi(A)]  (through the exact diagonal form of F^2)
-    gamma_F_anticomm = {Gamma, F}
+    F_comm   = [F, pi(A)]
     """
     if a.support_bound > ctx.n_max - ctx.buffer:
         raise ValueError("support must stay within the truncation minus the buffer")
-    f = cached_phase(ctx)
+    f = dirac_phase(ctx, check=False)
     pa = represent(a, ctx)
     g = gamma_grading(ctx)
     fcomm = (f.op @ pa.op - pa.op @ f.op).tocsr()
     r = (g.op @ fcomm @ g.op + fcomm).tocsr()
     fsq = exact_phase_square(ctx)
     fsq_comm = (fsq.op @ pa.op - pa.op @ fsq.op).tocsr()
-    anti = (g.op @ f.op + f.op @ g.op).tocsr()
     return {
         "R": QuartetOperator(r, ctx, name="R(A)"),
         "Fsq_comm": QuartetOperator(fsq_comm, ctx, name="[F^2,pi(A)]"),
-        "gamma_F_anticomm": QuartetOperator(anti, ctx, name="{Gamma,F}"),
         "F_comm": QuartetOperator(fcomm, ctx, name="[F,pi(A)]"),
     }
-
-
-def dual_landau_projection(ctx: DiracContext, m: int) -> QuartetOperator:
-    """P_m: projection onto the m-th degeneracy sector (all n, all spinors)."""
-    if not 0 <= m < ctx.m_tot:
-        raise ValueError("sector index out of range")
-    e = sp.csr_matrix(
-        (np.ones(1), (np.array([m]), np.array([m]))), shape=(ctx.m_tot, ctx.m_tot)
-    )
-    op = _kron3(e, sp.identity(ctx.n_tot, format="csr"), sp.identity(4, format="csr"))
-    return QuartetOperator(op.tocsr(), ctx, name=f"P_{m}")
-
-
-def sector_traces(t: QuartetOperator, m_stop: int | None = None) -> np.ndarray:
-    """Per-degeneracy-sector traces of the diagonal, sectors m < m_stop."""
-    ctx = t.ctx
-    if m_stop is None:
-        m_stop = ctx.m_max
-    d = t.op.diagonal()
-    block = 4 * ctx.n_tot
-    d = d[: m_stop * block]
-    return d.reshape(m_stop, block).sum(axis=1)

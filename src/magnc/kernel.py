@@ -4,8 +4,8 @@ An element acts on L^2(R^2) through
     (A phi)(x) = 1/(2 pi l^2) * integral dy f_A(y - x) Phi(x, y) phi(y)
 with Phi the magnetic phase factor and f_A the kernel function obtained from
 the coefficients by f_A = sqrt(2 pi) l * sum (-1)^(j-k) a_{j,k} psi_{k,j}.
-The quadrature application is the oracle tying the coefficient algebra to
-honest operators on the plane.
+Quadrature matrix elements of this action (``gram_via_kernel``) are the
+oracle tying the coefficient algebra to honest operators on the plane.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ __all__ = [
     "KernelFunction",
     "magnetic_phase",
     "kernel_of",
-    "apply_via_kernel",
-    "matrix_element_via_kernel",
     "gram_via_kernel",
-    "plancherel_inner",
     "trace_per_unit_volume",
 ]
 
@@ -77,43 +74,6 @@ def kernel_of(a: MagneticElement) -> KernelFunction:
     return KernelFunction(tuple(terms), a.lb, 2.0 * pi * a.lb**2 * nsq)
 
 
-def apply_via_kernel(f: KernelFunction, phi, x, scheme: QuadratureScheme,
-                     check_convergence: bool = False, conv_tol: float = 1e-5):
-    """Quadrature value of (A phi)(x) for one or many points x.
-
-    ``phi`` is a callable on (..., 2) arrays.  With ``check_convergence`` the
-    rule is re-run at doubled node count and a RuntimeError is raised if the
-    two answers differ by more than ``conv_tol``.
-    """
-    lb = f.lb
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
-
-    def run(s: QuadratureScheme):
-        pts, w = s.grid(lb)
-        phi_vals = np.asarray(phi(pts), dtype=complex)
-        out = np.empty(len(xs), dtype=complex)
-        for i, xi in enumerate(xs):
-            fv = f(pts - xi)
-            ph = magnetic_phase(xi[None, :], pts, lb)
-            out[i] = np.sum(w * fv * ph * phi_vals) / (2.0 * pi * lb**2)
-        return out
-
-    vals = run(scheme)
-    if check_convergence:
-        finer = QuadratureScheme(scheme.radius, 2 * scheme.nodes_per_axis)
-        vals2 = run(finer)
-        drift = np.abs(vals2 - vals).max()
-        if drift > conv_tol:
-            raise RuntimeError(
-                f"kernel quadrature not converged: node doubling moved the "
-                f"result by {drift:.3e} (> {conv_tol:.1e})"
-            )
-        vals = vals2
-    if np.asarray(x).ndim == 1:
-        return complex(vals[0])
-    return vals
-
-
 def gram_via_kernel(a: MagneticElement, bras, kets,
                     scheme: QuadratureScheme | None = None) -> np.ndarray:
     """Matrix of <psi_bra, A psi_ket> with A acting through its kernel.
@@ -138,21 +98,6 @@ def gram_via_kernel(a: MagneticElement, bras, kets,
         applied = (fv * ph) @ ket_mat.T / (2.0 * pi * lb**2)
         out += bra_mat[:, lo : lo + chunk] @ applied
     return out
-
-
-def matrix_element_via_kernel(a: MagneticElement, bra, ket,
-                              scheme: QuadratureScheme | None = None) -> complex:
-    """<psi_bra, A psi_ket> with A acting through its integral kernel."""
-    return complex(gram_via_kernel(a, [bra], [ket], scheme)[0, 0])
-
-
-def plancherel_inner(a: MagneticElement, b: MagneticElement,
-                     scheme: QuadratureScheme) -> complex:
-    """<f_A, f_B> over L^2 by quadrature; equals 2 pi l^2 trace(A* B)."""
-    a._check_same_lb(b)
-    fa, fb = kernel_of(a), kernel_of(b)
-    pts, w = scheme.grid(a.lb)
-    return complex(np.sum(w * np.conj(fa(pts)) * fb(pts)))
 
 
 def trace_per_unit_volume(a: MagneticElement, box_side: float,

@@ -1,4 +1,4 @@
-"""Singular-value machinery: ideal norms, Dixmier estimation, closed-form laws.
+"""Singular-value machinery: Dixmier estimation, closed-form laws, decay classes.
 
 Two independent routes run through this module everywhere: closed-form
 singular-value laws vs numerically computed spectra, and logarithmic-mean
@@ -23,8 +23,6 @@ __all__ = [
     "DixmierEstimate",
     "IdealVerdict",
     "singular_values",
-    "ideal_norm",
-    "dixmier_from_spectrum",
     "dixmier_from_partial_sums",
     "shifted_resolvent_ladder",
     "stable_spectrum",
@@ -74,7 +72,6 @@ class IdealVerdict:
 
     exponent: float
     r_squared: float
-    norms: dict
     verdict: str
 
 
@@ -164,53 +161,6 @@ def singular_values(t) -> SingularSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Count-limited ideal norms.
-# ---------------------------------------------------------------------------
-
-def _mu_array(mu) -> np.ndarray:
-    if isinstance(mu, SingularSpectrum):
-        return mu.mu
-    return np.sort(np.asarray(mu, dtype=float))[::-1]
-
-
-def ideal_norm(mu, kind: str, p_or_q: float) -> float:
-    """Count-limited evaluation of one operator-ideal norm.
-
-    kinds: "schatten" (p > 0), "weak" (sup (m+1)^{1/p} mu_m, p > 0),
-    "calderon" (p > 1 power form; p == 1 gives the logarithmic form),
-    "macaev" (q >= 1).  Sup-type values are monotone nondecreasing in the
-    number of singular values supplied.
-    """
-    mu = _mu_array(mu)
-    p = float(p_or_q)
-    if kind == "schatten":
-        if p <= 0:
-            raise ValueError("Schatten order must be positive")
-        return float(np.sum(mu**p) ** (1.0 / p))
-    if kind == "weak":
-        if p <= 0:
-            raise ValueError("weak order must be positive")
-        m = np.arange(1, len(mu) + 1, dtype=float)
-        return float(np.max(m ** (1.0 / p) * mu))
-    if kind == "calderon":
-        if p < 1:
-            raise ValueError("Calderon order must be >= 1")
-        csum = np.cumsum(mu)
-        n = np.arange(1, len(mu) + 1, dtype=float)
-        if p == 1:
-            if len(mu) < 2:
-                raise ValueError("logarithmic Calderon norm needs N >= 2")
-            return float(np.max(csum[1:] / np.log(n[1:])))
-        return float(np.max(csum / n ** (1.0 - 1.0 / p)))
-    if kind == "macaev":
-        if p < 1:
-            raise ValueError("Macaev order must be >= 1")
-        m = np.arange(1, len(mu) + 1, dtype=float)
-        return float(np.sum(mu / m ** (1.0 - 1.0 / p)))
-    raise ValueError(f"unknown ideal norm kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Dixmier estimation: affine extrapolation of logarithmic means in 1/log N.
 # ---------------------------------------------------------------------------
 
@@ -267,17 +217,6 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
     ladder = [(int(n), float(s)) for n, s in zip(ns, sigma)]
     return DixmierEstimate(float(value), stderr, ladder,
                            (float(coef[0]), float(coef[1])), measurable, note)
-
-
-def dixmier_from_spectrum(mu, ladder=DEFAULT_LADDER) -> DixmierEstimate:
-    """Dixmier estimate from a positive singular spectrum and a count ladder."""
-    mu = _mu_array(mu)
-    ladder = [int(n) for n in ladder if n <= len(mu)]
-    if len(ladder) < 3:
-        raise ValueError("spectrum too short for the requested ladder")
-    csum = np.cumsum(mu)
-    sums = np.array([csum[n - 1] for n in ladder])
-    return dixmier_from_partial_sums(np.array(ladder, dtype=float), sums)
 
 
 def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,
@@ -413,12 +352,15 @@ def classify_decay(mu) -> IdealVerdict:
     below 1e-14 are dropped before the fit.  Poor fits (R^2 < 0.95) return
     "unclassified".
     """
-    mu = _mu_array(mu)
+    if isinstance(mu, SingularSpectrum):
+        mu = mu.mu
+    else:
+        mu = np.sort(np.asarray(mu, dtype=float))[::-1]
     if len(mu) < 64:
         raise ValueError("need at least 64 singular values to classify")
     mu = mu[mu > 1e-14]
     if len(mu) < 64:
-        return IdealVerdict(-np.inf, 1.0, {}, "trace-class")
+        return IdealVerdict(-np.inf, 1.0, "trace-class")
     lo = len(mu) // 2
     r = np.arange(1, len(mu) + 1, dtype=float)
     x, y = np.log(r[lo:]), np.log(mu[lo:])
@@ -429,16 +371,14 @@ def classify_decay(mu) -> IdealVerdict:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     exponent = float(slope)
 
-    summable = _octave_summable(mu)
-    norms = _norm_panel(mu, exponent)
     if r2 < 0.95:
         verdict = "unclassified"
-    elif summable:
+    elif _octave_summable(mu):
         verdict = "trace-class"
     else:
         p = -1.0 / exponent if exponent < 0 else np.inf
         verdict = f"weak-S{p:.3g}"
-    return IdealVerdict(exponent, r2, norms, verdict)
+    return IdealVerdict(exponent, r2, verdict)
 
 
 def _octave_summable(mu: np.ndarray) -> bool:
@@ -463,32 +403,6 @@ def _octave_summable(mu: np.ndarray) -> bool:
     if len(ratios) == 0:
         return False
     return bool(np.median(ratios[len(ratios) // 2:]) < 0.85 and ratios[-1] < 0.9)
-
-
-def _norm_panel(mu: np.ndarray, exponent: float) -> dict:
-    p = -1.0 / exponent if exponent < -1e-3 else np.inf
-    panel = {}
-
-    def saturated(series: np.ndarray) -> bool:
-        q = max(len(series) // 4, 1)
-        head, tail = series[-q - 1], series[-1]
-        return bool(abs(tail - head) <= 0.01 * max(abs(tail), 1e-300))
-
-    m = np.arange(1, len(mu) + 1, dtype=float)
-    if np.isfinite(p):
-        weak_series = np.maximum.accumulate(m ** (1.0 / p) * mu)
-        panel[f"weak-{p:.3g}"] = (float(weak_series[-1]), saturated(weak_series))
-        if p > 1:
-            cal_series = np.maximum.accumulate(np.cumsum(mu) / m ** (1.0 - 1.0 / p))
-            panel[f"calderon-{p:.3g}+"] = (float(cal_series[-1]), saturated(cal_series))
-    cal1 = np.maximum.accumulate(np.cumsum(mu)[1:] / np.log(m[1:]))
-    panel["calderon-1+"] = (float(cal1[-1]), saturated(cal1))
-    panel["schatten-1"] = (float(np.sum(mu)), saturated(np.cumsum(mu)))
-    panel["macaev-2-"] = (
-        float(np.sum(mu / m**0.5)),
-        saturated(np.cumsum(mu / m**0.5)),
-    )
-    return panel
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +445,7 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
     (ranked exponent -1/2), [F^2, pi(A)] and the mixed products
     R(A) [F, pi(A')] (both orders) and triple commutator products should be
     trace class.  All spectra are read on the truncation-stable prefix
-    (computed at two truncations).  Returns verdicts with fitted exponents
-    and norm panels.
+    (computed at two truncations).  Returns verdicts with fitted exponents.
     """
     report: dict = {"elements": [], "pairs": [], "triples": []}
 

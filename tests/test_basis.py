@@ -6,7 +6,6 @@ from scipy.special import eval_genlaguerre
 
 from magnc.algebra import MagneticElement
 from magnc.basis import (
-    PhaseConventionError,
     QuadratureScheme,
     b_minus_matrix,
     b_plus_matrix,
@@ -14,10 +13,8 @@ from magnc.basis import (
     default_radius,
     eval_basis_function,
     eval_generalized_laguerre,
-    gram_matrix,
     momentum_matrix,
     momentum_quadrature,
-    number_ladders,
     verify_ladder_phases,
 )
 
@@ -105,11 +102,6 @@ class TestBasisFunction:
             b = eval_basis_function((m, n), pts, 1.0)
             sign = (-1.0) ** ((n - m) % 2)
             assert np.allclose(a, sign * np.conj(b), atol=1e-13)
-
-    def test_orthonormality_under_quadrature(self):
-        labels, gram = gram_matrix(8)
-        dev = np.abs(gram - np.eye(len(labels))).max()
-        assert dev < 1e-7
 
     def test_gradient_matches_finite_differences(self):
         h = 1e-6

@@ -104,6 +104,25 @@ class TestElementInputs:
         with pytest.raises(ConfigError):
             parse_element("does-not-exist.json", RunConfig())
 
+    @pytest.mark.parametrize("which", ["psi", "chern", "nc-integral", "tau2"])
+    @pytest.mark.parametrize("bad", [
+        '[{"j": 0, "k": 0, "re": NaN, "im": 0.0}]',
+        '[{"j": -1, "k": 0, "re": 1.0, "im": 0.0}]',
+        '{"j": 0, "k": 0, "re": 1.0, "im": 0.0}',
+        "pi:x", "pi:-1", "pi-sum:2..0",
+    ], ids=["nan-coefficient", "negative-index", "object-not-list", "pi-not-integer",
+            "pi-negative", "pi-sum-empty"])
+    def test_bad_element_input_is_a_configuration_error(self, tmp_path, which, bad):
+        if not bad.startswith("pi"):
+            path = tmp_path / "a.json"
+            path.write_text(bad)
+            bad = str(path)
+        assert run_cli(["invariant", which, bad]) == 2
+
+    @pytest.mark.parametrize("which", ["nc-integral", "ch", "tau2"])
+    def test_support_beyond_the_truncation_is_a_configuration_error(self, which):
+        assert run_cli(["--nmax", "16", "invariant", which, "pi:40"]) == 2
+
 
 class TestSubcommands:
     def test_dry_run_lists_plan(self, tmp_path, capsys):

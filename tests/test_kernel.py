@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from magnc.algebra import (
-    adjoint,
-    compose,
     landau_projection,
     random_element,
     trace_int,
@@ -14,12 +12,9 @@ from magnc.algebra import (
 )
 from magnc.basis import QuadratureScheme, default_radius, eval_basis_function
 from magnc.kernel import (
-    apply_via_kernel,
     gram_via_kernel,
     kernel_of,
     magnetic_phase,
-    matrix_element_via_kernel,
-    plancherel_inner,
     trace_per_unit_volume,
 )
 
@@ -82,50 +77,6 @@ class TestKernelFunction:
         assert np.abs(prod - 1.0).max() < 1e-14
 
 
-class TestKernelAction:
-    def test_projection_reproduces_its_range(self):
-        f = kernel_of(landau_projection(0))
-        phi = lambda pts: eval_basis_function((0, 0), pts, 1.0)
-        xs = np.array([[0.2, -0.1], [1.0, 0.7]])
-        got = apply_via_kernel(f, phi, xs, SCHEME)
-        want = eval_basis_function((0, 0), xs, 1.0)
-        assert np.abs(got - want).max() < 1e-6
-
-    def test_projection_kills_other_levels(self):
-        f = kernel_of(landau_projection(0))
-        phi = lambda pts: eval_basis_function((1, 0), pts, 1.0)
-        xs = np.array([[0.2, -0.1], [1.0, 0.7], [0.0, 0.0]])
-        got = apply_via_kernel(f, phi, xs, SCHEME)
-        assert np.abs(got).max() < 1e-6
-
-    def test_zero_kernel(self):
-        f = kernel_of(zero_element())
-        got = apply_via_kernel(f, lambda pts: np.ones(len(pts)), (0.1, 0.2), SCHEME)
-        assert got == 0.0
-
-    def test_transition_moves_level_index(self):
-        # Y_{1->2} maps psi_{1,m} to psi_{2,m} and kills psi_{0,m}
-        f = kernel_of(upsilon(1, 2))
-        xs = np.array([[0.4, 0.3], [-0.9, 1.2]])
-        for m in (0, 1):
-            got = apply_via_kernel(
-                f, lambda pts, m=m: eval_basis_function((1, m), pts, 1.0), xs, SCHEME
-            )
-            want = eval_basis_function((2, m), xs, 1.0)
-            assert np.abs(got - want).max() < 1e-6
-        got = apply_via_kernel(
-            f, lambda pts: eval_basis_function((0, 0), pts, 1.0), xs, SCHEME
-        )
-        assert np.abs(got).max() < 1e-6
-
-    def test_convergence_check_runs(self):
-        f = kernel_of(landau_projection(0))
-        phi = lambda pts: eval_basis_function((0, 0), pts, 1.0)
-        small = QuadratureScheme(default_radius(2, 2), 40)
-        val = apply_via_kernel(f, phi, (0.1, 0.0), small, check_convergence=True)
-        assert np.isfinite(val)
-
-
 class TestCrossRepresentation:
     def test_matrix_elements_match_coefficients(self):
         # the central consistency statement: quadrature matrix elements of the
@@ -137,19 +88,6 @@ class TestCrossRepresentation:
             for j, (nk, mk) in enumerate(labels):
                 want = a.coeff(nk, nb) if mb == mk else 0.0
                 assert abs(gram[i, j] - want) < 1e-6
-
-    def test_single_element_wrapper(self):
-        a = upsilon(0, 1)
-        got = matrix_element_via_kernel(a, (1, 0), (0, 0), SCHEME)
-        assert got == pytest.approx(1.0, abs=1e-7)
-
-    def test_plancherel(self):
-        for seed in range(5):
-            a = random_element(seed, 3, 1.0)
-            b = random_element(seed + 50, 3, 1.0)
-            got = plancherel_inner(a, b, SCHEME) / (2 * np.pi)
-            want = trace_int(compose(adjoint(a), b))
-            assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
 class TestTracePerUnitVolume:

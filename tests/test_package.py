@@ -1,4 +1,5 @@
-"""Package hygiene: every imported name is used, every ``__all__`` entry exists."""
+"""Package hygiene: every imported name is used, every ``__all__`` entry
+exists and has a caller outside the tests."""
 
 import ast
 import importlib
@@ -10,10 +11,26 @@ import magnc
 
 MODULES = sorted(p.stem for p in Path(magnc.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public names whose only callers are tests, kept on purpose.
+KEPT_FOR_TESTS = {
+    "momentum_quadrature",  # quadrature oracle for the momentum ladder tables
+    "basis_with_gradient",  # closed-form gradient oracle for the ladder phases
+    "element_to_records",   # writer of the element-file format the CLI reads
+}
 
 
 def _tree(name: str) -> ast.Module:
     return ast.parse((Path(magnc.__file__).parent / f"{name}.py").read_text())
+
+
+def _code_names(tree: ast.Module) -> set[str]:
+    """Names read in code (loads and attributes): no strings, docstrings,
+    definitions or assignment targets."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -39,3 +56,14 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(f"magnc.{name}")
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_has_a_caller_outside_tests(name):
+    # a reference in any package module (its own included, where a definition
+    # is not a read) or in the benchmark counts
+    used = set().union(*(_code_names(_tree(m)) for m in MODULES),
+                       *(_code_names(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
+    module = importlib.import_module(f"magnc.{name}")
+    orphans = [n for n in getattr(module, "__all__", []) if n not in used | KEPT_FOR_TESTS]
+    assert orphans == []

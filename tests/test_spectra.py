@@ -1,4 +1,4 @@
-"""Singular-value machinery: norms, Dixmier ladders, closed-form laws."""
+"""Singular-value machinery: Dixmier ladders, closed-form laws, decay classes."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,12 @@ from magnc.algebra import landau_projection, random_element, upsilon
 from magnc.dirac import DiracContext, defect_operators
 from magnc.spectra import (
     DEFAULT_LADDER,
-    SingularSpectrum,
     build_shifted_commutator,
     c_alpha,
     classify_decay,
     closed_form_mu,
     d4_partial_sums,
     dixmier_from_partial_sums,
-    dixmier_from_spectrum,
-    ideal_norm,
     shifted_resolvent_ladder,
     singular_values,
     stable_spectrum,
@@ -27,6 +24,12 @@ CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=96, buffer=4)
 
 def harmonic(count, c=1.0):
     return c / np.arange(1.0, count + 1.0)
+
+
+def spectrum_ladder(mu, ladder=DEFAULT_LADDER):
+    """(counts, partial sums) of a spectrum, ranked descending, at ``ladder``."""
+    csum = np.cumsum(np.sort(mu)[::-1])
+    return np.array(ladder, dtype=float), np.array([csum[n - 1] for n in ladder])
 
 
 class TestSingularValues:
@@ -129,65 +132,23 @@ class TestSingularValues:
         assert np.allclose(sv.mu, want, rtol=1e-12, atol=1e-12)
 
 
-class TestIdealNorms:
-    def test_weak_star_of_harmonic(self):
-        assert ideal_norm(harmonic(4096), "weak", 1.0) == pytest.approx(1.0)
-
-    def test_calderon_log_of_harmonic(self):
-        # sup over N of H_N / log N is attained at N = 2: 1.5 / log 2
-        got = ideal_norm(harmonic(4096), "calderon", 1.0)
-        brute = max(
-            np.cumsum(harmonic(4096))[n - 1] / np.log(n) for n in range(2, 4097)
-        )
-        assert got == pytest.approx(brute, rel=1e-12)
-        assert got == pytest.approx(2.16404, abs=5e-6)
-
-    def test_schatten_two_finite_rank(self):
-        mu = np.array([3.0, 4.0])
-        assert ideal_norm(mu, "schatten", 2.0) == pytest.approx(5.0)
-
-    def test_weak_vs_calderon_sandwich(self):
-        # weak-star <= Calderon <= p/(p-1) weak-star for p > 1
-        rng = np.random.default_rng(5)
-        for p in (1.5, 2.0, 3.0):
-            mu = np.sort(rng.pareto(2.0, 2000) + 1e-3)[::-1]
-            ws = ideal_norm(mu, "weak", p)
-            cal = ideal_norm(mu, "calderon", p)
-            assert ws <= cal * (1 + 1e-12)
-            assert cal <= p / (p - 1) * ws * (1 + 1e-12)
-
-    def test_sup_norms_monotone_in_count(self):
-        mu = harmonic(512) ** 0.5
-        for kind, p in [("weak", 2.0), ("calderon", 2.0), ("calderon", 1.0)]:
-            assert ideal_norm(mu[:128], kind, p) <= ideal_norm(mu, kind, p) + 1e-15
-
-    def test_macaev_harmonic_partial(self):
-        mu = harmonic(256)
-        want = float(np.sum(mu / np.arange(1.0, 257.0) ** 0.5))
-        assert ideal_norm(mu, "macaev", 2.0) == pytest.approx(want)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ideal_norm(harmonic(16), "nuclear", 1.0)
-
-
 class TestDixmierEstimation:
     def test_harmonic_recovers_constant(self):
         for c in (1.0, 3.7):
-            est = dixmier_from_spectrum(harmonic(DEFAULT_LADDER[-1], c))
+            est = dixmier_from_partial_sums(*spectrum_ladder(harmonic(DEFAULT_LADDER[-1], c)))
             assert est.value == pytest.approx(c, rel=0.01)
             assert est.measurable
 
     def test_finite_rank_vanishes(self):
         mu = np.zeros(DEFAULT_LADDER[-1])
         mu[:64] = 2.0
-        est = dixmier_from_spectrum(mu)
+        est = dixmier_from_partial_sums(*spectrum_ladder(mu))
         assert abs(est.value) < 1e-4
 
     def test_trace_class_power_law_vanishes(self):
         # estimator sanity: a summable spectrum must read as zero at 1e-4
         mu = harmonic(DEFAULT_LADDER[-1]) ** 1.5
-        est = dixmier_from_spectrum(mu)
+        est = dixmier_from_partial_sums(*spectrum_ladder(mu))
         assert abs(est.value) < 1e-4
         assert est.stderr < 1e-4
         assert "summable" in est.note
@@ -210,9 +171,8 @@ class TestDixmierEstimation:
         mu1 = harmonic(n, 1.0)
         mu2 = harmonic(n, 0.5)
         merged = np.sort(np.concatenate([mu1, mu2]))[::-1][:n]
-        e1 = dixmier_from_spectrum(mu1)
-        e2 = dixmier_from_spectrum(mu2)
-        em = dixmier_from_spectrum(merged)
+        e1, e2, em = (dixmier_from_partial_sums(*spectrum_ladder(mu))
+                      for mu in (mu1, mu2, merged))
         tol = 3 * (e1.stderr + e2.stderr + em.stderr) + 0.01 * 1.5
         assert abs(em.value - (e1.value + e2.value)) < tol
 
@@ -242,7 +202,8 @@ class TestDixmierEstimation:
             assert v == pytest.approx(vals[0], rel=1e-3, abs=1e-6)
 
     def test_dispatch(self):
-        est = dixmier_from_spectrum(harmonic(10**6), ladder=(10**3, 10**4, 10**5, 10**6))
+        est = dixmier_from_partial_sums(
+            *spectrum_ladder(harmonic(10**6), ladder=(10**3, 10**4, 10**5, 10**6)))
         assert est.value == pytest.approx(1.0, rel=0.02)
 
     def test_rejects_short_ladders(self):
@@ -352,11 +313,6 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_decay(np.ones(16))
 
-    def test_norm_panel_present(self):
-        v = classify_decay(np.arange(1.0, 2001.0) ** -0.5)
-        assert any(key.startswith("weak-") for key in v.norms)
-        assert "calderon-1+" in v.norms
-
 
 class TestQuasiEvenVerification:
     def test_lowest_projection_and_transition(self):
@@ -402,14 +358,15 @@ class TestQuasiEvenVerification:
     def test_anticommutator_commutator_decay(self):
         # [{Gamma, F}, pi(Y)] carries the ladder-lifted resolvent rate: the
         # ranked exponent is -1 (not the -3/2 of the bare square-root family)
-        from magnc.dirac import QuartetOperator, represent
+        from magnc.dirac import QuartetOperator, dirac_phase, gamma_grading, represent
 
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=384, buffer=4)
 
         def build(c):
-            anti = defect_operators(upsilon(0, 1), c)["gamma_F_anticomm"]
-            pa = represent(upsilon(0, 1), c)
-            return QuartetOperator((anti.op @ pa.op - pa.op @ anti.op).tocsr(), c)
+            g, f = gamma_grading(c).op, dirac_phase(c, check=False).op
+            anti = g @ f + f @ g
+            pa = represent(upsilon(0, 1), c).op
+            return QuartetOperator((anti @ pa - pa @ anti).tocsr(), c)
 
         sv = stable_spectrum(build, ctx)
         v = classify_decay(sv)
