@@ -24,7 +24,7 @@ giving b+ b- = m on the interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, lgamma, pi
+from math import comb, isfinite, lgamma, pi
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,8 +71,8 @@ class QuadratureScheme:
     nodes_per_axis: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("quadrature radius must be positive")
+        if not (self.radius > 0 and isfinite(self.radius)):
+            raise ValueError(f"quadrature radius must be positive and finite, got {self.radius}")
         if self.nodes_per_axis < 8:
             raise ValueError("need at least 8 nodes per axis")
 
@@ -186,6 +186,32 @@ def _basis_over_psi00(n: int, m: int, u, zeta):
     for _ in range(d):
         val = val * base
     return val
+
+
+def _basis_over_psi00_monomials(n: int, m: int) -> np.ndarray:
+    """D with psi_{n,m}/psi_{0,0} = sum_{r,s} D[r, s] v1^r v2^s, v = x/(sqrt2 l).
+
+    The closed form of ``_basis_over_psi00`` as a polynomial: with u = v1 + i v2
+    and zeta = u ubar, the term c_j (-zeta)^j of L_lo^(d) times u^d (n >= m) or
+    ubar^d (n < m) is expanded binomially.  The c_j follow the running ratio of
+    ``eval_generalized_laguerre``.  D is (n+m+1) x (n+m+1) and independent of l.
+    """
+    lo, d = min(n, m), abs(n - m)
+    amp = np.exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1)))
+    if n < m and d % 2:
+        amp = -amp
+    out = np.zeros((n + m + 1, n + m + 1), dtype=complex)
+    j0, c = _laguerre_terms_start(lo, d)
+    for j in range(j0, lo + 1):
+        p, q = (j + d, j) if n >= m else (j, j + d)
+        cj = amp * c * (-1.0) ** j
+        # u^p ubar^q = sum C(p,i1) C(q,i2) i^(i1-i2) v1^(p+q-i1-i2) v2^(i1+i2)
+        for i1 in range(p + 1):
+            for i2 in range(q + 1):
+                out[p + q - i1 - i2, i1 + i2] += (
+                    cj * comb(p, i1) * comb(q, i2) * 1j ** ((i1 - i2) % 4))
+        c = c * (lo - j) / ((j + 1) * (d + j + 1))
+    return out
 
 
 def eval_basis_function(idx, x, lb=1.0):

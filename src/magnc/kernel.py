@@ -6,18 +6,26 @@ with Phi the magnetic phase factor and f_A the kernel function obtained from
 the coefficients by f_A = sqrt(2 pi) l * sum (-1)^(j-k) a_{j,k} psi_{k,j}.
 Quadrature matrix elements of this action (``gram_via_kernel``) are the
 oracle tying the coefficient algebra to honest operators on the plane.
+
+The quadrature is a tensor Gauss-Legendre sum over x = (t_a, t_b) and
+y = (t_c, t_d), and its kernel factors axis by axis: the Gaussian of f_A is
+g[a,c] g[b,d], the phase is Phi(x, y) = E[a,d] conj(E[b,c]) with
+E[p,q] = exp(i t_p t_q / 2l^2), and f_A / psi_{0,0} is a polynomial in
+y - x.  ``gram_via_kernel`` contracts that product of 1-D tables one axis at
+a time, so it adds the same terms at the same nodes and weights as the
+pointwise double sum without evaluating the kernel at any node pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
 from .algebra import MagneticElement
-from .basis import (QuadratureScheme, _basis_over_psi00, _polar_parts, default_radius,
-                    eval_basis_function)
+from .basis import (QuadratureScheme, _basis_over_psi00, _basis_over_psi00_monomials,
+                    _polar_parts, default_radius, eval_basis_function, magnetic_length)
 
 __all__ = [
     "KernelFunction",
@@ -30,6 +38,7 @@ __all__ = [
 
 def magnetic_phase(x, y, lb: float = 1.0):
     """Phi(x, y) = exp(i (x1 y2 - x2 y1) / (2 l^2)); Phi(x,y) Phi(y,x) = 1."""
+    lb = magnetic_length(lb)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     wedge = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
@@ -74,29 +83,66 @@ def kernel_of(a: MagneticElement) -> KernelFunction:
     return KernelFunction(tuple(terms), a.lb, 2.0 * pi * a.lb**2 * nsq)
 
 
+def _axis_tables(f: KernelFunction, t: np.ndarray):
+    """1-D factor tables of f(y - x) Phi(x, y) on the tensor grid of nodes t.
+
+    With x = (t_a, t_b), y = (t_c, t_d) and v = (y - x)/(sqrt2 l),
+        f(y - x) Phi(x, y) = sum_{r,s} D[r,s] Z[r][a,c] Z[s][b,d] E[a,d] conj(E[b,c])
+    where Z[r][p,q] = v^r exp(-(t_q - t_p)^2 / 4l^2) and E[p,q] = exp(i t_p t_q / 2l^2);
+    D carries the term coefficients and psi_{0,0}'s normalization.
+    """
+    lb = f.lb
+    deg = max((n + m for (n, m), _ in f.terms), default=0)
+    D = np.zeros((deg + 1, deg + 1), dtype=complex)
+    for (n, m), c in f.terms:
+        D[: n + m + 1, : n + m + 1] += c * _basis_over_psi00_monomials(n, m)
+    D /= np.sqrt(2.0 * pi) * lb
+    diff = t[None, :] - t[:, None]
+    v = diff / (np.sqrt(2.0) * lb)
+    g = np.exp(-diff**2 / (4.0 * lb**2))
+    Z = np.stack([v**r * g for r in range(deg + 1)])
+    E = np.exp(0.5j * np.outer(t, t) / lb**2)
+    if not all(np.all(np.isfinite(tab)) for tab in (D, Z, E)):
+        raise FloatingPointError("kernel quadrature tables are non-finite")
+    return D, Z, E
+
+
 def gram_via_kernel(a: MagneticElement, bras, kets,
                     scheme: QuadratureScheme | None = None) -> np.ndarray:
     """Matrix of <psi_bra, A psi_ket> with A acting through its kernel.
 
-    Both integrals run on one tensor grid; the (nodes^2 x nodes^2) kernel
-    application is contracted in row blocks against all kets at once.
+    The tensor Gauss-Legendre sum over x = (t_a, t_b) and y = (t_c, t_d) of
+    conj(psi_bra(x)) w(x) f(y - x) Phi(x, y) psi_ket(y) w(y) / (2 pi l^2),
+    with the kernel split into ``_axis_tables``.  For each power s of
+    v2 = (t_d - t_b)/(sqrt2 l) the kets are contracted over d against
+    E[a,d] Z[s][b,d] (one matmul), then against the bras times
+    sum_r D[r,s] Z[r][a,c] conj(E[b,c]) over (c, a, b).  Every term of the
+    pointwise sum appears once, so this is the same quadrature, reordered; no
+    array larger than (labels x nodes^3) is formed.
     """
     lb = a.lb
     if scheme is None:
         hi = max(max(n, m) for (n, m) in list(bras) + list(kets)) + 1
         scheme = QuadratureScheme(default_radius(hi, hi))
-    f = kernel_of(a)
+    t, _ = scheme.nodes_1d(lb)
     pts, w = scheme.grid(lb)
-    ket_mat = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets])
-    bra_mat = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w for bb in bras])
+    nt = len(t)
+    # rows (ket, c), columns d; and [bra, 1, a, b] to broadcast over c
+    ket = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets]).reshape(-1, nt)
+    bra = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w
+                    for bb in bras]).reshape(len(bras), 1, nt, nt)
+    D, Z, E = _axis_tables(kernel_of(a), t)
     out = np.zeros((len(bras), len(kets)), dtype=complex)
-    chunk = 128
-    for lo in range(0, len(pts), chunk):
-        xs = pts[lo : lo + chunk]
-        fv = f(pts[None, :, :] - xs[:, None, :])
-        ph = magnetic_phase(xs[:, None, :], pts[None, :, :], lb)
-        applied = (fv * ph) @ ket_mat.T / (2.0 * pi * lb**2)
-        out += bra_mat[:, lo : lo + chunk] @ applied
+    for s in range(len(D)):
+        # T[(k, c), (a, b)] = sum_d ket[k, c, d] E[a, d] Z[s][b, d]
+        T = ket @ (E[:, None, :] * Z[s][None, :, :]).reshape(nt * nt, nt).T
+        # [bra, c, a, b] = bra[a, b] R[a, c] conj(E[b, c]), R = sum_r D[r, s] Z[r]
+        R = np.tensordot(D[:, s], Z, axes=1)
+        W = bra * (R.T[:, :, None] * np.conj(E).T[:, None, :])
+        out += W.reshape(len(bras), -1) @ T.reshape(len(kets), -1).T
+    out /= 2.0 * pi * lb**2
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("kernel quadrature is non-finite")
     return out
 
 
@@ -109,8 +155,8 @@ def trace_per_unit_volume(a: MagneticElement, box_side: float,
     algebra trace.  Returns real parts (the imaginary part of the trace of a
     general element is carried by f_A(0) itself and reported by trace_int).
     """
-    if box_side <= 0 or n_boxes < 1:
-        raise ValueError("need a positive box side and at least one box")
+    if not (box_side > 0 and isfinite(box_side)) or n_boxes < 1:
+        raise ValueError("need a positive, finite box side and at least one box")
     f = kernel_of(a)
     vals = []
     x, wts = np.polynomial.legendre.leggauss(32)

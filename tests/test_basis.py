@@ -7,6 +7,7 @@ from scipy.special import eval_genlaguerre
 from magnc.algebra import MagneticElement
 from magnc.basis import (
     QuadratureScheme,
+    _basis_over_psi00_monomials,
     b_minus_matrix,
     b_plus_matrix,
     basis_with_gradient,
@@ -119,11 +120,32 @@ class TestBasisFunction:
             assert g1 == pytest.approx(fd1, rel=1e-6, abs=1e-8)
             assert g2 == pytest.approx(fd2, rel=1e-6, abs=1e-8)
 
+    def test_monomial_expansion_matches_closed_form(self):
+        # sum D[r, s] v1^r v2^s times psi_00 against the Laguerre closed form
+        rng = np.random.default_rng(8)
+        lb = 1.3
+        pts = rng.uniform(-4.0 * lb, 4.0 * lb, (300, 2))
+        v = pts / (np.sqrt(2.0) * lb)
+        psi00 = eval_basis_function((0, 0), pts, lb)
+        for n in range(6):
+            for m in range(6):
+                D = _basis_over_psi00_monomials(n, m)
+                assert D.shape == (n + m + 1, n + m + 1)
+                poly = np.einsum("rs,pr,ps->p", D, v[:, :1] ** np.arange(n + m + 1),
+                                 v[:, 1:] ** np.arange(n + m + 1))
+                want = eval_basis_function((n, m), pts, lb)
+                assert np.abs(poly * psi00 - want).max() < 1e-13
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             eval_basis_function((-1, 0), np.zeros(2))
         with pytest.raises(ValueError):
             QuadratureScheme(radius=5.0, nodes_per_axis=4)
+
+    @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan"), float("inf"), float("-inf")])
+    def test_quadrature_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError):
+            QuadratureScheme(radius)
 
 
 class TestMomentumMatrices:

@@ -1,5 +1,7 @@
 """Integral-kernel correspondence: the twisted-convolution action on the plane."""
 
+from math import pi
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from magnc.algebra import (
 )
 from magnc.basis import QuadratureScheme, default_radius, eval_basis_function
 from magnc.kernel import (
+    _axis_tables,
     gram_via_kernel,
     kernel_of,
     magnetic_phase,
@@ -19,6 +22,27 @@ from magnc.kernel import (
 )
 
 SCHEME = QuadratureScheme(default_radius(4, 4), 64)
+ACCEPTANCE_LABELS = [(n, m) for n in range(3) for m in range(2)]
+
+
+def pointwise_gram(a, bras, kets, scheme):
+    """The kernel quadrature as a plain double sum over node pairs: f(y - x) and
+    Phi(x, y) evaluated pointwise, contracted in row blocks (the oracle of the
+    axis-by-axis contraction in ``gram_via_kernel``)."""
+    lb = a.lb
+    f = kernel_of(a)
+    pts, w = scheme.grid(lb)
+    ket_mat = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets])
+    bra_mat = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w for bb in bras])
+    out = np.zeros((len(bras), len(kets)), dtype=complex)
+    chunk = 128
+    for lo in range(0, len(pts), chunk):
+        xs = pts[lo : lo + chunk]
+        fv = f(pts[None, :, :] - xs[:, None, :])
+        ph = magnetic_phase(xs[:, None, :], pts[None, :, :], lb)
+        applied = (fv * ph) @ ket_mat.T / (2.0 * pi * lb**2)
+        out += bra_mat[:, lo : lo + chunk] @ applied
+    return out
 
 
 class TestKernelFunction:
@@ -69,6 +93,11 @@ class TestKernelFunction:
         with pytest.raises(FloatingPointError):
             f(np.array([[0.0, 0.0], [1e120, 0.0]]))
 
+    @pytest.mark.parametrize("lb", [0.0, -1.0, float("nan"), float("inf")])
+    def test_phase_rejects_bad_magnetic_length(self, lb):
+        with pytest.raises(ValueError):
+            magnetic_phase([1.0, 0.0], [0.0, 1.0], lb)
+
     def test_phase_antisymmetry(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 2))
@@ -88,6 +117,51 @@ class TestCrossRepresentation:
             for j, (nk, mk) in enumerate(labels):
                 want = a.coeff(nk, nb) if mb == mk else 0.0
                 assert abs(gram[i, j] - want) < 1e-6
+
+
+class TestAxisFactorization:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_pointwise_oracle_at_acceptance_input(self, seed):
+        # the representation-consistency input of ``magnc --seed S verify-all``
+        a = random_element(seed + 1, 3, 1.0)
+        scheme = QuadratureScheme(default_radius(4, 4), 56)
+        got = gram_via_kernel(a, ACCEPTANCE_LABELS, ACCEPTANCE_LABELS, scheme)
+        want = pointwise_gram(a, ACCEPTANCE_LABELS, ACCEPTANCE_LABELS, scheme)
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_matches_pointwise_oracle_off_acceptance_input(self):
+        # support 5, lb != 1, another node count and non-square bra/ket sets
+        a = random_element(5, 5, 1.0, 1.3)
+        bras = [(n, m) for n in range(4) for m in range(2)]
+        kets = [(0, 0), (2, 1), (4, 0)]
+        scheme = QuadratureScheme(default_radius(5, 5), 48)
+        got = gram_via_kernel(a, bras, kets, scheme)
+        assert got.shape == (8, 3)
+        assert np.abs(got - pointwise_gram(a, bras, kets, scheme)).max() <= 1e-13
+
+    @pytest.mark.parametrize("lb", [0.7, 1.3])
+    @pytest.mark.parametrize("support", [1, 3, 5])
+    def test_tables_reproduce_the_pointwise_kernel(self, lb, support):
+        # the monomial table times psi_00, the Gaussian and phase tables against
+        # KernelFunction.__call__ and magnetic_phase at every node pair
+        a = random_element(20 + support, support, 1.0, lb)
+        f = kernel_of(a)
+        t, _ = QuadratureScheme(default_radius(4, 4), 12).nodes_1d(lb)
+        D, Z, E = _axis_tables(f, t)
+        got = np.einsum("rs,rac,sbd,ad,bc->abcd", D, Z, Z, E, np.conj(E))
+        x = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1)  # x[a, b] = (t_a, t_b)
+        xs, ys = x[:, :, None, None, :], x[None, None, :, :, :]
+        want = f(ys - xs) * magnetic_phase(xs, ys, lb)
+        assert np.abs(want).max() > 1e-2
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("labels", [ACCEPTANCE_LABELS, [(0, 0), (1, 0), (0, 1)]])
+    def test_non_finite_quadrature_raises(self, labels):
+        # at this radius the node products overflow: never a NaN or zero matrix
+        a = random_element(1, 3, 1.0)
+        with pytest.raises(FloatingPointError):
+            gram_via_kernel(a, labels, labels, QuadratureScheme(1e160, 8))
 
 
 class TestTracePerUnitVolume:
@@ -116,3 +190,8 @@ class TestTracePerUnitVolume:
     def test_rejects_bad_boxes(self):
         with pytest.raises(ValueError):
             trace_per_unit_volume(landau_projection(0), -1.0, 2)
+
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")])
+    def test_rejects_non_finite_box_side(self, side):
+        with pytest.raises(ValueError):
+            trace_per_unit_volume(landau_projection(0), side, 2)
