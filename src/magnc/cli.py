@@ -14,7 +14,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,7 @@ from . import cocycles as cc
 from . import kernel as ker
 from . import spectra as spx
 from .basis import QuadratureScheme, default_radius, verify_ladder_phases
-from .dirac import (DiracContext, QuartetOperator, dirac_phase, exact_phase_square,
-                    max_interior_deviation)
+from .dirac import DiracContext, phase_square_deviation
 
 
 @dataclass
@@ -88,17 +87,13 @@ def build_config(args) -> RunConfig:
     if args.config:
         for key, val in _parse_config_file(args.config).items():
             _coerce(cfg, key, val)
-    for flag, key in [
-        ("lb", "lb"), ("eps", "eps"), ("nmax", "n_max"), ("mmax", "m_max"),
-        ("buffer", "buffer"), ("tol_exact", "tol_exact"),
-        ("tol_dixmier", "tol_dixmier"), ("seed", "seed"), ("out", "out"),
-        ("format", "format"),
-    ]:
-        v = getattr(args, flag)
-        if v is not None:
-            setattr(cfg, key, v)
-    if args.ladder is not None:
-        cfg.ladder = [int(float(tok)) for tok in args.ladder.split(",") if tok.strip()]
+    # every flag's dest is its RunConfig key
+    for f in fields(RunConfig):
+        val = getattr(args, f.name)
+        if val is not None:
+            _coerce(cfg, f.name, val)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.ladder or len(cfg.ladder) < 3:
         raise ConfigError("ladder needs at least three rungs")
     if cfg.ladder[0] < 2 or any(b <= a for a, b in zip(cfg.ladder, cfg.ladder[1:])):
@@ -189,9 +184,7 @@ def check_representation_consistency(cfg: RunConfig) -> dict:
     worst_tpuv = max(abs(v - 1.0) for v in tpuv)
     small = DiracContext(lb=cfg.lb, eps=cfg.eps, n_max=8,
                          m_max=min(cfg.m_max, 64), buffer=cfg.buffer)
-    f = dirac_phase(small, check=False)
-    worst_f = max_interior_deviation(QuartetOperator((f.op @ f.op).tocsr(), small),
-                                     exact_phase_square(small), margin=2)
+    worst_f = phase_square_deviation(small)
     ok = worst_phase < 1e-6 and worst_kernel < 1e-6 and worst_tpuv < 1e-4 and worst_f < 1e-10
     got = {"ladder_vs_quadrature": worst_phase, "kernel_vs_coefficients": worst_kernel,
            "trace_per_unit_volume": worst_tpuv, "phase_square_identity": worst_f}
@@ -520,8 +513,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--lb", type=float, help="magnetic length")
     p.add_argument("--eps", type=float, help="phase regularization")
-    p.add_argument("--nmax", type=int, help="level truncation")
-    p.add_argument("--mmax", type=int, help="degeneracy truncation")
+    p.add_argument("--nmax", dest="n_max", type=int, help="level truncation")
+    p.add_argument("--mmax", dest="m_max", type=int, help="degeneracy truncation")
     p.add_argument("--buffer", type=int, help="edge buffer (>= 2)")
     p.add_argument("--ladder", help="comma-separated extrapolation counts")
     p.add_argument("--tol-exact", dest="tol_exact", type=float)

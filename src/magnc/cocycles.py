@@ -26,6 +26,7 @@ from .algebra import (
 from .dirac import (
     CHI_GRADING,
     GAMMA_GRADING,
+    GAMMA_SIGNS,
     DiracContext,
     sector_blocks,
     sector_represent,
@@ -57,7 +58,6 @@ __all__ = [
     "psi_cochain",
 ]
 
-GAMMA_SIGNS = np.real(np.diag(GAMMA_GRADING)).copy()   # (+1, +1, -1, -1)
 CHI_SIGNS = np.real(np.diag(CHI_GRADING)).copy()       # (-1, +1, -1, +1)
 CHI_GAMMA_SIGNS = CHI_SIGNS * GAMMA_SIGNS
 UNIT_SIGNS = np.ones(4)

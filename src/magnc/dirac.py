@@ -23,6 +23,7 @@ from .basis import magnetic_length, number_ladders
 __all__ = [
     "GAMMA",
     "GAMMA_GRADING",
+    "GAMMA_SIGNS",
     "CHI_GRADING",
     "BLOCK_SHIFTS",
     "DiracContext",
@@ -34,7 +35,7 @@ __all__ = [
     "oscillator_energies",
     "reg_inverse",
     "dirac_phase",
-    "gamma_grading",
+    "phase_square_deviation",
     "represent",
     "sector_blocks",
     "sector_weights",
@@ -55,6 +56,7 @@ GAMMA = (
 
 # Grading used by the quasi-even structure and the (trivially pairing) one.
 GAMMA_GRADING = 1j * GAMMA[0] @ GAMMA[1]          # diag(1, 1, -1, -1)
+GAMMA_SIGNS = np.real(np.diag(GAMMA_GRADING)).copy()   # (+1, +1, -1, -1)
 CHI_GRADING = GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]  # diag(-1, 1, -1, 1)
 
 # D^2 = Q x 1 + diag(BLOCK_SHIFTS): derived from the gamma choice above.
@@ -111,7 +113,6 @@ class QuartetOperator:
 
     op: sp.csr_matrix
     ctx: DiracContext
-    name: str = ""
 
     def hermiticity_defect(self) -> float:
         d = self.op - self.op.conj().T
@@ -157,7 +158,7 @@ def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     asserted on the interior to 1e-10.
     """
     dm, dp = split_dirac(ctx)
-    out = QuartetOperator((dm.op + dp.op).tocsr(), ctx, name="D")
+    out = QuartetOperator((dm.op + dp.op).tocsr(), ctx)
     if check:
         sq = (out.op @ out.op).tocsr()
         target = sp.diags(oscillator_energies(ctx, include_eps=False))
@@ -191,8 +192,8 @@ def split_dirac(ctx: DiracContext) -> tuple[QuartetOperator, QuartetOperator]:
     dm.data *= 1 / np.sqrt(2.0)
     dp.data *= 1 / np.sqrt(2.0)
     return (
-        QuartetOperator(dm.tocsr(), ctx, name="D-"),
-        QuartetOperator(dp.tocsr(), ctx, name="D+"),
+        QuartetOperator(dm.tocsr(), ctx),
+        QuartetOperator(dp.tocsr(), ctx),
     )
 
 
@@ -220,8 +221,9 @@ def _sector_block(t: QuartetOperator, m: int, m2: int, levels: int) -> np.ndarra
 
 
 def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
-    """The blocks of D and Gamma on the level window n < ``levels``, read off
-    ``split_dirac`` and ``gamma_grading`` on a two-sector copy of ``ctx``.
+    """The blocks of D and Gamma on the level window n < ``levels``: D's read
+    off ``split_dirac`` on a two-sector copy of ``ctx``, Gamma's the tiled
+    ``GAMMA_SIGNS``.
 
     Cached on that copy, so contexts differing only in m_max share one
     entry; building the blocks costs about as much as the quadratic forms
@@ -237,7 +239,7 @@ def _two_sector_blocks(two: DiracContext, levels: int) -> SectorBlocks:
     dm, dp = split_dirac(two)
     blocks = SectorBlocks(_sector_block(dm, 0, 0, levels), _sector_block(dp, 0, 1, levels),
                           _sector_block(dp, 1, 0, levels),
-                          _sector_block(gamma_grading(two), 0, 0, levels))
+                          np.diag(np.tile(GAMMA_SIGNS, levels)).astype(complex))
     for b in blocks:
         b.setflags(write=False)
     return blocks
@@ -267,7 +269,7 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
     if e.min() <= 0:
         raise ValueError("regularized spectrum not positive; need eps > 0")
     d = sp.diags(e ** (-s / 2.0)).tocsr()
-    return QuartetOperator(d, ctx, name=f"|D_eps|^-{s}")
+    return QuartetOperator(d, ctx)
 
 
 def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
@@ -289,10 +291,7 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
         herm = f.hermiticity_defect()
         if herm > 1e-12:
             raise InteriorIdentityError(f"Dirac phase not Hermitian: {herm:.3e}")
-        fsq = (f.op @ f.op).tocsr()
-        dev = max_interior_deviation(
-            QuartetOperator(fsq, ctx), exact_phase_square(ctx), margin=2
-        )
+        dev = phase_square_deviation(ctx)
         if dev > 1e-10:
             raise InteriorIdentityError(
                 f"F^2 - 1 + eps|D_eps|^-2 = {dev:.3e} on the interior"
@@ -310,20 +309,20 @@ def _phase(ctx: DiracContext) -> QuartetOperator:
     """
     d = build_dirac(ctx, check=False)
     w = reg_inverse(ctx, 1.0)
-    return QuartetOperator((d.op @ w.op).tocsr(), ctx, name="F")
+    return QuartetOperator((d.op @ w.op).tocsr(), ctx)
+
+
+def phase_square_deviation(ctx: DiracContext) -> float:
+    """Largest interior |entry| of F^2 - (1 - eps |D_eps|^{-2}), margin 2."""
+    f = _phase(ctx).op
+    return max_interior_deviation(QuartetOperator((f @ f).tocsr(), ctx),
+                                  exact_phase_square(ctx), margin=2)
 
 
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
     """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator."""
     d = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
-    return QuartetOperator(d, ctx, name="F^2")
-
-
-def gamma_grading(ctx: DiracContext) -> QuartetOperator:
-    """The quasi-even grading, diag(+1, +1, -1, -1) on the spinor factor."""
-    site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
-    g = sp.kron(site, sp.csr_matrix(GAMMA_GRADING), format="csr")
-    return QuartetOperator(g, ctx, name="Gamma")
+    return QuartetOperator(d, ctx)
 
 
 def _lift_for(a, ctx: DiracContext) -> UnitalElement:
@@ -346,7 +345,7 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
     op = _kron3(sp.identity(ctx.m_tot, format="csr"), block, sp.identity(4, format="csr"))
     if u.scalar != 0:
         op = op + u.scalar * sp.identity(ctx.dim, format="csr")
-    return QuartetOperator(op.tocsr(), ctx, name="pi(A)")
+    return QuartetOperator(op.tocsr(), ctx)
 
 
 def sector_represent(a, ctx: DiracContext, levels: int) -> np.ndarray:
@@ -370,9 +369,7 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
         raise ValueError("need support strictly below the level truncation minus one")
     d = build_dirac(ctx, check=False)
     pa = represent(a, ctx)
-    comm = QuartetOperator(
-        (d.op @ pa.op - pa.op @ d.op).tocsr(), ctx, name="[D,pi(A)]"
-    )
+    comm = QuartetOperator((d.op @ pa.op - pa.op @ d.op).tocsr(), ctx)
     if check:
         im = sp.identity(ctx.m_tot, format="csr")
         scale = 1j / (np.sqrt(2.0) * ctx.lb)
@@ -395,18 +392,23 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     R        = Gamma [F, pi(A)] Gamma + [F, pi(A)]
     Fsq_comm = [F^2, pi(A)]  (through the exact diagonal form of F^2)
     F_comm   = [F, pi(A)]
+
+    Gamma is the exact sign diagonal GAMMA_SIGNS on every site, so R keeps
+    the entries of [F, pi(A)] between equal signs, doubled.
     """
     if a.support_bound > ctx.n_max - ctx.buffer:
         raise ValueError("support must stay within the truncation minus the buffer")
     f = dirac_phase(ctx, check=False)
     pa = represent(a, ctx)
-    g = gamma_grading(ctx)
     fcomm = (f.op @ pa.op - pa.op @ f.op).tocsr()
-    r = (g.op @ fcomm @ g.op + fcomm).tocsr()
+    signs = np.tile(GAMMA_SIGNS, ctx.dim // 4)
+    x = fcomm.tocoo()
+    even = signs[x.row] == signs[x.col]
+    r = sp.csr_matrix((2 * x.data[even], (x.row[even], x.col[even])), shape=fcomm.shape)
     fsq = exact_phase_square(ctx)
     fsq_comm = (fsq.op @ pa.op - pa.op @ fsq.op).tocsr()
     return {
-        "R": QuartetOperator(r, ctx, name="R(A)"),
-        "Fsq_comm": QuartetOperator(fsq_comm, ctx, name="[F^2,pi(A)]"),
-        "F_comm": QuartetOperator(fcomm, ctx, name="[F,pi(A)]"),
+        "R": QuartetOperator(r, ctx),
+        "Fsq_comm": QuartetOperator(fsq_comm, ctx),
+        "F_comm": QuartetOperator(fcomm, ctx),
     }

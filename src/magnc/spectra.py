@@ -8,7 +8,8 @@ their affine extrapolation in 1/log N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,10 +41,9 @@ DEFAULT_LADDER = (10**3, 10**4, 10**5, 10**6, 10**7)
 
 @dataclass
 class SingularSpectrum:
-    """Descending singular values with provenance."""
+    """Descending singular values."""
 
     mu: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -157,7 +157,7 @@ def singular_values(t) -> SingularSpectrum:
         op = t.op[sel][:, sel].tocsr()
     else:
         op = sp.csr_matrix(t)
-    return SingularSpectrum(_blockwise_svdvals(op), source=getattr(t, "name", ""))
+    return SingularSpectrum(_blockwise_svdvals(op))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +417,11 @@ def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
     to 1e-6 relative) isolates the honest prefix, which is what decay fits
     may use.
     """
-    small = DiracContext(lb=ctx.lb, eps=ctx.eps, n_max=ctx.n_max,
-                         m_max=max(ctx.m_max // 2, 64),
-                         buffer=ctx.buffer)
+    small = replace(ctx, m_max=max(ctx.m_max // 2, 64))
     s_big = singular_values(build(ctx))
     if s_big.count == 0 or s_big.mu[0] <= 1e-14:
         # the zero operator: trivially stable, trivially summable
-        return SingularSpectrum(np.zeros(64), source=s_big.source + " [zero]")
+        return SingularSpectrum(np.zeros(64))
     s_small = singular_values(build(small))
     n = min(s_big.count, s_small.count)
     big, sml = s_big.mu[:n], s_small.mu[:n]
@@ -435,7 +433,7 @@ def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
         raise RuntimeError(
             f"stable prefix too short ({stop}); increase the truncation"
         )
-    return SingularSpectrum(big[:stop], source=s_big.source + " [stable prefix]")
+    return SingularSpectrum(big[:stop])
 
 
 def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dict:
@@ -445,15 +443,27 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
     (ranked exponent -1/2), [F^2, pi(A)] and the mixed products
     R(A) [F, pi(A')] (both orders) and triple commutator products should be
     trace class.  All spectra are read on the truncation-stable prefix
-    (computed at two truncations).  Returns verdicts with fitted exponents.
+    (computed at two truncations); the defect operators are built once per
+    element and truncation.  Returns verdicts with fitted exponents.
     """
-    report: dict = {"elements": [], "pairs": [], "triples": []}
+    @cache
+    def table(c: DiracContext) -> list[dict]:
+        return [defect_operators(a, c) for a in test_set]
 
-    for a in test_set:
-        v_f = classify_decay(stable_spectrum(
-            lambda c: defect_operators(a, c)["F_comm"], ctx))
-        v_sq = classify_decay(stable_spectrum(
-            lambda c: defect_operators(a, c)["Fsq_comm"], ctx))
+    def verdict(*factors):
+        """Decay verdict of the product of (element index, defect key) factors."""
+        def build(c):
+            ops = [table(c)[i][key].op for i, key in factors]
+            out = ops[0]
+            for op in ops[1:]:
+                out = out @ op
+            return QuartetOperator(out.tocsr(), c)
+        return classify_decay(stable_spectrum(build, ctx))
+
+    report: dict = {"elements": [], "pairs": [], "triples": []}
+    for i, a in enumerate(test_set):
+        v_f = verdict((i, "F_comm"))
+        v_sq = verdict((i, "Fsq_comm"))
         report["elements"].append(
             {
                 "support": a.support_bound,
@@ -463,17 +473,9 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
                 "Fsq_ok": v_sq.verdict == "trace-class",
             }
         )
-    for a, a2 in zip(test_set, test_set[1:]):
-        def left(c, a=a, a2=a2):
-            r, fc = defect_operators(a, c)["R"], defect_operators(a2, c)["F_comm"]
-            return QuartetOperator((r.op @ fc.op).tocsr(), c, name="R(A)[F,A']")
-
-        def right(c, a=a, a2=a2):
-            r, fc = defect_operators(a, c)["R"], defect_operators(a2, c)["F_comm"]
-            return QuartetOperator((fc.op @ r.op).tocsr(), c, name="[F,A']R(A)")
-
-        v_l = classify_decay(stable_spectrum(left, ctx))
-        v_r = classify_decay(stable_spectrum(right, ctx))
+    for i in range(len(test_set) - 1):
+        v_l = verdict((i, "R"), (i + 1, "F_comm"))
+        v_r = verdict((i + 1, "F_comm"), (i, "R"))
         report["pairs"].append(
             {
                 "left": v_l,
@@ -481,12 +483,8 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
                 "ok": v_l.verdict == "trace-class" and v_r.verdict == "trace-class",
             }
         )
-    for a0, a1, a2 in zip(test_set, test_set[1:], test_set[2:]):
-        def triple(c, a0=a0, a1=a1, a2=a2):
-            f0, f1, f2 = (defect_operators(x, c)["F_comm"].op for x in (a0, a1, a2))
-            return QuartetOperator((f0 @ f1 @ f2).tocsr(), c, name="triple")
-
-        v = classify_decay(stable_spectrum(triple, ctx))
+    for i in range(len(test_set) - 2):
+        v = verdict((i, "F_comm"), (i + 1, "F_comm"), (i + 2, "F_comm"))
         report["triples"].append(
             {"verdict": v, "ok": v.verdict == "trace-class" and v.exponent <= -1.4}
         )

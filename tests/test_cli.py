@@ -78,6 +78,16 @@ class TestConfig:
         cfgfile.write_text(f"{key} = nan\n")
         assert run_cli(["--config", str(cfgfile), "invariant", "psi", "pi:0"]) == 2
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # default_rng takes no negative seed; the flag and the file are both
+        # configuration errors, before any check runs
+        assert run_cli(["--seed", "-1", "verify-all", "--dry-run"]) == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = -3\n")
+        args = make_parser().parse_args(["--config", str(cfgfile), "verify-all"])
+        with pytest.raises(ConfigError):
+            build_config(args)
+
     def test_non_increasing_ladder_rejected(self):
         assert run_cli(["--ladder", "5,4,3", "invariant", "nc-integral", "pi:0"]) == 2
         assert run_cli(["--ladder", "1,10,100", "dixmier-ladder", "d4"]) == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magnc.algebra import (
     MagneticElement,
@@ -34,10 +35,10 @@ from magnc.cocycles import (
 )
 from magnc.dirac import (
     BLOCK_SHIFTS,
+    GAMMA_GRADING,
     DiracContext,
     QuartetOperator,
     dirac_phase,
-    gamma_grading,
     reg_inverse,
     represent,
 )
@@ -253,7 +254,8 @@ def lattice_sector_traces(a0, a1, a2, ctx):
     p0, p1, p2 = (represent(a, ctx).op for a in (a0, a1, a2))
     c1 = (f @ p1 - p1 @ f).tocsr()
     c2 = (f @ p2 - p2 @ f).tocsr()
-    omega = (gamma_grading(ctx).op @ p0 @ c1 @ c2).tocsr()
+    g = sp.kron(sp.identity(ctx.dim // 4), sp.csr_matrix(GAMMA_GRADING), format="csr")
+    omega = (g @ p0 @ c1 @ c2).tocsr()
     return sector_traces(QuartetOperator(omega, ctx))
 
 

@@ -20,7 +20,6 @@ from magnc.dirac import (
     defect_operators,
     dirac_phase,
     exact_phase_square,
-    gamma_grading,
     interior_mask,
     max_interior_deviation,
     oscillator_energies,
@@ -33,6 +32,12 @@ from magnc.dirac import (
 )
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
+
+
+def lattice_gamma(ctx):
+    """Oracle: the grading as a lattice operator, GAMMA_GRADING on every site."""
+    site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
+    return QuartetOperator(sp.kron(site, sp.csr_matrix(GAMMA_GRADING), format="csr"), ctx)
 
 
 def j_numbers(ctx):
@@ -95,7 +100,7 @@ class TestDiracOperator:
         assert max_interior_deviation(anti, margin=2) < 1e-10
 
     def test_grading_signs_of_split(self):
-        g = gamma_grading(CTX)
+        g = lattice_gamma(CTX)
         dm, dp = split_dirac(CTX)
         minus = (g.op @ dm.op @ g.op + dm.op)
         plus = (g.op @ dp.op @ g.op - dp.op)
@@ -186,7 +191,7 @@ class TestDiracPhase:
 class TestRepresentation:
     def test_commutes_with_grading(self):
         pa = represent(landau_projection(0), CTX)
-        g = gamma_grading(CTX)
+        g = lattice_gamma(CTX)
         comm = g.op @ pa.op - pa.op @ g.op
         assert comm.nnz == 0 or np.abs(comm.data).max() < 1e-15
 
@@ -212,7 +217,7 @@ class TestRepresentation:
     def test_commutator_has_odd_grading_degree(self):
         a = random_element(4, 3, 1.0)
         c = commutator_with_D(a, CTX, check=True)
-        g = gamma_grading(CTX)
+        g = lattice_gamma(CTX)
         anti = QuartetOperator((g.op @ c.op @ g.op + c.op).tocsr(), CTX)
         assert max_interior_deviation(anti, margin=2) < 1e-12
 
@@ -233,7 +238,7 @@ class TestRepresentation:
         c1 = commutator_with_D(a1, CTX, check=False)
         c2 = commutator_with_D(a2, CTX, check=False)
         prod = QuartetOperator((c1.op @ c2.op).tocsr(), CTX)
-        g = gamma_grading(CTX)
+        g = lattice_gamma(CTX)
         want = QuartetOperator(
             (
                 -0.5 / CTX.lb**2 * represent(delta0(a1, a2), CTX).op
@@ -277,7 +282,7 @@ class TestDefectOperators:
         f = dirac_phase(CTX, check=False)
         _, dp = split_dirac(CTX)
         w = reg_inverse(CTX, 1.0)
-        g = gamma_grading(CTX)
+        g = lattice_gamma(CTX)
         anti = (g.op @ f.op + f.op @ g.op).tocsr()
         want = (2.0 * g.op @ dp.op @ w.op).tocsr()
         dev = max_interior_deviation(
@@ -309,6 +314,17 @@ class TestDefectOperators:
         again = dirac_phase(one, check=True)  # evicted by ``three``, rebuilt unchanged
         assert builds == [one, two, three, one]
         assert abs(again.op - f.op).max() == 0.0
+
+    @pytest.mark.parametrize("ctx", [CTX, DiracContext(lb=1.3, eps=0.25, n_max=6,
+                                                       m_max=20, buffer=2)])
+    def test_r_equals_the_lattice_grading_sandwich(self, ctx):
+        g = lattice_gamma(ctx).op
+        for a in (upsilon(0, 1, ctx.lb), random_element(8, 3, 1.0, ctx.lb)):
+            d = defect_operators(a, ctx)
+            x = d["F_comm"].op
+            want = (g @ x @ g + x).tocsr()
+            assert d["R"].op.nnz > 0
+            assert (d["R"].op != want).nnz == 0
 
     def test_rejects_support_in_buffer(self):
         with pytest.raises(ValueError):
@@ -356,7 +372,7 @@ class TestSectorBlocks:
         gamma = sector_blocks(ctx, levels).gamma
         a = random_element(5, 4, 1.0)
         pa = sector_represent(a, ctx, levels)
-        g, p = gamma_grading(ctx).op, represent(a, ctx).op
+        g, p = lattice_gamma(ctx).op, represent(a, ctx).op
         w = sector_weights(ctx, levels)
         rinv = reg_inverse(ctx, 1.0).op.diagonal().reshape(ctx.m_tot, -1)
         assert w.shape == (ctx.m_max + 1, 4 * levels)

@@ -327,6 +327,21 @@ class TestQuasiEvenVerification:
         assert rep["pairs"][0]["ok"]
         assert rep["ok"]
 
+    def test_defect_operators_built_once_per_element_and_truncation(self, monkeypatch):
+        # criterion 2's inputs: 11 products read off one table per truncation
+        import magnc.spectra as spectra
+
+        calls = []
+        build = spectra.defect_operators
+        monkeypatch.setattr(spectra, "defect_operators",
+                            lambda a, c: calls.append(c) or build(a, c))
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=384, buffer=4)
+        test_set = [upsilon(0, 1), random_element(5, 3, 1.0), random_element(6, 3, 1.0)]
+        rep = verify_quasi_even(ctx, test_set)
+        assert rep["ok"]
+        assert len(calls) == 2 * len(test_set)
+        assert sorted({c.m_max for c in calls}) == [192, 384]
+
     def test_fsq_sector_values_match_scaled_resolvent_law(self):
         # [F^2, pi(Y)] = -eps [|D_eps|^{-2}, pi(Y)]: blockwise the resolvent law
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=64, buffer=4)
@@ -358,12 +373,15 @@ class TestQuasiEvenVerification:
     def test_anticommutator_commutator_decay(self):
         # [{Gamma, F}, pi(Y)] carries the ladder-lifted resolvent rate: the
         # ranked exponent is -1 (not the -3/2 of the bare square-root family)
-        from magnc.dirac import QuartetOperator, dirac_phase, gamma_grading, represent
+        import scipy.sparse as sp
+
+        from magnc.dirac import GAMMA_GRADING, QuartetOperator, dirac_phase, represent
 
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=384, buffer=4)
 
         def build(c):
-            g, f = gamma_grading(c).op, dirac_phase(c, check=False).op
+            g = sp.kron(sp.identity(c.dim // 4), sp.csr_matrix(GAMMA_GRADING))
+            f = dirac_phase(c, check=False).op
             anti = g @ f + f @ g
             pa = represent(upsilon(0, 1), c).op
             return QuartetOperator((anti @ pa - pa @ anti).tocsr(), c)
