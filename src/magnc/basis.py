@@ -50,11 +50,14 @@ MOMENTA = ("K1", "K2", "G1", "G2")
 
 
 def magnetic_length(lb) -> float:
-    """l_B as a float; the one check that it is positive and finite (NaN and
-    +-inf are rejected)."""
+    """l_B as a float; the one check that it is positive and that l_B^2 and
+    l_B^-2 are finite and nonzero (NaN, +-inf and lengths whose square
+    overflows or underflows are rejected)."""
     lb = float(lb)
-    if not (lb > 0 and isfinite(lb)):
-        raise ValueError(f"magnetic length must be positive and finite, got {lb}")
+    sq = lb * lb
+    if not (lb > 0 and isfinite(sq) and sq > 0 and isfinite(1.0 / sq)):
+        raise ValueError(
+            f"magnetic length must be positive with l_B^2 and l_B^-2 finite and nonzero, got {lb}")
     return lb
 
 

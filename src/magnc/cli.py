@@ -57,8 +57,12 @@ class ConfigError(ValueError):
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -471,7 +475,10 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
 
 def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
     if target == "d4":
-        ns, sums = spx.d4_partial_sums(cfg.eps, cfg.ladder)
+        try:
+            ns, sums = spx.d4_partial_sums(cfg.eps, cfg.ladder)
+        except ValueError as exc:  # rungs sharing a level cut: a bad --ladder
+            raise ConfigError(str(exc)) from exc
     elif target.startswith(("ncint:", "ch:")):
         kind, text = target.split(":", 1)
         el = parse_element(text, cfg)

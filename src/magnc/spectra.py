@@ -79,85 +79,31 @@ class IdealVerdict:
 # Singular values of lattice operators.
 # ---------------------------------------------------------------------------
 
-def _n_window(op: sp.csr_matrix, ctx: DiracContext) -> int:
-    """Smallest n_win so every nonzero entry has level index < n_win."""
-    coo = op.tocoo()
-    if coo.nnz == 0:
-        return 1
-    block = 4 * ctx.n_tot
-    ns = np.concatenate([(coo.row % block) // 4, (coo.col % block) // 4])
-    return int(ns.max()) + 1
+def singular_values(t: QuartetOperator) -> SingularSpectrum:
+    """All singular values of a lattice operator, descending.
 
-
-def _window_selection(ctx: DiracContext, n_win: int) -> np.ndarray:
-    base = (np.arange(ctx.m_tot)[:, None] * ctx.n_tot + np.arange(n_win)[None, :]) * 4
-    return (base[..., None] + np.arange(4)).ravel()
-
-
-def _blockwise_svdvals(op: sp.csr_matrix) -> np.ndarray:
-    """All min(shape) singular values, one stacked dense SVD per block shape.
-
-    Rows and columns are the two vertex classes of a bipartite graph with an
-    edge per nonzero; its connected components are the diagonal blocks of a
-    row and column permutation of ``op``, so the spectrum is the union of the
-    block spectra, padded with zeros.  Exact for any sparsity pattern; the
-    conserved J = n - m + s of D and F keeps the blocks small.
+    D, F, pi(A) and every defect operator conserve L = m + [s in {1, 2}], so
+    the operator is block diagonal in L: block L holds the sites
+    (m = L, s in {0, 3}) and (m = L - 1, s in {1, 2}) with level n < w, the
+    highest occupied level plus one, each at position 4 n + s.  The
+    half-empty edge blocks L = 0 and L = m_tot fill complementary positions
+    and share one slot, so one stacked SVD of m_tot blocks, 4 w wide, gives
+    the 4 w m_tot singular values of the level window.  An entry coupling two
+    values of L raises ValueError.
     """
-    # imported here: csgraph adds about 3 MB of resident memory to every
-    # process that imports the package, most of which never take an SVD
-    from scipy.sparse.csgraph import connected_components
-
-    n_rows = op.shape[0]
-    pattern = op != 0
-    graph = sp.bmat([[None, pattern], [pattern.T, None]])
-    n_comp, labels = connected_components(graph, directed=False)
-    # permute so block c holds rows r_off[c]:r_off[c+1], columns c_off[c]:c_off[c+1]
-    row_order = np.argsort(labels[:n_rows], kind="stable")
-    col_order = np.argsort(labels[n_rows:], kind="stable")
-    bounds = np.arange(n_comp + 1)
-    r_off = np.searchsorted(labels[:n_rows][row_order], bounds)
-    c_off = np.searchsorted(labels[n_rows:][col_order], bounds)
-    perm = op[row_order][:, col_order].tocoo()
-    perm.sum_duplicates()
-    nz = perm.data != 0
-    rows, cols, vals = perm.row[nz], perm.col[nz], perm.data[nz]
-    nz_off = np.searchsorted(rows, r_off)
-    nz_comp = np.repeat(np.arange(n_comp), np.diff(nz_off))
-    # blocks holding a nonzero, grouped by shape: one stacked SVD per shape
-    occupied = np.nonzero(np.diff(nz_off))[0]
-    shapes, group = np.unique(
-        np.stack([np.diff(r_off)[occupied], np.diff(c_off)[occupied]], axis=1),
-        axis=0, return_inverse=True)
-    comp_group = np.full(n_comp, -1)
-    comp_group[occupied] = group
-    nz_group = comp_group[nz_comp]
-    comp_slot = np.zeros(n_comp, dtype=np.intp)   # a block's place in its stack
-    mu = []
-    for g, (height, width) in enumerate(shapes):
-        members = occupied[group == g]
-        comp_slot[members] = np.arange(len(members))
-        k = nz_group == g
-        c = nz_comp[k]
-        stack = np.zeros((len(members), height, width), op.dtype)
-        stack[comp_slot[c], rows[k] - r_off[c], cols[k] - c_off[c]] = vals[k]
-        mu.append(np.linalg.svd(stack, compute_uv=False).ravel())
-    mu.append(np.zeros(min(op.shape) - sum(len(m) for m in mu)))
-    return np.sort(np.concatenate(mu))[::-1]
-
-
-def singular_values(t) -> SingularSpectrum:
-    """All singular values, descending.
-
-    Lattice operators are first restricted to their level window (rows and
-    columns with level index below the highest occupied one); every input
-    then takes one dense SVD per connected block of its nonzero pattern.
-    """
-    if isinstance(t, QuartetOperator):
-        sel = _window_selection(t.ctx, _n_window(t.op, t.ctx))
-        op = t.op[sel][:, sel].tocsr()
-    else:
-        op = sp.csr_matrix(t)
-    return SingularSpectrum(_blockwise_svdvals(op))
+    coo = t.op.tocoo()
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    # lattice index -> (sector m, position 4 n + s within the sector)
+    m_row, p_row = np.divmod(coo.row, 4 * t.ctx.n_tot)
+    m_col, p_col = np.divmod(coo.col, 4 * t.ctx.n_tot)
+    l_row = m_row + np.isin(p_row % 4, (1, 2))
+    if np.any(l_row != m_col + np.isin(p_col % 4, (1, 2))):
+        raise ValueError("operator couples different L = m + [s in {1, 2}]")
+    width = 4 * (max(p_row.max(initial=0), p_col.max(initial=0)) // 4 + 1)
+    stack = np.zeros((t.ctx.m_tot, width, width), t.op.dtype)
+    stack[l_row % t.ctx.m_tot, p_row, p_col] = coo.data
+    return SingularSpectrum(np.linalg.svd(stack, compute_uv=False).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +190,18 @@ def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):
 
     Eigenvalues are (j + xi_i)^{-2} with multiplicity j at level j >= 1 over
     the four shifted blocks; the count at cut J is N = 2 J (J + 1) and the
-    sums have exact digamma/trigamma closed forms.
+    sums have exact digamma/trigamma closed forms.  Rungs that round to one
+    cut would repeat a count and raise ValueError.
     """
+    cuts: dict[int, list[int]] = {}
+    for n_req in ladder:
+        cuts.setdefault(max(int(round(np.sqrt(n_req / 2.0))), 2), []).append(int(n_req))
+    shared = [f"{rungs} -> J = {j}" for j, rungs in cuts.items() if len(rungs) > 1]
+    if shared:
+        raise ValueError("ladder rungs collapse onto one d4 level cut: " + "; ".join(shared))
     shifts = eps + BLOCK_SHIFTS
     ns, sums = [], []
-    for n_req in ladder:
-        j = max(int(round(np.sqrt(n_req / 2.0))), 2)
+    for j in cuts:
         n_act = 2 * j * (j + 1)
         total = 0.0
         for xi in shifts:

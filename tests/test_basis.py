@@ -225,7 +225,7 @@ class TestMomentumMatrices:
         assert default_radius(8, 8) > default_radius(2, 2) > 4.0
 
 
-@pytest.mark.parametrize("lb", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("lb", [float("nan"), float("inf"), 0.0, -1.0, 1e-160, 1e200])
 @pytest.mark.parametrize("entry", [
     lambda lb: MagneticElement(np.eye(2), lb=lb),
     lambda lb: eval_basis_function((0, 0), np.zeros(2), lb=lb),

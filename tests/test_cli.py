@@ -54,8 +54,16 @@ class TestConfig:
     def test_nan_regularization_rejected(self):
         assert run_cli(["--eps", "nan", "invariant", "nc-integral", "pi:0"]) == 2
 
-    def test_infinite_magnetic_length_rejected(self):
-        assert run_cli(["--lb", "inf", "invariant", "chern", "pi:0"]) == 2
+    @pytest.mark.parametrize("lb, code", [("inf", 2), ("1e-160", 2), ("1e-200", 2),
+                                          ("1e200", 2), ("1e-154", 0), ("1.3e154", 0)])
+    @pytest.mark.parametrize("which", ["psi", "chern", "gap-label"])
+    def test_magnetic_length_range(self, which, lb, code):
+        # l_B^2 and l_B^-2 must both be finite and nonzero
+        assert run_cli(["--lb", lb, "invariant", which, "pi:0"]) == code
+
+    def test_unreadable_config_file_rejected(self, tmp_path):
+        assert run_cli(["--config", str(tmp_path / "missing.cfg"), "verify-all", "--dry-run"]) == 2
+        assert run_cli(["--config", str(tmp_path), "verify-all", "--dry-run"]) == 2
 
     @pytest.mark.parametrize("command", [
         ["invariant", "nc-integral", "pi:0"],
@@ -92,6 +100,15 @@ class TestConfig:
         assert run_cli(["--ladder", "5,4,3", "invariant", "nc-integral", "pi:0"]) == 2
         assert run_cli(["--ladder", "1,10,100", "dixmier-ladder", "d4"]) == 2
         assert run_cli(["--ladder", "10,100,inf", "dixmier-ladder", "d4"]) == 2
+
+    def test_ladder_collapsing_onto_one_d4_cut_rejected(self, tmp_path, capsys):
+        # 1000, 1001 and 1002 all round to the level cut J = 22; the ladder
+        # is fine where the counts are used as given
+        assert run_cli(["--ladder", "1000,1001,1002", "dixmier-ladder", "d4"]) == 2
+        assert "[1000, 1001, 1002] -> J = 22" in capsys.readouterr().err
+        out = tmp_path / "ncint.json"
+        assert run_cli(["--ladder", "1000,1001,1002", "--out", str(out),
+                        "invariant", "nc-integral", "pi:0"]) == 0
 
 
 class TestElementInputs:

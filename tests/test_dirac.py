@@ -47,6 +47,12 @@ def j_numbers(ctx):
     return site % ctx.n_tot - site // ctx.n_tot + np.array([0, -1, 0, 1])[spin]
 
 
+def l_numbers(ctx):
+    """L = m + [s in {1, 2}] on the lattice."""
+    idx = np.arange(ctx.dim)
+    return idx // (4 * ctx.n_tot) + np.isin(idx % 4, (1, 2))
+
+
 class TestCliffordData:
     def test_gammas_hermitian_involutive(self):
         for g in GAMMA:
@@ -126,16 +132,24 @@ class TestDiracOperator:
     # eps below about 1e-16 is rejected: eps - 1 rounds onto the resolvent pole
     @settings(max_examples=25, deadline=None)
     @given(n_max=st.integers(2, 8), m_max=st.integers(2, 32), buffer=st.integers(2, 4),
-           eps=st.floats(1e-12, 3.0, exclude_max=True), s=st.floats(1.0, 4.0))
-    def test_random_contexts_split_and_conserve_j(self, n_max, m_max, buffer, eps, s):
+           eps=st.floats(1e-12, 3.0, exclude_max=True), s=st.floats(1.0, 4.0),
+           seed=st.integers(0, 2**16))
+    def test_random_contexts_split_and_conserve_j(self, n_max, m_max, buffer, eps, s, seed):
         ctx = DiracContext(lb=1.0, eps=eps, n_max=n_max, m_max=m_max, buffer=buffer)
         d = build_dirac(ctx, check=False)
         dm, dp = split_dirac(ctx)
         assert (d.op != dm.op + dp.op).nnz == 0
-        j = j_numbers(ctx)
+        j, l = j_numbers(ctx), l_numbers(ctx)
         for op in (d, dirac_phase(ctx, check=False), reg_inverse(ctx, s)):
             coo = op.op.tocoo()
             assert np.array_equal(j[coo.row], j[coo.col])
+            assert np.array_equal(l[coo.row], l[coo.col])
+        # singular_values' L-blocks: the defect operators of an element
+        # supported below n_max - buffer (when one fits) conserve L too
+        room = n_max - buffer
+        for op in defect_operators(random_element(seed, room), ctx).values() if room >= 1 else ():
+            coo = op.op.tocoo()
+            assert np.array_equal(l[coo.row], l[coo.col])
 
 
 class TestRegularizedInverse:

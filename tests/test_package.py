@@ -1,8 +1,10 @@
 """Package hygiene: every imported name is used, every ``__all__`` entry
-exists and has a caller outside the tests."""
+exists and has a caller outside the tests, and so does every private
+module-level name."""
 
 import ast
 import importlib
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,26 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private functions, classes and constants (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@cache
+def _read_outside_tests() -> frozenset[str]:
+    """Names read by any package module (its own included, where a
+    definition is not a read) or by the benchmark."""
+    return frozenset().union(*(_code_names(_tree(m)) for m in MODULES),
+                             *(_code_names(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_import_is_used(name):
     tree = _tree(name)
@@ -60,10 +82,13 @@ def test_every_all_entry_resolves(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_all_entry_has_a_caller_outside_tests(name):
-    # a reference in any package module (its own included, where a definition
-    # is not a read) or in the benchmark counts
-    used = set().union(*(_code_names(_tree(m)) for m in MODULES),
-                       *(_code_names(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
     module = importlib.import_module(f"magnc.{name}")
-    orphans = [n for n in getattr(module, "__all__", []) if n not in used | KEPT_FOR_TESTS]
+    orphans = [n for n in getattr(module, "__all__", [])
+               if n not in _read_outside_tests() | KEPT_FOR_TESTS]
     assert orphans == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_name_is_read_outside_tests(name):
+    # a private helper only the tests read is dead code kept alive by them
+    assert sorted(_private_definitions(_tree(name)) - _read_outside_tests()) == []

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magnc.algebra import landau_projection, random_element, upsilon
-from magnc.dirac import DiracContext, defect_operators
+from magnc.basis import b_plus_matrix
+from magnc.dirac import DiracContext, QuartetOperator, build_dirac, defect_operators
 from magnc.spectra import (
     DEFAULT_LADDER,
     build_shifted_commutator,
@@ -20,6 +22,7 @@ from magnc.spectra import (
 )
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=96, buffer=4)
+SMALL = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=8, buffer=2)
 
 
 def harmonic(count, c=1.0):
@@ -32,22 +35,31 @@ def spectrum_ladder(mu, ladder=DEFAULT_LADDER):
     return np.array(ladder, dtype=float), np.array([csum[n - 1] for n in ladder])
 
 
+def level_window(t):
+    """Indices of the sites n < w of every sector m, w the highest level a
+    nonzero of ``t`` occupies plus one: the rows and columns whose singular
+    values ``singular_values`` returns."""
+    coo = t.op.tocoo()
+    block = 4 * t.ctx.n_tot
+    w = int(np.concatenate([coo.row % block, coo.col % block]).max()) // 4 + 1
+    return (np.arange(t.ctx.m_tot)[:, None] * block + np.arange(4 * w)).ravel()
+
+
 class TestSingularValues:
     def test_identity_block(self):
-        eye = np.eye(12)
+        eye = QuartetOperator(sp.identity(SMALL.dim, format="csr"), SMALL)
         sv = singular_values(eye)
+        assert sv.count == SMALL.dim
         assert np.allclose(sv.mu, 1.0)
 
     def test_descending_order(self):
-        sv = singular_values(np.diag([0.1, 3.0, 1.0]))
+        sv = singular_values(defect_operators(random_element(3, 3, 1.0), CTX)["F_comm"])
         assert np.all(np.diff(sv.mu) <= 0)
 
     def test_hermitian_absolute_eigenvalues(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((9, 9))
-        h = h + h.T
-        sv = singular_values(h)
-        want = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+        d = build_dirac(SMALL, check=False)
+        sv = singular_values(d)
+        want = np.sort(np.abs(np.linalg.eigvalsh(d.op.toarray())))[::-1]
         assert np.allclose(sv.mu, want, rtol=1e-12, atol=1e-12)
 
     def test_regularized_inverse_closed_form(self):
@@ -61,18 +73,19 @@ class TestSingularValues:
         )))[::-1]
         assert np.allclose(sv.mu[:100], want[:100], rtol=1e-12)
 
-    def test_top_k_request(self):
-        sv = singular_values(np.diag(np.arange(1.0, 9.0)))
-        assert list(sv.mu[:3]) == [8.0, 7.0, 6.0]
+    def test_operator_breaking_l_rejected(self):
+        # b+ raises m at fixed (n, s), so it couples L to L + 1
+        b = sp.kron(sp.kron(b_plus_matrix(SMALL.m_tot), sp.identity(SMALL.n_tot)),
+                    sp.identity(4), format="csr")
+        with pytest.raises(ValueError, match="couples different L"):
+            singular_values(QuartetOperator(b, SMALL))
 
     def test_blockwise_path_matches_dense(self):
         # a lattice operator whose nonzero pattern splits into many blocks
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=256, buffer=2)
         d = defect_operators(upsilon(0, 1), ctx)["F_comm"]
         mu_blocks = singular_values(d).mu
-        from magnc.spectra import _n_window, _window_selection
-
-        sel = _window_selection(ctx, _n_window(d.op, ctx))
+        sel = level_window(d)
         import scipy.linalg
 
         dense = scipy.linalg.svdvals(d.op[sel][:, sel].toarray())
@@ -81,20 +94,18 @@ class TestSingularValues:
 
     @pytest.mark.parametrize("which", ["D", "F", "F_comm"])
     def test_stacked_path_matches_per_block_svd(self, which):
-        # many same-shape blocks go through one stacked SVD per shape; the
-        # oracle takes one scipy SVD per connected block, as before stacking
+        # the L-blocks go through one stacked SVD; the oracle takes one scipy
+        # SVD per connected block of the nonzero pattern
         import scipy.linalg
-        import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
-        from magnc.dirac import build_dirac, dirac_phase
-        from magnc.spectra import _n_window, _window_selection
+        from magnc.dirac import dirac_phase
 
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
         t = {"D": lambda: build_dirac(ctx, check=False),
              "F": lambda: dirac_phase(ctx, check=False),
              "F_comm": lambda: defect_operators(random_element(3, 3, 1.0), ctx)["F_comm"]}[which]()
-        sel = _window_selection(ctx, _n_window(t.op, ctx))
+        sel = level_window(t)
         op = t.op[sel][:, sel].tocsr()
         pattern = op != 0
         n_comp, labels = connected_components(sp.bmat([[None, pattern], [pattern.T, None]]),
@@ -106,30 +117,6 @@ class TestSingularValues:
         got = singular_values(t).mu
         assert len(got) == len(want) == min(op.shape)
         assert np.abs(got - np.sort(want)[::-1]).max() <= 1e-12
-
-    def test_permuted_blocks_with_empty_lines(self):
-        # blocks 3x3 (complex), 2x4 and 1x1, two empty rows and three empty
-        # columns, rows and columns shuffled, plus a stored zero joining two
-        # blocks: the spectrum is the dense one, count min(shape)
-        import scipy.linalg
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(3)
-        blocks = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-                  rng.standard_normal((2, 4)), rng.standard_normal((1, 1)),
-                  np.zeros((2, 3))]
-        core = sp.block_diag(blocks, format="coo")
-        stored_zero = sp.coo_matrix(([0.0], ([0], [5])), shape=core.shape)
-        mat = sp.coo_matrix((np.concatenate([core.data, stored_zero.data]),
-                             (np.concatenate([core.row, stored_zero.row]),
-                              np.concatenate([core.col, stored_zero.col]))),
-                            shape=core.shape).tocsr()
-        mat = mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
-        assert mat.shape == (8, 11)
-        sv = singular_values(mat)
-        want = scipy.linalg.svdvals(mat.toarray())
-        assert sv.count == len(want) == 8
-        assert np.allclose(sv.mu, want, rtol=1e-12, atol=1e-12)
 
 
 class TestDixmierEstimation:
@@ -348,8 +335,9 @@ class TestQuasiEvenVerification:
         d = defect_operators(upsilon(0, 1), ctx)["Fsq_comm"]
         assert d.verify_m_diagonal()
         block = 4 * ctx.n_tot
-        per_sector = [singular_values(d.op[m * block:(m + 1) * block,
-                                           m * block:(m + 1) * block]).mu
+        per_sector = [np.linalg.svd(d.op[m * block:(m + 1) * block,
+                                         m * block:(m + 1) * block].toarray(),
+                                    compute_uv=False)
                       for m in range(40)]
         shifts = ctx.eps + np.array([-1.0, 0.0, 1.0, 0.0])
         for m in range(2, 40):
@@ -373,9 +361,7 @@ class TestQuasiEvenVerification:
     def test_anticommutator_commutator_decay(self):
         # [{Gamma, F}, pi(Y)] carries the ladder-lifted resolvent rate: the
         # ranked exponent is -1 (not the -3/2 of the bare square-root family)
-        import scipy.sparse as sp
-
-        from magnc.dirac import GAMMA_GRADING, QuartetOperator, dirac_phase, represent
+        from magnc.dirac import GAMMA_GRADING, dirac_phase, represent
 
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=384, buffer=4)
 
