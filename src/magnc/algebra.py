@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 import scipy.linalg
 
-from .basis import magnetic_length, number_ladders
+from .basis import magnetic_length, number_ladders, require_same_length
 
 __all__ = [
     "MagneticElement",
@@ -100,13 +100,9 @@ class MagneticElement:
 
     # -- algebra -----------------------------------------------------------
 
-    def _check_same_lb(self, other: "MagneticElement"):
-        if abs(self.lb - other.lb) > 1e-15 * max(self.lb, other.lb):
-            raise ValueError("elements live at different magnetic lengths")
-
     def __add__(self, other):
         if isinstance(other, MagneticElement):
-            self._check_same_lb(other)
+            require_same_length(self.lb, other.lb, "elements")
             s = max(self.block.shape[0], other.block.shape[0])
             return MagneticElement(self.padded(s) + other.padded(s), self.lb)
         return NotImplemented
@@ -163,7 +159,7 @@ def zero_element(lb=1.0) -> MagneticElement:
 
 def compose(a: MagneticElement, b: MagneticElement) -> MagneticElement:
     """Operator product AB, (AB)_{m,k} = sum_j a_{j,k} b_{m,j}."""
-    a._check_same_lb(b)
+    require_same_length(a.lb, b.lb, "elements")
     s = max(a.block.shape[0], b.block.shape[0])
     return MagneticElement(a.padded(s) @ b.padded(s), a.lb)
 

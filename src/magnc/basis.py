@@ -44,6 +44,7 @@ __all__ = [
     "verify_ladder_phases",
     "default_radius",
     "magnetic_length",
+    "require_same_length",
 ]
 
 MOMENTA = ("K1", "K2", "G1", "G2")
@@ -59,6 +60,13 @@ def magnetic_length(lb) -> float:
         raise ValueError(
             f"magnetic length must be positive with l_B^2 and l_B^-2 finite and nonzero, got {lb}")
     return lb
+
+
+def require_same_length(l1: float, l2: float, what: str):
+    """The one comparison of two magnetic lengths: ValueError unless they
+    agree to 1e-15 relative."""
+    if abs(l1 - l2) > 1e-15 * max(l1, l2):
+        raise ValueError(f"{what} live at different magnetic lengths: {l1} and {l2}")
 
 
 def default_radius(n_max: int, m_max: int) -> float:

@@ -233,8 +233,17 @@ def check_singular_value_laws(cfg: RunConfig) -> dict:
                    got, worst_law, 1e-8, ok)
 
 
+def _d4_partial_sums(cfg: RunConfig):
+    """The |D_eps|^-4 ladder at the configured counts.  Rungs that share one
+    level cut are a bad --ladder for it, though not for the other ladders."""
+    try:
+        return spx.d4_partial_sums(cfg.eps, cfg.ladder)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def check_dixmier_normalization(cfg: RunConfig) -> dict:
-    ns, sums = spx.d4_partial_sums(cfg.eps, cfg.ladder)
+    ns, sums = _d4_partial_sums(cfg)
     est = spx.dixmier_from_partial_sums(ns, sums)
     err = abs(est.value - 2.0) / 2.0
     return _record("dixmier-normalization", "volume-form-trace",
@@ -427,6 +436,7 @@ def run_check(stage: str, fn, cfg: RunConfig) -> dict:
 
 
 def cmd_verify_all(cfg: RunConfig, dry_run: bool = False) -> int:
+    _d4_partial_sums(cfg)  # reject a ladder criterion 3 cannot use before any check runs
     if dry_run:
         _emit({"config": cfg.echo(), "plan": [check_name(fn) for _, fn in CHECKS]}, cfg)
         return 0
@@ -466,8 +476,8 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
         else:
             raise ConfigError(f"unknown invariant {which!r}")
         # nothing to compare against: a value passes when it is finite and
-        # its estimator did not flag it
-        ok = np.isfinite(v.value) and np.isfinite(v.error) and "flagged" not in v.method
+        # measurable at this truncation
+        ok = np.isfinite(v.value) and np.isfinite(v.error) and v.measurable
         rec = _record(which, ref, None, v.value, v.error, tol, ok)
     _emit({"config": cfg.echo(), "checks": [rec]}, cfg)
     return 0 if rec["pass"] else 1
@@ -475,10 +485,7 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
 
 def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
     if target == "d4":
-        try:
-            ns, sums = spx.d4_partial_sums(cfg.eps, cfg.ladder)
-        except ValueError as exc:  # rungs sharing a level cut: a bad --ladder
-            raise ConfigError(str(exc)) from exc
+        ns, sums = _d4_partial_sums(cfg)
     elif target.startswith(("ncint:", "ch:")):
         kind, text = target.split(":", 1)
         el = parse_element(text, cfg)

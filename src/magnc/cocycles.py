@@ -10,7 +10,7 @@ tier is the content of the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -23,6 +23,7 @@ from .algebra import (
     spatial_derivative,
     trace_int,
 )
+from .basis import require_same_length
 from .dirac import (
     CHI_GRADING,
     GAMMA_GRADING,
@@ -32,12 +33,7 @@ from .dirac import (
     sector_represent,
     sector_weights,
 )
-from .spectra import (
-    DEFAULT_LADDER,
-    DixmierEstimate,
-    dixmier_from_partial_sums,
-    shifted_resolvent_ladder,
-)
+from .spectra import DEFAULT_LADDER, dixmier_from_partial_sums, shifted_resolvent_ladder
 
 __all__ = [
     "CocycleValue",
@@ -58,18 +54,15 @@ __all__ = [
     "psi_cochain",
 ]
 
-CHI_SIGNS = np.real(np.diag(CHI_GRADING)).copy()       # (-1, +1, -1, +1)
-CHI_GAMMA_SIGNS = CHI_SIGNS * GAMMA_SIGNS
-UNIT_SIGNS = np.ones(4)
-
-
 @dataclass
 class CocycleValue:
-    """A cocycle evaluation with its method tag and error bar."""
+    """A cocycle evaluation with its method tag, error bar and whether its
+    Dixmier extrapolation is measurable at this truncation."""
 
     value: complex
     method: str
     error: float = 0.0
+    measurable: bool = True
 
     def __post_init__(self):
         if self.error < 0:
@@ -150,20 +143,26 @@ class TruncationError(ValueError):
 
 def _support_check(ctx: DiracContext, *els: MagneticElement, margin: int = 0):
     for e in els:
+        require_same_length(e.lb, ctx.lb, "element and context")
         if e.support_bound > ctx.n_max - margin:
             raise TruncationError(
                 f"support {e.support_bound} exceeds truncation {ctx.n_max} - {margin}"
             )
 
 
-def _block_estimates(s_el: MagneticElement, ctx: DiracContext,
-                     ladder) -> list[DixmierEstimate]:
-    """Dixmier estimates of (Q + eps + shift_i)^{-1} S for the four blocks."""
-    out = []
-    for xi in ctx.shifted_energies():
-        ns, sums = shifted_resolvent_ladder(s_el, xi, ladder)
-        out.append(dixmier_from_partial_sums(ns, sums))
-    return out
+def _dixmier_functional(terms, ladder) -> CocycleValue:
+    """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
+    ``(coef, S, [(xi, w), ...])``: one ladder and extrapolation per shifted
+    block.  The |w|-weighted stderrs add in quadrature within a term and
+    linearly across terms; the value is measurable when every block is."""
+    value, error, measurable = 0.0, 0.0, True
+    for coef, s_el, blocks in terms:
+        ests = [(w, dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, ladder)))
+                for xi, w in blocks]
+        value += coef * sum(w * e.value for w, e in ests)
+        error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
+        measurable &= all(e.measurable for _, e in ests)
+    return CocycleValue(value, "dixmier-extrapolated", error, measurable)
 
 
 def nc_integral(a: MagneticElement, ctx: DiracContext,
@@ -174,37 +173,20 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
     on every finitely supported element.
     """
     _support_check(ctx, a)
-    ests = _block_estimates(a, ctx, ladder)
-    value = sum(e.value for e in ests) / 4.0
-    err = sqrt(sum(e.stderr**2 for e in ests)) / 4.0
-    note_flags = [e for e in ests if not e.measurable]
-    cv = CocycleValue(value, "dixmier-extrapolated", err)
-    if note_flags:
-        cv.method = "dixmier-extrapolated (flagged: not measurable at this truncation)"
-    return cv
+    return _dixmier_functional(
+        [(0.25, a, [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
 
 
-def _graded_functional(z0: UnitalElement, z1: MagneticElement,
-                       z2: MagneticElement, ctx: DiracContext, ladder,
-                       signs0: np.ndarray = GAMMA_SIGNS,
-                       signs1: np.ndarray = UNIT_SIGNS) -> CocycleValue:
-    """Dixmier trace of |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) G0 + (i/2l^2) pi(Z0 d1) G1 ]
-    with G0, G1 the diagonal spin factors carrying ``signs0``, ``signs1`` on
-    the four blocks."""
-    lb = ctx.lb
+def _graded_terms(coef: float, z0: UnitalElement, z1: MagneticElement,
+                  z2: MagneticElement, ctx: DiracContext) -> list:
+    """Terms of coef |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ]
+    over the four shifted blocks, Gamma carrying ``GAMMA_SIGNS``."""
     d0 = delta0(z1, z2)
     d1 = delta1(z1, z2)
-    s0 = z0.scalar * d0 + compose(z0.element, d0)
-    s1 = z0.scalar * d1 + compose(z0.element, d1)
-    e0 = _block_estimates(s0, ctx, ladder)
-    e1 = _block_estimates(s1, ctx, ladder)
-    c0 = -1.0 / (2.0 * lb**2)
-    c1 = 1j / (2.0 * lb**2)
-    value = c0 * sum(s * e.value for s, e in zip(signs0, e0))
-    value += c1 * sum(s * e.value for s, e in zip(signs1, e1))
-    err = abs(c0) * sqrt(sum(e.stderr**2 for e in e0))
-    err += abs(c1) * sqrt(sum(e.stderr**2 for e in e1))
-    return CocycleValue(value, "dixmier-extrapolated", err)
+    c = coef / (2.0 * ctx.lb**2)
+    shifts = ctx.shifted_energies()
+    return [(-c, z0.scalar * d0 + compose(z0.element, d0), list(zip(shifts, GAMMA_SIGNS))),
+            (1j * c, z0.scalar * d1 + compose(z0.element, d1), [(xi, 1.0) for xi in shifts])]
 
 
 def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -215,41 +197,27 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     after extrapolation; the identity-weighted part carries the value.
     """
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder)
-    return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
+    return _dixmier_functional(_graded_terms(0.5, UnitalElement.lift(a0), a1, a2, ctx),
+                               ladder)
 
 
 def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
-           ctx: DiracContext, ladder=DEFAULT_LADDER,
-           block_resolved: bool = False) -> CocycleValue:
+           ctx: DiracContext, ladder=DEFAULT_LADDER) -> CocycleValue:
     """The character twisted by the anticommuting grading; vanishes termwise.
 
-    Through the spin-trace factorization every sector term is a scalar ladder
-    value multiplied by tr(g1 g2 g3 g4) or tr(g3 g4), both exactly zero, so
-    the result is zero at float accuracy with no extrapolation.  The
-    ``block_resolved`` route keeps the four shifts separate and vanishes only
-    within the extrapolation error; it is kept as a cross-check.
+    Through the spin-trace factorization at a common diagonal shift (the
+    block value is shift-independent) each term is a ladder value at the
+    shift eps weighted by tr(chi) or tr(chi Gamma), both exactly zero, so the
+    result is zero at float accuracy with no extrapolation.
     """
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
-    if block_resolved:
-        t = _graded_functional(UnitalElement.lift(a0), a1, a2, ctx, ladder,
-                               CHI_SIGNS, CHI_GAMMA_SIGNS)
-        return CocycleValue(0.5 * t.value, t.method, 0.5 * t.error)
-    # spin-trace factorization at a common diagonal shift (the block value is
-    # shift-independent): each term multiplies an exactly vanishing 4x4 trace.
     tr_chi = complex(np.trace(CHI_GRADING))
     tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
-    d0 = delta0(a1, a2)
-    d1 = delta1(a1, a2)
-    ns, sums0 = shifted_resolvent_ladder(compose(a0, d0), ctx.eps, ladder)
-    est0 = dixmier_from_partial_sums(ns, sums0)
-    ns, sums1 = shifted_resolvent_ladder(compose(a0, d1), ctx.eps, ladder)
-    est1 = dixmier_from_partial_sums(ns, sums1)
-    c0 = -1.0 / (2.0 * ctx.lb**2)
-    c1 = 1j / (2.0 * ctx.lb**2)
-    value = 0.5 * (c0 * est0.value * tr_chi + c1 * est1.value * tr_chi_gamma)
-    err = 0.5 * (abs(c0 * tr_chi) * est0.stderr + abs(c1 * tr_chi_gamma) * est1.stderr)
-    return CocycleValue(value, "spin-trace-factorized", err)
+    c = 0.5 / (2.0 * ctx.lb**2)
+    v = _dixmier_functional([(-c, compose(a0, delta0(a1, a2)), [(ctx.eps, tr_chi)]),
+                             (1j * c, compose(a0, delta1(a1, a2)), [(ctx.eps, tr_chi_gamma)])],
+                            ladder)
+    return replace(v, method="spin-trace-factorized")
 
 
 def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
@@ -259,7 +227,8 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     Closedness of the graded trace makes this vanish for every pair.
     """
     _support_check(ctx, a1, a2, margin=ctx.buffer)
-    return _graded_functional(UnitalElement.unit(ctx.lb), a1, a2, ctx, ladder)
+    return _dixmier_functional(_graded_terms(1.0, UnitalElement.unit(ctx.lb), a1, a2, ctx),
+                               ladder)
 
 
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
@@ -284,12 +253,12 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     """
     x0 = UnitalElement.lift(x0)
     y0 = UnitalElement.lift(y0)
+    _support_check(ctx, x0.element, x1, y0.element, y1, margin=ctx.buffer)
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
     x1y0 = y0.scalar * x1 + compose(x1, y0.element)
-    t1 = _graded_functional(x0, x1y0, y1, ctx, ladder)
-    t2 = _graded_functional(x0 @ UnitalElement(0.0, x1), y0.element, y1, ctx, ladder)
-    return CocycleValue(t1.value - t2.value, "dixmier-extrapolated",
-                        t1.error + t2.error)
+    return _dixmier_functional(
+        _graded_terms(1.0, x0, x1y0, y1, ctx)
+        + _graded_terms(-1.0, x0 @ UnitalElement(0.0, x1), y0.element, y1, ctx), ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +327,8 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     ms = sorted({max(4, ctx.m_max >> k) for k in range(6)})   # windows m_max / 2^k
     est = dixmier_from_partial_sums(np.array(ms, dtype=float),
                                     np.array([csum[m - 1] for m in ms]), rel_tol=0.2)
-    method = "dixmier-direct-partial-trace"
-    if not est.measurable:
-        method += " (flagged: not measurable at this truncation)"
-    return CocycleValue(0.5 * est.value, method, 0.5 * est.stderr)
+    return CocycleValue(0.5 * est.value, "dixmier-direct-partial-trace", 0.5 * est.stderr,
+                        est.measurable)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import MagneticElement, UnitalElement, spatial_derivative
-from .basis import magnetic_length, number_ladders
+from .basis import magnetic_length, number_ladders, require_same_length
 
 __all__ = [
     "GAMMA",
@@ -329,8 +329,7 @@ def _lift_for(a, ctx: DiracContext) -> UnitalElement:
     """``a`` as a unital element, checked against the context's magnetic
     length and level truncation."""
     u = UnitalElement.lift(a)
-    if abs(u.lb - ctx.lb) > 1e-15 * max(u.lb, ctx.lb):
-        raise ValueError("element and context magnetic lengths differ")
+    require_same_length(u.lb, ctx.lb, "element and context")
     if u.element.support_bound > ctx.n_max:
         raise ValueError(
             f"support {u.element.support_bound} exceeds the level truncation {ctx.n_max}"

@@ -61,7 +61,6 @@ class DixmierEstimate:
     value: complex
     stderr: float
     ladder: list
-    fit: tuple
     measurable: bool = True
     note: str = ""
 
@@ -117,7 +116,7 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
     the leading correction.  Ladders whose partial sums are outright
     convergent (increments decaying geometrically across the rungs, the
     ratio test) belong to summable spectra, whose value is exactly zero.
-    A ladder whose residuals exceed ``rel_tol`` of the value scale is flagged
+    A ladder whose residuals exceed ``rel_tol`` of the value scale is marked
     not measurable at this truncation.
     """
     ns = np.asarray(ns, dtype=float)
@@ -142,7 +141,7 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
                 (int(n), complex(s) if np.iscomplexobj(sigma) else float(s))
                 for n, s in zip(ns, sigma)
             ]
-            return DixmierEstimate(val, bound, ladder, (val, val), True,
+            return DixmierEstimate(val, bound, ladder, True,
                                    "partial sums converge (summable spectrum)")
     x = 1.0 / logs
     design = np.stack([np.ones_like(x), x], axis=-1)
@@ -158,11 +157,9 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
     note = "" if measurable else "not measurable at this truncation"
     if np.iscomplexobj(sigma):
         ladder = [(int(n), complex(s)) for n, s in zip(ns, sigma)]
-        return DixmierEstimate(complex(value), stderr, ladder,
-                               (complex(coef[0]), complex(coef[1])), measurable, note)
+        return DixmierEstimate(complex(value), stderr, ladder, measurable, note)
     ladder = [(int(n), float(s)) for n, s in zip(ns, sigma)]
-    return DixmierEstimate(float(value), stderr, ladder,
-                           (float(coef[0]), float(coef[1])), measurable, note)
+    return DixmierEstimate(float(value), stderr, ladder, measurable, note)
 
 
 def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,

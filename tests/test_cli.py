@@ -104,8 +104,11 @@ class TestConfig:
     def test_ladder_collapsing_onto_one_d4_cut_rejected(self, tmp_path, capsys):
         # 1000, 1001 and 1002 all round to the level cut J = 22; the ladder
         # is fine where the counts are used as given
-        assert run_cli(["--ladder", "1000,1001,1002", "dixmier-ladder", "d4"]) == 2
-        assert "[1000, 1001, 1002] -> J = 22" in capsys.readouterr().err
+        for command in (["dixmier-ladder", "d4"], ["verify-all"]):
+            assert run_cli(["--ladder", "1000,1001,1002"] + command) == 2
+            err = capsys.readouterr().err
+            assert "[1000, 1001, 1002] -> J = 22" in err
+            assert "[PASS]" not in err and "[FAIL]" not in err   # no check ran
         out = tmp_path / "ncint.json"
         assert run_cli(["--ladder", "1000,1001,1002", "--out", str(out),
                         "invariant", "nc-integral", "pi:0"]) == 0
@@ -240,22 +243,30 @@ class TestSubcommands:
         assert "inf" in out.read_text()
 
     @pytest.mark.parametrize("which", ["nc-integral", "psi", "ch", "tau2"])
-    @pytest.mark.parametrize("value, method", [
-        (complex("nan"), "dixmier-extrapolated"),
-        (1.0, "dixmier-extrapolated (flagged: not measurable at this truncation)"),
-    ])
+    @pytest.mark.parametrize("value, measurable", [(complex("nan"), True), (1.0, False)])
     def test_invariant_not_finite_or_flagged_fails(self, tmp_path, monkeypatch,
-                                                    which, value, method):
+                                                    which, value, measurable):
         import magnc.cocycles as cc
 
         def fake(*args, **kwargs):
-            return cc.CocycleValue(value, method, 0.0)
+            return cc.CocycleValue(value, "dixmier-extrapolated", 0.0, measurable)
 
         for name in ("nc_integral", "psi", "ch_dix", "tau2"):
             monkeypatch.setattr(cc, name, fake)
         out = tmp_path / "r.json"
         assert run_cli(["--mmax", "128", "--out", str(out), "invariant", which, "pi:0"]) == 1
         assert json.loads(out.read_text())["checks"][0]["pass"] is False
+
+    @pytest.mark.parametrize("which", ["nc-integral", "ch", "tau2"])
+    def test_dixmier_invariant_fails_where_a_block_is_not_measurable(self, tmp_path, which):
+        # at 3, 10, 100 most block ladders of a Chern-1 projection are not
+        # measurable; at the default ladder every one is
+        out = tmp_path / "r.json"
+        assert run_cli(["--ladder", "3,10,100", "--out", str(out),
+                        "invariant", which, "pi:1"]) == 1
+        assert json.loads(out.read_text())["checks"][0]["pass"] is False
+        assert run_cli(["--out", str(out), "invariant", which, "pi:1"]) == 0
+        assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
     def test_dixmier_ladder_unknown_target(self):
         assert run_cli(["dixmier-ladder", "d5"]) == 2

@@ -92,3 +92,28 @@ def test_every_all_entry_has_a_caller_outside_tests(name):
 def test_every_private_name_is_read_outside_tests(name):
     # a private helper only the tests read is dead code kept alive by them
     assert sorted(_private_definitions(_tree(name)) - _read_outside_tests()) == []
+
+
+def _option_census() -> int:
+    """Independently settable values in the package: defaulted parameters of
+    every def and lambda, defaulted ``@dataclass`` fields and
+    ``add_argument`` calls."""
+    count = 0
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                count += 1
+    return count
+
+
+def test_option_census_does_not_grow():
+    # a new knob must show up in the diff: raise this only with a reason
+    assert _option_census() == 84
