@@ -392,6 +392,18 @@ def _sanitize(obj):
     return obj
 
 
+def _write(text: str, cfg: RunConfig):
+    """``text`` to the ``--out`` path, or to stdout without one; a path that
+    cannot be written is bad input."""
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(cfg.out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {cfg.out!r}: {exc.strerror}") from exc
+
+
 def _emit(payload: dict, cfg: RunConfig):
     if cfg.format == "csv" and "checks" in payload:
         cols = ["name", "paper_ref", "expected", "got", "error", "tolerance", "pass"]
@@ -406,10 +418,7 @@ def _emit(payload: dict, cfg: RunConfig):
         text = "\n".join(lines)
     else:
         text = json.dumps(_sanitize(payload), indent=1, sort_keys=True)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(text + "\n", cfg)
 
 
 def check_name(fn) -> str:
@@ -509,11 +518,7 @@ def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
         sig = complex(sig)
         v = complex(est.value)
         lines.append(f"{n},{sig.real:.12g},{sig.imag:.12g},{v.real:.12g},{v.imag:.12g},{est.stderr:.6g}")
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", cfg)
     finite = np.all(np.isfinite([complex(sig) for _, sig in est.ladder]))
     return 0 if finite and np.isfinite(est.value) and np.isfinite(est.stderr) else 1
 

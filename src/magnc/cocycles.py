@@ -20,6 +20,7 @@ from .algebra import (
     UnitalElement,
     compose,
     is_projection,
+    norms,
     spatial_derivative,
     trace_int,
 )
@@ -138,7 +139,8 @@ def chern_number(p: MagneticElement) -> float:
 # ---------------------------------------------------------------------------
 
 class TruncationError(ValueError):
-    """An element's support does not fit the context's level truncation."""
+    """An input does not fit the context's truncation: an element's support
+    beyond the level cut, or too few sectors for route ii's windows."""
 
 
 def _support_check(ctx: DiracContext, *els: MagneticElement, margin: int = 0):
@@ -234,8 +236,6 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
     """Reference magnitude for closedness checks: the size of the pieces
     whose cancellation is being asserted."""
-    from .algebra import norms
-
     d0 = delta0(a1, a2)
     d1 = delta1(a1, a2)
     return max(
@@ -322,9 +322,12 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
         return ch_dix(a0, a1, a2, ctx, ladder)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
+    ms = sorted({max(4, ctx.m_max >> k) for k in range(6)})   # windows m_max / 2^k
+    if len(ms) < 3:
+        raise TruncationError(f"route ii needs three distinct sector windows; "
+                              f"m_max {ctx.m_max} gives {ms}")
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
     csum = np.cumsum(_fredholm_sector_traces(a0, a1, a2, ctx))
-    ms = sorted({max(4, ctx.m_max >> k) for k in range(6)})   # windows m_max / 2^k
     est = dixmier_from_partial_sums(np.array(ms, dtype=float),
                                     np.array([csum[m - 1] for m in ms]), rel_tol=0.2)
     return CocycleValue(0.5 * est.value, "dixmier-direct-partial-trace", 0.5 * est.stderr,

@@ -10,7 +10,7 @@ rows and columns, and identities are asserted on the interior window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,7 +31,6 @@ __all__ = [
     "SectorBlocks",
     "InteriorIdentityError",
     "build_dirac",
-    "split_dirac",
     "oscillator_energies",
     "reg_inverse",
     "dirac_phase",
@@ -147,54 +146,9 @@ def max_interior_deviation(x: QuartetOperator, y: QuartetOperator | None = None,
     return float(np.abs(coo.data[keep]).max())
 
 
-def _kron3(a, b, c):
-    return sp.kron(sp.kron(a, b, format="csr"), c, format="csr")
-
-
-def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
-    """D = (K1 g1 + K2 g2 + G1 g3 + G2 g4)/sqrt(2) on the truncated lattice.
-
-    With ``check`` the diagonal identity D^2 = Q + diag(-1, 0, +1, 0) is
-    asserted on the interior to 1e-10.
-    """
-    dm, dp = split_dirac(ctx)
-    out = QuartetOperator((dm.op + dp.op).tocsr(), ctx)
-    if check:
-        sq = (out.op @ out.op).tocsr()
-        target = sp.diags(oscillator_energies(ctx, include_eps=False))
-        dev = max_interior_deviation(
-            QuartetOperator(sq, ctx), QuartetOperator(target.tocsr(), ctx), margin=2
-        )
-        if dev > 1e-10:
-            raise InteriorIdentityError(
-                f"D^2 differs from its diagonal closed form by {dev:.3e} on the interior"
-            )
-    return out
-
-
-def split_dirac(ctx: DiracContext) -> tuple[QuartetOperator, QuartetOperator]:
-    """(D_minus, D_plus): level-ladder part and degeneracy-ladder part.
-
-    The two parts touch disjoint entries (D_minus moves n, D_plus moves m),
-    so their sum is D entry for entry.
-    """
-    im = sp.identity(ctx.m_tot, format="csr")
-    inn = sp.identity(ctx.n_tot, format="csr")
-    k1 = number_ladders(ctx.n_tot, "K1")
-    k2 = number_ladders(ctx.n_tot, "K2")
-    g1 = number_ladders(ctx.m_tot, "G1")
-    g2 = number_ladders(ctx.m_tot, "G2")
-    gam = [sp.csr_matrix(g) for g in GAMMA]
-    dm = _kron3(im, k1, gam[0]) + _kron3(im, k2, gam[1])
-    dp = _kron3(g1, inn, gam[2]) + _kron3(g2, inn, gam[3])
-    # scaled in place (the same product a sparse ``/`` forms), sparing a
-    # lattice-sized copy of each part
-    dm.data *= 1 / np.sqrt(2.0)
-    dp.data *= 1 / np.sqrt(2.0)
-    return (
-        QuartetOperator(dm.tocsr(), ctx),
-        QuartetOperator(dp.tocsr(), ctx),
-    )
+def _each_sector(ctx: DiracContext, block) -> sp.csr_matrix:
+    """The lattice operator acting as ``block`` on every degeneracy sector."""
+    return sp.kron(sp.identity(ctx.m_tot, format="csr"), block, format="csr")
 
 
 class SectorBlocks(NamedTuple):
@@ -203,7 +157,8 @@ class SectorBlocks(NamedTuple):
     D is block-tridiagonal in m: block (m, m) is ``m0``, block (m, m+1) is
     sqrt(m+1) ``plus`` and block (m, m-1) is sqrt(m) ``minus``; ``gamma`` is
     the grading's diagonal block.  Rows and columns are (n, i) in lattice
-    order, n < the window's level count.
+    order, n < the window's level count.  ``build_dirac`` assembles the
+    lattice D from exactly these blocks.
     """
 
     m0: np.ndarray
@@ -212,37 +167,43 @@ class SectorBlocks(NamedTuple):
     gamma: np.ndarray
 
 
-def _sector_block(t: QuartetOperator, m: int, m2: int, levels: int) -> np.ndarray:
-    """Dense (m, m2) degeneracy block of a lattice operator, levels n < ``levels``."""
-    block = 4 * t.ctx.n_tot
-    rows = slice(m * block, m * block + 4 * levels)
-    cols = slice(m2 * block, m2 * block + 4 * levels)
-    return t.op[rows, cols].toarray()
-
-
 def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
-    """The blocks of D and Gamma on the level window n < ``levels``: D's read
-    off ``split_dirac`` on a two-sector copy of ``ctx``, Gamma's the tiled
-    ``GAMMA_SIGNS``.
-
-    Cached on that copy, so contexts differing only in m_max share one
-    entry; building the blocks costs about as much as the quadratic forms
-    of one direct-route Fredholm character.  The arrays are read-only.
-    """
+    """The blocks of D and Gamma on the level window n < ``levels``, defined
+    directly: M0 = (K1 g1 + K2 g2)/sqrt2, and M+- = 1 x (g3 +- i g4)/2, what
+    (G1 g3 + G2 g4)/sqrt2 leaves once the degeneracy ladder's sqrt(m+1) and
+    sqrt(m) are factored out; Gamma is the tiled ``GAMMA_SIGNS``."""
     if not 1 <= levels <= ctx.n_tot:
         raise ValueError(f"level window {levels} outside 1..{ctx.n_tot}")
-    return _two_sector_blocks(replace(ctx, m_max=2), levels)
+    s = 1 / np.sqrt(2.0)
+    k1, k2 = (number_ladders(levels, k).toarray() for k in ("K1", "K2"))
+    eye = np.eye(levels)
+    return SectorBlocks((np.kron(k1, GAMMA[0]) + np.kron(k2, GAMMA[1])) * s,
+                        np.kron(eye, s * GAMMA[2] + 1j * s * GAMMA[3]) * s,
+                        np.kron(eye, s * GAMMA[2] - 1j * s * GAMMA[3]) * s,
+                        np.diag(np.tile(GAMMA_SIGNS, levels)).astype(complex))
 
 
-@lru_cache(maxsize=4)
-def _two_sector_blocks(two: DiracContext, levels: int) -> SectorBlocks:
-    dm, dp = split_dirac(two)
-    blocks = SectorBlocks(_sector_block(dm, 0, 0, levels), _sector_block(dp, 0, 1, levels),
-                          _sector_block(dp, 1, 0, levels),
-                          np.diag(np.tile(GAMMA_SIGNS, levels)).astype(complex))
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
+def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
+    """D = (K1 g1 + K2 g2 + G1 g3 + G2 g4)/sqrt(2) on the truncated lattice,
+    assembled as 1 x M0 + diag_+1(sqrt(m+1)) x M+ + diag_-1(sqrt m) x M-
+    from ``sector_blocks``.
+
+    With ``check`` the diagonal identity D^2 = Q + diag(-1, 0, +1, 0) is
+    asserted on the interior to 1e-10.
+    """
+    m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
+    root = np.sqrt(np.arange(1.0, ctx.m_tot))
+    out = QuartetOperator(_each_sector(ctx, m0) + sp.kron(sp.diags(root, 1), plus, format="csr")
+                          + sp.kron(sp.diags(root, -1), minus, format="csr"), ctx)
+    if check:
+        q = sp.diags(oscillator_energies(ctx, include_eps=False)).tocsr()
+        dev = max_interior_deviation(QuartetOperator(out.op @ out.op, ctx),
+                                     QuartetOperator(q, ctx), margin=2)
+        if dev > 1e-10:
+            raise InteriorIdentityError(
+                f"D^2 differs from its diagonal closed form by {dev:.3e} on the interior"
+            )
+    return out
 
 
 def _energies(eps: float | None, sectors: int, levels: int) -> np.ndarray:
@@ -338,18 +299,14 @@ def _lift_for(a, ctx: DiracContext) -> UnitalElement:
 
 
 def represent(a, ctx: DiracContext) -> QuartetOperator:
-    """Diagonal representation (c*1 + A) x 1_4 on the quartet space."""
-    u = _lift_for(a, ctx)
-    block = sp.csr_matrix(u.element.padded(ctx.n_tot))
-    op = _kron3(sp.identity(ctx.m_tot, format="csr"), block, sp.identity(4, format="csr"))
-    if u.scalar != 0:
-        op = op + u.scalar * sp.identity(ctx.dim, format="csr")
-    return QuartetOperator(op.tocsr(), ctx)
+    """Diagonal representation (c*1 + A) x 1_4 on the quartet space: the
+    ``sector_represent`` block of the full level window in every sector."""
+    return QuartetOperator(_each_sector(ctx, sector_represent(a, ctx, ctx.n_tot)), ctx)
 
 
 def sector_represent(a, ctx: DiracContext, levels: int) -> np.ndarray:
-    """(c*1 + A) x 1_4 on the level window n < ``levels`` of one sector: the
-    diagonal block of ``represent`` that ``sector_blocks``' window sees."""
+    """(c*1 + A) x 1_4 on the level window n < ``levels`` of one sector, the
+    window ``sector_blocks`` sees."""
     u = _lift_for(a, ctx)
     if u.element.support_bound > levels:
         raise ValueError(f"support {u.element.support_bound} exceeds the window {levels}")
@@ -370,14 +327,11 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
     pa = represent(a, ctx)
     comm = QuartetOperator((d.op @ pa.op - pa.op @ d.op).tocsr(), ctx)
     if check:
-        im = sp.identity(ctx.m_tot, format="csr")
         scale = 1j / (np.sqrt(2.0) * ctx.lb)
-        g1a = sp.csr_matrix(spatial_derivative(a, 1).padded(ctx.n_tot))
-        g2a = sp.csr_matrix(spatial_derivative(a, 2).padded(ctx.n_tot))
-        closed = _kron3(im, g1a, sp.csr_matrix(scale * GAMMA[1])) - _kron3(
-            im, g2a, sp.csr_matrix(scale * GAMMA[0])
-        )
-        dev = max_interior_deviation(comm, QuartetOperator(closed.tocsr(), ctx), margin=2)
+        g1a, g2a = (spatial_derivative(a, j).padded(ctx.n_tot) for j in (1, 2))
+        closed = _each_sector(ctx, np.kron(g1a, scale * GAMMA[1])
+                              - np.kron(g2a, scale * GAMMA[0]))
+        dev = max_interior_deviation(comm, QuartetOperator(closed, ctx), margin=2)
         if dev > 1e-10:
             raise InteriorIdentityError(
                 f"[D, pi(A)] differs from its derivation form by {dev:.3e}"

@@ -65,6 +65,15 @@ class TestConfig:
         assert run_cli(["--config", str(tmp_path / "missing.cfg"), "verify-all", "--dry-run"]) == 2
         assert run_cli(["--config", str(tmp_path), "verify-all", "--dry-run"]) == 2
 
+    @pytest.mark.parametrize("command", [["verify-all", "--dry-run"],
+                                         ["invariant", "psi", "pi:0"],
+                                         ["dixmier-ladder", "d4"]])
+    def test_unwritable_output_path_rejected(self, tmp_path, capsys, command):
+        # a directory, and a file in a directory that does not exist
+        for out in (tmp_path, tmp_path / "missing" / "r.json"):
+            assert run_cli(["--out", str(out)] + command) == 2
+            assert "cannot write output file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["invariant", "nc-integral", "pi:0"],
         ["invariant", "ch", "pi:0"],
@@ -344,6 +353,13 @@ class TestVerifyAll:
         assert run_cli(["--out", str(out), "verify-all"]) == 1
         payload = json.loads(out.read_text())
         assert "precondition failure" in payload["checks"][0]["got"]
+
+    def test_too_few_sectors_for_route_ii_is_a_precondition_failure(self):
+        from magnc.cli import check_connes_formula_2, run_check
+
+        rec = run_check("s", check_connes_formula_2, RunConfig(m_max=3))
+        assert rec["got"].startswith("precondition failure: route ii needs three")
+        assert not rec["pass"]
 
     def test_runtime_error_keeps_the_other_records(self, tmp_path, monkeypatch):
         import magnc.cli as cli

@@ -295,6 +295,20 @@ class TestFredholmCharacter:
             assert abs(v_i.value - want) / abs(want) < 0.05
             assert abs(v_ii.value - want) / abs(want) < 0.10
 
+    @pytest.mark.parametrize("m_max", [2, 3, 9])
+    def test_direct_route_needs_three_sector_windows(self, m_max):
+        # the windows max(4, m_max >> k): one (beyond the truncation) at
+        # m_max 2 and 3, two at 4..9
+        p = landau_projection(0, LB)
+        ctx = DiracContext(lb=LB, eps=0.5, n_max=8, m_max=m_max, buffer=4)
+        with pytest.raises(TruncationError, match=f"m_max {m_max} gives"):
+            tau2(p, p, p, ctx, "direct")
+
+    def test_direct_route_computes_from_three_sector_windows(self):
+        p = landau_projection(0, LB)
+        v = tau2(p, p, p, DiracContext(lb=LB, eps=0.5, n_max=8, m_max=10, buffer=4), "direct")
+        assert np.isfinite(v.value) and np.isfinite(v.error)
+
     def test_unknown_route_rejected(self):
         a = rand(1)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from magnc.algebra import UnitalElement, landau_projection, random_element, upsilon, zero_element
+from magnc.basis import momentum_matrix
 from magnc.dirac import (
     BLOCK_SHIFTS,
     CHI_GRADING,
@@ -28,7 +29,6 @@ from magnc.dirac import (
     sector_blocks,
     sector_represent,
     sector_weights,
-    split_dirac,
 )
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
@@ -38,6 +38,27 @@ def lattice_gamma(ctx):
     """Oracle: the grading as a lattice operator, GAMMA_GRADING on every site."""
     site = sp.identity(ctx.n_tot * ctx.m_tot, format="csr")
     return QuartetOperator(sp.kron(site, sp.csr_matrix(GAMMA_GRADING), format="csr"), ctx)
+
+
+def dirac_parts(ctx):
+    """Oracle: (D_minus, D_plus) from the definition, sum_P P x gamma_P / sqrt2
+    over the level momenta (K1, K2) and the degeneracy momenta (G1, G2)."""
+    def part(momenta, gammas):
+        op = sum(sp.kron(momentum_matrix(p, ctx.n_tot, ctx.m_tot), g, format="csr")
+                 for p, g in zip(momenta, gammas)) / np.sqrt(2.0)
+        return QuartetOperator(op.tocsr(), ctx)
+
+    return part(("K1", "K2"), GAMMA[:2]), part(("G1", "G2"), GAMMA[2:])
+
+
+def assert_dirac_matches_parts(d):
+    """Entry for entry |D - (D_minus + D_plus)| <= 2^-51 |D_minus + D_plus|:
+    the oracle rounds each momentum entry sqrt(k)/sqrt2 before the gammas
+    combine, D rounds sqrt(m+1) M+ once more, so the two differ in the last
+    bit at most (at most 0.995 * 2^-52 relative seen up to m_max 4096)."""
+    dm, dp = dirac_parts(d.ctx)
+    want = (dm.op + dp.op).tocsr()
+    assert (abs(d.op - want) - 2.0**-51 * abs(want)).max() <= 0
 
 
 def j_numbers(ctx):
@@ -101,13 +122,13 @@ class TestDiracOperator:
         assert len(zeros) == 1
 
     def test_split_anticommutes(self):
-        dm, dp = split_dirac(CTX)
+        dm, dp = dirac_parts(CTX)
         anti = QuartetOperator((dm.op @ dp.op + dp.op @ dm.op).tocsr(), CTX)
         assert max_interior_deviation(anti, margin=2) < 1e-10
 
     def test_grading_signs_of_split(self):
         g = lattice_gamma(CTX)
-        dm, dp = split_dirac(CTX)
+        dm, dp = dirac_parts(CTX)
         minus = (g.op @ dm.op @ g.op + dm.op)
         plus = (g.op @ dp.op @ g.op - dp.op)
         assert np.abs(minus.data).max() < 1e-14 if minus.nnz else True
@@ -137,8 +158,7 @@ class TestDiracOperator:
     def test_random_contexts_split_and_conserve_j(self, n_max, m_max, buffer, eps, s, seed):
         ctx = DiracContext(lb=1.0, eps=eps, n_max=n_max, m_max=m_max, buffer=buffer)
         d = build_dirac(ctx, check=False)
-        dm, dp = split_dirac(ctx)
-        assert (d.op != dm.op + dp.op).nnz == 0
+        assert_dirac_matches_parts(d)
         j, l = j_numbers(ctx), l_numbers(ctx)
         for op in (d, dirac_phase(ctx, check=False), reg_inverse(ctx, s)):
             coo = op.op.tocoo()
@@ -221,7 +241,7 @@ class TestRepresentation:
     def test_commutator_equals_level_part_only(self):
         a = random_element(4, 3, 1.0)
         d = build_dirac(CTX, check=False)
-        dm, _ = split_dirac(CTX)
+        dm, _ = dirac_parts(CTX)
         pa = represent(a, CTX)
         full = d.op @ pa.op - pa.op @ d.op
         part = dm.op @ pa.op - pa.op @ dm.op
@@ -294,7 +314,7 @@ class TestDefectOperators:
     def test_anticommutator_closed_form(self):
         # {Gamma, F} = 2 Gamma D_+ |D_eps|^{-1}
         f = dirac_phase(CTX, check=False)
-        _, dp = split_dirac(CTX)
+        _, dp = dirac_parts(CTX)
         w = reg_inverse(CTX, 1.0)
         g = lattice_gamma(CTX)
         anti = (g.op @ f.op + f.op @ g.op).tocsr()
@@ -369,16 +389,17 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("ctx", SMALL)
     def test_blocks_reproduce_split_dirac_entry_for_entry(self, ctx):
+        # build_dirac assembles D from exactly these blocks, and D is the
+        # sum of the level and degeneracy parts of its definition
         m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
-        dm, dp = split_dirac(ctx)
-        d = (dm.op + dp.op).tocsr()
+        d = build_dirac(ctx, check=False)
         zero = np.zeros_like(m0)
         for m in range(ctx.m_tot):
             for m2 in range(ctx.m_tot):
                 want = {0: m0, 1: np.sqrt(m + 1) * plus, -1: np.sqrt(m) * minus}.get(
                     m2 - m, zero)
-                # sqrt(m+1) M+ rounds once more than the lattice's own product
-                assert np.abs(self.block(d, ctx, m, m2) - want).max() <= 1e-15 * np.sqrt(m + 1)
+                assert np.array_equal(self.block(d.op, ctx, m, m2), want)
+        assert_dirac_matches_parts(d)
 
     @pytest.mark.parametrize("ctx", SMALL)
     def test_grading_representation_and_weights_act_per_sector(self, ctx):
@@ -396,12 +417,18 @@ class TestSectorBlocks:
             assert np.array_equal(self.block(g, ctx, m, m)[w_, w_], gamma)
             assert np.array_equal(self.block(p, ctx, m, m)[w_, w_], pa)
 
-    def test_blocks_are_read_only_shared_across_m_max_and_window_is_checked(self):
-        m0 = sector_blocks(CTX, 4).m0
-        with pytest.raises(ValueError):
-            m0[0, 0] = 1.0
-        assert sector_blocks(replace(CTX, m_max=CTX.m_max + 7), 4).m0 is m0
+    def test_blocks_agree_across_m_max_and_window_is_checked(self):
+        # the blocks depend on the level window only, and a window's blocks
+        # are the leading rows and columns of the full window's
+        blocks = sector_blocks(CTX, 4)
+        for m_max in (2, CTX.m_max + 7):
+            other = sector_blocks(replace(CTX, m_max=m_max), 4)
+            assert all(np.array_equal(x, y) for x, y in zip(blocks, other))
+        full = sector_blocks(CTX, CTX.n_tot)
+        assert all(np.array_equal(x[:16, :16], y) for x, y in zip(full, blocks))
         with pytest.raises(ValueError):
             sector_blocks(CTX, CTX.n_tot + 1)
+        with pytest.raises(ValueError):
+            sector_blocks(CTX, 0)
         with pytest.raises(ValueError):
             sector_represent(upsilon(0, 5), CTX, 4)
