@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -312,10 +313,18 @@ def element_to_records(a: MagneticElement) -> list[dict]:
 
 
 def element_from_records(records, lb=1.0) -> MagneticElement:
+    """The element of (j, k, re, im) records.  Indices must be integers and
+    coefficients numbers: a bool, float or string index and a bool
+    coefficient raise TypeError instead of being coerced."""
     coeffs = {}
     for r in records:
-        j, k = int(r["j"]), int(r["k"])
-        coeffs[(j, k)] = coeffs.get((j, k), 0j) + complex(r["re"], r.get("im", 0.0))
+        j, k, re, im = r["j"], r["k"], r["re"], r.get("im", 0.0)
+        if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in (j, k)):
+            raise TypeError(f"element indices must be integers, got j={j!r}, k={k!r}")
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise TypeError(f"element coefficients must be numbers, got re={re!r}, im={im!r}")
+        key = (int(j), int(k))
+        coeffs[key] = coeffs.get(key, 0j) + complex(re, im)
     return MagneticElement.from_coeffs(coeffs, lb)
 
 

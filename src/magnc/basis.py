@@ -38,8 +38,6 @@ __all__ = [
     "momentum_matrix",
     "ladder_blocks_1d",
     "number_ladders",
-    "b_plus_matrix",
-    "b_minus_matrix",
     "momentum_quadrature",
     "verify_ladder_phases",
     "default_radius",
@@ -316,18 +314,6 @@ def number_ladders(size: int, which: str) -> sp.csr_matrix:
     if which == "G2":
         return (-1j * s * (ap - am)).tocsr()
     raise ValueError(f"unknown momentum {which!r}")
-
-
-def b_plus_matrix(size: int) -> sp.csr_matrix:
-    """b+ = -(G1 + iG2)/sqrt(2) on the degeneracy index: entries -sqrt(m+1)."""
-    ap, _ = ladder_blocks_1d(size)
-    return (-ap).tocsr()
-
-
-def b_minus_matrix(size: int) -> sp.csr_matrix:
-    """b- = -(G1 - iG2)/sqrt(2) on the degeneracy index: entries -sqrt(m)."""
-    _, am = ladder_blocks_1d(size)
-    return (-am).tocsr()
 
 
 def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:

@@ -121,7 +121,8 @@ def parse_element(text: str, cfg: RunConfig) -> alg.MagneticElement:
 
     Malformed input is a ConfigError: a level that is not a nonnegative
     integer, an empty range, records that are not a list of (j, k, re, im)
-    objects, a negative index or a non-finite coefficient.
+    objects, an index that is negative or not an integer, a bool or
+    non-finite coefficient, or an index too large to allocate.
     """
     path = Path(text)
     if not text.startswith(("pi:", "pi-sum:")) and not path.exists():
@@ -138,7 +139,7 @@ def parse_element(text: str, cfg: RunConfig) -> alg.MagneticElement:
         if text.startswith("pi:"):
             return alg.landau_projection(int(text[3:]), cfg.lb)
         return alg.load_element(path, cfg.lb)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         raise ConfigError(f"bad element input {text!r}: {exc}") from exc
 
 
@@ -199,18 +200,18 @@ def check_representation_consistency(cfg: RunConfig) -> dict:
 
 def check_singular_value_laws(cfg: RunConfig) -> dict:
     eps = cfg.eps
-    # resolvent-commutator law vs an honestly built sparse operator, every
-    # sector clear of the degeneracy cutoff
-    worst_law, m_tot = 0.0, 72
+    # the square-root, resolvent and mixed commutator laws (C, D, J) against
+    # honestly built per-sector operators, in the first m_tot - 8 sectors
+    worst_law, m_tot, kinds = 0.0, 72, ("C", "D", "J")
     for (j, k, e1, e2) in [(0, 1, eps, eps), (1, 3, eps, eps), (2, 0, eps, eps),
                            (0, 1, 0.5, 0.5), (1, 3, 0.25, 1.25), (2, 0, 1.5, 0.5),
                            (0, 2, 0.5, 1.5)]:
-        size = 6 + max(j, k)
-        num = spx.build_shifted_commutator("D", alg.upsilon(j, k, cfg.lb), size, m_tot, e1, e2)
-        law = spx.closed_form_mu("D", j, k, e1, e2, 0.0, np.arange(m_tot - 8))
-        for m in range(m_tot - 8):
-            blk = num[m * size:(m + 1) * size, m * size:(m + 1) * size]
-            worst_law = max(worst_law, abs(float(np.abs(blk.toarray()).max()) - law[m]))
+        a = alg.upsilon(j, k, cfg.lb)
+        num = np.stack([spx.build_shifted_commutator(kind, a, 6 + max(j, k), m_tot, e1, e2, 1.5)
+                        for kind in kinds])[:, :m_tot - 8]
+        law = np.stack([spx.closed_form_mu(kind, j, k, e1, e2, 1.5, np.arange(m_tot - 8))
+                        for kind in kinds])
+        worst_law = max(worst_law, float(np.abs(np.abs(num).max(axis=(2, 3)) - law).max()))
     # alpha bound over nonnegative shifts
     bound_ok = True
     for e1 in (0.0, 0.5, 1.5, 3.0):

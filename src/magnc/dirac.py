@@ -5,7 +5,10 @@ index m < m_tot, spinor component i < 4, flattened degeneracy-major as
 idx = (m * n_tot + n) * 4 + i.  The square of the Dirac operator is exactly
 diagonal in this basis (Q + diag(-1, 0, +1, 0) blockwise), so regularized
 inverse powers and the phase have exact matrix elements; truncation only cuts
-rows and columns, and identities are asserted on the interior window.
+rows and columns, and identities are asserted on the interior window.  The
+lattice operators are the reference; the checks read the same operators off
+their sector blocks (``sector_blocks``) or as L-block stacks
+(``defect_stacks``) without building the lattice.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "sector_represent",
     "commutator_with_D",
     "defect_operators",
+    "defect_stacks",
     "interior_mask",
     "max_interior_deviation",
 ]
@@ -260,13 +264,13 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     return f
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _phase(ctx: DiracContext) -> QuartetOperator:
     """The unchecked phase of ``ctx``.
 
-    The two slots cover ``spectra.stable_spectrum``, which alternates between
-    a context and its shrunken copy; the bound keeps a sweep over many
-    truncations from holding every F it has built.
+    One slot: the callers that share F (a checked ``dirac_phase`` followed by
+    ``defect_operators`` or ``phase_square_deviation``) read one context in
+    turn, and a sweep over many truncations holds only the last F it built.
     """
     d = build_dirac(ctx, check=False)
     w = reg_inverse(ctx, 1.0)
@@ -364,4 +368,37 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
         "R": QuartetOperator(r, ctx),
         "Fsq_comm": QuartetOperator(fsq_comm, ctx),
         "F_comm": QuartetOperator(fcomm, ctx),
+    }
+
+
+def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> dict:
+    """The three ``defect_operators`` as stacked L-blocks, (m_tot, 4 levels,
+    4 levels) arrays, on the level window n < ``levels``.
+
+    Each operator conserves L = m + [s in {1, 2}]: block L holds the sites
+    (m = L, s in {0, 3}) and (m = L - 1, s in {1, 2}) at position 4 n + s.
+    M0 keeps both groups and M+ (M-) maps s in {0, 3} to s in {1, 2} (back),
+    so D_L = M0 + sqrt(L) (M+ + M-).  The half-empty edge blocks L = 0 and
+    L = m_tot fill complementary positions and share slot 0, where sqrt(0)
+    keeps them apart.  F_L weights D_L's columns by |D_eps|^-1 of their
+    sites, and a window one level past the support holds every entry.
+    """
+    if a.support_bound > ctx.n_max - ctx.buffer:
+        raise ValueError("support must stay within the truncation minus the buffer")
+    if a.support_bound >= levels:
+        raise ValueError(f"window {levels} must pass the support {a.support_bound}")
+    m0, plus, minus, _ = sector_blocks(ctx, levels)
+    p = sector_represent(a, ctx, levels)
+    e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
+    # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
+    e = np.where(np.tile([False, True, True, False], levels), np.roll(e, 1, axis=0), e)
+    root = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None]
+    f = (m0 + root * (plus + minus)) * e[:, None, :] ** -0.5
+    fcomm = f @ p - p @ f
+    signs = np.tile(GAMMA_SIGNS, levels)
+    fsq = 1.0 - ctx.eps / e
+    return {
+        "R": np.where(signs[:, None] == signs[None, :], 2 * fcomm, 0),
+        "Fsq_comm": fsq[:, :, None] * p - p * fsq[:, None, :],
+        "F_comm": fcomm,
     }

@@ -9,15 +9,13 @@ their affine extrapolation in 1/log N.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import digamma, polygamma
 
 from .algebra import MagneticElement
-from .basis import b_minus_matrix, b_plus_matrix
-from .dirac import BLOCK_SHIFTS, DiracContext, QuartetOperator, defect_operators
+from .dirac import BLOCK_SHIFTS, DiracContext, defect_stacks
 
 __all__ = [
     "SingularSpectrum",
@@ -75,33 +73,16 @@ class IdealVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Singular values of lattice operators.
+# Singular values of block-diagonal operators.
 # ---------------------------------------------------------------------------
 
-def singular_values(t: QuartetOperator) -> SingularSpectrum:
-    """All singular values of a lattice operator, descending.
+def singular_values(stack: np.ndarray) -> SingularSpectrum:
+    """All singular values of a block-diagonal operator, descending, from
+    one stacked SVD of its (blocks, rows, columns) array of blocks.
 
-    D, F, pi(A) and every defect operator conserve L = m + [s in {1, 2}], so
-    the operator is block diagonal in L: block L holds the sites
-    (m = L, s in {0, 3}) and (m = L - 1, s in {1, 2}) with level n < w, the
-    highest occupied level plus one, each at position 4 n + s.  The
-    half-empty edge blocks L = 0 and L = m_tot fill complementary positions
-    and share one slot, so one stacked SVD of m_tot blocks, 4 w wide, gives
-    the 4 w m_tot singular values of the level window.  An entry coupling two
-    values of L raises ValueError.
+    Criterion 2's operators conserve L = m + [s in {1, 2}] and come as the
+    L-block stacks of ``dirac.defect_stacks``.
     """
-    coo = t.op.tocoo()
-    coo.sum_duplicates()
-    coo.eliminate_zeros()
-    # lattice index -> (sector m, position 4 n + s within the sector)
-    m_row, p_row = np.divmod(coo.row, 4 * t.ctx.n_tot)
-    m_col, p_col = np.divmod(coo.col, 4 * t.ctx.n_tot)
-    l_row = m_row + np.isin(p_row % 4, (1, 2))
-    if np.any(l_row != m_col + np.isin(p_col % 4, (1, 2))):
-        raise ValueError("operator couples different L = m + [s in {1, 2}]")
-    width = 4 * (max(p_row.max(initial=0), p_col.max(initial=0)) // 4 + 1)
-    stack = np.zeros((t.ctx.m_tot, width, width), t.op.dtype)
-    stack[l_row % t.ctx.m_tot, p_row, p_col] = coo.data
     return SingularSpectrum(np.linalg.svd(stack, compute_uv=False).ravel())
 
 
@@ -248,43 +229,26 @@ def closed_form_mu(kind: str, j: int, k: int, eps: float, eps2: float,
     raise ValueError(f"unknown closed-form family {kind!r}")
 
 
-def _scalar_lattice(a: MagneticElement, n_tot: int, m_tot: int) -> sp.csr_matrix:
-    block = sp.csr_matrix(a.padded(n_tot))
-    return sp.kron(sp.identity(m_tot, format="csr"), block, format="csr")
-
-
-def build_shifted_commutator(kind: str, a: MagneticElement, n_tot: int,
-                             m_tot: int, eps: float, eps2: float,
-                             eps3: float = 0.0, b_sign: int = 0) -> sp.csr_matrix:
-    """Numerical counterparts of the closed-form families on the (n, m) lattice.
+def build_shifted_commutator(kind: str, a: MagneticElement, levels: int,
+                             sectors: int, eps: float, eps2: float,
+                             eps3: float = 0.0) -> np.ndarray:
+    """Numerical counterparts of the closed-form families, sector by sector.
 
     kind "C": Q_eps^{-1/2} A - A Q_eps2^{-1/2};  "D": resolvent version;
-    "J": Q_eps^{-1/2} A Q_eps2^{-1/2} - Q_eps3^{-1} A.  With ``b_sign`` = +-1
-    the C family is multiplied on the left by the degeneracy ladder b+-.
-    Index layout m-major: idx = m * n_tot + n.
+    "J": Q_eps^{-1/2} A Q_eps2^{-1/2} - Q_eps3^{-1} A.  Q = m + n + 1 is
+    diagonal and A acts on the level index only, so each family is
+    degeneracy-diagonal: the result stacks its (levels, levels) blocks of
+    sectors m < ``sectors``.
     """
-    n = np.arange(n_tot)
-    m = np.arange(m_tot)
-    q = (m[:, None] + n[None, :] + 1.0).ravel()
-    pa = _scalar_lattice(a, n_tot, m_tot)
+    a = a.padded(levels)
+    q = np.arange(sectors)[:, None] + np.arange(levels)[None, :] + 1.0
     if kind == "C":
-        left = sp.diags((q + eps) ** -0.5)
-        right = sp.diags((q + eps2) ** -0.5)
-        out = (left @ pa - pa @ right).tocsr()
-        if b_sign:
-            b1 = b_plus_matrix(m_tot) if b_sign > 0 else b_minus_matrix(m_tot)
-            b = sp.kron(b1, sp.identity(n_tot, format="csr"), format="csr")
-            out = (b @ out).tocsr()
-        return out
+        return (q + eps)[:, :, None] ** -0.5 * a - a * (q + eps2)[:, None, :] ** -0.5
     if kind == "D":
-        left = sp.diags((q + eps) ** -1.0)
-        right = sp.diags((q + eps2) ** -1.0)
-        return (left @ pa - pa @ right).tocsr()
+        return (q + eps)[:, :, None] ** -1.0 * a - a * (q + eps2)[:, None, :] ** -1.0
     if kind == "J":
-        half_l = sp.diags((q + eps) ** -0.5)
-        half_r = sp.diags((q + eps2) ** -0.5)
-        res = sp.diags((q + eps3) ** -1.0)
-        return (half_l @ pa @ half_r - res @ pa).tocsr()
+        return ((q + eps)[:, :, None] ** -0.5 * a * (q + eps2)[:, None, :] ** -0.5
+                - (q + eps3)[:, :, None] ** -1.0 * a)
     raise ValueError(f"unknown closed-form family {kind!r}")
 
 
@@ -392,21 +356,21 @@ def verify_quasi_even(ctx: DiracContext, test_set: list[MagneticElement]) -> dic
     (ranked exponent -1/2), [F^2, pi(A)] and the mixed products
     R(A) [F, pi(A')] (both orders) and triple commutator products should be
     trace class.  All spectra are read on the truncation-stable prefix
-    (computed at two truncations); the defect operators are built once per
-    element and truncation.  Returns verdicts with fitted exponents.
+    (computed at two truncations).  The defect operators are built once per
+    element and truncation as L-block stacks on one level window, one level
+    past the largest support, so every product is a batched matmul.  Returns
+    verdicts with fitted exponents.
     """
+    levels = max(a.support_bound for a in test_set) + 1
+
     @cache
     def table(c: DiracContext) -> list[dict]:
-        return [defect_operators(a, c) for a in test_set]
+        return [defect_stacks(a, c, levels) for a in test_set]
 
     def verdict(*factors):
         """Decay verdict of the product of (element index, defect key) factors."""
         def build(c):
-            ops = [table(c)[i][key].op for i, key in factors]
-            out = ops[0]
-            for op in ops[1:]:
-                out = out @ op
-            return QuartetOperator(out.tocsr(), c)
+            return reduce(np.matmul, [table(c)[i][key] for i, key in factors])
         return classify_decay(stable_spectrum(build, ctx))
 
     report: dict = {"elements": [], "pairs": [], "triples": []}

@@ -5,7 +5,9 @@ The criteria, their corpora and their tolerances live in ``cli.CHECKS`` and
 nowhere else; each test runs one registry entry, as ``magnc verify-all`` does,
 asserts its ``pass`` and, where the criterion carries one, its wall-time
 budget.  The ``[PASS]``/``[FAIL] <name>`` line of each check is printed
-outside pytest's capture, so it is visible in any mode.
+outside pytest's capture, so it is visible in any mode.  The tests at the
+end run two criteria off the default seed and regularization, where they
+are hardest, with the known failures pinned as strict xfails.
 """
 
 import time
@@ -74,3 +76,29 @@ def test_criterion_8_quantized_calculus_structure(criterion):
 
 def test_criterion_9_representation_consistency(criterion):
     criterion("representation-consistency")
+
+
+# Known estimator defect (ROADMAP item 1): the Dixmier fits take
+# sigma_N = a + b / log N with none of the ladders' known correction terms,
+# which sets the whole error budget.  Route ii of connes-formula-2 then reads
+# 0.143, 0.111 and 0.154 at seeds 163, 274 and 370 against its 0.10, and
+# dixmier-normalization reads 0.0217 and 0.0423 at eps 1 and 2 against 0.02.
+# The strict xfails turn into failures once the corrections land, so the
+# marks must go with them.
+ESTIMATOR_DEFECT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: Dixmier ladders lack their correction terms")
+
+
+@pytest.mark.parametrize("seed", [40, 142] + [pytest.param(s, marks=ESTIMATOR_DEFECT)
+                                              for s in (163, 274, 370)])
+def test_connes_formula_2_at_its_hardest_seeds(seed):
+    # over seeds 0-399 route ii is worst at these five; 40 and 142 pass
+    # (0.088 and 0.096)
+    rec = cli.check_connes_formula_2(cli.RunConfig(seed=seed))
+    assert rec["pass"], rec
+
+
+@pytest.mark.parametrize("eps", [pytest.param(e, marks=ESTIMATOR_DEFECT) for e in (1.0, 2.0)])
+def test_dixmier_normalization_at_larger_regularization(eps):
+    rec = cli.check_dixmier_normalization(cli.RunConfig(eps=eps))
+    assert rec["pass"], rec

@@ -8,12 +8,11 @@ from magnc.algebra import MagneticElement
 from magnc.basis import (
     QuadratureScheme,
     _basis_over_psi00_monomials,
-    b_minus_matrix,
-    b_plus_matrix,
     basis_with_gradient,
     default_radius,
     eval_basis_function,
     eval_generalized_laguerre,
+    ladder_blocks_1d,
     momentum_matrix,
     momentum_quadrature,
     verify_ladder_phases,
@@ -195,8 +194,9 @@ class TestMomentumMatrices:
         assert np.abs(on_int(g1 @ g2 - g2 @ g1) - (-1j) * np.eye(len(interior))).max() < 1e-12
 
     def test_number_operator_from_degeneracy_ladders(self):
+        # b+ = -a+ and b- = -a- on the degeneracy index: entries -sqrt(m+1), -sqrt(m)
         size = 9
-        bp, bm = b_plus_matrix(size).toarray(), b_minus_matrix(size).toarray()
+        bp, bm = (-x.toarray() for x in ladder_blocks_1d(size))
         nb = bp @ bm
         want = np.diag(np.arange(size, dtype=float))
         # the last column of b+ leaks out of the truncation; check the interior

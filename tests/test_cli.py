@@ -148,9 +148,15 @@ class TestElementInputs:
         '[{"j": 0, "k": 0, "re": NaN, "im": 0.0}]',
         '[{"j": -1, "k": 0, "re": 1.0, "im": 0.0}]',
         '{"j": 0, "k": 0, "re": 1.0, "im": 0.0}',
+        '[{"j": 1.5, "k": 0, "re": 1.0, "im": 0.0}]',
+        '[{"j": 0, "k": true, "re": 1.0, "im": 0.0}]',
+        '[{"j": "2", "k": 0, "re": 1.0, "im": 0.0}]',
+        '[{"j": 0, "k": 0, "re": true, "im": 0.0}]',
+        '[{"j": 10000000, "k": 0, "re": 1.0, "im": 0.0}]',
         "pi:x", "pi:-1", "pi-sum:2..0",
-    ], ids=["nan-coefficient", "negative-index", "object-not-list", "pi-not-integer",
-            "pi-negative", "pi-sum-empty"])
+    ], ids=["nan-coefficient", "negative-index", "object-not-list", "float-index",
+            "bool-index", "string-index", "bool-coefficient", "unallocatable-index",
+            "pi-not-integer", "pi-negative", "pi-sum-empty"])
     def test_bad_element_input_is_a_configuration_error(self, tmp_path, which, bad):
         if not bad.startswith("pi"):
             path = tmp_path / "a.json"

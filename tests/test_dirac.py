@@ -325,28 +325,26 @@ class TestDefectOperators:
         assert dev < 1e-12
 
     def test_phase_is_built_once_per_context_in_a_bounded_cache(self, monkeypatch):
-        # a checked F and the defect operators share one build; the two slots
-        # hold a context and its stable_spectrum half, a third context evicts
-        # the older one
+        # a checked F and the defect operators of one context share one
+        # build; the next context evicts it
         import magnc.dirac as dirac
 
         builds = []
         build = dirac.build_dirac
         monkeypatch.setattr(dirac, "build_dirac",
                             lambda ctx, check=True: builds.append(ctx) or build(ctx, check))
-        one, two, three = (DiracContext(lb=1.0, eps=eps, n_max=8, m_max=40, buffer=4)
-                           for eps in (0.375, 0.625, 0.875))
+        one, two = (DiracContext(lb=1.0, eps=eps, n_max=8, m_max=40, buffer=4)
+                    for eps in (0.375, 0.625))
         f = dirac_phase(one, check=True)
         defect_operators(upsilon(0, 1), one)
+        defect_operators(random_element(3, 3, 1.0), one)
         assert builds == [one]
         assert dirac_phase(one, check=False) is f
-        for c in (two, one, two):
-            defect_operators(upsilon(0, 1), c)
-            defect_operators(random_element(3, 3, 1.0), c)
+        defect_operators(upsilon(0, 1), two)
+        dirac_phase(two, check=True)
         assert builds == [one, two]
-        dirac_phase(three, check=False)
-        again = dirac_phase(one, check=True)  # evicted by ``three``, rebuilt unchanged
-        assert builds == [one, two, three, one]
+        again = dirac_phase(one, check=True)  # evicted by ``two``, rebuilt unchanged
+        assert builds == [one, two, one]
         assert abs(again.op - f.op).max() == 0.0
 
     @pytest.mark.parametrize("ctx", [CTX, DiracContext(lb=1.3, eps=0.25, n_max=6,
@@ -416,6 +414,18 @@ class TestSectorBlocks:
         for m in range(ctx.m_tot):
             assert np.array_equal(self.block(g, ctx, m, m)[w_, w_], gamma)
             assert np.array_equal(self.block(p, ctx, m, m)[w_, w_], pa)
+
+    @pytest.mark.parametrize("levels", range(1, CTX.n_tot + 1))
+    def test_coupling_pattern_at_every_window(self, levels):
+        # what the L-block stacks rely on: M0 keeps s in {0, 3} and s in
+        # {1, 2} apart, M+ maps s in {0, 3} to s in {1, 2} and M- maps back
+        m0, plus, minus, _ = sector_blocks(CTX, levels)
+        upper = np.tile([False, True, True, False], levels)   # s in {1, 2}
+        rows, cols = upper[:, None], upper[None, :]
+        assert not m0[rows != cols].any()
+        assert not plus[~(rows & ~cols)].any() and plus.any()
+        assert not minus[~(~rows & cols)].any() and minus.any()
+        assert levels == 1 or m0.any()
 
     def test_blocks_agree_across_m_max_and_window_is_checked(self):
         # the blocks depend on the level window only, and a window's blocks

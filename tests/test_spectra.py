@@ -5,8 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from magnc.algebra import landau_projection, random_element, upsilon
-from magnc.basis import b_plus_matrix
-from magnc.dirac import DiracContext, QuartetOperator, build_dirac, defect_operators
+from magnc.basis import ladder_blocks_1d
+from magnc.dirac import (
+    DiracContext,
+    QuartetOperator,
+    build_dirac,
+    defect_operators,
+    defect_stacks,
+)
 from magnc.spectra import (
     DEFAULT_LADDER,
     build_shifted_commutator,
@@ -35,30 +41,57 @@ def spectrum_ladder(mu, ladder=DEFAULT_LADDER):
     return np.array(ladder, dtype=float), np.array([csum[n - 1] for n in ladder])
 
 
-def level_window(t):
-    """Indices of the sites n < w of every sector m, w the highest level a
-    nonzero of ``t`` occupies plus one: the rows and columns whose singular
-    values ``singular_values`` returns."""
+def occupied_levels(t):
+    """The highest level a nonzero of the lattice operator ``t`` occupies, plus one."""
     coo = t.op.tocoo()
     block = 4 * t.ctx.n_tot
-    w = int(np.concatenate([coo.row % block, coo.col % block]).max()) // 4 + 1
-    return (np.arange(t.ctx.m_tot)[:, None] * block + np.arange(4 * w)).ravel()
+    return int(np.concatenate([coo.row % block, coo.col % block]).max(initial=0)) // 4 + 1
+
+
+def level_window(t):
+    """Indices of the sites n < ``occupied_levels(t)`` of every sector m: the
+    rows and columns of ``l_blocks(t)``."""
+    block = 4 * t.ctx.n_tot
+    return (np.arange(t.ctx.m_tot)[:, None] * block
+            + np.arange(4 * occupied_levels(t))).ravel()
+
+
+def l_blocks(t, levels=None):
+    """Oracle: the lattice operator ``t`` as its (m_tot, 4 levels, 4 levels)
+    stack of L-blocks, L = m + [s in {1, 2}], on the window n < ``levels``
+    (default: the occupied levels).  Block L holds the sites (m = L,
+    s in {0, 3}) and (m = L - 1, s in {1, 2}) at position 4 n + s; the
+    half-empty edge blocks L = 0 and L = m_tot share slot 0.  An entry
+    coupling two values of L raises ValueError."""
+    coo = t.op.tocoo()
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    # lattice index -> (sector m, position 4 n + s within the sector)
+    m_row, p_row = np.divmod(coo.row, 4 * t.ctx.n_tot)
+    m_col, p_col = np.divmod(coo.col, 4 * t.ctx.n_tot)
+    l_row = m_row + np.isin(p_row % 4, (1, 2))
+    if np.any(l_row != m_col + np.isin(p_col % 4, (1, 2))):
+        raise ValueError("operator couples different L = m + [s in {1, 2}]")
+    width = 4 * (occupied_levels(t) if levels is None else levels)
+    stack = np.zeros((t.ctx.m_tot, width, width), t.op.dtype)
+    stack[l_row % t.ctx.m_tot, p_row, p_col] = coo.data
+    return stack
 
 
 class TestSingularValues:
     def test_identity_block(self):
         eye = QuartetOperator(sp.identity(SMALL.dim, format="csr"), SMALL)
-        sv = singular_values(eye)
+        sv = singular_values(l_blocks(eye))
         assert sv.count == SMALL.dim
         assert np.allclose(sv.mu, 1.0)
 
     def test_descending_order(self):
-        sv = singular_values(defect_operators(random_element(3, 3, 1.0), CTX)["F_comm"])
+        sv = singular_values(defect_stacks(random_element(3, 3, 1.0), CTX, 4)["F_comm"])
         assert np.all(np.diff(sv.mu) <= 0)
 
     def test_hermitian_absolute_eigenvalues(self):
         d = build_dirac(SMALL, check=False)
-        sv = singular_values(d)
+        sv = singular_values(l_blocks(d))
         want = np.sort(np.abs(np.linalg.eigvalsh(d.op.toarray())))[::-1]
         assert np.allclose(sv.mu, want, rtol=1e-12, atol=1e-12)
 
@@ -66,7 +99,7 @@ class TestSingularValues:
         from magnc.dirac import reg_inverse
 
         w = reg_inverse(CTX, 2.0)
-        sv = singular_values(w)
+        sv = singular_values(l_blocks(w))
         want = np.sort(1.0 / (CTX.eps + np.array(
             [n + m + 1 + s for n in range(CTX.n_tot) for m in range(CTX.m_tot)
              for s in (-1.0, 0.0, 1.0, 0.0)]
@@ -74,28 +107,29 @@ class TestSingularValues:
         assert np.allclose(sv.mu[:100], want[:100], rtol=1e-12)
 
     def test_operator_breaking_l_rejected(self):
-        # b+ raises m at fixed (n, s), so it couples L to L + 1
-        b = sp.kron(sp.kron(b_plus_matrix(SMALL.m_tot), sp.identity(SMALL.n_tot)),
-                    sp.identity(4), format="csr")
+        # b+ = -a+ raises m at fixed (n, s), so it couples L to L + 1
+        b_plus = -ladder_blocks_1d(SMALL.m_tot)[0]
+        b = sp.kron(sp.kron(b_plus, sp.identity(SMALL.n_tot)), sp.identity(4), format="csr")
         with pytest.raises(ValueError, match="couples different L"):
-            singular_values(QuartetOperator(b, SMALL))
+            l_blocks(QuartetOperator(b, SMALL))
 
     def test_blockwise_path_matches_dense(self):
-        # a lattice operator whose nonzero pattern splits into many blocks
+        # the L-block stack of an operator whose nonzero pattern splits into
+        # many blocks, against one dense SVD of the lattice operator's window
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=256, buffer=2)
+        mu_blocks = singular_values(defect_stacks(upsilon(0, 1), ctx, 3)["F_comm"]).mu
         d = defect_operators(upsilon(0, 1), ctx)["F_comm"]
-        mu_blocks = singular_values(d).mu
         sel = level_window(d)
         import scipy.linalg
 
         dense = scipy.linalg.svdvals(d.op[sel][:, sel].toarray())
-        n = min(len(mu_blocks), len(dense))
-        assert np.allclose(mu_blocks[:n], np.sort(dense)[::-1][:n], atol=1e-9)
+        assert len(mu_blocks) == len(dense)
+        assert np.allclose(mu_blocks, np.sort(dense)[::-1], atol=1e-9)
 
     @pytest.mark.parametrize("which", ["D", "F", "F_comm"])
     def test_stacked_path_matches_per_block_svd(self, which):
-        # the L-blocks go through one stacked SVD; the oracle takes one scipy
-        # SVD per connected block of the nonzero pattern
+        # the lattice operator's L-blocks go through one stacked SVD; the
+        # oracle takes one scipy SVD per connected block of the nonzero pattern
         import scipy.linalg
         from scipy.sparse.csgraph import connected_components
 
@@ -114,9 +148,41 @@ class TestSingularValues:
         want = [scipy.linalg.svdvals(op[rows == c][:, cols == c].toarray())
                 for c in range(n_comp) if (rows == c).any() and (cols == c).any()]
         want = np.concatenate(want + [np.zeros(min(op.shape) - sum(map(len, want)))])
-        got = singular_values(t).mu
+        got = singular_values(l_blocks(t)).mu
         assert len(got) == len(want) == min(op.shape)
         assert np.abs(got - np.sort(want)[::-1]).max() <= 1e-12
+
+
+class TestDefectStacks:
+    """``defect_stacks`` against the lattice ``defect_operators``, placed into
+    L-blocks by the oracle ``l_blocks``."""
+
+    @pytest.mark.parametrize("ctx", [CTX, DiracContext(lb=1.3, eps=0.25, n_max=6,
+                                                       m_max=20, buffer=2)])
+    def test_stacks_equal_the_lattice(self, ctx):
+        test_set = [upsilon(0, 1, ctx.lb), random_element(8, 3, 1.0, ctx.lb),
+                    random_element(9, 3, 1.0, ctx.lb)]
+        levels = 4
+        stacks = [defect_stacks(a, ctx, levels) for a in test_set]
+        lattice = [{k: v.op for k, v in defect_operators(a, ctx).items()} for a in test_set]
+
+        def assert_equal(stack, op):
+            assert np.abs(stack - l_blocks(QuartetOperator(op.tocsr(), ctx), levels)).max() <= 1e-12
+
+        for got, want in zip(stacks, lattice):
+            assert set(got) == set(want) == {"R", "Fsq_comm", "F_comm"}
+            for key in want:
+                assert got[key].shape == (ctx.m_tot, 4 * levels, 4 * levels)
+                assert_equal(got[key], want[key])
+        assert_equal(stacks[0]["R"] @ stacks[1]["F_comm"], lattice[0]["R"] @ lattice[1]["F_comm"])
+        assert_equal(stacks[0]["F_comm"] @ stacks[1]["F_comm"] @ stacks[2]["F_comm"],
+                     lattice[0]["F_comm"] @ lattice[1]["F_comm"] @ lattice[2]["F_comm"])
+
+    def test_window_must_pass_the_support(self):
+        with pytest.raises(ValueError, match="window"):
+            defect_stacks(random_element(8, 3, 1.0), CTX, 3)
+        with pytest.raises(ValueError, match="buffer"):
+            defect_stacks(upsilon(0, CTX.n_max - 1), CTX, CTX.n_tot)
 
 
 class TestDixmierEstimation:
@@ -223,33 +289,31 @@ class TestClosedFormLaws:
     def test_c_kind_matches_sparse_operator(self):
         y = upsilon(0, 2)
         num = build_shifted_commutator("C", y, 5, 64, 0.5, 1.5)
-        law = closed_form_mu("C", 0, 2, 0.5, 1.5, 0.0, np.arange(56))
-        for m in range(56):
-            blk = num[m * 5 : (m + 1) * 5, m * 5 : (m + 1) * 5].toarray()
-            assert abs(np.abs(blk).max() - law[m]) < 1e-12
+        assert num.shape == (64, 5, 5)
+        law = closed_form_mu("C", 0, 2, 0.5, 1.5, 0.0, np.arange(64))
+        assert np.abs(np.abs(num).max(axis=(1, 2)) - law).max() < 1e-12
 
     def test_d_kind_matches_sparse_operator_all_interior(self):
         for (j, k, e1, e2) in [(0, 1, 0.5, 0.5), (1, 3, 0.25, 1.25), (2, 0, 1.5, 0.5)]:
             size = max(j, k) + 3
             num = build_shifted_commutator("D", upsilon(j, k), size, 72, e1, e2)
-            law = closed_form_mu("D", j, k, e1, e2, 0.0, np.arange(64))
-            for m in range(64):
-                blk = num[m * size : (m + 1) * size, m * size : (m + 1) * size]
-                assert abs(np.abs(blk.toarray()).max() - law[m]) < 1e-8
+            law = closed_form_mu("D", j, k, e1, e2, 0.0, np.arange(72))
+            assert np.abs(np.abs(num).max(axis=(1, 2)) - law).max() < 1e-8
 
     def test_j_kind_matches_sparse_operator(self):
         j, k, e1, e2, e3 = 1, 2, 0.5, 0.5, 1.5
         size = 6
         num = build_shifted_commutator("J", upsilon(j, k), size, 64, e1, e2, e3)
-        law = closed_form_mu("J", j, k, e1, e2, e3, np.arange(56))
-        for m in range(56):
-            blk = num[m * size : (m + 1) * size, m * size : (m + 1) * size]
-            assert abs(np.abs(blk.toarray()).max() - law[m]) < 1e-10
+        law = closed_form_mu("J", j, k, e1, e2, e3, np.arange(64))
+        assert np.abs(np.abs(num).max(axis=(1, 2)) - law).max() < 1e-10
 
     def test_b_ladder_weighting(self):
         # left multiplication by b+- lifts the decay from -3/2 to -1
         y = upsilon(0, 1)
-        num = build_shifted_commutator("C", y, 4, 96, 0.5, 0.5, b_sign=+1)
+        c = sp.block_diag(build_shifted_commutator("C", y, 4, 96, 0.5, 0.5), format="csr")
+        # b+ = -a+ on the degeneracy index of the m-major (m, n) lattice
+        b_plus = sp.kron(-ladder_blocks_1d(96)[0], sp.identity(4), format="csr")
+        num = (b_plus @ c).tocsr()
         law_c = closed_form_mu("C", 0, 1, 0.5, 0.5, 0.0, np.arange(88))
         for m in range(40, 80):
             lo, hi = m * 4, (m + 1) * 4
@@ -319,15 +383,26 @@ class TestQuasiEvenVerification:
         import magnc.spectra as spectra
 
         calls = []
-        build = spectra.defect_operators
-        monkeypatch.setattr(spectra, "defect_operators",
-                            lambda a, c: calls.append(c) or build(a, c))
+        build = spectra.defect_stacks
+        monkeypatch.setattr(spectra, "defect_stacks",
+                            lambda a, c, levels: calls.append(c) or build(a, c, levels))
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=384, buffer=4)
         test_set = [upsilon(0, 1), random_element(5, 3, 1.0), random_element(6, 3, 1.0)]
         rep = verify_quasi_even(ctx, test_set)
         assert rep["ok"]
         assert len(calls) == 2 * len(test_set)
         assert sorted({c.m_max for c in calls}) == [192, 384]
+
+    def test_criterion_2_builds_no_lattice_operator(self, monkeypatch):
+        import magnc.dirac as dirac
+        from magnc.cli import RunConfig, check_singular_value_laws
+
+        def lattice(*args, **kwargs):
+            raise AssertionError("criterion 2 built a lattice operator")
+
+        for name in ("build_dirac", "dirac_phase", "defect_operators"):
+            monkeypatch.setattr(dirac, name, lattice)
+        assert check_singular_value_laws(RunConfig())["pass"]
 
     def test_fsq_sector_values_match_scaled_resolvent_law(self):
         # [F^2, pi(Y)] = -eps [|D_eps|^{-2}, pi(Y)]: blockwise the resolvent law
@@ -352,7 +427,7 @@ class TestQuasiEvenVerification:
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=96, buffer=4)
 
         def build(c):
-            return defect_operators(upsilon(0, 1), c)["F_comm"]
+            return defect_stacks(upsilon(0, 1), c, 3)["F_comm"]
 
         sv = stable_spectrum(build, ctx)
         assert sv.count >= 64
@@ -370,7 +445,7 @@ class TestQuasiEvenVerification:
             f = dirac_phase(c, check=False).op
             anti = g @ f + f @ g
             pa = represent(upsilon(0, 1), c).op
-            return QuartetOperator((anti @ pa - pa @ anti).tocsr(), c)
+            return l_blocks(QuartetOperator((anti @ pa - pa @ anti).tocsr(), c))
 
         sv = stable_spectrum(build, ctx)
         v = classify_decay(sv)
