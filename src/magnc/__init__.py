@@ -23,7 +23,6 @@ from .basis import (
     QuadratureScheme,
     eval_generalized_laguerre,
     eval_basis_function,
-    momentum_matrix,
 )
 from .cocycles import (
     CocycleValue,

@@ -15,7 +15,6 @@ from math import sqrt
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .basis import magnetic_length, number_ladders, require_same_length
 
@@ -177,7 +176,7 @@ def trace_int(a: MagneticElement) -> complex:
 @lru_cache(maxsize=32)
 def _k_ladders(size: int):
     """Dense K1, K2 on ``size`` levels; callers must not modify them."""
-    return number_ladders(size, "K1").toarray(), number_ladders(size, "K2").toarray()
+    return number_ladders(size, "K1"), number_ladders(size, "K2")
 
 
 def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:
@@ -234,15 +233,16 @@ def conjugated_projection(seed: int, size: int, lb=1.0) -> MagneticElement:
     """U Pi_0 U* with U = exp(i H), H a seeded Hermitian block.
 
     U is unitary on the block and the identity outside, so the conjugation
-    stays finitely supported and is an exact projection.
+    stays finitely supported and is an exact projection: the rank-one
+    projection onto U e0 = V diag(e^{i lambda}) V* e0, from the
+    eigendecomposition H = V diag(lambda) V*.
     """
     if size < 1:
         raise ValueError("block size must be >= 1")
     h = hermitize(random_element(seed, size, 1.0, lb))
-    u = scipy.linalg.expm(1j * h.padded(size))
-    p0 = np.zeros((size, size), dtype=complex)
-    p0[0, 0] = 1.0
-    return MagneticElement(u @ p0 @ u.conj().T, lb)
+    lam, v = np.linalg.eigh(h.padded(size))
+    u0 = v @ (np.exp(1j * lam) * v[0].conj())
+    return MagneticElement(np.outer(u0, u0.conj()), lb)
 
 
 # ---------------------------------------------------------------------------

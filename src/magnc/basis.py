@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import comb, isfinite, lgamma, pi
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "QuadratureScheme",
@@ -35,7 +34,6 @@ __all__ = [
     "eval_generalized_laguerre",
     "eval_basis_function",
     "basis_with_gradient",
-    "momentum_matrix",
     "ladder_blocks_1d",
     "number_ladders",
     "momentum_quadrature",
@@ -292,12 +290,10 @@ def basis_with_gradient(idx, x, lb=1.0):
 def ladder_blocks_1d(size: int):
     """Raising/lowering matrices (a+, a-) with entries sqrt(k) on one index."""
     k = np.sqrt(np.arange(1, size, dtype=float))
-    raise_ = sp.diags(k, -1)
-    lower = sp.diags(k, 1)
-    return raise_.tocsr(), lower.tocsr()
+    return np.diag(k, -1), np.diag(k, 1)
 
 
-def number_ladders(size: int, which: str) -> sp.csr_matrix:
+def number_ladders(size: int, which: str) -> np.ndarray:
     """1D Hermitian ladder matrix of one momentum on its own index.
 
     K1, K2 act on the level index n; G1, G2 act on the degeneracy index m.
@@ -306,30 +302,11 @@ def number_ladders(size: int, which: str) -> sp.csr_matrix:
     ap, am = ladder_blocks_1d(size)
     s = 1.0 / np.sqrt(2.0)
     if which == "K1":
-        return (1j * s * (ap - am)).tocsr()
-    if which == "K2":
-        return (s * (ap + am)).tocsr()
-    if which == "G1":
-        return (s * (ap + am)).tocsr()
+        return 1j * s * (ap - am)
+    if which in ("K2", "G1"):
+        return s * (ap + am)
     if which == "G2":
-        return (-1j * s * (ap - am)).tocsr()
-    raise ValueError(f"unknown momentum {which!r}")
-
-
-def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
-    """Matrix of one momentum on the truncated (n, m) lattice.
-
-    Layout: index = m * n_max + n (degeneracy-major).  The matrices are
-    dimensionless (coordinates in units of l), hence independent of lb.
-    """
-    if n_max < 2 or m_max < 2:
-        raise ValueError("truncation sizes must be >= 2")
-    if which in ("K1", "K2"):
-        one_d = number_ladders(n_max, which)
-        return sp.kron(sp.identity(m_max, format="csr"), one_d, format="csr")
-    if which in ("G1", "G2"):
-        one_d = number_ladders(m_max, which)
-        return sp.kron(one_d, sp.identity(n_max, format="csr"), format="csr")
+        return -1j * s * (ap - am)
     raise ValueError(f"unknown momentum {which!r}")
 
 
@@ -378,8 +355,9 @@ def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3) -> float:
     pts, w = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1)).grid(l)
     idxs = [(n, m) for n in range(n_sub) for m in range(m_sub)]
     bra_vals = {ix: w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs}
-    closed = {which: momentum_matrix(which, n_sub, m_sub).toarray()
-              for which in MOMENTA}
+    # the momenta on the sub-lattice, index m * n_sub + n: K's on n, G's on m
+    closed = {which: np.kron(np.eye(m_sub), number_ladders(n_sub, which)) if which[0] == "K"
+              else np.kron(number_ladders(m_sub, which), np.eye(n_sub)) for which in MOMENTA}
     worst = 0.0
     for ket in idxs:
         op_ket = _apply_momenta_pointwise(ket, pts, l)

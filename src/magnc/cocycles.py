@@ -156,7 +156,10 @@ def _dixmier_functional(terms, ladder) -> CocycleValue:
     """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
     ``(coef, S, [(xi, w), ...])``: one ladder and extrapolation per shifted
     block.  The |w|-weighted stderrs add in quadrature within a term and
-    linearly across terms; the value is measurable when every block is."""
+    linearly across terms; the value is measurable when every block is.  A
+    block whose top rung does not exceed its shift 1 + xi is not: its sector
+    sums have not reached their logarithmic growth, and at a large enough
+    shift they vanish in floating point."""
     value, error, measurable = 0.0, 0.0, True
     for coef, s_el, blocks in terms:
         ests = [(w, dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, ladder)))
@@ -164,6 +167,7 @@ def _dixmier_functional(terms, ladder) -> CocycleValue:
         value += coef * sum(w * e.value for w, e in ests)
         error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
         measurable &= all(e.measurable for _, e in ests)
+        measurable &= all(ladder[-1] > 1 + xi for xi, _ in blocks)
     return CocycleValue(value, "dixmier-extrapolated", error, measurable)
 
 

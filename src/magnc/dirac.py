@@ -8,20 +8,23 @@ inverse powers and the phase have exact matrix elements; truncation only cuts
 rows and columns, and identities are asserted on the interior window.  The
 lattice operators are the reference; the checks read the same operators off
 their sector blocks (``sector_blocks``) or as L-block stacks
-(``defect_stacks``) without building the lattice.
+(``defect_stacks``, ``phase_square_deviation``) without building the
+lattice, so only the lattice builders import scipy.sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import MagneticElement, UnitalElement, spatial_derivative
 from .basis import magnetic_length, number_ladders, require_same_length
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GAMMA",
@@ -152,6 +155,8 @@ def max_interior_deviation(x: QuartetOperator, y: QuartetOperator | None = None,
 
 def _each_sector(ctx: DiracContext, block) -> sp.csr_matrix:
     """The lattice operator acting as ``block`` on every degeneracy sector."""
+    import scipy.sparse as sp
+
     return sp.kron(sp.identity(ctx.m_tot, format="csr"), block, format="csr")
 
 
@@ -179,7 +184,7 @@ def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
     if not 1 <= levels <= ctx.n_tot:
         raise ValueError(f"level window {levels} outside 1..{ctx.n_tot}")
     s = 1 / np.sqrt(2.0)
-    k1, k2 = (number_ladders(levels, k).toarray() for k in ("K1", "K2"))
+    k1, k2 = (number_ladders(levels, k) for k in ("K1", "K2"))
     eye = np.eye(levels)
     return SectorBlocks((np.kron(k1, GAMMA[0]) + np.kron(k2, GAMMA[1])) * s,
                         np.kron(eye, s * GAMMA[2] + 1j * s * GAMMA[3]) * s,
@@ -195,6 +200,8 @@ def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     With ``check`` the diagonal identity D^2 = Q + diag(-1, 0, +1, 0) is
     asserted on the interior to 1e-10.
     """
+    import scipy.sparse as sp
+
     m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
     root = np.sqrt(np.arange(1.0, ctx.m_tot))
     out = QuartetOperator(_each_sector(ctx, m0) + sp.kron(sp.diags(root, 1), plus, format="csr")
@@ -228,6 +235,8 @@ def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarr
 
 def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
     """|D_eps|^{-s} = (D^2 + eps)^{-s/2}, exactly diagonal on the lattice."""
+    import scipy.sparse as sp
+
     if s < 1:
         raise ValueError("inverse power must satisfy s >= 1")
     e = oscillator_energies(ctx)
@@ -249,14 +258,16 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
 
     Built once per context and shared by every caller, which must not modify
     it; ``check`` asserts Hermiticity and the exact form of F^2 on the
-    interior.
+    interior, here on the lattice (``phase_square_deviation`` is the same
+    deviation read off F's L-blocks).
     """
     f = _phase(ctx)
     if check:
         herm = f.hermiticity_defect()
         if herm > 1e-12:
             raise InteriorIdentityError(f"Dirac phase not Hermitian: {herm:.3e}")
-        dev = phase_square_deviation(ctx)
+        dev = max_interior_deviation(QuartetOperator((f.op @ f.op).tocsr(), ctx),
+                                     exact_phase_square(ctx), margin=2)
         if dev > 1e-10:
             raise InteriorIdentityError(
                 f"F^2 - 1 + eps|D_eps|^-2 = {dev:.3e} on the interior"
@@ -269,8 +280,8 @@ def _phase(ctx: DiracContext) -> QuartetOperator:
     """The unchecked phase of ``ctx``.
 
     One slot: the callers that share F (a checked ``dirac_phase`` followed by
-    ``defect_operators`` or ``phase_square_deviation``) read one context in
-    turn, and a sweep over many truncations holds only the last F it built.
+    ``defect_operators``) read one context in turn, and a sweep over many
+    truncations holds only the last F it built.
     """
     d = build_dirac(ctx, check=False)
     w = reg_inverse(ctx, 1.0)
@@ -278,14 +289,22 @@ def _phase(ctx: DiracContext) -> QuartetOperator:
 
 
 def phase_square_deviation(ctx: DiracContext) -> float:
-    """Largest interior |entry| of F^2 - (1 - eps |D_eps|^{-2}), margin 2."""
-    f = _phase(ctx).op
-    return max_interior_deviation(QuartetOperator((f @ f).tocsr(), ctx),
-                                  exact_phase_square(ctx), margin=2)
+    """Largest interior |entry| of F^2 - (1 - eps |D_eps|^{-2}), margin 2,
+    the lattice deviation of ``dirac_phase``'s check read off F's L-blocks
+    on the full level window: F conserves L, so (F^2)_L = F_L F_L."""
+    levels = ctx.n_tot
+    f, e = _phase_stack(ctx, levels)
+    dev = f @ f - np.eye(4 * levels) * (1.0 - ctx.eps / e)[:, None, :]
+    # the sector of each site of slot L: L, or L - 1 for s in {1, 2}
+    m = (np.arange(ctx.m_tot)[:, None] - np.tile(_UPPER_SPINS, levels)) % ctx.m_tot
+    inside = (m < ctx.m_tot - 2) & (np.repeat(np.arange(levels), 4) < levels - 2)
+    return float(np.abs(dev[inside[:, :, None] & inside[:, None, :]]).max(initial=0.0))
 
 
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
     """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator."""
+    import scipy.sparse as sp
+
     d = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
     return QuartetOperator(d, ctx)
 
@@ -353,6 +372,8 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     Gamma is the exact sign diagonal GAMMA_SIGNS on every site, so R keeps
     the entries of [F, pi(A)] between equal signs, doubled.
     """
+    import scipy.sparse as sp
+
     if a.support_bound > ctx.n_max - ctx.buffer:
         raise ValueError("support must stay within the truncation minus the buffer")
     f = dirac_phase(ctx, check=False)
@@ -371,29 +392,43 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     }
 
 
+_UPPER_SPINS = np.array([False, True, True, False])   # s in {1, 2}
+
+
+def _phase_stack(ctx: DiracContext, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """F as its (m_tot, 4 levels, 4 levels) stack of L-blocks on the level
+    window n < ``levels``, with the (m_tot, 4 levels) energies (+ eps) of the
+    blocks' sites.
+
+    Block L holds the sites (m = L, s in {0, 3}) and (m = L - 1, s in
+    {1, 2}) at position 4 n + s.  M0 keeps both groups and M+ (M-) maps
+    s in {0, 3} to s in {1, 2} (back), so D_L = M0 + sqrt(L) (M+ + M-).  The
+    half-empty edge blocks L = 0 and L = m_tot fill complementary positions
+    and share slot 0, where sqrt(0) keeps them apart.  F_L weights D_L's
+    columns by |D_eps|^-1 of their sites.
+    """
+    m0, plus, minus, _ = sector_blocks(ctx, levels)
+    e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
+    # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
+    e = np.where(np.tile(_UPPER_SPINS, levels), np.roll(e, 1, axis=0), e)
+    root = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None]
+    return (m0 + root * (plus + minus)) * e[:, None, :] ** -0.5, e
+
+
 def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> dict:
     """The three ``defect_operators`` as stacked L-blocks, (m_tot, 4 levels,
     4 levels) arrays, on the level window n < ``levels``.
 
-    Each operator conserves L = m + [s in {1, 2}]: block L holds the sites
-    (m = L, s in {0, 3}) and (m = L - 1, s in {1, 2}) at position 4 n + s.
-    M0 keeps both groups and M+ (M-) maps s in {0, 3} to s in {1, 2} (back),
-    so D_L = M0 + sqrt(L) (M+ + M-).  The half-empty edge blocks L = 0 and
-    L = m_tot fill complementary positions and share slot 0, where sqrt(0)
-    keeps them apart.  F_L weights D_L's columns by |D_eps|^-1 of their
-    sites, and a window one level past the support holds every entry.
+    Each operator conserves L = m + [s in {1, 2}] and is built from F's
+    L-blocks (``_phase_stack``); a window one level past the support holds
+    every entry.
     """
     if a.support_bound > ctx.n_max - ctx.buffer:
         raise ValueError("support must stay within the truncation minus the buffer")
     if a.support_bound >= levels:
         raise ValueError(f"window {levels} must pass the support {a.support_bound}")
-    m0, plus, minus, _ = sector_blocks(ctx, levels)
     p = sector_represent(a, ctx, levels)
-    e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
-    # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
-    e = np.where(np.tile([False, True, True, False], levels), np.roll(e, 1, axis=0), e)
-    root = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None]
-    f = (m0 + root * (plus + minus)) * e[:, None, :] ** -0.5
+    f, e = _phase_stack(ctx, levels)
     fcomm = f @ p - p @ f
     signs = np.tile(GAMMA_SIGNS, levels)
     fsq = 1.0 - ctx.eps / e

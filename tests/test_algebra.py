@@ -203,6 +203,17 @@ class TestGenerators:
             assert is_projection(p, tol=1e-10)
             assert trace_int(p).real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_conjugated_projection_matches_the_exponential(self, seed):
+        # the six conjugated projections of the CLI's corpus at this seed
+        import scipy.linalg
+
+        for s in range(seed + 100, seed + 106):
+            p = conjugated_projection(s, 5)
+            u = scipy.linalg.expm(1j * hermitize(random_element(s, 5, 1.0)).padded(5))
+            assert np.abs(p.block - np.outer(u[:, 0], u[:, 0].conj())).max() <= 1e-13
+            assert is_projection(p, tol=1e-13)
+
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             random_element(0, 0, 1.0)

@@ -283,6 +283,17 @@ class TestSubcommands:
         assert run_cli(["--out", str(out), "invariant", which, "pi:1"]) == 0
         assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
+    @pytest.mark.parametrize("eps, which, level", [
+        ("1e20", "nc-integral", "pi:0"), ("1e300", "ch", "pi:1"), ("1e300", "tau2", "pi:1"),
+    ], ids=["eps1e20-nc-integral", "eps1e300-ch", "eps1e300-tau2"])
+    def test_dixmier_invariant_fails_where_the_shift_passes_the_top_rung(
+            self, tmp_path, eps, which, level):
+        # at such shifts the block sums are at most ~1e-13 or exactly 0.0,
+        # which the fit alone would report as a measurable value
+        out = tmp_path / "r.json"
+        assert run_cli(["--eps", eps, "--out", str(out), "invariant", which, level]) == 1
+        assert json.loads(out.read_text())["checks"][0]["pass"] is False
+
     def test_dixmier_ladder_unknown_target(self):
         assert run_cli(["dixmier-ladder", "d5"]) == 2
 

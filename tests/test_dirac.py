@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from magnc.algebra import UnitalElement, landau_projection, random_element, upsilon, zero_element
-from magnc.basis import momentum_matrix
 from magnc.dirac import (
     BLOCK_SHIFTS,
     CHI_GRADING,
@@ -24,12 +23,14 @@ from magnc.dirac import (
     interior_mask,
     max_interior_deviation,
     oscillator_energies,
+    phase_square_deviation,
     reg_inverse,
     represent,
     sector_blocks,
     sector_represent,
     sector_weights,
 )
+from oracles import momentum_matrix
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
 
@@ -211,6 +212,18 @@ class TestDiracPhase:
             QuartetOperator(fsq, CTX), target, margin=2
         )
         assert dev < 1e-10
+
+    @pytest.mark.parametrize("ctx", [
+        DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=64, buffer=4),
+        DiracContext(lb=1.3, eps=0.25, n_max=6, m_max=20, buffer=2),
+        DiracContext(lb=0.7, eps=1.0, n_max=8, m_max=384, buffer=3),
+    ], ids=["criterion-1", "small", "wide"])
+    def test_l_block_square_deviation_equals_the_lattice(self, ctx):
+        # criterion 1 reads F^2 off F's L-blocks; the lattice F^2 is the oracle
+        f = dirac_phase(ctx, check=False).op
+        want = max_interior_deviation(QuartetOperator((f @ f).tocsr(), ctx),
+                                      exact_phase_square(ctx), margin=2)
+        assert 0 < phase_square_deviation(ctx) == want < 1e-10
 
     def test_norm_at_most_one(self):
         f = dirac_phase(CTX, check=False)

@@ -1,9 +1,12 @@
 """Package hygiene: every imported name is used, every ``__all__`` entry
 exists and has a caller outside the tests, and so does every private
-module-level name."""
+module-level name; the acceptance run imports numpy, not scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -117,3 +120,17 @@ def _option_census() -> int:
 def test_option_census_does_not_grow():
     # a new knob must show up in the diff: raise this only with a reason
     assert _option_census() == 83
+
+
+def test_verify_all_imports_no_scipy(tmp_path):
+    # production is numpy only: scipy serves the tests' oracles and the
+    # lattice reference builders, which import it when called
+    code = ("import sys, magnc, magnc.cli\n"
+            f"rc = magnc.cli.main(['--out', {str(tmp_path / 'r.json')!r}, 'verify-all'])\n"
+            "print(rc, sorted(k for k in sys.modules if k.startswith('scipy')))\n")
+    src = str(Path(magnc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr

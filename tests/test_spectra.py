@@ -20,10 +20,12 @@ from magnc.spectra import (
     classify_decay,
     closed_form_mu,
     d4_partial_sums,
+    digamma,
     dixmier_from_partial_sums,
     shifted_resolvent_ladder,
     singular_values,
     stable_spectrum,
+    trigamma,
     verify_quasi_even,
 )
 
@@ -183,6 +185,57 @@ class TestDefectStacks:
             defect_stacks(random_element(8, 3, 1.0), CTX, 3)
         with pytest.raises(ValueError, match="buffer"):
             defect_stacks(upsilon(0, CTX.n_max - 1), CTX, CTX.n_tot)
+
+
+class TestPolygamma:
+    """The numpy digamma and trigamma of the exact ladders against mpmath."""
+
+    @staticmethod
+    def arguments():
+        # a log grid over [0.01, 3e7] with the root of psi, and the arguments
+        # N + n + 1 + xi of the default ladders (n < 20, xi = eps + shift)
+        grid = np.concatenate([np.geomspace(0.01, 3e7, 300), [1.4616321449683623]])
+        shifts = np.array([0.5 + b for b in (-1.0, 0.0, 1.0)] + [0.15, 2.0])
+        a = (np.arange(20.0)[:, None] + 1.0 + shifts).ravel()
+        return np.concatenate([grid, a, np.add.outer(DEFAULT_LADDER, a).ravel()])
+
+    def test_digamma_against_mpmath(self):
+        import mpmath as mp
+
+        x = self.arguments()
+        want = np.array([float(mp.psi(0, mp.mpf(v))) for v in x])
+        assert np.all(np.abs(digamma(x) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_trigamma_against_mpmath(self):
+        import mpmath as mp
+
+        x = self.arguments()
+        want = np.array([float(mp.psi(1, mp.mpf(v))) for v in x])
+        assert np.all(np.abs(trigamma(x) - want) <= 1e-14 * want)
+
+    def test_ladders_match_the_per_rung_scipy_loops(self):
+        # the batched ladders against their former per-rung loops on scipy
+        from scipy.special import digamma as sp_digamma, polygamma
+
+        a_el = random_element(3, 6, 1.0)
+        diag = np.diag(a_el.block)
+        for xi in (-0.5, 0.5, 1.5):
+            a = np.arange(len(diag)) + 1.0 + xi
+            want = [np.sum(diag * (sp_digamma(n + a) - sp_digamma(a))) for n in DEFAULT_LADDER]
+            _, got = shifted_resolvent_ladder(a_el, xi)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for eps in (0.25, 0.5, 2.0):
+            ns, got = d4_partial_sums(eps)
+            j = np.round(np.sqrt(ns / 2.0))[:, None]
+            xi = eps + np.array([-1.0, 0.0, 1.0, 0.0])
+            want = (sp_digamma(j + 1 + xi) - sp_digamma(1 + xi)
+                    - xi * (polygamma(1, 1 + xi) - polygamma(1, j + 1 + xi))).sum(axis=1)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_elementwise_on_any_shape(self):
+        x = np.array([[0.5, 3.0], [40.0, 1e6]])
+        assert digamma(x).shape == trigamma(x).shape == x.shape
+        assert digamma(x)[1, 0] == digamma(40.0)
 
 
 class TestDixmierEstimation:
