@@ -234,18 +234,17 @@ def check_singular_value_laws(cfg: RunConfig) -> dict:
                    got, worst_law, 1e-8, ok)
 
 
-def _d4_partial_sums(cfg: RunConfig):
-    """The |D_eps|^-4 ladder at the configured counts.  Rungs that share one
+def _d4_dixmier(cfg: RunConfig) -> spx.DixmierEstimate:
+    """The |D_eps|^-4 estimate at the configured counts.  Rungs that share one
     level cut are a bad --ladder for it, though not for the other ladders."""
     try:
-        return spx.d4_partial_sums(cfg.eps, cfg.ladder)
+        return spx.d4_dixmier(cfg.eps, cfg.ladder)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def check_dixmier_normalization(cfg: RunConfig) -> dict:
-    ns, sums = _d4_partial_sums(cfg)
-    est = spx.dixmier_from_partial_sums(ns, sums)
+    est = _d4_dixmier(cfg)
     err = abs(est.value - 2.0) / 2.0
     return _record("dixmier-normalization", "volume-form-trace",
                    2.0, est.value, err, 0.02, err <= 0.02)
@@ -445,8 +444,8 @@ def run_check(stage: str, fn, cfg: RunConfig) -> dict:
     return rec
 
 
-def cmd_verify_all(cfg: RunConfig, dry_run: bool = False) -> int:
-    _d4_partial_sums(cfg)  # reject a ladder criterion 3 cannot use before any check runs
+def cmd_verify_all(cfg: RunConfig, dry_run: bool) -> int:
+    _d4_dixmier(cfg)  # reject a ladder criterion 3 cannot use before any check runs
     if dry_run:
         _emit({"config": cfg.echo(), "plan": [check_name(fn) for _, fn in CHECKS]}, cfg)
         return 0
@@ -460,68 +459,65 @@ def cmd_verify_all(cfg: RunConfig, dry_run: bool = False) -> int:
     return 0 if all(r["pass"] for r in records) else 1
 
 
+def _sound(value, error, measurable: bool, tol: float) -> bool:
+    """The one verdict of ``invariant`` and ``dixmier-ladder``: the value and
+    its error bar are finite, the estimate is measurable at this truncation,
+    and the error is within the tolerance (``dixmier-ladder`` has none)."""
+    return bool(np.isfinite(value) and np.isfinite(error) and measurable and error <= tol)
+
+
 def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
     el = parse_element(input_text, cfg)
     ctx = cfg.context()
+    expected = None   # only the integer pairings have a target to compare with
     if which in ("gap-label", "chern"):
         if not alg.is_projection(el):
             raise ConfigError(f"{which} needs a projection input")
         val = cc.gap_label(el) if which == "gap-label" else cc.chern_number(el)
-        rec = _record(which, "integer-pairing", "integer", val,
-                      abs(val - round(val)), cfg.tol_exact,
-                      abs(val - round(val)) <= cfg.tol_exact)
+        ref, expected, tol = "integer-pairing", "integer", cfg.tol_exact
+        v = cc.CocycleValue(val, "exact-algebraic", abs(val - round(val)))
+    elif which == "nc-integral":
+        ref, tol = "volume-weighted-trace", cfg.tol_dixmier
+        v = cc.nc_integral(el, ctx, cfg.ladder)
+    elif which == "psi":
+        ref, tol = "derivation-trace-cocycle", cfg.tol_exact
+        v = cc.psi(el, el, el)
+    elif which == "ch":
+        ref, tol = "dirac-character", cfg.tol_dixmier
+        v = cc.ch_dix(el, el, el, ctx, cfg.ladder)
+    elif which == "tau2":
+        ref, tol = "fredholm-character", cfg.tol_dixmier
+        v = cc.tau2(el, el, el, ctx, "reduced", cfg.ladder)
     else:
-        if which == "nc-integral":
-            ref, tol = "volume-weighted-trace", cfg.tol_dixmier
-            v = cc.nc_integral(el, ctx, cfg.ladder)
-        elif which == "psi":
-            ref, tol = "derivation-trace-cocycle", cfg.tol_exact
-            v = cc.psi(el, el, el)
-        elif which == "ch":
-            ref, tol = "dirac-character", cfg.tol_dixmier
-            v = cc.ch_dix(el, el, el, ctx, cfg.ladder)
-        elif which == "tau2":
-            ref, tol = "fredholm-character", cfg.tol_dixmier
-            v = cc.tau2(el, el, el, ctx, "reduced", cfg.ladder)
-        else:
-            raise ConfigError(f"unknown invariant {which!r}")
-        # nothing to compare against: a value passes when it is finite and
-        # measurable at this truncation
-        ok = np.isfinite(v.value) and np.isfinite(v.error) and v.measurable
-        rec = _record(which, ref, None, v.value, v.error, tol, ok)
+        raise ConfigError(f"unknown invariant {which!r}")
+    rec = _record(which, ref, expected, v.value, v.error, tol,
+                  _sound(v.value, v.error, v.measurable, tol))
     _emit({"config": cfg.echo(), "checks": [rec]}, cfg)
     return 0 if rec["pass"] else 1
 
 
 def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
+    """A ladder's logarithmic means and their estimate: d4 from ``spectra``,
+    ncint:X and ch:X from the evaluations of ``invariant nc-integral/ch X``."""
     if target == "d4":
-        ns, sums = _d4_partial_sums(cfg)
+        est = _d4_dixmier(cfg)
+        ns, v = est.ns, cc.CocycleValue(est.value, "dixmier-extrapolated", est.stderr,
+                                        est.measurable, est.sigma)
     elif target.startswith(("ncint:", "ch:")):
         kind, text = target.split(":", 1)
         el = parse_element(text, cfg)
-        if kind == "ncint":
-            integrand, weight = el, 0.25
-        else:
-            # the grading-weighted part cancels blockwise and is omitted from
-            # the dumped ladder; the fit target is the full character value
-            integrand = alg.compose(el, cc.delta1(el, el))
-            weight = 0.5 * (1j / (2.0 * cfg.lb**2))
-        ns = np.asarray(cfg.ladder, dtype=float)
-        sums = np.zeros(len(ns), dtype=complex)
-        for xi in cfg.context().shifted_energies():
-            _, s = spx.shifted_resolvent_ladder(integrand, xi, cfg.ladder)
-            sums = sums + weight * s
+        ns = cfg.ladder
+        v = (cc.nc_integral(el, cfg.context(), cfg.ladder) if kind == "ncint"
+             else cc.ch_dix(el, el, el, cfg.context(), cfg.ladder))
     else:
         raise ConfigError(f"unknown ladder target {target!r}")
-    est = spx.dixmier_from_partial_sums(ns, np.asarray(sums))
+    fit = complex(v.value)
     lines = ["N,sigma_re,sigma_im,fit_re,fit_im,fit_stderr"]
-    for n, sig in est.ladder:
-        sig = complex(sig)
-        v = complex(est.value)
-        lines.append(f"{n},{sig.real:.12g},{sig.imag:.12g},{v.real:.12g},{v.imag:.12g},{est.stderr:.6g}")
+    for n, sig in zip(ns, np.asarray(v.sigma, dtype=complex)):
+        lines.append(f"{int(n)},{sig.real:.12g},{sig.imag:.12g},"
+                     f"{fit.real:.12g},{fit.imag:.12g},{v.error:.6g}")
     _write("\n".join(lines) + "\n", cfg)
-    finite = np.all(np.isfinite([complex(sig) for _, sig in est.ladder]))
-    return 0 if finite and np.isfinite(est.value) and np.isfinite(est.stderr) else 1
+    return 0 if _sound(v.value, v.error, v.measurable, np.inf) else 1
 
 
 # ---------------------------------------------------------------------------

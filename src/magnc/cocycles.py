@@ -57,13 +57,14 @@ __all__ = [
 
 @dataclass
 class CocycleValue:
-    """A cocycle evaluation with its method tag, error bar and whether its
-    Dixmier extrapolation is measurable at this truncation."""
+    """A cocycle evaluation with its method tag, error bar, measurable flag
+    and, on the Dixmier tier, its combined logarithmic means sigma_N."""
 
     value: complex
     method: str
     error: float = 0.0
     measurable: bool = True
+    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.error < 0:
@@ -159,16 +160,17 @@ def _dixmier_functional(terms, ladder) -> CocycleValue:
     linearly across terms; the value is measurable when every block is.  A
     block whose top rung does not exceed its shift 1 + xi is not: its sector
     sums have not reached their logarithmic growth, and at a large enough
-    shift they vanish in floating point."""
-    value, error, measurable = 0.0, 0.0, True
+    shift they vanish in floating point.  sigma_N takes the same weights."""
+    value, error, sigma, measurable = 0.0, 0.0, 0.0, True
     for coef, s_el, blocks in terms:
         ests = [(w, dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, ladder)))
                 for xi, w in blocks]
         value += coef * sum(w * e.value for w, e in ests)
         error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
+        sigma = sigma + coef * sum(w * e.sigma for w, e in ests)
         measurable &= all(e.measurable for _, e in ests)
         measurable &= all(ladder[-1] > 1 + xi for xi, _ in blocks)
-    return CocycleValue(value, "dixmier-extrapolated", error, measurable)
+    return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma)
 
 
 def nc_integral(a: MagneticElement, ctx: DiracContext,

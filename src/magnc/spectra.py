@@ -25,6 +25,7 @@ __all__ = [
     "shifted_resolvent_ladder",
     "stable_spectrum",
     "d4_partial_sums",
+    "d4_dixmier",
     "closed_form_mu",
     "c_alpha",
     "classify_decay",
@@ -55,13 +56,15 @@ class SingularSpectrum:
 
 @dataclass
 class DixmierEstimate:
-    """Extrapolated logarithmic mean with its ladder and fit diagnostics."""
+    """Extrapolated logarithmic mean with its ladder and fit diagnostics:
+    the logarithmic means ``sigma`` at the counts ``ns``."""
 
     value: complex
     stderr: float
-    ladder: list
-    measurable: bool = True
-    note: str = ""
+    ns: np.ndarray
+    sigma: np.ndarray
+    measurable: bool
+    note: str
 
 
 @dataclass
@@ -126,8 +129,8 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
 
     The logarithmic means converge only at O(1/log N); the affine fit removes
     the leading correction.  Ladders whose partial sums are outright
-    convergent (increments decaying geometrically across the rungs, the
-    ratio test) belong to summable spectra, whose value is exactly zero.
+    convergent (increments decaying geometrically across the finite rungs,
+    the ratio test) belong to summable spectra, whose value is exactly zero.
     A ladder whose residuals exceed ``rel_tol`` of the value scale is marked
     not measurable at this truncation.
     """
@@ -139,39 +142,26 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimat
         raise ValueError("ladder must be increasing with N >= 2")
     logs = np.log(ns)
     sigma = sums / logs
-    if len(ns) >= 4:
+    summable = False
+    if len(ns) >= 4 and np.all(np.isfinite(sums)):
         inc = np.abs(np.diff(sums))
-        scale = float(np.max(np.abs(sums))) or 1.0
-        tiny = inc <= 1e-12 * scale
         ratios = inc[1:] / np.maximum(inc[:-1], 1e-300)
         # a log-spaced ladder has constant increments exactly when the
         # spectrum is borderline-harmonic; geometric decay means summable
-        if np.all(tiny[-2:]) or np.all(ratios[-2:] < 0.45):
-            bound = float(np.abs(sums[-1] - sums[-2])) / logs[-1]
-            val = 0j if np.iscomplexobj(sigma) else 0.0
-            ladder = [
-                (int(n), complex(s) if np.iscomplexobj(sigma) else float(s))
-                for n, s in zip(ns, sigma)
-            ]
-            return DixmierEstimate(val, bound, ladder, True,
-                                   "partial sums converge (summable spectrum)")
-    x = 1.0 / logs
-    design = np.stack([np.ones_like(x), x], axis=-1)
-    coef, *_ = np.linalg.lstsq(design, sigma, rcond=None)
-    resid = sigma - design @ coef
-    dof = max(len(ns) - 2, 1)
-    gram_inv = np.linalg.inv(design.T @ design)
-    resid_ms = float(np.sum(np.abs(resid) ** 2) / dof)
-    stderr = float(np.sqrt(resid_ms * gram_inv[0, 0]))
-    value = coef[0]
-    scale = max(float(np.max(np.abs(sigma))), 1e-12)
-    measurable = bool(np.sqrt(resid_ms) <= rel_tol * scale)
-    note = "" if measurable else "not measurable at this truncation"
-    if np.iscomplexobj(sigma):
-        ladder = [(int(n), complex(s)) for n, s in zip(ns, sigma)]
-        return DixmierEstimate(complex(value), stderr, ladder, measurable, note)
-    ladder = [(int(n), float(s)) for n, s in zip(ns, sigma)]
-    return DixmierEstimate(float(value), stderr, ladder, measurable, note)
+        summable = bool(np.all(inc[-2:] <= 1e-12 * (float(np.max(np.abs(sums))) or 1.0))
+                        or np.all(ratios[-2:] < 0.45))
+    if summable:
+        value, stderr = sigma.dtype.type(0), float(np.abs(sums[-1] - sums[-2])) / logs[-1]
+        measurable, note = True, "partial sums converge (summable spectrum)"
+    else:
+        design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
+        coef, *_ = np.linalg.lstsq(design, sigma, rcond=None)
+        resid_ms = float(np.sum(np.abs(sigma - design @ coef) ** 2) / max(len(ns) - 2, 1))
+        stderr = float(np.sqrt(resid_ms * np.linalg.inv(design.T @ design)[0, 0]))
+        value = coef[0]
+        measurable = bool(np.sqrt(resid_ms) <= rel_tol * max(float(np.max(np.abs(sigma))), 1e-12))
+        note = "" if measurable else "not measurable at this truncation"
+    return DixmierEstimate(value.item(), stderr, ns, sigma, measurable, note)
 
 
 def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,
@@ -214,6 +204,11 @@ def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):
     #                          - xi [trigamma(1+xi)-trigamma(J+1+xi)]
     terms = digamma(top) - digamma(1 + xi) - xi * (trigamma(1 + xi) - trigamma(top))
     return 2 * j * (j + 1), terms.sum(axis=1)
+
+
+def d4_dixmier(eps: float, ladder) -> DixmierEstimate:
+    """Tr_Dix |D_eps|^{-4} (2 in the paper's normalization) from ``d4_partial_sums``."""
+    return dixmier_from_partial_sums(*d4_partial_sums(eps, ladder))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,29 @@ import json
 import numpy as np
 import pytest
 
+import magnc.cli as cli
 from magnc.algebra import random_element, save_element
 from magnc.cli import ConfigError, RunConfig, build_config, main, make_parser, parse_element
+from magnc.cocycles import nc_integral
+from magnc.spectra import shifted_resolvent_ladder
 
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture(autouse=True)
+def passing_records_keep_their_tolerance(monkeypatch):
+    """Every record these tests have the CLI write: a pass is within its
+    tolerance."""
+    emit = cli._emit
+
+    def checked(payload, cfg):
+        for rec in payload.get("checks", []):
+            assert not rec["pass"] or rec["error"] <= rec["tolerance"], rec
+        emit(payload, cfg)
+
+    monkeypatch.setattr(cli, "_emit", checked)
 
 
 class TestConfig:
@@ -272,27 +289,69 @@ class TestSubcommands:
         assert run_cli(["--mmax", "128", "--out", str(out), "invariant", which, "pi:0"]) == 1
         assert json.loads(out.read_text())["checks"][0]["pass"] is False
 
-    @pytest.mark.parametrize("which", ["nc-integral", "ch", "tau2"])
-    def test_dixmier_invariant_fails_where_a_block_is_not_measurable(self, tmp_path, which):
+    @pytest.mark.parametrize("command", [
+        ["invariant", "nc-integral", "pi:1"], ["invariant", "ch", "pi:1"],
+        ["invariant", "tau2", "pi:1"], ["dixmier-ladder", "ch:pi:1"],
+    ], ids=["nc-integral", "ch", "tau2", "dixmier-ladder-ch"])
+    def test_dixmier_invariant_fails_where_a_block_is_not_measurable(self, tmp_path, command):
         # at 3, 10, 100 most block ladders of a Chern-1 projection are not
         # measurable; at the default ladder every one is
-        out = tmp_path / "r.json"
-        assert run_cli(["--ladder", "3,10,100", "--out", str(out),
-                        "invariant", which, "pi:1"]) == 1
-        assert json.loads(out.read_text())["checks"][0]["pass"] is False
-        assert run_cli(["--out", str(out), "invariant", which, "pi:1"]) == 0
-        assert json.loads(out.read_text())["checks"][0]["pass"] is True
+        out = tmp_path / "r.out"
+        assert run_cli(["--ladder", "3,10,100", "--out", str(out)] + command) == 1
+        if command[0] == "invariant":
+            assert json.loads(out.read_text())["checks"][0]["pass"] is False
+        assert run_cli(["--out", str(out)] + command) == 0
+        if command[0] == "invariant":
+            assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
-    @pytest.mark.parametrize("eps, which, level", [
-        ("1e20", "nc-integral", "pi:0"), ("1e300", "ch", "pi:1"), ("1e300", "tau2", "pi:1"),
-    ], ids=["eps1e20-nc-integral", "eps1e300-ch", "eps1e300-tau2"])
+    @pytest.mark.parametrize("eps, command", [
+        ("1e20", ["invariant", "nc-integral", "pi:0"]), ("1e300", ["invariant", "ch", "pi:1"]),
+        ("1e300", ["invariant", "tau2", "pi:1"]), ("1e20", ["dixmier-ladder", "ncint:pi:0"]),
+        ("1e300", ["dixmier-ladder", "ch:pi:1"]),
+    ], ids=["eps1e20-nc-integral", "eps1e300-ch", "eps1e300-tau2",
+            "eps1e20-dixmier-ladder-ncint", "eps1e300-dixmier-ladder-ch"])
     def test_dixmier_invariant_fails_where_the_shift_passes_the_top_rung(
-            self, tmp_path, eps, which, level):
+            self, tmp_path, eps, command):
         # at such shifts the block sums are at most ~1e-13 or exactly 0.0,
         # which the fit alone would report as a measurable value
+        out = tmp_path / "r.out"
+        assert run_cli(["--eps", eps, "--out", str(out)] + command) == 1
+        if command[0] == "invariant":
+            assert json.loads(out.read_text())["checks"][0]["pass"] is False
+
+    @pytest.mark.parametrize("which", ["nc-integral", "ch", "tau2"])
+    def test_tol_dixmier_binds(self, tmp_path, which):
         out = tmp_path / "r.json"
-        assert run_cli(["--eps", eps, "--out", str(out), "invariant", which, level]) == 1
-        assert json.loads(out.read_text())["checks"][0]["pass"] is False
+        assert run_cli(["--tol-dixmier", "1e-300", "--out", str(out),
+                        "invariant", which, "pi:1"]) == 1
+        rec = json.loads(out.read_text())["checks"][0]
+        assert rec["pass"] is False and rec["error"] > rec["tolerance"] == 1e-300
+        assert run_cli(["--out", str(out), "invariant", which, "pi:1"]) == 0
+
+    @pytest.mark.parametrize("eps", [None, "1"], ids=["default-eps", "eps1"])
+    @pytest.mark.parametrize("text", [f"pi:{j}" for j in range(6)] + ["pi-sum:0..2"])
+    def test_dixmier_ladder_is_the_invariant(self, tmp_path, text, eps):
+        # the dump's fit and stderr are the record's got and error, and the
+        # ncint rows are the quarter-weighted sum of the four block ladders
+        flags = ["--out", str(tmp_path / "r.out")] + (["--eps", eps] if eps else [])
+        for target, which in (("ncint", "nc-integral"), ("ch", "ch")):
+            assert run_cli(flags + ["invariant", which, text]) == 0
+            rec = json.loads((tmp_path / "r.out").read_text())["checks"][0]
+            assert run_cli(flags + ["dixmier-ladder", f"{target}:{text}"]) == 0
+            rows = [line.split(",") for line in
+                    (tmp_path / "r.out").read_text().strip().splitlines()[1:]]
+            want = [f"{rec['got']['re']:.12g}", f"{rec['got']['im']:.12g}",
+                    f"{rec['error']:.6g}"]
+            assert all(row[3:] == want for row in rows)
+            if target == "ncint":
+                cfg = RunConfig(eps=float(eps or 0.5))
+                el = parse_element(text, cfg)
+                sigma = nc_integral(el, cfg.context(), cfg.ladder).sigma
+                assert [row[1:3] for row in rows] == [
+                    [f"{x.real:.12g}", f"{x.imag:.12g}"] for x in sigma]
+                sums = sum(0.25 * shifted_resolvent_ladder(el, xi, cfg.ladder)[1]
+                           for xi in cfg.context().shifted_energies())
+                np.testing.assert_allclose(sigma, sums / np.log(cfg.ladder), rtol=1e-12)
 
     def test_dixmier_ladder_unknown_target(self):
         assert run_cli(["dixmier-ladder", "d5"]) == 2

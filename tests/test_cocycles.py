@@ -176,28 +176,33 @@ class TestDiracCharacter:
 
 def per_shift_sum(coef, s_el, signs):
     """Oracle: coef sum_i signs_i Tr_Dix((Q + xi_i)^{-1} S) from one
-    ``dixmier_from_partial_sums`` per shift, with the quadrature stderr."""
+    ``dixmier_from_partial_sums`` per shift, with the quadrature stderr, and
+    the same sum of the shifts' logarithmic means."""
     ests = [dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, DEFAULT_LADDER))
             for xi in CTX.shifted_energies()]
     return (coef * sum(s * e.value for s, e in zip(signs, ests)),
             abs(coef) * np.sqrt(sum(e.stderr**2 for e in ests)),
-            all(e.measurable for e in ests))
+            all(e.measurable for e in ests),
+            coef * sum(s * e.sigma for s, e in zip(signs, ests)))
 
 
 class TestDixmierFunctional:
     def test_nc_integral_is_the_per_shift_sum(self):
         for a in (landau_projection(1, LB), rand(51), rand(52)):
             v = nc_integral(a, CTX)
-            value, error, measurable = per_shift_sum(0.25, a, np.ones(4))
+            value, error, measurable, sigma = per_shift_sum(0.25, a, np.ones(4))
             assert (v.value, v.error, v.measurable) == (value, error, measurable)
+            np.testing.assert_allclose(v.sigma, sigma, rtol=1e-14)
 
     def test_ch_dix_is_the_per_shift_sum(self):
         for a0, a1, a2 in ((rand(53), rand(54), rand(55)), (landau_projection(0, LB),) * 3):
             v = ch_dix(a0, a1, a2, CTX)
             c = 0.5 / (2.0 * LB**2)
-            v0, e0, m0 = per_shift_sum(-c, compose(a0, delta0(a1, a2)), GAMMA_SIGNS)
-            v1, e1, m1 = per_shift_sum(1j * c, compose(a0, delta1(a1, a2)), np.ones(4))
+            v0, e0, m0, s0 = per_shift_sum(-c, compose(a0, delta0(a1, a2)), GAMMA_SIGNS)
+            v1, e1, m1, s1 = per_shift_sum(1j * c, compose(a0, delta1(a1, a2)), np.ones(4))
             assert (v.value, v.error, v.measurable) == (v0 + v1, e0 + e1, m0 and m1)
+            # the grading-weighted half is in the rows, not only in the value
+            np.testing.assert_allclose(v.sigma, s0 + s1, rtol=1e-14)
 
     def test_unmeasurable_block_flags_the_value(self):
         p = landau_projection(1, LB)

@@ -119,7 +119,14 @@ def _option_census() -> int:
 
 def test_option_census_does_not_grow():
     # a new knob must show up in the diff: raise this only with a reason
-    assert _option_census() == 83
+    assert _option_census() == 81
+
+
+def test_cli_keeps_no_second_dixmier_path():
+    # every Dixmier number the CLI prints comes from the module that
+    # produces its ladder: no fit, ladder or cocycle integrand of its own
+    second_path = {"dixmier_from_partial_sums", "shifted_resolvent_ladder", "delta1", "compose"}
+    assert sorted(_code_names(_tree("cli")) & second_path) == []
 
 
 def test_verify_all_imports_no_scipy(tmp_path):

@@ -259,6 +259,12 @@ class TestDixmierEstimation:
         assert est.stderr < 1e-4
         assert "summable" in est.note
 
+    def test_non_finite_rung_is_not_measurable(self):
+        # the ratio test would call this ladder summable and report a zero
+        ns, sums = spectrum_ladder(harmonic(DEFAULT_LADDER[-1]) ** 1.5)
+        sums[1] = np.inf
+        assert not dixmier_from_partial_sums(ns, sums).measurable
+
     def test_d4_normalization(self):
         ns, sums = d4_partial_sums(0.5)
         est = dixmier_from_partial_sums(ns, sums)
