@@ -287,7 +287,7 @@ def _fredholm_sector_traces(a0: MagneticElement, a1: MagneticElement,
     levels = max(a.support_bound for a in (a0, a1, a2)) + 2
     blocks = sector_blocks(ctx, levels)
     p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
-    gp0 = blocks.gamma @ p0
+    gp0 = np.tile(GAMMA_SIGNS, levels)[:, None] * p0
 
     def kernel(d_out, d_back):
         # (X, Y) of the four terms, with D(m, m') = c' d_out, D(m', m) = c'' d_back

@@ -161,26 +161,24 @@ def _each_sector(ctx: DiracContext, block) -> sp.csr_matrix:
 
 
 class SectorBlocks(NamedTuple):
-    """D and the grading on the level window of one degeneracy sector.
+    """D on the level window of one degeneracy sector.
 
     D is block-tridiagonal in m: block (m, m) is ``m0``, block (m, m+1) is
-    sqrt(m+1) ``plus`` and block (m, m-1) is sqrt(m) ``minus``; ``gamma`` is
-    the grading's diagonal block.  Rows and columns are (n, i) in lattice
-    order, n < the window's level count.  ``build_dirac`` assembles the
-    lattice D from exactly these blocks.
+    sqrt(m+1) ``plus`` and block (m, m-1) is sqrt(m) ``minus``.  Rows and
+    columns are (n, i) in lattice order, n < the window's level count.
+    ``build_dirac`` assembles the lattice D from exactly these blocks.
     """
 
     m0: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    gamma: np.ndarray
 
 
 def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
-    """The blocks of D and Gamma on the level window n < ``levels``, defined
-    directly: M0 = (K1 g1 + K2 g2)/sqrt2, and M+- = 1 x (g3 +- i g4)/2, what
+    """The blocks of D on the level window n < ``levels``, defined directly:
+    M0 = (K1 g1 + K2 g2)/sqrt2, and M+- = 1 x (g3 +- i g4)/2, what
     (G1 g3 + G2 g4)/sqrt2 leaves once the degeneracy ladder's sqrt(m+1) and
-    sqrt(m) are factored out; Gamma is the tiled ``GAMMA_SIGNS``."""
+    sqrt(m) are factored out."""
     if not 1 <= levels <= ctx.n_tot:
         raise ValueError(f"level window {levels} outside 1..{ctx.n_tot}")
     s = 1 / np.sqrt(2.0)
@@ -188,8 +186,7 @@ def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
     eye = np.eye(levels)
     return SectorBlocks((np.kron(k1, GAMMA[0]) + np.kron(k2, GAMMA[1])) * s,
                         np.kron(eye, s * GAMMA[2] + 1j * s * GAMMA[3]) * s,
-                        np.kron(eye, s * GAMMA[2] - 1j * s * GAMMA[3]) * s,
-                        np.diag(np.tile(GAMMA_SIGNS, levels)).astype(complex))
+                        np.kron(eye, s * GAMMA[2] - 1j * s * GAMMA[3]) * s)
 
 
 def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
@@ -202,7 +199,7 @@ def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     """
     import scipy.sparse as sp
 
-    m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
+    m0, plus, minus = sector_blocks(ctx, ctx.n_tot)
     root = np.sqrt(np.arange(1.0, ctx.m_tot))
     out = QuartetOperator(_each_sector(ctx, m0) + sp.kron(sp.diags(root, 1), plus, format="csr")
                           + sp.kron(sp.diags(root, -1), minus, format="csr"), ctx)
@@ -407,7 +404,7 @@ def _phase_stack(ctx: DiracContext, levels: int) -> tuple[np.ndarray, np.ndarray
     and share slot 0, where sqrt(0) keeps them apart.  F_L weights D_L's
     columns by |D_eps|^-1 of their sites.
     """
-    m0, plus, minus, _ = sector_blocks(ctx, levels)
+    m0, plus, minus = sector_blocks(ctx, levels)
     e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
     # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
     e = np.where(np.tile(_UPPER_SPINS, levels), np.roll(e, 1, axis=0), e)

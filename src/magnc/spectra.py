@@ -345,11 +345,14 @@ def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
     """Ranked singular values stable under shrinking the degeneracy truncation.
 
     The compressed spectrum is exact on a ranked prefix and falls off
-    spuriously near its capacity; comparing m_max with m_max / 2 (agreement
-    to 1e-6 relative) isolates the honest prefix, which is what decay fits
-    may use.
+    spuriously near its capacity; comparing m_max with m_max / 2, at least
+    64 (agreement to 1e-6 relative), isolates the honest prefix, which is
+    what decay fits may use.  A context whose comparison truncation is not
+    the smaller one (m_max <= 64) is a ``ValueError``.
     """
     small = replace(ctx, m_max=max(ctx.m_max // 2, 64))
+    if small.m_max >= ctx.m_max:
+        raise ValueError(f"m_max {ctx.m_max} leaves no smaller truncation to compare with")
     s_big = singular_values(build(ctx))
     if s_big.count == 0 or s_big.mu[0] <= 1e-14:
         # the zero operator: trivially stable, trivially summable

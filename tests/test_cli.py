@@ -127,6 +127,16 @@ class TestConfig:
         assert run_cli(["--ladder", "1,10,100", "dixmier-ladder", "d4"]) == 2
         assert run_cli(["--ladder", "10,100,inf", "dixmier-ladder", "d4"]) == 2
 
+    def test_non_integer_ladder_rungs_rejected(self, tmp_path, capsys):
+        # a rung is never truncated: 10.5,100.7,1000 is not 10,100,1000
+        assert run_cli(["--ladder", "10.5,100.7,1000", "dixmier-ladder", "d4"]) == 2
+        assert "ladder rungs must be integers" in capsys.readouterr().err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("ladder = 10,100.5,1000\n")
+        args = make_parser().parse_args(["--config", str(cfgfile), "verify-all"])
+        with pytest.raises(ConfigError, match="ladder rungs must be integers"):
+            build_config(args)
+
     def test_ladder_collapsing_onto_one_d4_cut_rejected(self, tmp_path, capsys):
         # 1000, 1001 and 1002 all round to the level cut J = 22; the ladder
         # is fine where the counts are used as given
@@ -388,6 +398,34 @@ class TestVerifyAll:
 
         rec = check_connes_formula_1(RunConfig(tol_dixmier=10.0))
         assert rec["tolerance"] == 0.05
+
+    @pytest.mark.parametrize("check", ["check_chi_triviality",
+                                       "check_quantized_calculus_structure"])
+    def test_unmeasurable_dixmier_value_fails_its_check(self, check):
+        # at the ladder 5, 20, 80 the values these checks read are not
+        # measurable, though their errors sit within the tolerances
+        rec = getattr(cli, check)(RunConfig(ladder=[5, 20, 80]))
+        assert rec["error"] <= rec["tolerance"]
+        assert rec["pass"] is False
+
+    def test_nan_character_is_the_error_of_connes_formula_1(self, monkeypatch):
+        # a NaN for the third triple is not dropped by a running maximum
+        calls = []
+
+        def ch_dix(a0, a1, a2, ctx, ladder):
+            calls.append(None)
+            want = 1j * cli.cc.psi(a0, a1, a2).value
+            return cli.cc.CocycleValue(np.nan if len(calls) == 3 else want, "stub")
+
+        monkeypatch.setattr(cli.cc, "ch_dix", ch_dix)
+        rec = cli.check_connes_formula_1(RunConfig())
+        assert np.isnan(rec["error"]) and rec["pass"] is False
+
+    def test_nan_trace_per_unit_volume_fails_representation_consistency(self, monkeypatch):
+        monkeypatch.setattr(cli.ker, "trace_per_unit_volume",
+                            lambda *args: [1.0, np.nan, 1.0, 1.0, 1.0])
+        rec = cli.check_representation_consistency(RunConfig())
+        assert np.isnan(rec["got"]["trace_per_unit_volume"]) and rec["pass"] is False
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_quasi_even_products_pass_at_seed(self, seed):

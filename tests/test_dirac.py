@@ -13,6 +13,7 @@ from magnc.dirac import (
     CHI_GRADING,
     GAMMA,
     GAMMA_GRADING,
+    GAMMA_SIGNS,
     DiracContext,
     QuartetOperator,
     build_dirac,
@@ -402,7 +403,7 @@ class TestSectorBlocks:
     def test_blocks_reproduce_split_dirac_entry_for_entry(self, ctx):
         # build_dirac assembles D from exactly these blocks, and D is the
         # sum of the level and degeneracy parts of its definition
-        m0, plus, minus, _ = sector_blocks(ctx, ctx.n_tot)
+        m0, plus, minus = sector_blocks(ctx, ctx.n_tot)
         d = build_dirac(ctx, check=False)
         zero = np.zeros_like(m0)
         for m in range(ctx.m_tot):
@@ -415,7 +416,7 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("ctx", SMALL)
     def test_grading_representation_and_weights_act_per_sector(self, ctx):
         levels = 6
-        gamma = sector_blocks(ctx, levels).gamma
+        gamma = np.diag(np.tile(GAMMA_SIGNS, levels))
         a = random_element(5, 4, 1.0)
         pa = sector_represent(a, ctx, levels)
         g, p = lattice_gamma(ctx).op, represent(a, ctx).op
@@ -432,7 +433,7 @@ class TestSectorBlocks:
     def test_coupling_pattern_at_every_window(self, levels):
         # what the L-block stacks rely on: M0 keeps s in {0, 3} and s in
         # {1, 2} apart, M+ maps s in {0, 3} to s in {1, 2} and M- maps back
-        m0, plus, minus, _ = sector_blocks(CTX, levels)
+        m0, plus, minus = sector_blocks(CTX, levels)
         upper = np.tile([False, True, True, False], levels)   # s in {1, 2}
         rows, cols = upper[:, None], upper[None, :]
         assert not m0[rows != cols].any()

@@ -21,7 +21,6 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Public names whose only callers are tests, kept on purpose.
 KEPT_FOR_TESTS = {
     "momentum_quadrature",  # quadrature oracle for the momentum ladder tables
-    "basis_with_gradient",  # closed-form gradient oracle for the ladder phases
     "element_to_records",   # writer of the element-file format the CLI reads
 }
 

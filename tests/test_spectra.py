@@ -492,6 +492,18 @@ class TestQuasiEvenVerification:
         assert sv.count >= 64
         assert np.all(np.diff(sv.mu) <= 1e-15)
 
+    @pytest.mark.parametrize("m_max", [40, 64])
+    def test_stable_prefix_needs_a_smaller_comparison(self, m_max):
+        # the comparison truncation is m_max / 2, at least 64: at m_max 64 it
+        # is the same context and at 40 a larger one, which proves nothing
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=m_max, buffer=4)
+
+        def build(c):
+            return defect_stacks(upsilon(0, 1), c, 3)["F_comm"]
+
+        with pytest.raises(ValueError, match="no smaller truncation"):
+            stable_spectrum(build, ctx)
+
     def test_anticommutator_commutator_decay(self):
         # [{Gamma, F}, pi(Y)] carries the ladder-lifted resolvent rate: the
         # ranked exponent is -1 (not the -3/2 of the bare square-root family)
