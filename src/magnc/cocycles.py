@@ -34,7 +34,13 @@ from .dirac import (
     sector_represent,
     sector_weights,
 )
-from .spectra import DEFAULT_LADDER, dixmier_from_partial_sums, shifted_resolvent_ladder
+from .spectra import (
+    DEFAULT_LADDER,
+    DIXMIER_REL_TOL,
+    dixmier_fits,
+    dixmier_from_partial_sums,
+    shifted_resolvent_ladder,
+)
 
 __all__ = [
     "CocycleValue",
@@ -155,16 +161,19 @@ def _support_check(ctx: DiracContext, *els: MagneticElement, margin: int = 0):
 
 def _dixmier_functional(terms, ladder) -> CocycleValue:
     """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
-    ``(coef, S, [(xi, w), ...])``: one ladder and extrapolation per shifted
-    block.  The |w|-weighted stderrs add in quadrature within a term and
+    ``(coef, S, [(xi, w), ...])``: one ladder call per term for all its
+    shifted blocks, and one extrapolation (``dixmier_fits``) for the blocks of
+    every term.  The |w|-weighted stderrs add in quadrature within a term and
     linearly across terms; the value is measurable when every block is.  A
     block whose top rung does not exceed its shift 1 + xi is not: its sector
     sums have not reached their logarithmic growth, and at a large enough
     shift they vanish in floating point.  sigma_N takes the same weights."""
+    sums = [shifted_resolvent_ladder(s_el, [xi for xi, _ in blocks], ladder)[1]
+            for _, s_el, blocks in terms]
+    fits = iter(dixmier_fits(ladder, np.concatenate(sums), DIXMIER_REL_TOL))
     value, error, sigma, measurable = 0.0, 0.0, 0.0, True
-    for coef, s_el, blocks in terms:
-        ests = [(w, dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, ladder)))
-                for xi, w in blocks]
+    for coef, _, blocks in terms:
+        ests = [(w, next(fits)) for _, w in blocks]
         value += coef * sum(w * e.value for w, e in ests)
         error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
         sigma = sigma + coef * sum(w * e.sigma for w, e in ests)
@@ -214,9 +223,11 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     """The character twisted by the anticommuting grading; vanishes termwise.
 
     Through the spin-trace factorization at a common diagonal shift (the
-    block value is shift-independent) each term is a ladder value at the
-    shift eps weighted by tr(chi) or tr(chi Gamma), both exactly zero, so the
-    result is zero at float accuracy with no extrapolation.
+    block value is shift-independent) each term is one extrapolated ladder
+    at the shift eps, weighted by tr(chi) or tr(chi Gamma).  Both traces are
+    exactly zero, so the two extrapolations are still made (and flag the
+    value when not measurable) but the weighted result is zero at float
+    accuracy.
     """
     _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
     tr_chi = complex(np.trace(CHI_GRADING))

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import MagneticElement, UnitalElement, spatial_derivative
 from .basis import magnetic_length, number_ladders, require_same_length
@@ -245,9 +246,13 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
 
 def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
     """Row m is the diagonal of |D_eps|^-1 on the level window n < ``levels``
-    of sector m, for m = 0..m_max (the sectors the first m_max couple to)."""
-    e = _energies(ctx.eps, ctx.m_max + 1, levels)
-    return (e ** -0.5).reshape(ctx.m_max + 1, 4 * levels)
+    of sector m, for m = 0..m_max (the sectors the first m_max couple to).
+
+    The entry at (m, n) depends on k = m + n only: the power is taken once
+    per k < m_max + levels, on the same energies, and row m is the window of
+    that table from k = m on."""
+    table = _energies(ctx.eps, ctx.m_max + levels, 1) ** -0.5
+    return sliding_window_view(table, 4 * levels)[::4].copy()
 
 
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:

@@ -22,6 +22,7 @@ __all__ = [
     "IdealVerdict",
     "singular_values",
     "dixmier_from_partial_sums",
+    "dixmier_fits",
     "shifted_resolvent_ladder",
     "stable_spectrum",
     "d4_partial_sums",
@@ -32,11 +33,14 @@ __all__ = [
     "verify_quasi_even",
     "build_shifted_commutator",
     "DEFAULT_LADDER",
+    "DIXMIER_REL_TOL",
     "digamma",
     "trigamma",
 ]
 
 DEFAULT_LADDER = (10**3, 10**4, 10**5, 10**6, 10**7)
+# residual bound of a measurable Dixmier fit, relative to its largest sigma_N
+DIXMIER_REL_TOL = 0.05
 
 
 @dataclass
@@ -124,63 +128,89 @@ def singular_values(stack: np.ndarray) -> SingularSpectrum:
 # Dixmier estimation: affine extrapolation of logarithmic means in 1/log N.
 # ---------------------------------------------------------------------------
 
-def dixmier_from_partial_sums(ns, sums, rel_tol: float = 0.05) -> DixmierEstimate:
+def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> DixmierEstimate:
     """Fit sigma_N = sum_N / log N against 1/log N; the intercept is the trace.
 
-    The logarithmic means converge only at O(1/log N); the affine fit removes
-    the leading correction.  Ladders whose partial sums are outright
-    convergent (increments decaying geometrically across the finite rungs,
-    the ratio test) belong to summable spectra, whose value is exactly zero.
-    A ladder whose residuals exceed ``rel_tol`` of the value scale is marked
-    not measurable at this truncation.
+    The one-ladder case of ``dixmier_fits``, which states the rules.
+    """
+    return dixmier_fits(ns, np.asarray(sums)[None], rel_tol)[0]
+
+
+def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
+    """One estimate per row of a (ladders, rungs) array of partial sums.
+
+    The logarithmic means converge only at O(1/log N); the affine fit in
+    1/log N removes the leading correction.  Ladders whose partial sums are
+    outright convergent (increments decaying geometrically across the finite
+    rungs, the ratio test) belong to summable spectra, whose value is exactly
+    zero.  A ladder whose residuals exceed ``rel_tol`` of the value scale is
+    marked not measurable at this truncation; so is one with a non-finite
+    rung.
+
+    The fit has one design for every row, so all rows share one least-squares
+    solve.  LAPACK rescales a right-hand side by its largest entry when that
+    leaves [2^-970, 2^970], which would couple the rows: a row outside that
+    range (zero, tiny, huge or non-finite) is solved alone, so every row reads
+    exactly as it would on its own.
     """
     ns = np.asarray(ns, dtype=float)
     sums = np.asarray(sums)
     if len(ns) < 3:
         raise ValueError("need at least three ladder rungs")
-    if np.any(ns < 2) or np.any(np.diff(ns) <= 0):
+    if (ns < 2).any() or (np.diff(ns) <= 0).any():
         raise ValueError("ladder must be increasing with N >= 2")
     logs = np.log(ns)
     sigma = sums / logs
-    summable = False
-    if len(ns) >= 4 and np.all(np.isfinite(sums)):
-        inc = np.abs(np.diff(sums))
-        ratios = inc[1:] / np.maximum(inc[:-1], 1e-300)
+    top = np.abs(sigma).max(axis=1)
+    finite = np.isfinite(sums).all(axis=1)
+    summable = np.zeros(len(sums), dtype=bool)
+    if len(ns) >= 4:
+        inc = np.abs(np.diff(sums[finite], axis=1))
+        ratios = inc[:, 1:] / np.maximum(inc[:, :-1], 1e-300)
+        peak = np.abs(sums[finite]).max(axis=1)
         # a log-spaced ladder has constant increments exactly when the
         # spectrum is borderline-harmonic; geometric decay means summable
-        summable = bool(np.all(inc[-2:] <= 1e-12 * (float(np.max(np.abs(sums))) or 1.0))
-                        or np.all(ratios[-2:] < 0.45))
-    if summable:
-        value, stderr = sigma.dtype.type(0), float(np.abs(sums[-1] - sums[-2])) / logs[-1]
-        measurable, note = True, "partial sums converge (summable spectrum)"
-    else:
-        design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
-        coef, *_ = np.linalg.lstsq(design, sigma, rcond=None)
-        resid_ms = float(np.sum(np.abs(sigma - design @ coef) ** 2) / max(len(ns) - 2, 1))
-        stderr = float(np.sqrt(resid_ms * np.linalg.inv(design.T @ design)[0, 0]))
-        value = coef[0]
-        measurable = bool(np.sqrt(resid_ms) <= rel_tol * max(float(np.max(np.abs(sigma))), 1e-12))
-        note = "" if measurable else "not measurable at this truncation"
-    return DixmierEstimate(value.item(), stderr, ns, sigma, measurable, note)
+        flat = inc[:, -2:] <= 1e-12 * np.where(peak > 0, peak, 1.0)[:, None]
+        summable[finite] = flat.all(axis=1) | (ratios[:, -2:] < 0.45).all(axis=1)
+    value = np.zeros(len(sums), dtype=sigma.dtype)
+    resid_ms = np.zeros(len(sums))
+    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
+    shared = ~summable & (top >= 2.0**-970) & (top <= 2.0**970)
+    for rows in [np.flatnonzero(shared)] + [[i] for i in np.flatnonzero(~summable & ~shared)]:
+        if len(rows):
+            coef = np.linalg.lstsq(design, sigma[rows].T, rcond=None)[0].T.copy()
+            # one matrix-vector product per row, as a one-row fit forms it
+            resid = sigma[rows] - np.matmul(design, coef[:, :, None])[..., 0]
+            value[rows] = coef[:, 0]
+            resid_ms[rows] = np.sum(np.abs(resid) ** 2, axis=1) / max(len(ns) - 2, 1)
+    stderr = np.sqrt(resid_ms * np.linalg.inv(design.T @ design)[0, 0])
+    stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
+    measurable = summable | (np.sqrt(resid_ms) <= rel_tol * np.maximum(top, 1e-12))
+    return [DixmierEstimate(v, float(e), ns, row, bool(m),
+                            "partial sums converge (summable spectrum)" if conv
+                            else "" if m else "not measurable at this truncation")
+            for v, e, row, m, conv in zip(value.tolist(), stderr, sigma, measurable, summable)]
 
 
-def shifted_resolvent_ladder(s_el: MagneticElement, xi: float,
-                             ladder=DEFAULT_LADDER):
+def shifted_resolvent_ladder(s_el: MagneticElement, xi, ladder=DEFAULT_LADDER):
     """Exact partial sums of the sector traces of (Q + xi)^{-1} S.
 
     Each degeneracy sector contributes sum_n S_nn / (n + m + 1 + xi); summing
     m < N gives sum_n S_nn (digamma(N + n + 1 + xi) - digamma(n + 1 + xi)),
-    with no truncation error in either index.
+    with no truncation error in either index.  ``xi`` is one shift or an
+    array of them: the sums have shape xi.shape + (rungs,), from one digamma
+    call.
     """
-    if xi <= -1:
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi <= -1):
         raise ValueError("diagonal shift must exceed -1")
     diag = np.diag(s_el.block)
     ns = np.asarray(ladder, dtype=float)
     if len(diag) == 0 or not np.any(diag):
-        return ns, np.zeros(len(ns), dtype=complex)
-    a = np.arange(len(diag)) + 1.0 + xi
-    psi = digamma(np.concatenate([a[None], np.add.outer(ns, a)]))
-    return ns, (psi[1:] - psi[0]) @ diag
+        return ns, np.zeros(xi.shape + ns.shape, dtype=complex)
+    a = (np.arange(len(diag)) + 1.0 + xi[..., None])[..., None, :]
+    psi = digamma(np.concatenate([a, ns[:, None] + a], axis=-2))
+    return ns, (psi[..., 1:, :] - psi[..., :1, :]) @ diag
 
 
 def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):

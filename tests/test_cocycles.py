@@ -1,9 +1,12 @@
 """The three 2-cocycles, the integer pairings, and the Hochschild machinery."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from magnc import cocycles, spectra
 from magnc.algebra import (
     MagneticElement,
     UnitalElement,
@@ -37,7 +40,12 @@ from magnc.cocycles import (
     tau2,
     two_form_scale,
 )
-from magnc.spectra import DEFAULT_LADDER, dixmier_from_partial_sums, shifted_resolvent_ladder
+from magnc.spectra import (
+    DEFAULT_LADDER,
+    d4_dixmier,
+    dixmier_from_partial_sums,
+    shifted_resolvent_ladder,
+)
 from magnc.dirac import (
     BLOCK_SHIFTS,
     CHI_GRADING,
@@ -203,6 +211,47 @@ class TestDixmierFunctional:
             assert (v.value, v.error, v.measurable) == (v0 + v1, e0 + e1, m0 and m1)
             # the grading-weighted half is in the rows, not only in the value
             np.testing.assert_allclose(v.sigma, s0 + s1, rtol=1e-14)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls into the fit and digamma entry points, keyed module.name."""
+        counts = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[f"{module.__name__.split('.')[-1]}.{name}"] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((cocycles, "dixmier_fits"), (cocycles, "dixmier_from_partial_sums"),
+                             (spectra, "dixmier_from_partial_sums"), (spectra, "digamma")):
+            count(module, name)
+        return counts
+
+    @pytest.mark.parametrize("name, terms", [
+        ("nc_integral", 1), ("ch_dix", 2), ("ch_hat", 2), ("graded_two_form_trace", 2),
+        ("graded_one_form_product_trace", 4)])
+    def test_one_batched_fit_per_functional(self, calls, name, terms):
+        # a return to one fit per shifted block, or one ladder per shift,
+        # shows up as extra calls
+        els = [rand(61), rand(62), rand(63), rand(64)]
+        arity = {"nc_integral": 1, "graded_two_form_trace": 2,
+                 "graded_one_form_product_trace": 4}.get(name, 3)
+        assert getattr(cocycles, name)(*els[:arity], CTX).measurable
+        assert calls["cocycles.dixmier_fits"] == 1
+        assert 1 <= calls["spectra.digamma"] <= terms
+        assert calls["cocycles.dixmier_from_partial_sums"] == 0
+        assert calls["spectra.dixmier_from_partial_sums"] == 0
+
+    def test_route_ii_and_d4_fit_one_ladder_each(self, calls):
+        tau2(rand(61), rand(62), rand(63), CTX, "direct")
+        assert calls["cocycles.dixmier_from_partial_sums"] == 1
+        d4_dixmier(0.5, DEFAULT_LADDER)
+        assert calls["spectra.dixmier_from_partial_sums"] == 1
+        assert calls["cocycles.dixmier_fits"] == 0
 
     def test_unmeasurable_block_flags_the_value(self):
         p = landau_projection(1, LB)

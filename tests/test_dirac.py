@@ -420,14 +420,24 @@ class TestSectorBlocks:
         a = random_element(5, 4, 1.0)
         pa = sector_represent(a, ctx, levels)
         g, p = lattice_gamma(ctx).op, represent(a, ctx).op
-        w = sector_weights(ctx, levels)
-        rinv = reg_inverse(ctx, 1.0).op.diagonal().reshape(ctx.m_tot, -1)
-        assert w.shape == (ctx.m_max + 1, 4 * levels)
-        assert np.array_equal(w, rinv[: ctx.m_max + 1, : 4 * levels])
+        assert sector_weights(ctx, levels).shape == (ctx.m_max + 1, 4 * levels)
+        self.assert_weights_are_the_lattice_diagonal(ctx)
         w_ = slice(0, 4 * levels)
         for m in range(ctx.m_tot):
             assert np.array_equal(self.block(g, ctx, m, m)[w_, w_], gamma)
             assert np.array_equal(self.block(p, ctx, m, m)[w_, w_], pa)
+
+    @staticmethod
+    def assert_weights_are_the_lattice_diagonal(ctx):
+        # the weights are read from one table indexed by k = m + n: every
+        # window must hold the lattice's own |D_eps|^-1 entries, bit for bit
+        rinv = reg_inverse(ctx, 1.0).op.diagonal().reshape(ctx.m_tot, -1)
+        for levels in range(1, ctx.n_tot + 1):
+            assert np.array_equal(sector_weights(ctx, levels),
+                                  rinv[: ctx.m_max + 1, : 4 * levels])
+
+    def test_weights_are_the_lattice_diagonal_at_the_default_context(self):
+        self.assert_weights_are_the_lattice_diagonal(DiracContext())
 
     @pytest.mark.parametrize("levels", range(1, CTX.n_tot + 1))
     def test_coupling_pattern_at_every_window(self, levels):

@@ -1,5 +1,7 @@
 """Singular-value machinery: Dixmier ladders, closed-form laws, decay classes."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ from magnc.spectra import (
     closed_form_mu,
     d4_partial_sums,
     digamma,
+    dixmier_fits,
     dixmier_from_partial_sums,
     shifted_resolvent_ladder,
     singular_values,
@@ -321,6 +324,53 @@ class TestDixmierEstimation:
     def test_rejects_short_ladders(self):
         with pytest.raises(ValueError):
             dixmier_from_partial_sums([10, 100], [1.0, 2.0])
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestBatchedDixmierFits:
+    NS = [10**k for k in range(2, 8)]
+
+    def ladders(self):
+        """Harmonic (fit branch), power law 1.5 (summable), all zero, an
+        infinite rung, and the oscillating ladder of
+        ``test_oscillating_ladder_flagged``, on one set of rungs."""
+        mu = harmonic(10**7)
+        inf_rung = spectrum_ladder(mu**1.5, self.NS)[1]
+        inf_rung[2] = np.inf
+        return np.stack([spectrum_ladder(mu, self.NS)[1], spectrum_ladder(mu**1.5, self.NS)[1],
+                         np.zeros(len(self.NS)), inf_rung,
+                         np.log(self.NS) * (1.0 + 0.5 * (-1.0) ** np.arange(6.0))])
+
+    def test_each_row_reads_as_it_would_alone(self):
+        sums = self.ladders()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = dixmier_fits(self.NS, sums, 0.05)
+            alone = [dixmier_from_partial_sums(self.NS, row) for row in sums]
+        assert [f.note for f in fits] == [
+            "", "partial sums converge (summable spectrum)",
+            "partial sums converge (summable spectrum)", "not measurable at this truncation",
+            "not measurable at this truncation"]
+        for f, a in zip(fits, alone):
+            assert same_bits(f.value, a.value) and same_bits(f.stderr, a.stderr)
+            assert same_bits(f.sigma, a.sigma)
+            assert f.measurable is a.measurable
+
+    def test_permuting_rows_permutes_the_estimates(self):
+        sums = self.ladders()
+        perm = [3, 0, 4, 2, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = dixmier_fits(self.NS, sums, 0.05)
+            permuted = dixmier_fits(self.NS, sums[perm], 0.05)
+        for j, i in enumerate(perm):
+            assert same_bits(permuted[j].value, fits[i].value)
+            assert same_bits(permuted[j].stderr, fits[i].stderr)
+            assert same_bits(permuted[j].sigma, fits[i].sigma)
+            assert permuted[j].measurable is fits[i].measurable
 
 
 class TestClosedFormLaws:
