@@ -184,13 +184,14 @@ def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:
 
     With x1 = l (K2 - G1) and x2 = l (G2 - K1), and the G's commuting with
     the algebra, -i[x1, A] = -i l [K2, A] and -i[x2, A] = +i l [K1, A].
-    Support grows by at most one level.
+    Support grows by at most one level.  The block is cut to the ladders'
+    size; the stored entries past the support are zero.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    s = a.support_bound + 1
-    k1, k2 = _k_ladders(max(s, 2))
-    m = a.padded(max(s, 2))
+    s = max(a.support_bound + 1, 2)
+    k1, k2 = _k_ladders(s)
+    m = a.padded(s)[:s, :s]
     if axis == 1:
         out = -1j * a.lb * (k2 @ m - m @ k2)
     else:

@@ -36,7 +36,6 @@ __all__ = [
     "basis_with_gradient",
     "ladder_blocks_1d",
     "number_ladders",
-    "momentum_quadrature",
     "verify_ladder_phases",
     "default_radius",
     "magnetic_length",
@@ -175,20 +174,31 @@ def _polar_parts(x, l: float):
     return u, zeta, np.exp(-zeta / 2.0) / (np.sqrt(2.0 * pi) * l)
 
 
-def _basis_over_psi00(n: int, m: int, u, zeta):
-    """psi_{n,m} / psi_{0,0} from shared u = (x1 + i x2)/(sqrt2 l) and zeta = |u|^2.
+def _prefactor(n: int, m: int):
+    """The closed form psi_{n,m}/psi_{0,0} = amp base^d L_lo^(d)(zeta), as
+    (amp, lo, d, bar): lo = min(n, m), d = |n - m|, base = ubar when ``bar``
+    (m > n) and u otherwise, and amp = sqrt(lo!/(lo + d)!) with the sign
+    (-1)^(m-n) when m > n.
 
     For m > n the power of (x1 + i x2) in the defining product is negative;
-    the vanishing low-order Laguerre coefficients absorb it, leaving the
-    finite closed form (-1)^(m-n) sqrt(n!/m!) ubar^(m-n) L_n^(m-n).  The
-    power is built by repeated multiplication (numpy's complex ``**`` with an
-    integer exponent takes the general-power path).
+    the vanishing low-order Laguerre coefficients absorb it, leaving this
+    finite form.
     """
     lo, d = min(n, m), abs(n - m)
-    base = u if n >= m else np.conj(u)
     amp = np.exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1)))
     if n < m and d % 2:
         amp = -amp
+    return amp, lo, d, n < m
+
+
+def _basis_over_psi00(n: int, m: int, u, zeta):
+    """psi_{n,m} / psi_{0,0} from shared u = (x1 + i x2)/(sqrt2 l) and zeta = |u|^2.
+
+    The power is built by repeated multiplication (numpy's complex ``**``
+    with an integer exponent takes the general-power path).
+    """
+    amp, lo, d, bar = _prefactor(n, m)
+    base = np.conj(u) if bar else u
     val = amp * eval_generalized_laguerre(lo, d, zeta)
     for _ in range(d):
         val = val * base
@@ -198,19 +208,16 @@ def _basis_over_psi00(n: int, m: int, u, zeta):
 def _basis_over_psi00_monomials(n: int, m: int) -> np.ndarray:
     """D with psi_{n,m}/psi_{0,0} = sum_{r,s} D[r, s] v1^r v2^s, v = x/(sqrt2 l).
 
-    The closed form of ``_basis_over_psi00`` as a polynomial: with u = v1 + i v2
-    and zeta = u ubar, the term c_j (-zeta)^j of L_lo^(d) times u^d (n >= m) or
-    ubar^d (n < m) is expanded binomially.  The c_j follow the running ratio of
+    The closed form of ``_prefactor`` as a polynomial: with u = v1 + i v2
+    and zeta = u ubar, the term c_j (-zeta)^j of L_lo^(d) times u^d or
+    ubar^d is expanded binomially.  The c_j follow the running ratio of
     ``eval_generalized_laguerre``.  D is (n+m+1) x (n+m+1) and independent of l.
     """
-    lo, d = min(n, m), abs(n - m)
-    amp = np.exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1)))
-    if n < m and d % 2:
-        amp = -amp
+    amp, lo, d, bar = _prefactor(n, m)
     out = np.zeros((n + m + 1, n + m + 1), dtype=complex)
     j0, c = _laguerre_terms_start(lo, d)
     for j in range(j0, lo + 1):
-        p, q = (j + d, j) if n >= m else (j, j + d)
+        p, q = (j, j + d) if bar else (j + d, j)
         cj = amp * c * (-1.0) ** j
         # u^p ubar^q = sum C(p,i1) C(q,i2) i^(i1-i2) v1^(p+q-i1-i2) v2^(i1+i2)
         for i1 in range(p + 1):
@@ -224,7 +231,7 @@ def _basis_over_psi00_monomials(n: int, m: int) -> np.ndarray:
 def eval_basis_function(idx, x, lb=1.0):
     """psi_{n,m}(x), x in Cartesian coordinates (units of length).
 
-    Finite everywhere (see ``_basis_over_psi00`` for m > n) and 0 at x = 0
+    Finite everywhere (see ``_prefactor`` for m > n) and 0 at x = 0
     whenever n != m.
     """
     n, m = _index_pair(idx)
@@ -248,23 +255,13 @@ def basis_with_gradient(idx, x, lb=1.0):
     u, zeta, psi00 = _polar_parts(x, l)
     # dzeta/dx_i = x_i / l^2
     dz1, dz2 = x[..., 0] / l**2, x[..., 1] / l**2
+    amp, q, p, bar = _prefactor(n, m)  # q = min(n, m), p = |n - m|
+    base = np.conj(u) if bar else u
+    db1 = 1.0 / (np.sqrt(2.0) * l)                   # d base/dx1
+    db2 = (-1j if bar else 1j) / (np.sqrt(2.0) * l)  # d base/dx2
 
-    if n >= m:
-        p, q, alpha = n - m, m, n - m
-        amp = np.exp(0.5 * (lgamma(m + 1) - lgamma(n + 1)))
-        base = u
-        db1 = 1.0 / (np.sqrt(2.0) * l)          # du/dx1
-        db2 = 1j / (np.sqrt(2.0) * l)           # du/dx2
-    else:
-        p, q, alpha = m - n, n, m - n
-        amp = np.exp(0.5 * (lgamma(n + 1) - lgamma(m + 1)))
-        amp *= -1.0 if (m - n) % 2 else 1.0
-        base = np.conj(u)
-        db1 = 1.0 / (np.sqrt(2.0) * l)
-        db2 = -1j / (np.sqrt(2.0) * l)
-
-    L = eval_generalized_laguerre(q, alpha, zeta)
-    dL = -eval_generalized_laguerre(q - 1, alpha + 1, zeta) if q > 0 else 0.0
+    L = eval_generalized_laguerre(q, p, zeta)
+    dL = -eval_generalized_laguerre(q - 1, p + 1, zeta) if q > 0 else 0.0
 
     pw = base ** p
     psi = amp * psi00 * pw * L
@@ -327,73 +324,31 @@ def _apply_momenta_pointwise(idx, pts, lb: float) -> dict:
     }
 
 
-def momentum_quadrature(which: str, bra, ket, lb=1.0, scheme: QuadratureScheme | None = None):
-    """<psi_bra, Op psi_ket> by tensor quadrature (the phase-pinning oracle)."""
-    if which not in MOMENTA:
-        raise ValueError(f"unknown momentum {which!r}")
-    l = magnetic_length(lb)
-    nb, mb = _index_pair(bra)
-    nk, mk = _index_pair(ket)
-    if scheme is None:
-        scheme = QuadratureScheme(default_radius(max(nb, nk) + 1, max(mb, mk) + 1))
-    pts, w = scheme.grid(l)
-    op_ket = _apply_momenta_pointwise((nk, mk), pts, l)[which]
-    bra_vals = eval_basis_function((nb, mb), pts, l)
-    return complex(np.sum(w * np.conj(bra_vals) * op_ket))
-
-
 def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3) -> float:
-    """Compare the ladder tables against the quadrature oracle entrywise.
+    """Compare the ladder tables against the quadrature oracle as whole matrices.
 
-    Checks every matrix element of the four momenta inside the sub-block
-    n < n_sub, m < m_sub (the gradient evaluations are shared across the
-    four operators).  Returns the worst deviation; raises
-    PhaseConventionError beyond 1e-6.
+    For each momentum, every matrix element between the states n < n_sub,
+    m < m_sub (index m * n_sub + n) is integrated and compared with the
+    table, so a wrong entry anywhere in the sub-block shows (the gradient
+    evaluations are shared across the four operators).  Returns the worst
+    deviation; raises PhaseConventionError beyond 1e-6.
     """
     tol = 1e-6
     l = magnetic_length(lb)
     pts, w = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1)).grid(l)
-    idxs = [(n, m) for n in range(n_sub) for m in range(m_sub)]
-    bra_vals = {ix: w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs}
-    # the momenta on the sub-lattice, index m * n_sub + n: K's on n, G's on m
-    closed = {which: np.kron(np.eye(m_sub), number_ladders(n_sub, which)) if which[0] == "K"
-              else np.kron(number_ladders(m_sub, which), np.eye(n_sub)) for which in MOMENTA}
+    idxs = [(n, m) for m in range(m_sub) for n in range(n_sub)]
+    bras = np.stack([w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs])
+    kets = [_apply_momenta_pointwise(ix, pts, l) for ix in idxs]
     worst = 0.0
-    for ket in idxs:
-        op_ket = _apply_momenta_pointwise(ket, pts, l)
-        for which in MOMENTA:
-            for bra in _ladder_targets(which, ket, n_sub, m_sub):
-                got = complex(np.sum(bra_vals[bra] * op_ket[which]))
-                want = closed[which][_flat(bra, n_sub), _flat(ket, n_sub)]
-                worst = max(worst, abs(got - want))
+    for which in MOMENTA:
+        op_kets = np.stack([k[which] for k in kets])
+        # got[bra, ket], each entry one sum over the points
+        got = np.stack([np.sum(bra * op_kets, axis=-1) for bra in bras])
+        want = (np.kron(np.eye(m_sub), number_ladders(n_sub, which)) if which[0] == "K"
+                else np.kron(number_ladders(m_sub, which), np.eye(n_sub)))
+        worst = max(worst, float(np.abs(got - want).max()))
     if worst > tol:
         raise PhaseConventionError(
             f"ladder rules vs quadrature disagree by {worst:.3e} (> {tol:.1e})"
         )
     return worst
-
-
-def _flat(idx, n_max: int) -> int:
-    n, m = idx
-    return m * n_max + n
-
-
-def _ladder_targets(which: str, ket, n_sub: int, m_sub: int):
-    """Bra indices with a potentially nonzero element, plus same-site controls."""
-    n, m = ket
-    out = [(n, m)]
-    if which in ("K1", "K2"):
-        if n + 1 < n_sub:
-            out.append((n + 1, m))
-        if n - 1 >= 0:
-            out.append((n - 1, m))
-        if m + 1 < m_sub:
-            out.append((n, m + 1))  # must be zero: K's keep m fixed
-    else:
-        if m + 1 < m_sub:
-            out.append((n, m + 1))
-        if m - 1 >= 0:
-            out.append((n, m - 1))
-        if n + 1 < n_sub:
-            out.append((n + 1, m))  # must be zero: G's keep n fixed
-    return out

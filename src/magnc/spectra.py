@@ -141,11 +141,11 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
 
     The logarithmic means converge only at O(1/log N); the affine fit in
     1/log N removes the leading correction.  Ladders whose partial sums are
-    outright convergent (increments decaying geometrically across the finite
-    rungs, the ratio test) belong to summable spectra, whose value is exactly
-    zero.  A ladder whose residuals exceed ``rel_tol`` of the value scale is
-    marked not measurable at this truncation; so is one with a non-finite
-    rung.
+    outright convergent (increments per unit of log N decaying geometrically
+    across the finite rungs, the ratio test) belong to summable spectra,
+    whose value is exactly zero.  A ladder whose residuals exceed ``rel_tol``
+    of the value scale is marked not measurable at this truncation; so is
+    one with a non-finite rung.
 
     The fit has one design for every row, so all rows share one least-squares
     solve.  LAPACK rescales a right-hand side by its largest entry when that
@@ -160,13 +160,16 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     if (ns < 2).any() or (np.diff(ns) <= 0).any():
         raise ValueError("ladder must be increasing with N >= 2")
     logs = np.log(ns)
-    sigma = sums / logs
+    with np.errstate(invalid="ignore"):  # a complex infinite rung reads inf+nanj
+        sigma = sums / logs
     top = np.abs(sigma).max(axis=1)
     finite = np.isfinite(sums).all(axis=1)
     summable = np.zeros(len(sums), dtype=bool)
     if len(ns) >= 4:
         inc = np.abs(np.diff(sums[finite], axis=1))
-        ratios = inc[:, 1:] / np.maximum(inc[:, :-1], 1e-300)
+        # increments per unit of log N: rungs closing up are not convergence
+        slope = inc / np.diff(logs)
+        ratios = slope[:, 1:] / np.maximum(slope[:, :-1], 1e-300)
         peak = np.abs(sums[finite]).max(axis=1)
         # a log-spaced ladder has constant increments exactly when the
         # spectrum is borderline-harmonic; geometric decay means summable

@@ -154,6 +154,15 @@ class TestDerivations:
                 )
                 assert np.abs((lhs - rhs).block).max() < 1e-10
 
+    def test_block_wider_than_its_support(self):
+        # a stored block past the support holds zeros: the derivative is the
+        # tight block's, bit for bit
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 0] = 1.0
+        for axis in (1, 2):
+            wide = spatial_derivative(MagneticElement(b), axis)
+            assert np.array_equal(wide.block, spatial_derivative(landau_projection(0), axis).block)
+
     def test_support_grows_by_one(self):
         a = upsilon(2, 3)
         d = spatial_derivative(a, 1)

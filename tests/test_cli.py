@@ -251,6 +251,15 @@ class TestSubcommands:
         rec = json.loads(out.read_text())["checks"][0]
         assert abs(rec["got"]["re"] - 1.0) < 0.02
 
+    def test_close_rungs_are_not_read_as_convergence(self, tmp_path):
+        # the last increments shrink because the rungs close up (log spacing
+        # 4.6, 0.01, 1e-4), not because the partial sums converge: tau(P0) = 1
+        out = tmp_path / "r.json"
+        assert run_cli(["--ladder", "100,10000,10100,10101", "--out", str(out),
+                        "invariant", "nc-integral", "pi:0"]) == 0
+        rec = json.loads(out.read_text())["checks"][0]
+        assert abs(rec["got"]["re"] - 1.0) < 0.02
+
     def test_dixmier_ladder_csv(self, tmp_path):
         out = tmp_path / "ladder.csv"
         rc = run_cli(["--out", str(out), "dixmier-ladder", "d4"])

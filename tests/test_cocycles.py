@@ -275,6 +275,13 @@ class TestDixmierFunctional:
         with pytest.raises(TruncationError):
             graded_one_form_product_trace(wide, wide, wide, wide, CTX)
 
+    def test_one_form_product_of_underflowing_elements(self):
+        # the products of 1e-300 elements underflow to zero blocks wider
+        # than their support: the trace reads zero
+        x, y = 1e-300 * rand(71), 1e-300 * rand(72)
+        v = graded_one_form_product_trace(x, y, x, y, CTX)
+        assert v.value == 0 and v.measurable
+
 
 class TestChiTwistedCharacter:
     def test_projection_vanishes_termwise(self):

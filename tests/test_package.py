@@ -20,8 +20,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Public names whose only callers are tests, kept on purpose.
 KEPT_FOR_TESTS = {
-    "momentum_quadrature",  # quadrature oracle for the momentum ladder tables
-    "element_to_records",   # writer of the element-file format the CLI reads
+    "element_to_records",  # writer of the element-file format the CLI reads
 }
 
 
@@ -118,7 +117,7 @@ def _option_census() -> int:
 
 def test_option_census_does_not_grow():
     # a new knob must show up in the diff: raise this only with a reason
-    assert _option_census() == 81
+    assert _option_census() == 79
 
 
 def test_cli_keeps_no_second_dixmier_path():

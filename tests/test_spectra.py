@@ -344,8 +344,10 @@ class TestBatchedDixmierFits:
                          np.zeros(len(self.NS)), inf_rung,
                          np.log(self.NS) * (1.0 + 0.5 * (-1.0) ** np.arange(6.0))])
 
-    def test_each_row_reads_as_it_would_alone(self):
-        sums = self.ladders()
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
+    def test_each_row_reads_as_it_would_alone(self, scale):
+        # complex division reads the infinite rung as inf+nanj, without a warning
+        sums = scale * self.ladders()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fits = dixmier_fits(self.NS, sums, 0.05)
