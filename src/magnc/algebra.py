@@ -19,6 +19,7 @@ import numpy as np
 from .basis import magnetic_length, number_ladders, require_same_length
 
 __all__ = [
+    "TruncationError",
     "MagneticElement",
     "UnitalElement",
     "upsilon",
@@ -37,6 +38,10 @@ __all__ = [
     "element_to_records",
     "element_from_records",
 ]
+
+
+class TruncationError(ValueError):
+    """An element's support, or a computation, does not fit its truncation."""
 
 
 class MagneticElement:
@@ -92,10 +97,13 @@ class MagneticElement:
         return {(int(j), int(k)): complex(self.block[k, j]) for k, j in zip(ks, js)}
 
     def padded(self, size: int) -> np.ndarray:
-        """Dense block grown (or kept) to at least ``size`` rows/columns."""
-        s = max(size, self.block.shape[0])
-        out = np.zeros((s, s), dtype=complex)
-        out[: self.block.shape[0], : self.block.shape[0]] = self.block
+        """The block on exactly ``size`` levels: zero-padded, or cut past the
+        support; a support beyond ``size`` raises TruncationError."""
+        k = min(size, self.block.shape[0])
+        if k < self.block.shape[0] and self.support_bound > size:
+            raise TruncationError(f"support {self.support_bound} exceeds the window {size}")
+        out = np.zeros((size, size), dtype=complex)
+        out[:k, :k] = self.block[:k, :k]
         return out
 
     # -- algebra -----------------------------------------------------------
@@ -184,14 +192,13 @@ def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:
 
     With x1 = l (K2 - G1) and x2 = l (G2 - K1), and the G's commuting with
     the algebra, -i[x1, A] = -i l [K2, A] and -i[x2, A] = +i l [K1, A].
-    Support grows by at most one level.  The block is cut to the ladders'
-    size; the stored entries past the support are zero.
+    Support grows by at most one level.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     s = max(a.support_bound + 1, 2)
     k1, k2 = _k_ladders(s)
-    m = a.padded(s)[:s, :s]
+    m = a.padded(s)
     if axis == 1:
         out = -1j * a.lb * (k2 @ m - m @ k2)
     else:
@@ -223,10 +230,9 @@ def hermitize(a: MagneticElement) -> MagneticElement:
 
 
 def is_projection(p: MagneticElement, tol: float = 1e-10) -> bool:
-    s = p.block.shape[0]
-    m = p.padded(s)
+    m = p.block
     herm = np.abs(m - m.conj().T).max() if m.size else 0.0
-    idem = np.abs((p @ p).padded(s) - m).max()
+    idem = np.abs((p @ p).block - m).max()
     return bool(herm <= tol and idem <= tol)
 
 

@@ -101,10 +101,7 @@ def build_config(args) -> RunConfig:
             _coerce(cfg, f.name, val)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-    if not cfg.ladder or len(cfg.ladder) < 3:
-        raise ConfigError("ladder needs at least three rungs")
-    if cfg.ladder[0] < 2 or any(b <= a for a, b in zip(cfg.ladder, cfg.ladder[1:])):
-        raise ConfigError("ladder must be strictly increasing with N >= 2")
+    spx.require_ladder(cfg.ladder)
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
     for key in ("tol_exact", "tol_dixmier"):
@@ -562,7 +559,7 @@ def main(argv=None) -> int:
         if args.command == "dixmier-ladder":
             return cmd_dixmier_ladder(cfg, args.target)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, cc.TruncationError) as exc:
+    except (ConfigError, alg.TruncationError) as exc:
         # an input too wide for --nmax is bad input, like a malformed one
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import (
     MagneticElement,
+    TruncationError,
     UnitalElement,
     compose,
     is_projection,
@@ -24,12 +25,12 @@ from .algebra import (
     spatial_derivative,
     trace_int,
 )
-from .basis import require_same_length
 from .dirac import (
     CHI_GRADING,
     GAMMA_GRADING,
     GAMMA_SIGNS,
     DiracContext,
+    require_fits,
     sector_blocks,
     sector_represent,
     sector_weights,
@@ -44,7 +45,6 @@ from .spectra import (
 
 __all__ = [
     "CocycleValue",
-    "TruncationError",
     "Cochain",
     "delta0",
     "delta1",
@@ -145,20 +145,6 @@ def chern_number(p: MagneticElement) -> float:
 # Dixmier tier: block ladders over the shifted oscillator resolvents.
 # ---------------------------------------------------------------------------
 
-class TruncationError(ValueError):
-    """An input does not fit the context's truncation: an element's support
-    beyond the level cut, or too few sectors for route ii's windows."""
-
-
-def _support_check(ctx: DiracContext, *els: MagneticElement, margin: int = 0):
-    for e in els:
-        require_same_length(e.lb, ctx.lb, "element and context")
-        if e.support_bound > ctx.n_max - margin:
-            raise TruncationError(
-                f"support {e.support_bound} exceeds truncation {ctx.n_max} - {margin}"
-            )
-
-
 def _dixmier_functional(terms, ladder) -> CocycleValue:
     """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
     ``(coef, S, [(xi, w), ...])``: one ladder call per term for all its
@@ -189,7 +175,7 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
     Extrapolated from exact sector partial sums; recovers the algebra trace
     on every finitely supported element.
     """
-    _support_check(ctx, a)
+    require_fits(ctx, a)
     return _dixmier_functional(
         [(0.25, a, [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
 
@@ -213,7 +199,7 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     The grading-weighted part cancels across the four shifted blocks only
     after extrapolation; the identity-weighted part carries the value.
     """
-    _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
+    require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
     return _dixmier_functional(_graded_terms(0.5, UnitalElement.lift(a0), a1, a2, ctx),
                                ladder)
 
@@ -229,7 +215,7 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     value when not measurable) but the weighted result is zero at float
     accuracy.
     """
-    _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
+    require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
     tr_chi = complex(np.trace(CHI_GRADING))
     tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
     c = 0.5 / (2.0 * ctx.lb**2)
@@ -245,7 +231,7 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
 
     Closedness of the graded trace makes this vanish for every pair.
     """
-    _support_check(ctx, a1, a2, margin=ctx.buffer)
+    require_fits(ctx, a1, a2, margin=ctx.buffer)
     return _dixmier_functional(_graded_terms(1.0, UnitalElement.unit(ctx.lb), a1, a2, ctx),
                                ladder)
 
@@ -270,7 +256,7 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     """
     x0 = UnitalElement.lift(x0)
     y0 = UnitalElement.lift(y0)
-    _support_check(ctx, x0.element, x1, y0.element, y1, margin=ctx.buffer)
+    require_fits(ctx, x0.element, x1, y0.element, y1, margin=ctx.buffer)
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
     x1y0 = y0.scalar * x1 + compose(x1, y0.element)
     return _dixmier_functional(
@@ -343,7 +329,7 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     if len(ms) < 3:
         raise TruncationError(f"route ii needs three distinct sector windows; "
                               f"m_max {ctx.m_max} gives {ms}")
-    _support_check(ctx, a0, a1, a2, margin=ctx.buffer)
+    require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
     csum = np.cumsum(_fredholm_sector_traces(a0, a1, a2, ctx))
     est = dixmier_from_partial_sums(np.array(ms, dtype=float),
                                     np.array([csum[m - 1] for m in ms]), rel_tol=0.2)

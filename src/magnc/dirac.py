@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import MagneticElement, UnitalElement, spatial_derivative
+from .algebra import MagneticElement, TruncationError, UnitalElement, spatial_derivative
 from .basis import magnetic_length, number_ladders, require_same_length
 
 if TYPE_CHECKING:
@@ -37,6 +37,7 @@ __all__ = [
     "QuartetOperator",
     "SectorBlocks",
     "InteriorIdentityError",
+    "require_fits",
     "build_dirac",
     "oscillator_energies",
     "reg_inverse",
@@ -181,7 +182,7 @@ def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
     (G1 g3 + G2 g4)/sqrt2 leaves once the degeneracy ladder's sqrt(m+1) and
     sqrt(m) are factored out."""
     if not 1 <= levels <= ctx.n_tot:
-        raise ValueError(f"level window {levels} outside 1..{ctx.n_tot}")
+        raise TruncationError(f"level window {levels} outside 1..{ctx.n_tot}")
     s = 1 / np.sqrt(2.0)
     k1, k2 = (number_ladders(levels, k) for k in ("K1", "K2"))
     eye = np.eye(levels)
@@ -311,16 +312,14 @@ def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
     return QuartetOperator(d, ctx)
 
 
-def _lift_for(a, ctx: DiracContext) -> UnitalElement:
-    """``a`` as a unital element, checked against the context's magnetic
-    length and level truncation."""
-    u = UnitalElement.lift(a)
-    require_same_length(u.lb, ctx.lb, "element and context")
-    if u.element.support_bound > ctx.n_max:
-        raise ValueError(
-            f"support {u.element.support_bound} exceeds the level truncation {ctx.n_max}"
-        )
-    return u
+def require_fits(ctx: DiracContext, *elements: MagneticElement, margin: int = 0):
+    """The one check of elements against a context: each has its magnetic
+    length and a support of at most n_max - ``margin``, else TruncationError."""
+    for e in elements:
+        require_same_length(e.lb, ctx.lb, "element and context")
+        if e.support_bound > ctx.n_max - margin:
+            raise TruncationError(f"support {e.support_bound} exceeds the level truncation "
+                                  f"{ctx.n_max} less a margin of {margin}")
 
 
 def represent(a, ctx: DiracContext) -> QuartetOperator:
@@ -332,11 +331,9 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
 def sector_represent(a, ctx: DiracContext, levels: int) -> np.ndarray:
     """(c*1 + A) x 1_4 on the level window n < ``levels`` of one sector, the
     window ``sector_blocks`` sees."""
-    u = _lift_for(a, ctx)
-    if u.element.support_bound > levels:
-        raise ValueError(f"support {u.element.support_bound} exceeds the window {levels}")
-    block = u.element.padded(levels)[:levels, :levels]
-    return np.kron(block, np.eye(4)) + u.scalar * np.eye(4 * levels)
+    u = UnitalElement.lift(a)
+    require_fits(ctx, u.element)
+    return np.kron(u.element.padded(levels), np.eye(4)) + u.scalar * np.eye(4 * levels)
 
 
 def commutator_with_D(a: MagneticElement, ctx: DiracContext,
@@ -346,8 +343,7 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
     The closed form is grad_1 A x (i g2 / (sqrt2 l)) - grad_2 A x (i g1 / (sqrt2 l)),
     which couples this operator to the derivation convention of the algebra.
     """
-    if a.support_bound >= ctx.n_max:
-        raise ValueError("need support strictly below the level truncation minus one")
+    require_fits(ctx, a, margin=1)
     d = build_dirac(ctx, check=False)
     pa = represent(a, ctx)
     comm = QuartetOperator((d.op @ pa.op - pa.op @ d.op).tocsr(), ctx)
@@ -376,8 +372,7 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     """
     import scipy.sparse as sp
 
-    if a.support_bound > ctx.n_max - ctx.buffer:
-        raise ValueError("support must stay within the truncation minus the buffer")
+    require_fits(ctx, a, margin=ctx.buffer)
     f = dirac_phase(ctx, check=False)
     pa = represent(a, ctx)
     fcomm = (f.op @ pa.op - pa.op @ f.op).tocsr()
@@ -425,10 +420,9 @@ def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> dict:
     L-blocks (``_phase_stack``); a window one level past the support holds
     every entry.
     """
-    if a.support_bound > ctx.n_max - ctx.buffer:
-        raise ValueError("support must stay within the truncation minus the buffer")
+    require_fits(ctx, a, margin=ctx.buffer)
     if a.support_bound >= levels:
-        raise ValueError(f"window {levels} must pass the support {a.support_bound}")
+        raise TruncationError(f"window {levels} must pass the support {a.support_bound}")
     p = sector_represent(a, ctx, levels)
     f, e = _phase_stack(ctx, levels)
     fcomm = f @ p - p @ f

@@ -157,7 +157,7 @@ def trace_per_unit_volume(a: MagneticElement, box_side: float,
     """
     if not (box_side > 0 and isfinite(box_side)) or n_boxes < 1:
         raise ValueError("need a positive, finite box side and at least one box")
-    f = kernel_of(a)
+    f0 = kernel_of(a)(np.zeros(2))
     vals = []
     x, wts = np.polynomial.legendre.leggauss(32)
     for t in range(1, n_boxes + 1):
@@ -166,7 +166,7 @@ def trace_per_unit_volume(a: MagneticElement, box_side: float,
         w2 = np.outer(wts, wts).ravel() * half * half
         g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
         pts = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-        diag = f(np.zeros_like(pts)) * magnetic_phase(pts, pts, a.lb)
+        diag = f0 * magnetic_phase(pts, pts, a.lb)
         area = (2.0 * half) ** 2
         box_trace = np.sum(w2 * diag) / (2.0 * pi * a.lb**2)
         vals.append(float((2.0 * pi * a.lb**2 * box_trace / area).real))

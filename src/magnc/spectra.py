@@ -13,7 +13,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .algebra import MagneticElement
+from .algebra import MagneticElement, TruncationError
 from .dirac import BLOCK_SHIFTS, DiracContext, defect_stacks
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "singular_values",
     "dixmier_from_partial_sums",
     "dixmier_fits",
+    "require_ladder",
     "shifted_resolvent_ladder",
     "stable_spectrum",
     "d4_partial_sums",
@@ -136,6 +137,15 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> Dix
     return dixmier_fits(ns, np.asarray(sums)[None], rel_tol)[0]
 
 
+def require_ladder(ns) -> np.ndarray:
+    """The counts N of a Dixmier ladder as floats: at least three rungs,
+    strictly increasing from N >= 2, or ValueError."""
+    ns = np.asarray(ns, dtype=float)
+    if not (len(ns) >= 3 and ns[0] >= 2 and (np.diff(ns) > 0).all()):
+        raise ValueError("a ladder needs three or more rungs, strictly increasing from N >= 2")
+    return ns
+
+
 def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     """One estimate per row of a (ladders, rungs) array of partial sums.
 
@@ -153,12 +163,8 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     range (zero, tiny, huge or non-finite) is solved alone, so every row reads
     exactly as it would on its own.
     """
-    ns = np.asarray(ns, dtype=float)
+    ns = require_ladder(ns)
     sums = np.asarray(sums)
-    if len(ns) < 3:
-        raise ValueError("need at least three ladder rungs")
-    if (ns < 2).any() or (np.diff(ns) <= 0).any():
-        raise ValueError("ladder must be increasing with N >= 2")
     logs = np.log(ns)
     with np.errstate(invalid="ignore"):  # a complex infinite rung reads inf+nanj
         sigma = sums / logs
@@ -381,11 +387,11 @@ def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
     spuriously near its capacity; comparing m_max with m_max / 2, at least
     64 (agreement to 1e-6 relative), isolates the honest prefix, which is
     what decay fits may use.  A context whose comparison truncation is not
-    the smaller one (m_max <= 64) is a ``ValueError``.
+    the smaller one (m_max <= 64) is a ``TruncationError``.
     """
     small = replace(ctx, m_max=max(ctx.m_max // 2, 64))
     if small.m_max >= ctx.m_max:
-        raise ValueError(f"m_max {ctx.m_max} leaves no smaller truncation to compare with")
+        raise TruncationError(f"m_max {ctx.m_max} leaves no smaller truncation to compare with")
     s_big = singular_values(build(ctx))
     if s_big.count == 0 or s_big.mu[0] <= 1e-14:
         # the zero operator: trivially stable, trivially summable

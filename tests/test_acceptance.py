@@ -6,8 +6,9 @@ nowhere else; each test runs one registry entry, as ``magnc verify-all`` does,
 asserts its ``pass`` and, where the criterion carries one, its wall-time
 budget.  The ``[PASS]``/``[FAIL] <name>`` line of each check is printed
 outside pytest's capture, so it is visible in any mode.  The tests at the
-end run two criteria off the default seed and regularization, where they
-are hardest, with the known failures pinned as strict xfails.
+end run all nine at a second magnetic length, where a wrong power of l
+shows, and three criteria off the default seed and regularization, where
+they are hardest, with the known failures pinned as strict xfails.
 """
 
 import time
@@ -76,6 +77,21 @@ def test_criterion_8_quantized_calculus_structure(criterion):
 
 def test_criterion_9_representation_consistency(criterion):
     criterion("representation-consistency")
+
+
+@pytest.mark.parametrize("stage, fn", cli.CHECKS, ids=[cli.check_name(fn) for _, fn in cli.CHECKS])
+def test_every_criterion_at_a_second_magnetic_length(stage, fn):
+    # at lb = 1 every power of l reads 1
+    rec = cli.run_check(stage, fn, cli.RunConfig(lb=2.0))
+    assert rec["pass"], rec
+
+
+@pytest.mark.parametrize("seed", [57, 370])
+def test_connes_formula_1_at_its_hardest_seeds(seed):
+    # the worst relative errors over seeds 0-99 and 0-399: 0.0113 and 0.0129
+    # against 0.05
+    rec = cli.check_connes_formula_1(cli.RunConfig(seed=seed))
+    assert rec["pass"], rec
 
 
 # Known estimator defect (ROADMAP item 1): the Dixmier fits take

@@ -7,6 +7,7 @@ import pytest
 
 from magnc.algebra import (
     MagneticElement,
+    TruncationError,
     UnitalElement,
     adjoint,
     compose,
@@ -118,6 +119,30 @@ class TestTrace:
             v = trace_int(compose(adjoint(a), a))
             assert v.real >= 0 and abs(v.imag) < 1e-12
             assert v.real == pytest.approx(norms(a)["hs_norm"] ** 2, rel=1e-12)
+
+
+class TestPadded:
+    """The level window: exactly size x size, grown with zeros or cut past the
+    support, and a TruncationError for a support past the window."""
+
+    def test_grows_with_zeros(self):
+        a = rand(5, 3)
+        got = a.padded(5)
+        assert got.shape == (5, 5) and np.array_equal(got[:3, :3], a.block)
+        assert not got[3:].any() and not got[:, 3:].any()
+
+    def test_cuts_stored_zeros_past_the_support(self):
+        a = rand(5, 3)
+        wide = MagneticElement(np.pad(a.block, (0, 4)))
+        assert np.array_equal(wide.padded(3), a.block)
+        assert np.array_equal(wide.padded(4), a.padded(4))
+
+    def test_support_past_the_window_rejected(self):
+        assert issubclass(TruncationError, ValueError)
+        with pytest.raises(TruncationError, match="support 3 exceeds the window 2"):
+            rand(5, 3).padded(2)
+        with pytest.raises(TruncationError):
+            MagneticElement(np.pad(upsilon(0, 2).block, (0, 2))).padded(2)
 
 
 class TestDerivations:

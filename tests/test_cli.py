@@ -277,7 +277,6 @@ class TestSubcommands:
         fit = float(out.read_text().strip().splitlines()[1].split(",")[3])
         assert abs(fit - 1.0) < 0.02
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dixmier_ladder_non_finite_exits_one(self, tmp_path, monkeypatch):
         import magnc.spectra as spx
 

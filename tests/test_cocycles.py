@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from magnc import cocycles, spectra
 from magnc.algebra import (
     MagneticElement,
+    TruncationError,
     UnitalElement,
     compose,
     conjugated_projection,
@@ -22,7 +23,6 @@ from magnc.algebra import (
 from magnc.cli import RunConfig, _projection_corpus, _triple_corpus
 from magnc.cocycles import (
     Cochain,
-    TruncationError,
     _dixmier_functional,
     _fredholm_sector_traces,
     chern_number,

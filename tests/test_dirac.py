@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from magnc.algebra import UnitalElement, landau_projection, random_element, upsilon, zero_element
+from magnc.algebra import (TruncationError, UnitalElement, landau_projection, random_element,
+                           upsilon, zero_element)
 from magnc.dirac import (
     BLOCK_SHIFTS,
     CHI_GRADING,
@@ -249,8 +250,14 @@ class TestRepresentation:
         assert np.allclose(pu.op.diagonal(), 2.0)
 
     def test_rejects_oversized_support(self):
-        with pytest.raises(ValueError):
-            represent(upsilon(0, CTX.n_max + 1), CTX)
+        with pytest.raises(TruncationError, match="margin of 0"):
+            represent(upsilon(0, CTX.n_max), CTX)
+
+    def test_commutator_leaves_one_level_free(self):
+        # the derivation closed form raises the support by one level
+        commutator_with_D(upsilon(0, CTX.n_max - 2), CTX)
+        with pytest.raises(TruncationError, match="support 8 exceeds .* 8 less a margin of 1"):
+            commutator_with_D(upsilon(0, CTX.n_max - 1), CTX)
 
     def test_commutator_equals_level_part_only(self):
         a = random_element(4, 3, 1.0)
@@ -373,7 +380,7 @@ class TestDefectOperators:
             assert (d["R"].op != want).nnz == 0
 
     def test_rejects_support_in_buffer(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncationError, match=f"margin of {CTX.buffer}"):
             defect_operators(upsilon(0, CTX.n_max - 1), CTX)
 
 
@@ -460,9 +467,9 @@ class TestSectorBlocks:
             assert all(np.array_equal(x, y) for x, y in zip(blocks, other))
         full = sector_blocks(CTX, CTX.n_tot)
         assert all(np.array_equal(x[:16, :16], y) for x, y in zip(full, blocks))
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncationError):
             sector_blocks(CTX, CTX.n_tot + 1)
         with pytest.raises(ValueError):
             sector_blocks(CTX, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncationError, match="support 6 exceeds the window 4"):
             sector_represent(upsilon(0, 5), CTX, 4)

@@ -8,9 +8,11 @@ acceptance checks that must fail on it.  The checks run through
 import numpy as np
 import pytest
 
-from magnc import basis, cli
+from magnc import basis, cli, cocycles, dirac, spectra
 
 exact_ladders = basis.number_ladders
+exact_delta1 = cocycles.delta1
+exact_weights = cocycles.sector_weights
 
 
 def k1_off_target(size, which):
@@ -27,17 +29,45 @@ def g2_sign_flip(size, which):
     return -out if which == "G2" else out
 
 
+def delta1_sign_flip(a1, a2):
+    """The curl bilinear with the opposite orientation."""
+    return -exact_delta1(a1, a2)
+
+
+def phase_power_1_1(ctx, levels):
+    """F = D |D_eps|^-1.1 on route ii, in place of the phase D |D_eps|^-1."""
+    return exact_weights(ctx, levels) ** 1.1
+
+
 MUTANTS = [
     (basis, "number_ladders", k1_off_target, ["representation-consistency"]),
     (basis, "number_ladders", g2_sign_flip, ["representation-consistency"]),
+    (cocycles, "delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
+    (cocycles, "sector_weights", phase_power_1_1, ["connes-formula-2"]),
 ]
+
+
+def assert_checks_fail(must_fail):
+    registry = {cli.check_name(fn): (stage, fn) for stage, fn in cli.CHECKS}
+    for check in must_fail:
+        rec = cli.run_check(*registry[check], cli.RunConfig())
+        assert rec["pass"] is False, rec
 
 
 @pytest.mark.parametrize("module, name, mutant, must_fail", MUTANTS,
                          ids=[m[2].__name__ for m in MUTANTS])
 def test_mutant_fails_its_checks(monkeypatch, module, name, mutant, must_fail):
     monkeypatch.setattr(module, name, mutant)
-    registry = {cli.check_name(fn): (stage, fn) for stage, fn in cli.CHECKS}
-    for check in must_fail:
-        rec = cli.run_check(*registry[check], cli.RunConfig())
-        assert rec["pass"] is False, rec
+    assert_checks_fail(must_fail)
+
+
+def test_block_shift_off_by_one_fails_its_checks():
+    # D^2 = Q + diag(0, 0, +1, 0): changed in place, since spectra reads the
+    # same array
+    assert spectra.BLOCK_SHIFTS is dirac.BLOCK_SHIFTS
+    saved = dirac.BLOCK_SHIFTS.copy()
+    dirac.BLOCK_SHIFTS[0] = 0.0
+    try:
+        assert_checks_fail(["representation-consistency"])
+    finally:
+        dirac.BLOCK_SHIFTS[:] = saved

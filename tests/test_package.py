@@ -127,6 +127,18 @@ def test_cli_keeps_no_second_dixmier_path():
     assert sorted(_code_names(_tree("cli")) & second_path) == []
 
 
+def test_support_is_compared_only_by_the_truncation_contract():
+    # "does this element fit?" has two homes: MagneticElement.padded (a level
+    # window) and dirac.require_fits (a context), so no module outside them
+    # compares a support
+    def compares_support(tree):
+        return any(isinstance(node, ast.Compare) and "support_bound" in _code_names(node)
+                   for node in ast.walk(tree))
+
+    assert sorted(m for m in MODULES + ["__init__"] if compares_support(_tree(m))) == [
+        "algebra", "dirac"]
+
+
 def test_verify_all_imports_no_scipy(tmp_path):
     # production is numpy only: scipy serves the tests' oracles and the
     # lattice reference builders, which import it when called

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from magnc.algebra import landau_projection, random_element, upsilon
+from magnc.algebra import (MagneticElement, TruncationError, landau_projection, random_element,
+                           upsilon)
 from magnc.basis import ladder_blocks_1d
 from magnc.dirac import (
     DiracContext,
@@ -25,6 +26,7 @@ from magnc.spectra import (
     digamma,
     dixmier_fits,
     dixmier_from_partial_sums,
+    require_ladder,
     shifted_resolvent_ladder,
     singular_values,
     stable_spectrum,
@@ -184,9 +186,9 @@ class TestDefectStacks:
                      lattice[0]["F_comm"] @ lattice[1]["F_comm"] @ lattice[2]["F_comm"])
 
     def test_window_must_pass_the_support(self):
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(TruncationError, match="window"):
             defect_stacks(random_element(8, 3, 1.0), CTX, 3)
-        with pytest.raises(ValueError, match="buffer"):
+        with pytest.raises(TruncationError, match=f"margin of {CTX.buffer}"):
             defect_stacks(upsilon(0, CTX.n_max - 1), CTX, CTX.n_tot)
 
 
@@ -325,6 +327,14 @@ class TestDixmierEstimation:
         with pytest.raises(ValueError):
             dixmier_from_partial_sums([10, 100], [1.0, 2.0])
 
+    @pytest.mark.parametrize("ladder", [[], [10, 100], [1, 10, 100], [10, 100, 100],
+                                        [100, 10, 1000], [np.nan, 10, 100], [10, np.nan, 100]])
+    def test_one_ladder_validator(self, ladder):
+        # the fits and the CLI's --ladder share this check
+        with pytest.raises(ValueError, match="three or more rungs"):
+            require_ladder(ladder)
+        assert require_ladder([2, 3, 4]).tolist() == [2.0, 3.0, 4.0]
+
 
 def same_bits(x, y) -> bool:
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
@@ -436,6 +446,17 @@ class TestClosedFormLaws:
     def test_rejects_bad_shifts(self):
         with pytest.raises(ValueError):
             closed_form_mu("D", 0, 1, -1.5, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("kind", ["C", "D", "J"])
+    def test_block_wider_than_its_support(self, kind):
+        # a stored 3 x 3 block of support 2 is cut to the window 2, bit for bit
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 1] = 1.0
+        got = build_shifted_commutator(kind, MagneticElement(b), 2, 16, 0.5, 1.5, 0.25)
+        want = build_shifted_commutator(kind, upsilon(1, 0), 2, 16, 0.5, 1.5, 0.25)
+        assert got.shape == (16, 2, 2) and np.array_equal(got, want)
+        with pytest.raises(TruncationError, match="support 2 exceeds the window 1"):
+            build_shifted_commutator(kind, MagneticElement(b), 1, 16, 0.5, 1.5, 0.25)
 
 
 class TestClassification:
@@ -553,7 +574,7 @@ class TestQuasiEvenVerification:
         def build(c):
             return defect_stacks(upsilon(0, 1), c, 3)["F_comm"]
 
-        with pytest.raises(ValueError, match="no smaller truncation"):
+        with pytest.raises(TruncationError, match="no smaller truncation"):
             stable_spectrum(build, ctx)
 
     def test_anticommutator_commutator_decay(self):
