@@ -231,8 +231,8 @@ def hermitize(a: MagneticElement) -> MagneticElement:
 
 def is_projection(p: MagneticElement, tol: float = 1e-10) -> bool:
     m = p.block
-    herm = np.abs(m - m.conj().T).max() if m.size else 0.0
-    idem = np.abs((p @ p).block - m).max()
+    herm = np.abs(m - m.conj().T).max(initial=0.0)
+    idem = np.abs((p @ p).block - m).max(initial=0.0)
     return bool(herm <= tol and idem <= tol)
 
 

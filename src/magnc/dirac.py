@@ -117,9 +117,11 @@ class DiracContext:
 
 @dataclass
 class QuartetOperator:
-    """Sparse operator on the truncated (n, m) lattice tensor C^4."""
+    """Sparse operator on the truncated (n, m) lattice tensor C^4; an exact
+    diagonal (``reg_inverse``, ``exact_phase_square``) is held as a
+    ``dia_matrix`` of its diagonal, every other operator as CSR."""
 
-    op: sp.csr_matrix
+    op: sp.csr_matrix | sp.dia_matrix
     ctx: DiracContext
 
     def hermiticity_defect(self) -> float:
@@ -145,14 +147,25 @@ def interior_mask(ctx: DiracContext, margin: int | None = None) -> np.ndarray:
 
 def max_interior_deviation(x: QuartetOperator, y: QuartetOperator | None = None,
                            margin: int | None = None) -> float:
-    """Largest |entry| of x - y over interior rows and columns."""
-    d = x.op if y is None else (x.op - y.op).tocsr()
+    """Largest |entry| of x - y over interior rows and columns.
+
+    A y held as an exact diagonal is subtracted from x's diagonal only, the
+    same entries, and the same float, as the sparse difference."""
     mask = interior_mask(x.ctx, margin)
-    coo = d.tocoo()
-    keep = mask[coo.row] & mask[coo.col]
-    if not np.any(keep):
-        return 0.0
-    return float(np.abs(coo.data[keep]).max())
+    diagonal = y is not None and y.op.format == "dia" and not y.op.offsets.any()
+    d = (x.op if y is None or diagonal else x.op - y.op).tocsr()
+    rows = _entry_rows(d)
+    keep = mask[rows] & mask[d.indices]
+    if not diagonal:
+        return float(np.abs(d.data[keep]).max(initial=0.0))
+    on = (d.diagonal() - y.op.diagonal())[mask]
+    off = d.data[keep & (rows != d.indices)]
+    return float(max(np.abs(off).max(initial=0.0), np.abs(on).max(initial=0.0)))
+
+
+def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
 def _each_sector(ctx: DiracContext, block) -> sp.csr_matrix:
@@ -196,24 +209,48 @@ def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     assembled as 1 x M0 + diag_+1(sqrt(m+1)) x M+ + diag_-1(sqrt m) x M-
     from ``sector_blocks``.
 
-    With ``check`` the diagonal identity D^2 = Q + diag(-1, 0, +1, 0) is
-    asserted on the interior to 1e-10.
+    Built once per context with F (``_lattice``) and shared by every caller,
+    which must not modify it.  With ``check`` the diagonal identity
+    D^2 = Q + diag(-1, 0, +1, 0) is asserted on the interior to 1e-10,
+    compared on the diagonal.
+    """
+    import scipy.sparse as sp
+
+    d = _lattice(ctx)[0]
+    if check:
+        q = QuartetOperator(sp.diags(oscillator_energies(ctx, include_eps=False)), ctx)
+        dev = max_interior_deviation(QuartetOperator(d.op @ d.op, ctx), q, margin=2)
+        if dev > 1e-10:
+            raise InteriorIdentityError(
+                f"D^2 differs from its diagonal closed form by {dev:.3e} on the interior"
+            )
+    return d
+
+
+@lru_cache(maxsize=1)
+def _lattice(ctx: DiracContext) -> tuple[QuartetOperator, QuartetOperator]:
+    """The unchecked D and F of ``ctx``.
+
+    One slot: the lattice builders of one context (a checked ``dirac_phase``
+    and ``build_dirac``, ``commutator_with_D``, ``defect_operators``) share
+    one D and one F, and a sweep over many truncations holds only the last
+    pair.  F = D |D_eps|^-1 scales D's columns by the exact diagonal: each
+    entry is the one product the sparse product D @ ``reg_inverse`` forms,
+    and each row lists its entries in that product's order, D's reversed,
+    so that F and every product with it are the sparse product's bit for bit.
     """
     import scipy.sparse as sp
 
     m0, plus, minus = sector_blocks(ctx, ctx.n_tot)
     root = np.sqrt(np.arange(1.0, ctx.m_tot))
-    out = QuartetOperator(_each_sector(ctx, m0) + sp.kron(sp.diags(root, 1), plus, format="csr")
-                          + sp.kron(sp.diags(root, -1), minus, format="csr"), ctx)
-    if check:
-        q = sp.diags(oscillator_energies(ctx, include_eps=False)).tocsr()
-        dev = max_interior_deviation(QuartetOperator(out.op @ out.op, ctx),
-                                     QuartetOperator(q, ctx), margin=2)
-        if dev > 1e-10:
-            raise InteriorIdentityError(
-                f"D^2 differs from its diagonal closed form by {dev:.3e} on the interior"
-            )
-    return out
+    d = (_each_sector(ctx, m0) + sp.kron(sp.diags(root, 1), plus, format="csr")
+         + sp.kron(sp.diags(root, -1), minus, format="csr"))
+    ptr = d.indptr
+    order = np.repeat(ptr[:-1] + ptr[1:] - 1, np.diff(ptr)) - np.arange(d.nnz)
+    cols = d.indices[order]
+    w = reg_inverse(ctx, 1.0).op.diagonal()
+    f = sp.csr_matrix((d.data[order] * w[cols], cols, ptr), shape=d.shape)
+    return QuartetOperator(d, ctx), QuartetOperator(f, ctx)
 
 
 def _energies(eps: float | None, sectors: int, levels: int) -> np.ndarray:
@@ -233,7 +270,8 @@ def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarr
 
 
 def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
-    """|D_eps|^{-s} = (D^2 + eps)^{-s/2}, exactly diagonal on the lattice."""
+    """|D_eps|^{-s} = (D^2 + eps)^{-s/2}, exactly diagonal on the lattice
+    (held as its diagonal)."""
     import scipy.sparse as sp
 
     if s < 1:
@@ -241,8 +279,7 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
     e = oscillator_energies(ctx)
     if e.min() <= 0:
         raise ValueError("regularized spectrum not positive; need eps > 0")
-    d = sp.diags(e ** (-s / 2.0)).tocsr()
-    return QuartetOperator(d, ctx)
+    return QuartetOperator(sp.diags(e ** (-s / 2.0)), ctx)
 
 
 def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
@@ -259,12 +296,13 @@ def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
     """F = D |D_eps|^{-1}; Hermitian compression with exact matrix elements.
 
-    Built once per context and shared by every caller, which must not modify
-    it; ``check`` asserts Hermiticity and the exact form of F^2 on the
-    interior, here on the lattice (``phase_square_deviation`` is the same
-    deviation read off F's L-blocks).
+    Built once per context with D (``_lattice``, D's columns scaled by the
+    exact diagonal) and shared by every caller, which must not modify it;
+    ``check`` asserts Hermiticity and the exact form of F^2 on the interior,
+    here on the lattice with F^2 compared on the diagonal
+    (``phase_square_deviation`` is the same deviation read off F's L-blocks).
     """
-    f = _phase(ctx)
+    f = _lattice(ctx)[1]
     if check:
         herm = f.hermiticity_defect()
         if herm > 1e-12:
@@ -276,19 +314,6 @@ def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
                 f"F^2 - 1 + eps|D_eps|^-2 = {dev:.3e} on the interior"
             )
     return f
-
-
-@lru_cache(maxsize=1)
-def _phase(ctx: DiracContext) -> QuartetOperator:
-    """The unchecked phase of ``ctx``.
-
-    One slot: the callers that share F (a checked ``dirac_phase`` followed by
-    ``defect_operators``) read one context in turn, and a sweep over many
-    truncations holds only the last F it built.
-    """
-    d = build_dirac(ctx, check=False)
-    w = reg_inverse(ctx, 1.0)
-    return QuartetOperator((d.op @ w.op).tocsr(), ctx)
 
 
 def phase_square_deviation(ctx: DiracContext) -> float:
@@ -305,11 +330,11 @@ def phase_square_deviation(ctx: DiracContext) -> float:
 
 
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
-    """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator."""
+    """F^2 = 1 - eps |D_eps|^{-2} as an exact diagonal operator (held as its
+    diagonal)."""
     import scipy.sparse as sp
 
-    d = sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)).tocsr()
-    return QuartetOperator(d, ctx)
+    return QuartetOperator(sp.diags(1.0 - ctx.eps / oscillator_energies(ctx)), ctx)
 
 
 def require_fits(ctx: DiracContext, *elements: MagneticElement, margin: int = 0):
@@ -344,7 +369,7 @@ def commutator_with_D(a: MagneticElement, ctx: DiracContext,
     which couples this operator to the derivation convention of the algebra.
     """
     require_fits(ctx, a, margin=1)
-    d = build_dirac(ctx, check=False)
+    d = _lattice(ctx)[0]
     pa = represent(a, ctx)
     comm = QuartetOperator((d.op @ pa.op - pa.op @ d.op).tocsr(), ctx)
     if check:
@@ -368,7 +393,8 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     F_comm   = [F, pi(A)]
 
     Gamma is the exact sign diagonal GAMMA_SIGNS on every site, so R keeps
-    the entries of [F, pi(A)] between equal signs, doubled.
+    the entries of [F, pi(A)] between equal signs, doubled; F^2 pi(A) and
+    pi(A) F^2 scale pi(A)'s rows and columns by F^2's exact diagonal.
     """
     import scipy.sparse as sp
 
@@ -380,8 +406,11 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     x = fcomm.tocoo()
     even = signs[x.row] == signs[x.col]
     r = sp.csr_matrix((2 * x.data[even], (x.row[even], x.col[even])), shape=fcomm.shape)
-    fsq = exact_phase_square(ctx)
-    fsq_comm = (fsq.op @ pa.op - pa.op @ fsq.op).tocsr()
+    fsq = exact_phase_square(ctx).op.diagonal()
+    p = pa.op
+    fsq_comm = (sp.csr_matrix((fsq[_entry_rows(p)] * p.data, p.indices, p.indptr), shape=p.shape)
+                - sp.csr_matrix((p.data * fsq[p.indices], p.indices, p.indptr),
+                                shape=p.shape)).tocsr()
     return {
         "R": QuartetOperator(r, ctx),
         "Fsq_comm": QuartetOperator(fsq_comm, ctx),

@@ -1,8 +1,10 @@
 """Lattice-sized reference constructions shared by the tests."""
 
+import numpy as np
 import scipy.sparse as sp
 
 from magnc.basis import number_ladders
+from magnc.dirac import reg_inverse, sector_blocks
 
 
 def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
@@ -18,3 +20,43 @@ def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
     if which in ("G1", "G2"):
         return sp.kron(number_ladders(m_max, which), sp.identity(n_max), format="csr")
     raise ValueError(f"unknown momentum {which!r}")
+
+
+def kron_dirac(ctx) -> sp.csr_matrix:
+    """D as the sum of three ``sp.kron`` products of the sector blocks with
+    the degeneracy diagonals 1, diag_+1(sqrt(m+1)) and diag_-1(sqrt m)."""
+    m0, plus, minus = sector_blocks(ctx, ctx.n_tot)
+    root = np.sqrt(np.arange(1.0, ctx.m_tot))
+    return (sp.kron(sp.identity(ctx.m_tot, format="csr"), m0, format="csr")
+            + sp.kron(sp.diags(root, 1), plus, format="csr")
+            + sp.kron(sp.diags(root, -1), minus, format="csr"))
+
+
+def product_phase(ctx, d: sp.csr_matrix) -> sp.csr_matrix:
+    """F = D @ |D_eps|^-1 as a generic sparse product with a CSR diagonal."""
+    return (d @ reg_inverse(ctx, 1.0).op.tocsr()).tocsr()
+
+
+def commutator(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    """x @ y - y @ x from two generic sparse products."""
+    return (x @ y - y @ x).tocsr()
+
+
+def defect_products(f: sp.csr_matrix, pa: sp.csr_matrix, fsq: sp.csr_matrix,
+                    signs: np.ndarray) -> dict:
+    """R, Fsq_comm and F_comm from generic sparse products, F^2 a CSR
+    diagonal; R keeps the entries of [F, pi(A)] between equal ``signs``,
+    doubled."""
+    fcomm = commutator(f, pa)
+    x = fcomm.tocoo()
+    even = signs[x.row] == signs[x.col]
+    r = sp.csr_matrix((2 * x.data[even], (x.row[even], x.col[even])), shape=fcomm.shape)
+    return {"R": r, "Fsq_comm": commutator(fsq, pa), "F_comm": fcomm}
+
+
+def sparse_deviation(x: sp.csr_matrix, y: sp.spmatrix, mask: np.ndarray) -> float:
+    """Largest |entry| of the sparse difference x - y over rows and columns
+    in ``mask``."""
+    d = (x - y).tocsr().tocoo()
+    keep = mask[d.row] & mask[d.col]
+    return float(np.abs(d.data[keep]).max()) if np.any(keep) else 0.0

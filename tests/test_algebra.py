@@ -237,6 +237,12 @@ class TestGenerators:
             assert is_projection(p, tol=1e-10)
             assert trace_int(p).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_zero_element_is_a_projection(self):
+        # an empty block is the zero element, which is a projection
+        assert is_projection(MagneticElement(np.zeros((0, 0))))
+        assert is_projection(zero_element())
+        assert not is_projection(MagneticElement(2 * np.eye(1)))
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_conjugated_projection_matches_the_exponential(self, seed):
         # the six conjugated projections of the CLI's corpus at this seed

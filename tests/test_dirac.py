@@ -16,6 +16,7 @@ from magnc.dirac import (
     GAMMA_GRADING,
     GAMMA_SIGNS,
     DiracContext,
+    InteriorIdentityError,
     QuartetOperator,
     build_dirac,
     commutator_with_D,
@@ -32,7 +33,8 @@ from magnc.dirac import (
     sector_represent,
     sector_weights,
 )
-from oracles import momentum_matrix
+from oracles import (commutator, defect_products, kron_dirac, momentum_matrix, product_phase,
+                     sparse_deviation)
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
 
@@ -62,6 +64,13 @@ def assert_dirac_matches_parts(d):
     dm, dp = dirac_parts(d.ctx)
     want = (dm.op + dp.op).tocsr()
     assert (abs(d.op - want) - 2.0**-51 * abs(want)).max() <= 0
+
+
+def assert_same_bytes(x, y):
+    """Two CSR matrices with identical indptr, indices and data, bit for bit."""
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(x, part), getattr(y, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
 
 def j_numbers(ctx):
@@ -346,27 +355,38 @@ class TestDefectOperators:
         assert dev < 1e-12
 
     def test_phase_is_built_once_per_context_in_a_bounded_cache(self, monkeypatch):
-        # a checked F and the defect operators of one context share one
-        # build; the next context evicts it
+        # the benchmark's sequence on one context (checked F, D and [D, pi(A)],
+        # then the defect operators) assembles the lattice D once, and F with
+        # it; the next context evicts both.  An assembly is the lattice's one
+        # call of sector_blocks on the full level window.
         import magnc.dirac as dirac
 
         builds = []
-        build = dirac.build_dirac
-        monkeypatch.setattr(dirac, "build_dirac",
-                            lambda ctx, check=True: builds.append(ctx) or build(ctx, check))
+        blocks = dirac.sector_blocks
+        monkeypatch.setattr(dirac, "sector_blocks",
+                            lambda ctx, levels: builds.append(ctx) or blocks(ctx, levels))
         one, two = (DiracContext(lb=1.0, eps=eps, n_max=8, m_max=40, buffer=4)
                     for eps in (0.375, 0.625))
-        f = dirac_phase(one, check=True)
+        a = random_element(3, 3, 1.0)
+
+        def sweep(ctx):
+            f = dirac_phase(ctx, check=True)
+            d = build_dirac(ctx, check=True)
+            commutator_with_D(a, ctx, check=True)
+            defect_operators(a, ctx)
+            return d, f
+
+        d, f = sweep(one)
         defect_operators(upsilon(0, 1), one)
-        defect_operators(random_element(3, 3, 1.0), one)
         assert builds == [one]
-        assert dirac_phase(one, check=False) is f
-        defect_operators(upsilon(0, 1), two)
-        dirac_phase(two, check=True)
+        assert build_dirac(one, check=False) is d and dirac_phase(one, check=False) is f
+        sweep(two)
         assert builds == [one, two]
-        again = dirac_phase(one, check=True)  # evicted by ``two``, rebuilt unchanged
+        again = sweep(one)  # evicted by ``two``, rebuilt unchanged
         assert builds == [one, two, one]
-        assert abs(again.op - f.op).max() == 0.0
+        assert again[0] is not d
+        for new, old in zip(again, (d, f)):
+            assert_same_bytes(new.op, old.op)
 
     @pytest.mark.parametrize("ctx", [CTX, DiracContext(lb=1.3, eps=0.25, n_max=6,
                                                        m_max=20, buffer=2)])
@@ -382,6 +402,65 @@ class TestDefectOperators:
     def test_rejects_support_in_buffer(self):
         with pytest.raises(TruncationError, match=f"margin of {CTX.buffer}"):
             defect_operators(upsilon(0, CTX.n_max - 1), CTX)
+
+
+ORACLE_CONTEXTS = [DiracContext(m_max=1024, eps=0.25),
+                   DiracContext(lb=1.3, eps=0.7, n_max=6, m_max=20, buffer=2),
+                   DiracContext(m_max=5)]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=["default-1024", "small", "m_max-5"])
+class TestLatticeFastPath:
+    """The cached D, F scaled from D, [F^2, pi(A)] scaled from pi(A) and the
+    diagonal identities compared on the diagonal give the generic sparse
+    constructions' bits."""
+
+    def test_operators_are_the_generic_products_bit_for_bit(self, ctx):
+        a = random_element(8, 3, 1.0, ctx.lb)
+        d = kron_dirac(ctx)
+        f = product_phase(ctx, d)
+        pa = sp.kron(sp.identity(ctx.m_tot, format="csr"), sector_represent(a, ctx, ctx.n_tot),
+                     format="csr")
+        want = {"D": d, "F": f, "pi(A)": pa, "[D, pi(A)]": commutator(d, pa),
+                **defect_products(f, pa, exact_phase_square(ctx).op.tocsr(),
+                                  np.tile(GAMMA_SIGNS, ctx.dim // 4))}
+        got = {"D": build_dirac(ctx).op, "F": dirac_phase(ctx).op, "pi(A)": represent(a, ctx).op,
+               "[D, pi(A)]": commutator_with_D(a, ctx).op,
+               **{k: v.op for k, v in defect_operators(a, ctx).items()}}
+        assert got.keys() == want.keys()
+        for key, op in want.items():
+            assert_same_bytes(got[key], op)
+
+    def test_diagonal_deviations_are_the_sparse_difference(self, ctx):
+        d, f = build_dirac(ctx, check=False).op, dirac_phase(ctx, check=False).op
+        q = QuartetOperator(sp.diags(oscillator_energies(ctx, include_eps=False)), ctx)
+        empty = sp.csr_matrix(d.shape, dtype=complex)
+        mask = interior_mask(ctx, 2)
+        for x, y in ((d @ d, q), ((f @ f).tocsr(), exact_phase_square(ctx)),
+                     (empty, reg_inverse(ctx, 1.0))):
+            want = sparse_deviation(x, y.op.tocsr(), mask)
+            assert max_interior_deviation(QuartetOperator(x, ctx), y, margin=2) == want
+
+    @pytest.mark.parametrize("target, site, build, match", [
+        ("D", (0, 0), lambda ctx, a: build_dirac(ctx, check=True), "D\\^2 differs"),
+        ("F", (0, 4), lambda ctx, a: dirac_phase(ctx, check=True), "not Hermitian"),
+        ("F", (0, 0), lambda ctx, a: dirac_phase(ctx, check=True), "F\\^2 - 1"),
+        ("D", (0, 0), lambda ctx, a: commutator_with_D(a, ctx, check=True), "derivation form"),
+    ], ids=["D^2", "F-hermitian", "F^2", "[D, pi(A)]"])
+    def test_checks_run_on_the_lattice_operator(self, ctx, monkeypatch, target, site, build,
+                                                match):
+        # one entry changed by 1e-6 at an interior site (m, n) = (1, 1) of the
+        # cached D or F; a real diagonal entry keeps F Hermitian
+        import magnc.dirac as dirac
+
+        ops = {"D": build_dirac(ctx, check=False), "F": dirac_phase(ctx, check=False)}
+        i = 4 * (ctx.n_tot + 1)
+        bad = ops[target].op + sp.csr_matrix(([1e-6], ([i + site[0]], [i + site[1]])),
+                                            shape=ops[target].op.shape)
+        ops[target] = QuartetOperator(bad.tocsr(), ctx)
+        monkeypatch.setattr(dirac, "_lattice", lambda c: (ops["D"], ops["F"]))
+        with pytest.raises(InteriorIdentityError, match=match):
+            build(ctx, random_element(8, 3, 1.0, ctx.lb))
 
 
 class TestLatticePlumbing:
