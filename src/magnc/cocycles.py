@@ -11,6 +11,7 @@ tier is the content of the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -46,8 +47,8 @@ from .spectra import (
 __all__ = [
     "CocycleValue",
     "Cochain",
-    "delta0",
     "delta1",
+    "deltas",
     "psi",
     "gap_label",
     "chern_number",
@@ -98,18 +99,27 @@ class Cochain:
 # Exact tier.
 # ---------------------------------------------------------------------------
 
-def delta0(a1: MagneticElement, a2: MagneticElement) -> MagneticElement:
-    """grad_1 A1 grad_1 A2 + grad_2 A1 grad_2 A2."""
-    return compose(spatial_derivative(a1, 1), spatial_derivative(a2, 1)) + compose(
-        spatial_derivative(a1, 2), spatial_derivative(a2, 2)
-    )
+def _gradient(a: MagneticElement) -> tuple[MagneticElement, MagneticElement]:
+    """(grad_1 A, grad_2 A)."""
+    return spatial_derivative(a, 1), spatial_derivative(a, 2)
+
+
+def _delta1(x, y) -> MagneticElement:
+    """delta1 from the gradients x of A1 and y of A2."""
+    return compose(x[0], y[1]) - compose(x[1], y[0])
 
 
 def delta1(a1: MagneticElement, a2: MagneticElement) -> MagneticElement:
     """grad_1 A1 grad_2 A2 - grad_2 A1 grad_1 A2, the curl-type bilinear."""
-    return compose(spatial_derivative(a1, 1), spatial_derivative(a2, 2)) - compose(
-        spatial_derivative(a1, 2), spatial_derivative(a2, 1)
-    )
+    return _delta1(_gradient(a1), _gradient(a2))
+
+
+def deltas(a1: MagneticElement, a2: MagneticElement) -> tuple[MagneticElement, MagneticElement]:
+    """(delta0, delta1) of one pair, delta0 = grad_1 A1 grad_1 A2 +
+    grad_2 A1 grad_2 A2, on one gradient per element; delta1 is ``delta1``'s
+    bit for bit."""
+    x, y = _gradient(a1), _gradient(a2)
+    return compose(x[0], y[0]) + compose(x[1], y[1]), _delta1(x, y)
 
 
 def psi(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement) -> CocycleValue:
@@ -184,8 +194,7 @@ def _graded_terms(coef: float, z0: UnitalElement, z1: MagneticElement,
                   z2: MagneticElement, ctx: DiracContext) -> list:
     """Terms of coef |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ]
     over the four shifted blocks, Gamma carrying ``GAMMA_SIGNS``."""
-    d0 = delta0(z1, z2)
-    d1 = delta1(z1, z2)
+    d0, d1 = deltas(z1, z2)
     c = coef / (2.0 * ctx.lb**2)
     shifts = ctx.shifted_energies()
     return [(-c, z0.scalar * d0 + compose(z0.element, d0), list(zip(shifts, GAMMA_SIGNS))),
@@ -219,8 +228,9 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     tr_chi = complex(np.trace(CHI_GRADING))
     tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
     c = 0.5 / (2.0 * ctx.lb**2)
-    v = _dixmier_functional([(-c, compose(a0, delta0(a1, a2)), [(ctx.eps, tr_chi)]),
-                             (1j * c, compose(a0, delta1(a1, a2)), [(ctx.eps, tr_chi_gamma)])],
+    d0, d1 = deltas(a1, a2)
+    v = _dixmier_functional([(-c, compose(a0, d0), [(ctx.eps, tr_chi)]),
+                             (1j * c, compose(a0, d1), [(ctx.eps, tr_chi_gamma)])],
                             ladder)
     return replace(v, method="spin-trace-factorized")
 
@@ -239,8 +249,7 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
     """Reference magnitude for closedness checks: the size of the pieces
     whose cancellation is being asserted."""
-    d0 = delta0(a1, a2)
-    d1 = delta1(a1, a2)
+    d0, d1 = deltas(a1, a2)
     return max(
         abs(trace_int(d0)), norms(d0)["hs_norm"], norms(d1)["hs_norm"], 1e-12
     ) / (2.0 * lb**2)
@@ -268,23 +277,27 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
 # The Fredholm-module character, both evaluation routes.
 # ---------------------------------------------------------------------------
 
-def _fredholm_sector_traces(a0: MagneticElement, a1: MagneticElement,
-                            a2: MagneticElement, ctx: DiracContext) -> np.ndarray:
-    """Sector traces T(m), m < m_max, of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)].
+def _fredholm_kernels(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
+                      ctx: DiracContext, signs: np.ndarray) -> tuple[int, np.ndarray]:
+    """The level window and the window matrices K_delta of route ii.
 
-    F = D diag(W), and D is block-tridiagonal in m (``sector_blocks``), so
-    sector m's trace runs over the intermediate sectors m' = m + delta,
-    delta in (0, +1, -1), whose two D blocks carry the factor c = 1, m + 1,
-    m.  Each of the four terms of [F, pi1][F, pi2] is tr(X diag(u) Y diag(v))
-    = u^T (Y o X^T) v with u = W(m'), v = W(m), hence
-    T(m) = sum_delta c_delta(m) W(m')^T K_delta W(m) with three fixed window
-    matrices K_delta.  The window n < max support + 2 holds every level the
-    product passes through, so T(m) is the lattice product's sector trace.
+    The sector trace T(m) of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] is
+    T(m) = sum_delta c_delta(m) W(m + delta)^T K_delta W(m), W(m) the row m
+    of ``sector_weights``.  F = D diag(W), and D is block-tridiagonal in m
+    (``sector_blocks``), so sector m's trace runs over the intermediate
+    sectors m + delta, delta in (0, +1, -1), whose two D blocks carry the
+    factor c = 1, m + 1, m.  Each of the four terms of [F, pi1][F, pi2] is
+    tr(X diag(u) Y diag(v)) = u^T (Y o X^T) v with u = W(m + delta),
+    v = W(m).  The window n < max support + 2 holds every level the product
+    passes through, so T(m) is the lattice product's sector trace.  Returns
+    the window's level count and the (3, 4 levels, 4 levels) stack of K_delta
+    in the order delta = 0, +1, -1; ``signs`` are Gamma's spin signs
+    (``GAMMA_SIGNS``).
     """
     levels = max(a.support_bound for a in (a0, a1, a2)) + 2
     blocks = sector_blocks(ctx, levels)
     p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
-    gp0 = np.tile(GAMMA_SIGNS, levels)[:, None] * p0
+    gp0 = np.tile(signs, levels)[:, None] * p0
 
     def kernel(d_out, d_back):
         # (X, Y) of the four terms, with D(m, m') = c' d_out, D(m', m) = c'' d_back
@@ -292,18 +305,64 @@ def _fredholm_sector_traces(a0: MagneticElement, a1: MagneticElement,
                  (p2 @ gp0 @ p1 @ d_out, -d_back), (gp0 @ p1 @ d_out, p2 @ d_back))
         return sum(y * x.T for x, y in terms)
 
-    def form(u, k, v):
-        # u^T k v row by row; real products, since a real-by-complex matmul
-        # costs ten times as much
-        return np.sum((u @ k.real) * v, axis=1) + 1j * np.sum((u @ k.imag) * v, axis=1)
+    return levels, np.stack([kernel(blocks.m0, blocks.m0), kernel(blocks.plus, blocks.minus),
+                             kernel(blocks.minus, blocks.plus)])
 
+
+def _route_ii_windows(ctx: DiracContext) -> list[int]:
+    """Route ii's sector windows m_max / 2^k, k < 6, at least 4 sectors each."""
+    return sorted({max(4, ctx.m_max >> k) for k in range(6)})
+
+
+@lru_cache(maxsize=1)
+def _context_correlations(ctx: DiracContext) -> dict:
+    """Route ii's window correlations of one context by level window, filled
+    by ``_window_correlations``.  One slot, like ``dirac._lattice``: a sweep
+    over contexts holds only the last context's, and the next evicts them."""
+    return {}
+
+
+def _window_correlations(ctx: DiracContext, levels: int) -> np.ndarray:
+    """A_delta(M) = sum_{m < M} c_delta(m) W(m + delta) W(m)^T at route ii's
+    windows M, a read-only (windows, 3, 4 levels, 4 levels) real array.
+
+    Route ii's window sums are bilinear, sum_{m < M} T(m) =
+    sum_delta <K_delta, A_delta(M)> (``_fredholm_kernels``), and A depends
+    on the context and the level window only: it is built once per
+    (context, level window), one product per window segment with the three
+    shifted weight tables stacked, kept in ``_context_correlations`` (at most
+    one entry per level window) and shared by every triple, which must not
+    modify it.
+    """
+    store = _context_correlations(ctx)
+    if levels in store:
+        return store[levels]
     w = sector_weights(ctx, levels)   # rows m = 0..m_max
-    v = w[:-1]
-    m = np.arange(ctx.m_max)
-    t = form(v, kernel(blocks.m0, blocks.m0), v)
-    t += (m + 1) * form(w[1:], kernel(blocks.plus, blocks.minus), v)
-    t[1:] += m[1:] * form(w[:-2], kernel(blocks.minus, blocks.plus), v[1:])
-    return t
+    edges = [0, *_route_ii_windows(ctx)]
+    segments = []
+    for lo, hi in zip(edges, edges[1:]):
+        c = np.arange(lo, hi, dtype=float)[:, None]
+        # rows c_delta(m) W(m + delta), delta = 0, +1, -1, for m in [lo, hi)
+        u = np.zeros((hi - lo, 3, 4 * levels))
+        u[:, 0] = w[lo:hi]
+        np.multiply(c + 1, w[lo + 1:hi + 1], out=u[:, 1])
+        start = max(lo, 1)   # c = m is 0 at m = 0
+        np.multiply(c[start - lo:], w[start - 1:hi - 1], out=u[start - lo:, 2])
+        segments.append(u.reshape(hi - lo, -1).T @ w[lo:hi])
+    out = np.cumsum(segments, axis=0).reshape(len(segments), 3, 4 * levels, 4 * levels)
+    out.flags.writeable = False
+    store[levels] = out
+    return out
+
+
+def _route_ii_sums(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
+                   ctx: DiracContext) -> np.ndarray:
+    """sum_{m < M} T(m) at route ii's windows M, one contraction of the
+    triple's kernels with the context's cached correlations."""
+    levels, k = _fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
+    a = _window_correlations(ctx, levels).reshape(-1, k.size)
+    # real products, since a real-by-complex matmul costs more
+    return a @ k.real.ravel() + 1j * (a @ k.imag.ravel())
 
 
 def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -314,25 +373,24 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     route "reduced": replace the two-form by its volume-weighted reduction
     (trace-class remainder dropped) and extrapolate the exact sector ladders.
     route "direct": the degeneracy-sector traces of
-    Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] at the context's truncation,
-    evaluated as per-sector quadratic forms in the phase weights
-    (``_fredholm_sector_traces``), summed over growing sector windows and
-    fitted against the logarithm of the sector count; coarser, with the
-    larger provisional tolerance carried by the caller.
+    Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] at the context's truncation, summed
+    over growing sector windows (``_route_ii_sums``: per-sector quadratic
+    forms in the phase weights, contracted with the context's window
+    correlations) and fitted against the logarithm of the sector count;
+    coarser, with the larger provisional tolerance carried by the caller.
     """
     if route == "reduced":
         # with the trace-class remainder dropped, tau2 is the Dirac character
         return ch_dix(a0, a1, a2, ctx, ladder)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    ms = sorted({max(4, ctx.m_max >> k) for k in range(6)})   # windows m_max / 2^k
+    ms = _route_ii_windows(ctx)
     if len(ms) < 3:
         raise TruncationError(f"route ii needs three distinct sector windows; "
                               f"m_max {ctx.m_max} gives {ms}")
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    csum = np.cumsum(_fredholm_sector_traces(a0, a1, a2, ctx))
-    est = dixmier_from_partial_sums(np.array(ms, dtype=float),
-                                    np.array([csum[m - 1] for m in ms]), rel_tol=0.2)
+    est = dixmier_from_partial_sums(np.array(ms, dtype=float), _route_ii_sums(a0, a1, a2, ctx),
+                                    rel_tol=0.2)
     return CocycleValue(0.5 * est.value, "dixmier-direct-partial-trace", 0.5 * est.stderr,
                         est.measurable)
 

@@ -265,8 +265,13 @@ def _energies(eps: float | None, sectors: int, levels: int) -> np.ndarray:
 
 
 def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarray:
-    """Diagonal of D^2 (+ eps): (n + m + 1 + shift_i) + eps over the lattice."""
-    return _energies(ctx.eps if include_eps else None, ctx.m_tot, ctx.n_tot)
+    """Diagonal of D^2 (+ eps): (n + m + 1 + shift_i) + eps over the lattice.
+
+    The entry at site (m, n, i) depends on k = m + n and i only: the energies
+    are formed once per k < m_tot + n_tot - 1, and sector m's row is the
+    window of that table from k = m on (as in ``sector_weights``)."""
+    table = _energies(ctx.eps if include_eps else None, ctx.m_tot + ctx.n_tot - 1, 1)
+    return sliding_window_view(table, 4 * ctx.n_tot)[::4].ravel()
 
 
 def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:

@@ -4,7 +4,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from magnc.basis import number_ladders
-from magnc.dirac import reg_inverse, sector_blocks
+from magnc.cocycles import _fredholm_kernels
+from magnc.dirac import GAMMA_SIGNS, reg_inverse, sector_blocks, sector_weights
 
 
 def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
@@ -60,3 +61,22 @@ def sparse_deviation(x: sp.csr_matrix, y: sp.spmatrix, mask: np.ndarray) -> floa
     d = (x - y).tocsr().tocoo()
     keep = mask[d.row] & mask[d.col]
     return float(np.abs(d.data[keep]).max()) if np.any(keep) else 0.0
+
+
+def fredholm_sector_traces(a0, a1, a2, ctx) -> np.ndarray:
+    """Sector traces T(m), m < m_max, of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)]
+    as one quadratic form per sector, T(m) = sum_delta c_delta(m)
+    W(m + delta)^T K_delta W(m), on the production kernels K_delta."""
+    levels, (k0, k_plus, k_minus) = _fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
+
+    def form(u, k, v):
+        # u^T k v row by row, in real products
+        return np.sum((u @ k.real) * v, axis=1) + 1j * np.sum((u @ k.imag) * v, axis=1)
+
+    w = sector_weights(ctx, levels)   # rows m = 0..m_max
+    v = w[:-1]
+    m = np.arange(ctx.m_max)
+    t = form(v, k0, v)
+    t += (m + 1) * form(w[1:], k_plus, v)
+    t[1:] += m[1:] * form(w[:-2], k_minus, v[1:])
+    return t

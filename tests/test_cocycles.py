@@ -16,6 +16,7 @@ from magnc.algebra import (
     landau_projection,
     projection_sum,
     random_element,
+    spatial_derivative,
     trace_int,
     upsilon,
     zero_element,
@@ -24,11 +25,13 @@ from magnc.cli import RunConfig, _projection_corpus, _triple_corpus
 from magnc.cocycles import (
     Cochain,
     _dixmier_functional,
-    _fredholm_sector_traces,
+    _route_ii_sums,
+    _route_ii_windows,
+    _window_correlations,
     chern_number,
     ch_dix,
     ch_hat,
-    delta0,
+    deltas,
     delta1,
     gap_label,
     graded_one_form_product_trace,
@@ -57,6 +60,7 @@ from magnc.dirac import (
     reg_inverse,
     represent,
 )
+from oracles import fredholm_sector_traces
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=512, buffer=4)
 LB = 1.0
@@ -115,6 +119,31 @@ class TestExactTier:
             p = conjugated_projection(seed, 6, LB)
             c = chern_number(p)
             assert c == pytest.approx(1.0, abs=1e-8)
+
+    def test_deltas_are_the_two_bilinears_bit_for_bit(self):
+        for seed in range(10):
+            a1, a2 = rand(2 * seed, 1 + seed % 5), rand(2 * seed + 1, 4)
+            (x1, x2), (y1, y2) = ([spatial_derivative(a, j) for j in (1, 2)] for a in (a1, a2))
+            d0, d1 = deltas(a1, a2)
+            assert np.array_equal(d0.block, (compose(x1, y1) + compose(x2, y2)).block)
+            assert np.array_equal(d1.block, (compose(x1, y2) - compose(x2, y1)).block)
+            assert np.array_equal(d1.block, delta1(a1, a2).block)
+
+    def test_each_pair_takes_one_gradient_per_element_and_axis(self, monkeypatch):
+        calls = Counter()
+        exact = cocycles.spatial_derivative
+
+        def counted(a, axis):
+            calls[id(a), axis] += 1
+            return exact(a, axis)
+
+        monkeypatch.setattr(cocycles, "spatial_derivative", counted)
+        a0, a1, a2 = rand(71), rand(72), rand(73)
+        for fn in (lambda: graded_two_form_trace(a1, a2, CTX), lambda: ch_dix(a0, a1, a2, CTX),
+                   lambda: ch_hat(a0, a1, a2, CTX), lambda: two_form_scale(a1, a2, LB)):
+            calls.clear()
+            fn()
+            assert sorted(calls.values()) == [1, 1, 1, 1]
 
     def test_streda_equality(self):
         for seed in range(10):
@@ -206,7 +235,7 @@ class TestDixmierFunctional:
         for a0, a1, a2 in ((rand(53), rand(54), rand(55)), (landau_projection(0, LB),) * 3):
             v = ch_dix(a0, a1, a2, CTX)
             c = 0.5 / (2.0 * LB**2)
-            v0, e0, m0, s0 = per_shift_sum(-c, compose(a0, delta0(a1, a2)), GAMMA_SIGNS)
+            v0, e0, m0, s0 = per_shift_sum(-c, compose(a0, deltas(a1, a2)[0]), GAMMA_SIGNS)
             v1, e1, m1, s1 = per_shift_sum(1j * c, compose(a0, delta1(a1, a2)), np.ones(4))
             assert (v.value, v.error, v.measurable) == (v0 + v1, e0 + e1, m0 and m1)
             # the grading-weighted half is in the rows, not only in the value
@@ -306,7 +335,7 @@ class TestChiTwistedCharacter:
         c = 0.5 / (2.0 * LB**2)
         shifts = CTX.shifted_energies()
         v = _dixmier_functional(
-            [(-c, compose(a0, delta0(a1, a2)), list(zip(shifts, CHI_SIGNS))),
+            [(-c, compose(a0, deltas(a1, a2)[0]), list(zip(shifts, CHI_SIGNS))),
              (1j * c, compose(a0, delta1(a1, a2)), list(zip(shifts, CHI_GAMMA_SIGNS)))],
             DEFAULT_LADDER)
         scale = max(abs((1j / LB**2) * psi(a0, a1, a2).value), 1e-9)
@@ -415,7 +444,7 @@ class TestFredholmSectorTraces:
         for ctx in (DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4),
                     DiracContext(lb=1.0, eps=0.25, n_max=16, m_max=48, buffer=4)):
             want = lattice_sector_traces(a0, a1, a2, ctx)
-            got = _fredholm_sector_traces(a0, a1, a2, ctx)
+            got = fredholm_sector_traces(a0, a1, a2, ctx)
             assert got.shape == (ctx.m_max,)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -433,6 +462,48 @@ class TestFredholmSectorTraces:
                 err.append(abs(v.value - want) / abs(want))
             assert err[1] < 2e-3
             assert err[0] >= 8 * err[1]
+
+
+class TestRouteIiWindowSums:
+    @pytest.mark.parametrize("support", [1, 4, 6])
+    @pytest.mark.parametrize("m_max", [10, 64, 1024, 4096])
+    def test_cached_sums_equal_the_per_sector_oracle(self, support, m_max):
+        for eps in (0.25, 0.5, 1.0):
+            for lb in (0.7, 1.0, 2.0):
+                t = [random_element(900 + 10 * support + s, support, 1.0, lb) for s in range(3)]
+                ctx = DiracContext(lb=lb, eps=eps, n_max=16, m_max=m_max, buffer=4)
+                want = np.cumsum(fredholm_sector_traces(*t, ctx))[
+                    np.array(_route_ii_windows(ctx)) - 1]
+                got = _route_ii_sums(*t, ctx)
+                assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    def test_correlations_are_built_once_per_context_and_window(self, monkeypatch):
+        builds = []
+        exact = cocycles.sector_weights
+
+        def counted(ctx, levels):
+            builds.append((ctx, levels))
+            return exact(ctx, levels)
+
+        monkeypatch.setattr(cocycles, "sector_weights", counted)
+        cocycles._context_correlations.cache_clear()
+        ctxs = [DiracContext(lb=1.0, eps=eps, n_max=16, m_max=256, buffer=4) for eps in (0.5, 0.25)]
+        triples = [tuple(random_element(3 * t + s, 1 + t % 6, 1.0, 1.0) for s in range(3))
+                   for t in range(20)]
+        levels = {max(a.support_bound for a in t) + 2 for t in triples}
+        for ctx in ctxs:
+            for t in triples:
+                tau2(*t, ctx, "direct")
+            # one build per level window, and only this context's are kept
+            assert sorted(builds, key=lambda b: b[1]) == [(ctx, n) for n in sorted(levels)]
+            assert cocycles._context_correlations.cache_info().currsize == 1
+            assert sorted(cocycles._context_correlations(ctx)) == sorted(levels)
+            builds.clear()
+
+    def test_correlations_are_read_only(self):
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4)
+        with pytest.raises(ValueError):
+            _window_correlations(ctx, 3)[0, 0, 0, 0] = 1.0
 
 
 class TestHochschild:

@@ -296,17 +296,18 @@ class TestRepresentation:
 
     def test_commutator_product_decomposition(self):
         # [D, pi(A1)][D, pi(A2)] = -(1/2l^2) pi(d0) + (i/2l^2) pi(d1) Gamma
-        from magnc.cocycles import delta0, delta1
+        from magnc.cocycles import deltas
 
         a1, a2 = random_element(21, 3, 1.0), random_element(22, 3, 1.0)
+        d0, d1 = deltas(a1, a2)
         c1 = commutator_with_D(a1, CTX, check=False)
         c2 = commutator_with_D(a2, CTX, check=False)
         prod = QuartetOperator((c1.op @ c2.op).tocsr(), CTX)
         g = lattice_gamma(CTX)
         want = QuartetOperator(
             (
-                -0.5 / CTX.lb**2 * represent(delta0(a1, a2), CTX).op
-                + 0.5j / CTX.lb**2 * (represent(delta1(a1, a2), CTX).op @ g.op)
+                -0.5 / CTX.lb**2 * represent(d0, CTX).op
+                + 0.5j / CTX.lb**2 * (represent(d1, CTX).op @ g.op)
             ).tocsr(),
             CTX,
         )
@@ -315,11 +316,11 @@ class TestRepresentation:
     def test_derivation_square_trace_nonnegative(self):
         # trace of d0(A*, A) equals the summed squared derivation norms
         from magnc.algebra import adjoint, compose, spatial_derivative, trace_int
-        from magnc.cocycles import delta0
+        from magnc.cocycles import deltas
 
         for seed in range(20):
             a = random_element(seed + 600, 4, 1.0)
-            lhs = trace_int(delta0(adjoint(a), a))
+            lhs = trace_int(deltas(adjoint(a), a)[0])
             rhs = sum(
                 trace_int(
                     compose(adjoint(spatial_derivative(a, j)), spatial_derivative(a, j))
@@ -440,6 +441,31 @@ class TestLatticeFastPath:
                      (empty, reg_inverse(ctx, 1.0))):
             want = sparse_deviation(x, y.op.tocsr(), mask)
             assert max_interior_deviation(QuartetOperator(x, ctx), y, margin=2) == want
+
+    def test_energies_are_formed_per_level_sum_only(self, ctx, monkeypatch):
+        # the checked F and D, [D, pi(A)] and the defects of one context, as a
+        # truncation sweep builds them, form the energies once per k = m + n,
+        # never per lattice site, and read the same floats
+        import magnc.dirac as dirac
+
+        dirac._lattice.cache_clear()
+        levels = []
+        exact = dirac._energies
+
+        def counted(eps, sectors, n):
+            levels.append(n)
+            return exact(eps, sectors, n)
+
+        monkeypatch.setattr(dirac, "_energies", counted)
+        a = random_element(8, min(3, ctx.n_max - ctx.buffer), 1.0, ctx.lb)
+        dirac_phase(ctx, check=True)
+        build_dirac(ctx, check=True)
+        commutator_with_D(a, ctx, check=True)
+        defect_operators(a, ctx)
+        assert levels and set(levels) == {1}
+        for eps in (None, ctx.eps):
+            assert np.array_equal(oscillator_energies(ctx, include_eps=eps is not None),
+                                  exact(eps, ctx.m_tot, ctx.n_tot))
 
     @pytest.mark.parametrize("target, site, build, match", [
         ("D", (0, 0), lambda ctx, a: build_dirac(ctx, check=True), "D\\^2 differs"),

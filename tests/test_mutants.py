@@ -2,8 +2,12 @@
 
 Each mutant is one physics error, put in by a monkeypatch, with the
 acceptance checks that must fail on it.  The checks run through
-``cli.run_check`` at seed 0, as ``magnc verify-all`` runs them.
+``cli.run_check`` at seed 0, as ``magnc verify-all`` runs them.  Every
+cache in the package is emptied before a mutant goes in and after it comes
+out, so no value computed on one side is read on the other.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +15,26 @@ import pytest
 from magnc import basis, cli, cocycles, dirac, spectra
 
 exact_ladders = basis.number_ladders
-exact_delta1 = cocycles.delta1
+exact_delta1 = cocycles._delta1
 exact_weights = cocycles.sector_weights
+exact_kernels = cocycles._fredholm_kernels
+
+
+def clear_caches():
+    """Empty every ``functools`` cache of the package (``dirac._lattice``,
+    ``cocycles._context_correlations``, ...)."""
+    for name, module in list(sys.modules.items()):
+        if name == "magnc" or name.startswith("magnc."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
 
 
 def k1_off_target(size, which):
@@ -29,9 +51,9 @@ def g2_sign_flip(size, which):
     return -out if which == "G2" else out
 
 
-def delta1_sign_flip(a1, a2):
+def delta1_sign_flip(x, y):
     """The curl bilinear with the opposite orientation."""
-    return -exact_delta1(a1, a2)
+    return -exact_delta1(x, y)
 
 
 def phase_power_1_1(ctx, levels):
@@ -39,18 +61,29 @@ def phase_power_1_1(ctx, levels):
     return exact_weights(ctx, levels) ** 1.1
 
 
+def route_ii_chi_signs(a0, a1, a2, ctx, signs):
+    """Route ii's grading with chi's sign pattern (1, -1, 1, -1) in place of
+    Gamma's (1, 1, -1, -1); route i keeps Gamma."""
+    return exact_kernels(a0, a1, a2, ctx, np.array([1.0, -1.0, 1.0, -1.0]))
+
+
 MUTANTS = [
     (basis, "number_ladders", k1_off_target, ["representation-consistency"]),
     (basis, "number_ladders", g2_sign_flip, ["representation-consistency"]),
-    (cocycles, "delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
+    (cocycles, "_delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
     (cocycles, "sector_weights", phase_power_1_1, ["connes-formula-2"]),
+    (cocycles, "_fredholm_kernels", route_ii_chi_signs, ["connes-formula-2"]),
 ]
 
 
-def assert_checks_fail(must_fail):
+def run_check(check):
     registry = {cli.check_name(fn): (stage, fn) for stage, fn in cli.CHECKS}
+    return cli.run_check(*registry[check], cli.RunConfig())
+
+
+def assert_checks_fail(must_fail):
     for check in must_fail:
-        rec = cli.run_check(*registry[check], cli.RunConfig())
+        rec = run_check(check)
         assert rec["pass"] is False, rec
 
 
@@ -59,6 +92,14 @@ def assert_checks_fail(must_fail):
 def test_mutant_fails_its_checks(monkeypatch, module, name, mutant, must_fail):
     monkeypatch.setattr(module, name, mutant)
     assert_checks_fail(must_fail)
+
+
+def test_phase_mutant_fails_right_after_a_clean_run(monkeypatch):
+    # the clean run fills the context caches that the mutant must not read
+    assert run_check("connes-formula-2")["pass"] is True
+    clear_caches()
+    monkeypatch.setattr(cocycles, "sector_weights", phase_power_1_1)
+    assert_checks_fail(["connes-formula-2"])
 
 
 def test_block_shift_off_by_one_fails_its_checks():
