@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite, lgamma, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -160,7 +161,11 @@ def eval_generalized_laguerre(n: int, alpha: float, zeta):
 # ---------------------------------------------------------------------------
 
 def _index_pair(idx) -> tuple[int, int]:
+    """(n, m) as ints: a bool or non-integral index raises TypeError instead
+    of being truncated, a negative one ValueError."""
     n, m = idx
+    if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in (n, m)):
+        raise TypeError(f"basis indices must be integers, got n={n!r}, m={m!r}")
     if n < 0 or m < 0:
         raise ValueError("basis indices must be nonnegative")
     return int(n), int(m)

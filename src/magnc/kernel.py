@@ -8,12 +8,15 @@ Quadrature matrix elements of this action (``gram_via_kernel``) are the
 oracle tying the coefficient algebra to honest operators on the plane.
 
 The quadrature is a tensor Gauss-Legendre sum over x = (t_a, t_b) and
-y = (t_c, t_d), and its kernel factors axis by axis: the Gaussian of f_A is
-g[a,c] g[b,d], the phase is Phi(x, y) = E[a,d] conj(E[b,c]) with
-E[p,q] = exp(i t_p t_q / 2l^2), and f_A / psi_{0,0} is a polynomial in
-y - x.  ``gram_via_kernel`` contracts that product of 1-D tables one axis at
-a time, so it adds the same terms at the same nodes and weights as the
-pointwise double sum without evaluating the kernel at any node pair.
+y = (t_c, t_d), and both of its factors are separable on that grid.  The
+kernel factors axis by axis: the Gaussian of f_A is g[a,c] g[b,d], the phase
+is Phi(x, y) = E[a,d] conj(E[b,c]) with E[p,q] = exp(i t_p t_q / 2l^2), and
+f_A / psi_{0,0} is a polynomial in y - x.  So do the basis functions:
+psi_{0,0} is a product of two 1-D Gaussians and psi_{n,m} / psi_{0,0} a
+polynomial of degree n + m in v = t/(sqrt2 l).  ``gram_via_kernel`` contracts
+these 1-D tables one axis at a time, so it adds the same terms at the same
+nodes and weights as the pointwise double sum without evaluating the kernel
+or a basis function at any node.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .algebra import MagneticElement
 from .basis import (QuadratureScheme, _basis_over_psi00, _basis_over_psi00_monomials,
-                    _polar_parts, default_radius, eval_basis_function, magnetic_length)
+                    _index_pair, _polar_parts, default_radius, magnetic_length)
 
 __all__ = [
     "KernelFunction",
@@ -107,40 +110,66 @@ def _axis_tables(f: KernelFunction, t: np.ndarray):
     return D, Z, E
 
 
+def _separable_basis(labels, t: np.ndarray, w: np.ndarray, lb: float):
+    """Monomial tables M and 1-D factors phi of the labels' states on the
+    tensor grid of nodes t and weights w.
+
+    With v = t/(sqrt2 l) and phi[p][c] = exp(-v_c^2 / 2) v_c^p w_c,
+        psi_k(t_c, t_d) w_c w_d = sum_{p,q} M[k][p,q] phi[p][c] phi[q][d] / (sqrt(2 pi) l),
+    M[k] being ``_basis_over_psi00_monomials`` of label k, zero-padded to the
+    largest n + m among the labels.
+    """
+    deg = max(n + m for n, m in labels)
+    M = np.zeros((len(labels), deg + 1, deg + 1), dtype=complex)
+    for k, (n, m) in enumerate(labels):
+        M[k, : n + m + 1, : n + m + 1] = _basis_over_psi00_monomials(n, m)
+    v = t / (np.sqrt(2.0) * lb)
+    phi = np.stack([v**p * np.exp(-0.5 * v**2) * w for p in range(deg + 1)])
+    if not np.all(np.isfinite(phi)):
+        raise FloatingPointError("basis quadrature tables are non-finite")
+    return M, phi
+
+
 def gram_via_kernel(a: MagneticElement, bras, kets,
                     scheme: QuadratureScheme | None = None) -> np.ndarray:
     """Matrix of <psi_bra, A psi_ket> with A acting through its kernel.
 
     The tensor Gauss-Legendre sum over x = (t_a, t_b) and y = (t_c, t_d) of
     conj(psi_bra(x)) w(x) f(y - x) Phi(x, y) psi_ket(y) w(y) / (2 pi l^2),
-    with the kernel split into ``_axis_tables``.  For each power s of
-    v2 = (t_d - t_b)/(sqrt2 l) the kets are contracted over d against
-    E[a,d] Z[s][b,d] (one matmul), then against the bras times
-    sum_r D[r,s] Z[r][a,c] conj(E[b,c]) over (c, a, b).  Every term of the
-    pointwise sum appears once, so this is the same quadrature, reordered; no
-    array larger than (labels x nodes^3) is formed.
+    with the kernel split into ``_axis_tables`` and the states into
+    ``_separable_basis``.  For each power s of v2 = (t_d - t_b)/(sqrt2 l),
+        U_q[a,b] = sum_d phi_q(d) E[a,d] Z[s][b,d]
+        Y_p[a,b] = sum_c R[a,c] phi_p(c) conj(E[b,c]),  R = sum_r D[r,s] Z[r],
+    and the products Y_p U_q are summed over s; their moments against
+    phi_p'(a) phi_q'(b), contracted with conj(M_bra) and M_ket, give the
+    matrix.  Every term of the pointwise sum appears once, so this is the same
+    quadrature, reordered.  Cost per power: 2 (deg + 1) nodes^3 with deg the
+    largest n + m among the labels; the largest array is (deg + 1)^2 nodes^2.
     """
     lb = a.lb
+    bras, kets = [_index_pair(b) for b in bras], [_index_pair(k) for k in kets]
+    if not (bras and kets):
+        raise ValueError("need at least one bra and one ket")
     if scheme is None:
-        hi = max(max(n, m) for (n, m) in list(bras) + list(kets)) + 1
+        hi = max(max(n, m) for (n, m) in bras + kets) + 1
         scheme = QuadratureScheme(default_radius(hi, hi))
-    t, _ = scheme.nodes_1d(lb)
-    pts, w = scheme.grid(lb)
-    nt = len(t)
-    # rows (ket, c), columns d; and [bra, 1, a, b] to broadcast over c
-    ket = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets]).reshape(-1, nt)
-    bra = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w
-                    for bb in bras]).reshape(len(bras), 1, nt, nt)
+    t, w = scheme.nodes_1d(lb)
     D, Z, E = _axis_tables(kernel_of(a), t)
-    out = np.zeros((len(bras), len(kets)), dtype=complex)
+    M, phi = _separable_basis(bras + kets, t, w, lb)
+    nt, P = len(t), len(phi)
+    # V[(q, a), d] = phi[q][d] E[a, d] and X[c, (p, b)] = phi[p][c] conj(E[b, c])
+    V = (phi[:, None, :] * E[None, :, :]).reshape(P * nt, nt)
+    X = (phi.T[:, :, None] * np.conj(E).T[:, None, :]).reshape(nt, P * nt)
+    YU = np.zeros((P, P, nt, nt), dtype=complex)  # [p, q, a, b]
     for s in range(len(D)):
-        # T[(k, c), (a, b)] = sum_d ket[k, c, d] E[a, d] Z[s][b, d]
-        T = ket @ (E[:, None, :] * Z[s][None, :, :]).reshape(nt * nt, nt).T
-        # [bra, c, a, b] = bra[a, b] R[a, c] conj(E[b, c]), R = sum_r D[r, s] Z[r]
-        R = np.tensordot(D[:, s], Z, axes=1)
-        W = bra * (R.T[:, :, None] * np.conj(E).T[:, None, :])
-        out += W.reshape(len(bras), -1) @ T.reshape(len(kets), -1).T
-    out /= 2.0 * pi * lb**2
+        U = (V @ Z[s].T).reshape(P, nt, nt)
+        Y = (np.tensordot(D[:, s], Z, axes=1) @ X).reshape(nt, P, nt)
+        YU += Y.transpose(1, 0, 2)[:, None] * U[None]
+    # G[(p', q'), (p, q)] = sum_{a,b} phi[p'][a] phi[q'][b] YU[p, q, a, b]
+    G = np.einsum("ia,pqaj->ijpq", phi, (YU.reshape(-1, nt) @ phi.T).reshape(P, P, nt, P))
+    bra, ket = np.conj(M[: len(bras)]), M[len(bras):]
+    out = bra.reshape(len(bras), -1) @ G.reshape(P * P, P * P) @ ket.reshape(len(kets), -1).T
+    out /= (2.0 * pi * lb**2) ** 2
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("kernel quadrature is non-finite")
     return out

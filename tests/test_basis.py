@@ -140,6 +140,20 @@ class TestBasisFunction:
         with pytest.raises(ValueError):
             QuadratureScheme(radius=5.0, nodes_per_axis=4)
 
+    @pytest.mark.parametrize("evaluate", [eval_basis_function, basis_with_gradient])
+    @pytest.mark.parametrize("idx", [(1.9, 0), (0, 1.0), (True, 0), (0, np.True_)])
+    def test_non_integer_labels_raise_type_error(self, evaluate, idx):
+        # a float label was truncated by int(): (1.9, 0) evaluated psi_{1,0}
+        with pytest.raises(TypeError):
+            evaluate(idx, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("evaluate", [eval_basis_function, basis_with_gradient])
+    def test_numpy_integer_labels_are_accepted(self, evaluate):
+        pts = np.array([[0.3, -0.4], [1.1, 0.2]])
+        got = evaluate((np.int64(2), np.int32(1)), pts)
+        want = evaluate((2, 1), pts)
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+
     @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan"), float("inf"), float("-inf")])
     def test_quadrature_radius_must_be_positive_and_finite(self, radius):
         with pytest.raises(ValueError):

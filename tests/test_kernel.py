@@ -1,5 +1,6 @@
 """Integral-kernel correspondence: the twisted-convolution action on the plane."""
 
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -15,6 +16,7 @@ from magnc.algebra import (
 from magnc.basis import QuadratureScheme, default_radius, eval_basis_function
 from magnc.kernel import (
     _axis_tables,
+    _separable_basis,
     gram_via_kernel,
     kernel_of,
     magnetic_phase,
@@ -26,9 +28,9 @@ ACCEPTANCE_LABELS = [(n, m) for n in range(3) for m in range(2)]
 
 
 def pointwise_gram(a, bras, kets, scheme):
-    """The kernel quadrature as a plain double sum over node pairs: f(y - x) and
-    Phi(x, y) evaluated pointwise, contracted in row blocks (the oracle of the
-    axis-by-axis contraction in ``gram_via_kernel``)."""
+    """The kernel quadrature as a plain double sum over node pairs: f(y - x),
+    Phi(x, y) and the basis functions evaluated pointwise, contracted in row
+    blocks (the oracle of the axis-by-axis contraction in ``gram_via_kernel``)."""
     lb = a.lb
     f = kernel_of(a)
     pts, w = scheme.grid(lb)
@@ -154,6 +156,51 @@ class TestAxisFactorization:
         want = f(ys - xs) * magnetic_phase(xs, ys, lb)
         assert np.abs(want).max() > 1e-2
         assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("lb", [0.7, 1.0, 1.3])
+    def test_separable_tables_reproduce_the_basis_on_the_grid(self, lb):
+        # sum M[p,q] phi_p(t_c) phi_q(t_d) / (sqrt(2 pi) l) against psi_{n,m} w
+        # at every node of the tensor grid, for every label with n + m <= 8
+        labels = [(n, k - n) for k in range(9) for n in range(k + 1)]
+        scheme = QuadratureScheme(default_radius(8, 8), 56)
+        t, w1 = scheme.nodes_1d(lb)
+        pts, w = scheme.grid(lb)
+        M, phi = _separable_basis(labels, t, w1, lb)
+        assert M.shape == (45, 9, 9) and phi.shape == (9, 56)
+        got = np.einsum("kpq,pc,qd->kcd", M, phi, phi) / (np.sqrt(2.0 * pi) * lb)
+        for k, idx in enumerate(labels):
+            want = (eval_basis_function(idx, pts, lb) * w).reshape(56, 56)
+            assert np.abs(got[k] - want).max() <= 1e-13 * np.abs(want).max(), idx
+
+    @pytest.mark.parametrize("side", ["bras", "kets"])
+    @pytest.mark.parametrize("label", [(1.9, 0), (0, 1.0), (True, 0)])
+    def test_non_integer_labels_raise_type_error(self, side, label):
+        # a float label was truncated: (1.9, 0) gave the (1, 0) row
+        labels = {"bras": [(0, 0)], "kets": [(0, 0)]}
+        labels[side].append(label)
+        with pytest.raises(TypeError):
+            gram_via_kernel(random_element(1, 3, 1.0), labels["bras"], labels["kets"],
+                            QuadratureScheme(default_radius(4, 4), 16))
+
+    def test_numpy_integer_labels_are_accepted(self):
+        a = random_element(1, 3, 1.0)
+        scheme = QuadratureScheme(default_radius(4, 4), 16)
+        labels = [(np.int64(n), np.int32(m)) for n, m in ACCEPTANCE_LABELS]
+        assert np.array_equal(gram_via_kernel(a, labels, labels, scheme),
+                              gram_via_kernel(a, ACCEPTANCE_LABELS, ACCEPTANCE_LABELS, scheme))
+
+    def test_acceptance_call_stays_within_8_mb(self):
+        # a nodes^4 contraction (tens of MB at 56 nodes) must not come back
+        a = random_element(2, 3, 1.0)
+        scheme = QuadratureScheme(default_radius(4, 4), 56)
+        gram_via_kernel(a, ACCEPTANCE_LABELS, ACCEPTANCE_LABELS, scheme)
+        tracemalloc.start()
+        try:
+            gram_via_kernel(a, ACCEPTANCE_LABELS, ACCEPTANCE_LABELS, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("labels", [ACCEPTANCE_LABELS, [(0, 0), (1, 0), (0, 1)]])

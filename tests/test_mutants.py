@@ -1,8 +1,9 @@
 """Every check can fail: a table of physics mutants.
 
-Each mutant is one physics error, put in by a monkeypatch, with the
-acceptance checks that must fail on it.  The checks run through
-``cli.run_check`` at seed 0, as ``magnc verify-all`` runs them.  Every
+Each mutant is one physics error, put in by a monkeypatch of one name in
+every module that binds it, with the acceptance checks that must fail on
+it.  The checks run through ``cli.run_check`` at seed 0, as
+``magnc verify-all`` runs them.  Every
 cache in the package is emptied before a mutant goes in and after it comes
 out, so no value computed on one side is read on the other.
 """
@@ -12,12 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from magnc import basis, cli, cocycles, dirac, spectra
+from magnc import basis, cli, cocycles, dirac, kernel, spectra
 
 exact_ladders = basis.number_ladders
 exact_delta1 = cocycles._delta1
 exact_weights = cocycles.sector_weights
 exact_kernels = cocycles._fredholm_kernels
+exact_monomials = basis._basis_over_psi00_monomials
+exact_axis_tables = kernel._axis_tables
 
 
 def clear_caches():
@@ -67,12 +70,28 @@ def route_ii_chi_signs(a0, a1, a2, ctx, signs):
     return exact_kernels(a0, a1, a2, ctx, np.array([1.0, -1.0, 1.0, -1.0]))
 
 
+def monomials_conjugated(n, m):
+    """psi_{n,m}/psi_{0,0} with u and ubar exchanged, for the kernel and the
+    basis tables alike."""
+    return np.conj(exact_monomials(n, m))
+
+
+def phase_conjugated(f, t):
+    """The kernel tables with the magnetic phase Phi(x, y) replaced by
+    Phi(y, x)."""
+    d, z, e = exact_axis_tables(f, t)
+    return d, z, np.conj(e)
+
+
 MUTANTS = [
-    (basis, "number_ladders", k1_off_target, ["representation-consistency"]),
-    (basis, "number_ladders", g2_sign_flip, ["representation-consistency"]),
-    (cocycles, "_delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
-    (cocycles, "sector_weights", phase_power_1_1, ["connes-formula-2"]),
-    (cocycles, "_fredholm_kernels", route_ii_chi_signs, ["connes-formula-2"]),
+    ((basis,), "number_ladders", k1_off_target, ["representation-consistency"]),
+    ((basis,), "number_ladders", g2_sign_flip, ["representation-consistency"]),
+    ((cocycles,), "_delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
+    ((cocycles,), "sector_weights", phase_power_1_1, ["connes-formula-2"]),
+    ((cocycles,), "_fredholm_kernels", route_ii_chi_signs, ["connes-formula-2"]),
+    ((basis, kernel), "_basis_over_psi00_monomials", monomials_conjugated,
+     ["representation-consistency"]),
+    ((kernel,), "_axis_tables", phase_conjugated, ["representation-consistency"]),
 ]
 
 
@@ -87,10 +106,11 @@ def assert_checks_fail(must_fail):
         assert rec["pass"] is False, rec
 
 
-@pytest.mark.parametrize("module, name, mutant, must_fail", MUTANTS,
+@pytest.mark.parametrize("modules, name, mutant, must_fail", MUTANTS,
                          ids=[m[2].__name__ for m in MUTANTS])
-def test_mutant_fails_its_checks(monkeypatch, module, name, mutant, must_fail):
-    monkeypatch.setattr(module, name, mutant)
+def test_mutant_fails_its_checks(monkeypatch, modules, name, mutant, must_fail):
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
     assert_checks_fail(must_fail)
 
 
