@@ -12,7 +12,6 @@ from .algebra import (
     adjoint,
     trace_int,
     spatial_derivative,
-    norms,
     random_element,
     landau_projection,
     projection_sum,

@@ -30,7 +30,6 @@ __all__ = [
     "adjoint",
     "trace_int",
     "spatial_derivative",
-    "norms",
     "random_element",
     "hermitize",
     "conjugated_projection",
@@ -230,9 +229,11 @@ def hermitize(a: MagneticElement) -> MagneticElement:
 
 
 def is_projection(p: MagneticElement, tol: float = 1e-10) -> bool:
+    """P* = P = P^2 to ``tol``; an element whose square overflows is none."""
     m = p.block
-    herm = np.abs(m - m.conj().T).max(initial=0.0)
-    idem = np.abs((p @ p).block - m).max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(m - m.conj().T).max(initial=0.0)
+        idem = np.abs(m @ m - m).max(initial=0.0)
     return bool(herm <= tol and idem <= tol)
 
 

@@ -559,8 +559,9 @@ def main(argv=None) -> int:
         if args.command == "dixmier-ladder":
             return cmd_dixmier_ladder(cfg, args.target)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, alg.TruncationError) as exc:
-        # an input too wide for --nmax is bad input, like a malformed one
+    except (ConfigError, alg.TruncationError, OverflowError) as exc:
+        # an input too wide for --nmax, or whose cocycle overflows double
+        # precision, is bad input, like a malformed one
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the exit-code contract wants 3

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +21,11 @@ from .algebra import (
     MagneticElement,
     TruncationError,
     UnitalElement,
-    compose,
+    _k_ladders,
     is_projection,
-    norms,
-    spatial_derivative,
     trace_int,
 )
+from .basis import require_same_length
 from .dirac import (
     CHI_GRADING,
     GAMMA_GRADING,
@@ -47,8 +47,6 @@ from .spectra import (
 __all__ = [
     "CocycleValue",
     "Cochain",
-    "delta1",
-    "deltas",
     "psi",
     "gap_label",
     "chern_number",
@@ -79,7 +77,12 @@ class CocycleValue:
 
 
 class Cochain:
-    """Multilinear functional on the unitized algebra."""
+    """Multilinear functional on the unitized algebra.
+
+    The evaluator takes one ``_Stack`` per slot, all of one batch and one
+    level window, and returns the (batch,) array of values; a call on
+    elements stacks them as a batch of one.
+    """
 
     def __init__(self, degree: int, evaluator):
         if degree < 0:
@@ -92,40 +95,96 @@ class Cochain:
             raise ValueError(
                 f"{self.degree}-cochain takes {self.degree + 1} arguments, got {len(args)}"
             )
-        return complex(self.evaluator(*[UnitalElement.lift(a) for a in args]))
+        return complex(self.evaluator(*_stack(*args))[0])
 
 
 # ---------------------------------------------------------------------------
-# Exact tier.
+# Exact tier: coefficient blocks stacked on one level window.
 # ---------------------------------------------------------------------------
 
-def _gradient(a: MagneticElement) -> tuple[MagneticElement, MagneticElement]:
-    """(grad_1 A, grad_2 A)."""
-    return spatial_derivative(a, 1), spatial_derivative(a, 2)
+class _Stack(NamedTuple):
+    """A batch of unital elements c 1 + A on one level window s: scalars c
+    (batch,) and blocks A (batch, s, s) at the magnetic length ``lb``."""
+
+    scalar: np.ndarray
+    block: np.ndarray
+    lb: float
+
+    def full(self) -> np.ndarray:
+        """c 1 + A on the window."""
+        return self.block + self.scalar[:, None, None] * np.eye(self.block.shape[-1])
+
+    def __matmul__(self, other: "_Stack") -> "_Stack":
+        # (c 1 + A)(c' 1 + A') = c c' 1 + (A A' + c A' + c' A); an overflow
+        # surfaces in the checked output of ``_exact``
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = (self.block @ other.block + self.scalar[:, None, None] * other.block
+                     + other.scalar[:, None, None] * self.block)
+        return _Stack(self.scalar * other.scalar, block, self.lb)
 
 
-def _delta1(x, y) -> MagneticElement:
-    """delta1 from the gradients x of A1 and y of A2."""
-    return compose(x[0], y[1]) - compose(x[1], y[0])
+def _join(*stacks: _Stack) -> _Stack:
+    """One batch of the stacks' entries, in order."""
+    return _Stack(np.concatenate([z.scalar for z in stacks]),
+                  np.concatenate([z.block for z in stacks]), stacks[0].lb)
 
 
-def delta1(a1: MagneticElement, a2: MagneticElement) -> MagneticElement:
-    """grad_1 A1 grad_2 A2 - grad_2 A1 grad_1 A2, the curl-type bilinear."""
-    return _delta1(_gradient(a1), _gradient(a2))
+def _stack(*args) -> list[_Stack]:
+    """Each argument (an element or a unital element) as a batch of one on
+    the window s = largest stored block + 1, padded once.  Products of the
+    arguments stay supported below s, and s holds their gradients exactly.
+    Arguments at different magnetic lengths raise ValueError."""
+    units = [UnitalElement.lift(a) for a in args]
+    lb = units[0].lb
+    for u in units[1:]:
+        require_same_length(lb, u.lb, "elements")
+    s = 1 + max(u.element.block.shape[0] for u in units)
+    return [_Stack(np.array([u.scalar]), u.element.padded(s)[None], lb) for u in units]
 
 
-def deltas(a1: MagneticElement, a2: MagneticElement) -> tuple[MagneticElement, MagneticElement]:
-    """(delta0, delta1) of one pair, delta0 = grad_1 A1 grad_1 A2 +
-    grad_2 A1 grad_2 A2, on one gradient per element; delta1 is ``delta1``'s
-    bit for bit."""
-    x, y = _gradient(a1), _gradient(a2)
-    return compose(x[0], y[0]) + compose(x[1], y[1]), _delta1(x, y)
+def _gradient(z: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_1 A, grad_2 A) of every entry, two (batch, s, s) arrays:
+    -i l [K2, A] and +i l [K1, A] (units drop under the derivations)."""
+    k1, k2 = _k_ladders(z.block.shape[-1])
+    a = z.block
+    return -1j * z.lb * (k2 @ a - a @ k2), 1j * z.lb * (k1 @ a - a @ k1)
+
+
+def _delta1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """delta1 = grad_1 A1 grad_2 A2 - grad_2 A1 grad_1 A2 from the gradients
+    x of A1 and y of A2, the curl-type bilinear."""
+    return x[0] @ y[1] - x[1] @ y[0]
+
+
+def _deltas(z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(delta0, delta1) of every pair, delta0 = grad_1 A1 grad_1 A2 +
+    grad_2 A1 grad_2 A2, on one gradient per element and axis."""
+    x, y = _gradient(z1), _gradient(z2)
+    return x[0] @ y[0] + x[1] @ y[1], _delta1(x, y)
+
+
+def _exact(z0: _Stack, z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(Z0 delta0(Z1, Z2), Z0 delta1(Z1, Z2)), two (batch, s, s) arrays: the
+    one path of the exact tier.  Its output is checked finite once: finite
+    input whose products leave double precision raises OverflowError,
+    without floating-point warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = z0.full()
+        out = tuple(z @ d for d in _deltas(z1, z2))
+    if not all(np.isfinite(p).all() for p in out):
+        raise OverflowError("the exact cocycle of this input overflows double precision")
+    return out
+
+
+def _psi(z0: _Stack, z1: _Stack, z2: _Stack) -> np.ndarray:
+    """psi of every entry, the trace of Z0 delta1(Z1, Z2): the scalar part of
+    the first slot multiplies the plain trace of delta1."""
+    return np.trace(_exact(z0, z1, z2)[1], axis1=1, axis2=2)
 
 
 def psi(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement) -> CocycleValue:
     """The derivation-trace 2-cocycle, an exact finite computation."""
-    val = trace_int(compose(a0, delta1(a1, a2)))
-    return CocycleValue(val, "exact-algebraic", 0.0)
+    return CocycleValue(complex(_psi(*_stack(a0, a1, a2))[0]), "exact-algebraic", 0.0)
 
 
 def _require_projection(p: MagneticElement):
@@ -157,15 +216,15 @@ def chern_number(p: MagneticElement) -> float:
 
 def _dixmier_functional(terms, ladder) -> CocycleValue:
     """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
-    ``(coef, S, [(xi, w), ...])``: one ladder call per term for all its
+    ``(coef, diag S, [(xi, w), ...])``: one ladder call per term for all its
     shifted blocks, and one extrapolation (``dixmier_fits``) for the blocks of
     every term.  The |w|-weighted stderrs add in quadrature within a term and
     linearly across terms; the value is measurable when every block is.  A
     block whose top rung does not exceed its shift 1 + xi is not: its sector
     sums have not reached their logarithmic growth, and at a large enough
     shift they vanish in floating point.  sigma_N takes the same weights."""
-    sums = [shifted_resolvent_ladder(s_el, [xi for xi, _ in blocks], ladder)[1]
-            for _, s_el, blocks in terms]
+    sums = [shifted_resolvent_ladder(diag, [xi for xi, _ in blocks], ladder)[1]
+            for _, diag, blocks in terms]
     fits = iter(dixmier_fits(ladder, np.concatenate(sums), DIXMIER_REL_TOL))
     value, error, sigma, measurable = 0.0, 0.0, 0.0, True
     for coef, _, blocks in terms:
@@ -187,18 +246,21 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
     """
     require_fits(ctx, a)
     return _dixmier_functional(
-        [(0.25, a, [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
+        [(0.25, np.diag(a.block), [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
 
 
-def _graded_terms(coef: float, z0: UnitalElement, z1: MagneticElement,
-                  z2: MagneticElement, ctx: DiracContext) -> list:
+def _graded_terms(coefs, z0: _Stack, z1: _Stack, z2: _Stack, ctx: DiracContext) -> list:
     """Terms of coef |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ]
-    over the four shifted blocks, Gamma carrying ``GAMMA_SIGNS``."""
-    d0, d1 = deltas(z1, z2)
-    c = coef / (2.0 * ctx.lb**2)
+    over the four shifted blocks, Gamma carrying ``GAMMA_SIGNS``, for each
+    batch entry and its coefficient in turn."""
+    p0, p1 = (np.einsum("bii->bi", p) for p in _exact(z0, z1, z2))
     shifts = ctx.shifted_energies()
-    return [(-c, z0.scalar * d0 + compose(z0.element, d0), list(zip(shifts, GAMMA_SIGNS))),
-            (1j * c, z0.scalar * d1 + compose(z0.element, d1), [(xi, 1.0) for xi in shifts])]
+    terms = []
+    for coef, g0, g1 in zip(coefs, p0, p1):
+        c = coef / (2.0 * ctx.lb**2)
+        terms += [(-c, g0, list(zip(shifts, GAMMA_SIGNS))),
+                  (1j * c, g1, [(xi, 1.0) for xi in shifts])]
+    return terms
 
 
 def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -209,8 +271,7 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     after extrapolation; the identity-weighted part carries the value.
     """
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    return _dixmier_functional(_graded_terms(0.5, UnitalElement.lift(a0), a1, a2, ctx),
-                               ladder)
+    return _dixmier_functional(_graded_terms([0.5], *_stack(a0, a1, a2), ctx), ladder)
 
 
 def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -228,10 +289,9 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     tr_chi = complex(np.trace(CHI_GRADING))
     tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
     c = 0.5 / (2.0 * ctx.lb**2)
-    d0, d1 = deltas(a1, a2)
-    v = _dixmier_functional([(-c, compose(a0, d0), [(ctx.eps, tr_chi)]),
-                             (1j * c, compose(a0, d1), [(ctx.eps, tr_chi_gamma)])],
-                            ladder)
+    (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
+    v = _dixmier_functional([(-c, g0, [(ctx.eps, tr_chi)]),
+                             (1j * c, g1, [(ctx.eps, tr_chi_gamma)])], ladder)
     return replace(v, method="spin-trace-factorized")
 
 
@@ -242,17 +302,15 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     Closedness of the graded trace makes this vanish for every pair.
     """
     require_fits(ctx, a1, a2, margin=ctx.buffer)
-    return _dixmier_functional(_graded_terms(1.0, UnitalElement.unit(ctx.lb), a1, a2, ctx),
-                               ladder)
+    return _dixmier_functional(
+        _graded_terms([1.0], *_stack(UnitalElement.unit(ctx.lb), a1, a2), ctx), ladder)
 
 
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
     """Reference magnitude for closedness checks: the size of the pieces
     whose cancellation is being asserted."""
-    d0, d1 = deltas(a1, a2)
-    return max(
-        abs(trace_int(d0)), norms(d0)["hs_norm"], norms(d1)["hs_norm"], 1e-12
-    ) / (2.0 * lb**2)
+    (d0,), (d1,) = _exact(*_stack(UnitalElement.unit(lb), a1, a2))
+    return max(abs(np.trace(d0)), np.linalg.norm(d0), np.linalg.norm(d1), 1e-12) / (2.0 * lb**2)
 
 
 def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticElement,
@@ -263,14 +321,13 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     Splits the middle factor with the derivation property of the
     quasi-differential, then reduces both three-factor terms.
     """
-    x0 = UnitalElement.lift(x0)
-    y0 = UnitalElement.lift(y0)
-    require_fits(ctx, x0.element, x1, y0.element, y1, margin=ctx.buffer)
+    require_fits(ctx, *(UnitalElement.lift(a).element for a in (x0, x1, y0, y1)),
+                 margin=ctx.buffer)
+    x0, x1, y0, y1 = _stack(x0, x1, y0, y1)
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
-    x1y0 = y0.scalar * x1 + compose(x1, y0.element)
     return _dixmier_functional(
-        _graded_terms(1.0, x0, x1y0, y1, ctx)
-        + _graded_terms(-1.0, x0 @ UnitalElement(0.0, x1), y0.element, y1, ctx), ladder)
+        _graded_terms([1.0, -1.0], _join(x0, x0 @ x1), _join(x1 @ y0, y0), _join(y1, y1), ctx),
+        ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -399,29 +456,28 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
 # Hochschild machinery.
 # ---------------------------------------------------------------------------
 
+def _coboundary(phi: Cochain, zs) -> np.ndarray:
+    """b phi on a batch of (n+2)-tuples, one ``_Stack`` per slot: the n + 2
+    terms, alternating inner contractions plus the wrap-around term, as one
+    evaluation of phi on stacked merged arguments."""
+    zs, k = list(zs), len(zs)
+    prods = [zs[j] @ zs[(j + 1) % k] for j in range(k)]
+    terms = [zs[:j] + [prods[j]] + zs[j + 2:] for j in range(k - 1)] + [[prods[-1]] + zs[1:-1]]
+    slots = [_join(*column) for column in zip(*terms)]
+    return (-1.0) ** np.arange(k) @ phi.evaluator(*slots).reshape(k, -1)
+
+
 def hochschild_b(phi: Cochain, args) -> complex:
-    """The coboundary sum on an (n+2)-tuple: alternating inner contractions
-    plus the wrap-around term."""
-    args = [UnitalElement.lift(a) for a in args]
+    """The coboundary sum on an (n+2)-tuple of elements or unital elements:
+    alternating inner contractions plus the wrap-around term."""
     n = phi.degree
     if len(args) != n + 2:
         raise ValueError(f"b of a {n}-cochain takes {n + 2} arguments, got {len(args)}")
-    total = 0j
-    for j in range(n + 1):
-        merged = args[:j] + [args[j] @ args[j + 1]] + args[j + 2 :]
-        total += (-1.0) ** j * phi(*merged)
-    wrap = [args[-1] @ args[0]] + args[1:-1]
-    total += (-1.0) ** (n + 1) * phi(*wrap)
-    return complex(total)
+    return complex(_coboundary(phi, _stack(*args))[0])
 
 
 def psi_cochain() -> Cochain:
     """The derivation-trace cocycle on the unitization (units drop under
     the derivations; the scalar part of the first slot multiplies the plain
     trace of the curl bilinear)."""
-
-    def ev(u0: UnitalElement, u1: UnitalElement, u2: UnitalElement) -> complex:
-        d1 = delta1(u1.element, u2.element)
-        return u0.scalar * trace_int(d1) + trace_int(compose(u0.element, d1))
-
-    return Cochain(2, ev)
+    return Cochain(2, _psi)

@@ -201,8 +201,9 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
             for v, e, row, m, conv in zip(value.tolist(), stderr, sigma, measurable, summable)]
 
 
-def shifted_resolvent_ladder(s_el: MagneticElement, xi, ladder=DEFAULT_LADDER):
-    """Exact partial sums of the sector traces of (Q + xi)^{-1} S.
+def shifted_resolvent_ladder(diag, xi, ladder=DEFAULT_LADDER):
+    """Exact partial sums of the sector traces of (Q + xi)^{-1} S, from the
+    diagonal ``diag`` of S (its only part the traces read).
 
     Each degeneracy sector contributes sum_n S_nn / (n + m + 1 + xi); summing
     m < N gives sum_n S_nn (digamma(N + n + 1 + xi) - digamma(n + 1 + xi)),
@@ -213,7 +214,6 @@ def shifted_resolvent_ladder(s_el: MagneticElement, xi, ladder=DEFAULT_LADDER):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= -1):
         raise ValueError("diagonal shift must exceed -1")
-    diag = np.diag(s_el.block)
     ns = np.asarray(ladder, dtype=float)
     if len(diag) == 0 or not np.any(diag):
         return ns, np.zeros(xi.shape + ns.shape, dtype=complex)
@@ -388,15 +388,26 @@ def stable_spectrum(build, ctx: DiracContext) -> SingularSpectrum:
     64 (agreement to 1e-6 relative), isolates the honest prefix, which is
     what decay fits may use.  A context whose comparison truncation is not
     the smaller one (m_max <= 64) is a ``TruncationError``.
+
+    The two block stacks agree, bit for bit, in most blocks they share (all
+    but the edge slot for ``dirac.defect_stacks``): those blocks are
+    decomposed once, and each truncation's spectrum is assembled from them
+    and from its own differing blocks.
     """
     small = replace(ctx, m_max=max(ctx.m_max // 2, 64))
     if small.m_max >= ctx.m_max:
         raise TruncationError(f"m_max {ctx.m_max} leaves no smaller truncation to compare with")
-    s_big = singular_values(build(ctx))
+    big, sml = build(ctx), build(small)
+    n = min(len(big), len(sml)) if big.shape[1:] == sml.shape[1:] else 0
+    same = (big[:n] == sml[:n]).all(axis=(1, 2))
+    shared = singular_values(big[:n][same]).mu
+    s_big = SingularSpectrum(np.concatenate(
+        [shared, singular_values(np.concatenate([big[:n][~same], big[n:]])).mu]))
     if s_big.count == 0 or s_big.mu[0] <= 1e-14:
         # the zero operator: trivially stable, trivially summable
         return SingularSpectrum(np.zeros(64))
-    s_small = singular_values(build(small))
+    s_small = SingularSpectrum(np.concatenate(
+        [shared, singular_values(np.concatenate([sml[:n][~same], sml[n:]])).mu]))
     n = min(s_big.count, s_small.count)
     big, sml = s_big.mu[:n], s_small.mu[:n]
     scale = big[0] if n and big[0] > 0 else 1.0

@@ -1,8 +1,10 @@
-"""Lattice-sized reference constructions shared by the tests."""
+"""Reference constructions shared by the tests: lattice-sized operators,
+and the exact cocycle tier as a chain of ``MagneticElement`` objects."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from magnc.algebra import UnitalElement, compose, spatial_derivative, trace_int
 from magnc.basis import number_ladders
 from magnc.cocycles import _fredholm_kernels
 from magnc.dirac import GAMMA_SIGNS, reg_inverse, sector_blocks, sector_weights
@@ -80,3 +82,38 @@ def fredholm_sector_traces(a0, a1, a2, ctx) -> np.ndarray:
     t += (m + 1) * form(w[1:], k_plus, v)
     t[1:] += m[1:] * form(w[:-2], k_minus, v[1:])
     return t
+
+
+def gradient(a):
+    """(grad_1 A, grad_2 A) as elements."""
+    return spatial_derivative(a, 1), spatial_derivative(a, 2)
+
+
+def delta1(x, y):
+    """delta1 from the gradients x of A1 and y of A2, as an element."""
+    return compose(x[0], y[1]) - compose(x[1], y[0])
+
+
+def deltas(a1, a2):
+    """(delta0, delta1) of one pair as elements, on one gradient per element
+    and axis."""
+    x, y = gradient(a1), gradient(a2)
+    return compose(x[0], y[0]) + compose(x[1], y[1]), delta1(x, y)
+
+
+def psi(u0, u1, u2) -> complex:
+    """The derivation-trace cocycle on unital elements, one object per
+    intermediate: u0's scalar times tr delta1, plus tr(A0 delta1)."""
+    u0, u1, u2 = (UnitalElement.lift(u) for u in (u0, u1, u2))
+    d1 = deltas(u1.element, u2.element)[1]
+    return u0.scalar * trace_int(d1) + trace_int(compose(u0.element, d1))
+
+
+def hochschild_b(phi, args) -> complex:
+    """The coboundary sum of a cochain given as a function of unital
+    elements, term by term on unital products."""
+    args = [UnitalElement.lift(a) for a in args]
+    total = 0j
+    for j in range(len(args) - 1):
+        total += (-1.0) ** j * phi(*args[:j], args[j] @ args[j + 1], *args[j + 2:])
+    return total + (-1.0) ** (len(args) - 1) * phi(args[-1] @ args[0], *args[1:-1])

@@ -195,6 +195,26 @@ class TestElementInputs:
     def test_support_beyond_the_truncation_is_a_configuration_error(self, which):
         assert run_cli(["--nmax", "16", "invariant", which, "pi:40"]) == 2
 
+    @pytest.mark.parametrize("which", ["psi", "chern", "ch", "tau2"])
+    def test_cocycle_overflowing_double_precision_is_a_configuration_error(
+            self, tmp_path, capsys, which):
+        # finite coefficients whose cocycle products leave double precision:
+        # one configuration-error line, no floating-point warning
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([{"j": j, "k": k, "re": 1e200, "im": 0.0}
+                                    for j, k in ((0, 0), (1, 0), (0, 1))]))
+        assert run_cli(["invariant", which, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:"), err
+
+    def test_internal_value_error_still_exits_three(self, monkeypatch, capsys):
+        def broken(*args):
+            raise ValueError("coefficients must be finite")
+
+        monkeypatch.setattr(cli.cc, "psi", broken)
+        assert run_cli(["invariant", "psi", "pi:0"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ValueError")
+
 
 class TestSubcommands:
     def test_dry_run_lists_plan(self, tmp_path, capsys):
@@ -367,7 +387,7 @@ class TestSubcommands:
                 sigma = nc_integral(el, cfg.context(), cfg.ladder).sigma
                 assert [row[1:3] for row in rows] == [
                     [f"{x.real:.12g}", f"{x.imag:.12g}"] for x in sigma]
-                sums = sum(0.25 * shifted_resolvent_ladder(el, xi, cfg.ladder)[1]
+                sums = sum(0.25 * shifted_resolvent_ladder(np.diag(el.block), xi, cfg.ladder)[1]
                            for xi in cfg.context().shifted_energies())
                 np.testing.assert_allclose(sigma, sums / np.log(cfg.ladder), rtol=1e-12)
 

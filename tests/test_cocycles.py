@@ -5,18 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from magnc import cocycles, spectra
 from magnc.algebra import (
     MagneticElement,
     TruncationError,
     UnitalElement,
-    compose,
     conjugated_projection,
     landau_projection,
     projection_sum,
     random_element,
-    spatial_derivative,
     trace_int,
     upsilon,
     zero_element,
@@ -24,15 +23,18 @@ from magnc.algebra import (
 from magnc.cli import RunConfig, _projection_corpus, _triple_corpus
 from magnc.cocycles import (
     Cochain,
+    _coboundary,
+    _deltas,
     _dixmier_functional,
+    _exact,
+    _gradient,
     _route_ii_sums,
+    _stack,
     _route_ii_windows,
     _window_correlations,
     chern_number,
     ch_dix,
     ch_hat,
-    deltas,
-    delta1,
     gap_label,
     graded_one_form_product_trace,
     graded_two_form_trace,
@@ -60,6 +62,7 @@ from magnc.dirac import (
     reg_inverse,
     represent,
 )
+import oracles
 from oracles import fredholm_sector_traces
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=512, buffer=4)
@@ -121,29 +124,35 @@ class TestExactTier:
             assert c == pytest.approx(1.0, abs=1e-8)
 
     def test_deltas_are_the_two_bilinears_bit_for_bit(self):
+        # on the stacked gradients: delta0 = x1 y1 + x2 y2, delta1 = x1 y2 - x2 y1,
+        # and the exact path is Z0 times both
         for seed in range(10):
-            a1, a2 = rand(2 * seed, 1 + seed % 5), rand(2 * seed + 1, 4)
-            (x1, x2), (y1, y2) = ([spatial_derivative(a, j) for j in (1, 2)] for a in (a1, a2))
-            d0, d1 = deltas(a1, a2)
-            assert np.array_equal(d0.block, (compose(x1, y1) + compose(x2, y2)).block)
-            assert np.array_equal(d1.block, (compose(x1, y2) - compose(x2, y1)).block)
-            assert np.array_equal(d1.block, delta1(a1, a2).block)
+            z0, z1, z2 = _stack(rand(2 * seed + 50), rand(2 * seed, 1 + seed % 5),
+                                rand(2 * seed + 1, 4))
+            (x1, x2), (y1, y2) = _gradient(z1), _gradient(z2)
+            d0, d1 = _deltas(z1, z2)
+            assert np.array_equal(d0, x1 @ y1 + x2 @ y2)
+            assert np.array_equal(d1, x1 @ y2 - x2 @ y1)
+            p0, p1 = _exact(z0, z1, z2)
+            assert np.array_equal(p0, z0.block @ d0) and np.array_equal(p1, z0.block @ d1)
 
     def test_each_pair_takes_one_gradient_per_element_and_axis(self, monkeypatch):
-        calls = Counter()
-        exact = cocycles.spatial_derivative
+        # one stacked gradient, both axes, per derivation slot
+        calls = []
+        exact = cocycles._gradient
 
-        def counted(a, axis):
-            calls[id(a), axis] += 1
-            return exact(a, axis)
+        def counted(z):
+            calls.append(z.block.shape)
+            return exact(z)
 
-        monkeypatch.setattr(cocycles, "spatial_derivative", counted)
+        monkeypatch.setattr(cocycles, "_gradient", counted)
         a0, a1, a2 = rand(71), rand(72), rand(73)
         for fn in (lambda: graded_two_form_trace(a1, a2, CTX), lambda: ch_dix(a0, a1, a2, CTX),
-                   lambda: ch_hat(a0, a1, a2, CTX), lambda: two_form_scale(a1, a2, LB)):
+                   lambda: ch_hat(a0, a1, a2, CTX), lambda: two_form_scale(a1, a2, LB),
+                   lambda: psi(a0, a1, a2)):
             calls.clear()
             fn()
-            assert sorted(calls.values()) == [1, 1, 1, 1]
+            assert calls == [(1, 5, 5)] * 2
 
     def test_streda_equality(self):
         for seed in range(10):
@@ -158,6 +167,81 @@ class TestExactTier:
             val = psi(p, p, p).value
             assert val == pytest.approx(-1j * lb**2 * 1.0, rel=1e-9)
             assert chern_number(p) == pytest.approx(1.0, abs=1e-8)
+
+
+LENGTHS = st.sampled_from([0.7, 1.0, 2.0])
+
+
+@st.composite
+def elements(draw, lb):
+    """A seeded element of support 1-8 whose stored block may run up to three
+    zero levels past its support."""
+    support = draw(st.integers(1, 8))
+    stored = support + draw(st.integers(0, 3))
+    block = np.zeros((stored, stored), dtype=complex)
+    block[:support, :support] = random_element(draw(st.integers(0, 2**32 - 1)), support,
+                                               1.0, lb).block
+    return MagneticElement(block, lb)
+
+
+@st.composite
+def unitals(draw, lb):
+    """c 1 + A with a nonzero scalar c."""
+    c = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    return UnitalElement(c, draw(elements(lb)))
+
+
+def operand_scale(lb, *args) -> float:
+    """l^2 s prod_i (|c_i| sqrt(s) + |A_i|_F) on the stacked window s: a bound
+    of the size of every term of the exact tier on these operands."""
+    us = [UnitalElement.lift(a) for a in args]
+    s = 1 + max(u.element.block.shape[0] for u in us)
+    return lb**2 * s * np.prod([abs(u.scalar) * np.sqrt(s) + np.linalg.norm(u.element.block)
+                                for u in us])
+
+
+class TestStackedPathAgainstObjectOracle:
+    """The stacked exact tier against the object chain of ``oracles``, to
+    1e-13 of the operands' scale."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), lb=LENGTHS)
+    def test_deltas(self, data, lb):
+        a1, a2 = data.draw(elements(lb)), data.draw(elements(lb))
+        got = _deltas(*_stack(a1, a2))
+        s = got[0].shape[-1]
+        for g, want in zip(got, oracles.deltas(a1, a2)):
+            assert np.abs(g[0] - want.padded(s)).max() <= 1e-13 * operand_scale(lb, a1, a2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), lb=LENGTHS)
+    def test_psi(self, data, lb):
+        a0, a1, a2 = (data.draw(elements(lb)) for _ in range(3))
+        u0, u1, u2 = (data.draw(unitals(lb)) for _ in range(3))
+        scale = operand_scale(lb, a0, a1, a2)
+        assert abs(psi(a0, a1, a2).value - oracles.psi(a0, a1, a2)) <= 1e-13 * scale
+        scale = operand_scale(lb, u0, u1, u2)
+        assert abs(psi_cochain()(u0, u1, u2) - oracles.psi(u0, u1, u2)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), lb=LENGTHS)
+    def test_hochschild_b(self, data, lb):
+        args = [data.draw(unitals(lb)) for _ in range(4)]
+        got = hochschild_b(psi_cochain(), args)
+        want = oracles.hochschild_b(oracles.psi, args)
+        assert abs(got - want) <= 1e-13 * operand_scale(lb, *args)
+        # and psi is a cocycle on the unitization
+        assert abs(got) <= 1e-13 * operand_scale(lb, *args)
+
+    @pytest.mark.parametrize("lb", [2.0, 1.0 + 1e-12])
+    def test_mixed_magnetic_lengths_rejected(self, lb):
+        a, b = rand(1), random_element(2, 4, 1.0, lb)
+        phi = psi_cochain()
+        for call in (lambda: psi(a, a, b), lambda: psi(b, a, a),
+                     lambda: phi(UnitalElement(1.0, b), a, a),
+                     lambda: hochschild_b(phi, (a, a, a, b)), lambda: two_form_scale(a, b, LB)):
+            with pytest.raises(ValueError, match="different magnetic lengths"):
+                call()
 
 
 class TestNcIntegral:
@@ -211,11 +295,11 @@ class TestDiracCharacter:
         assert v.error > 0
 
 
-def per_shift_sum(coef, s_el, signs):
+def per_shift_sum(coef, diag, signs):
     """Oracle: coef sum_i signs_i Tr_Dix((Q + xi_i)^{-1} S) from one
     ``dixmier_from_partial_sums`` per shift, with the quadrature stderr, and
-    the same sum of the shifts' logarithmic means."""
-    ests = [dixmier_from_partial_sums(*shifted_resolvent_ladder(s_el, xi, DEFAULT_LADDER))
+    the same sum of the shifts' logarithmic means; ``diag`` is S's diagonal."""
+    ests = [dixmier_from_partial_sums(*shifted_resolvent_ladder(diag, xi, DEFAULT_LADDER))
             for xi in CTX.shifted_energies()]
     return (coef * sum(s * e.value for s, e in zip(signs, ests)),
             abs(coef) * np.sqrt(sum(e.stderr**2 for e in ests)),
@@ -227,7 +311,7 @@ class TestDixmierFunctional:
     def test_nc_integral_is_the_per_shift_sum(self):
         for a in (landau_projection(1, LB), rand(51), rand(52)):
             v = nc_integral(a, CTX)
-            value, error, measurable, sigma = per_shift_sum(0.25, a, np.ones(4))
+            value, error, measurable, sigma = per_shift_sum(0.25, np.diag(a.block), np.ones(4))
             assert (v.value, v.error, v.measurable) == (value, error, measurable)
             np.testing.assert_allclose(v.sigma, sigma, rtol=1e-14)
 
@@ -235,8 +319,9 @@ class TestDixmierFunctional:
         for a0, a1, a2 in ((rand(53), rand(54), rand(55)), (landau_projection(0, LB),) * 3):
             v = ch_dix(a0, a1, a2, CTX)
             c = 0.5 / (2.0 * LB**2)
-            v0, e0, m0, s0 = per_shift_sum(-c, compose(a0, deltas(a1, a2)[0]), GAMMA_SIGNS)
-            v1, e1, m1, s1 = per_shift_sum(1j * c, compose(a0, delta1(a1, a2)), np.ones(4))
+            (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
+            v0, e0, m0, s0 = per_shift_sum(-c, g0, GAMMA_SIGNS)
+            v1, e1, m1, s1 = per_shift_sum(1j * c, g1, np.ones(4))
             assert (v.value, v.error, v.measurable) == (v0 + v1, e0 + e1, m0 and m1)
             # the grading-weighted half is in the rows, not only in the value
             np.testing.assert_allclose(v.sigma, s0 + s1, rtol=1e-14)
@@ -334,9 +419,10 @@ class TestChiTwistedCharacter:
         a0, a1, a2 = rand(31), rand(32), rand(33)
         c = 0.5 / (2.0 * LB**2)
         shifts = CTX.shifted_energies()
+        (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
         v = _dixmier_functional(
-            [(-c, compose(a0, deltas(a1, a2)[0]), list(zip(shifts, CHI_SIGNS))),
-             (1j * c, compose(a0, delta1(a1, a2)), list(zip(shifts, CHI_GAMMA_SIGNS)))],
+            [(-c, g0, list(zip(shifts, CHI_SIGNS))),
+             (1j * c, g1, list(zip(shifts, CHI_GAMMA_SIGNS)))],
             DEFAULT_LADDER)
         scale = max(abs((1j / LB**2) * psi(a0, a1, a2).value), 1e-9)
         assert abs(v.value) <= 3 * v.error + 0.01 * scale
@@ -508,7 +594,7 @@ class TestRouteIiWindowSums:
 
 class TestHochschild:
     def test_trace_is_a_cocycle(self):
-        tr = Cochain(0, lambda u0: trace_int(u0.element))
+        tr = Cochain(0, lambda u0: np.einsum("bii->b", u0.block))
         for seed in range(20):
             a0, a1 = rand(2 * seed), rand(2 * seed + 1)
             assert abs(hochschild_b(tr, (a0, a1))) < 1e-12
@@ -522,11 +608,12 @@ class TestHochschild:
     def test_coboundary_squares_to_zero(self):
         phi1 = Cochain(
             1,
-            lambda u0, u1: trace_int(compose(u0.element, u1.element))
-            + 0.5 * u0.scalar * trace_int(u1.element),
+            lambda u0, u1: np.einsum("bij,bji->b", u0.block, u1.block)
+            + 0.5 * u0.scalar * np.einsum("bii->b", u1.block),
         )
+
         def b(phi):
-            return Cochain(phi.degree + 1, lambda *args: hochschild_b(phi, args))
+            return Cochain(phi.degree + 1, lambda *zs: _coboundary(phi, zs))
 
         bb = b(b(phi1))
         for seed in range(20):

@@ -33,8 +33,8 @@ from magnc.dirac import (
     sector_represent,
     sector_weights,
 )
-from oracles import (commutator, defect_products, kron_dirac, momentum_matrix, product_phase,
-                     sparse_deviation)
+from oracles import (commutator, defect_products, deltas, kron_dirac, momentum_matrix,
+                     product_phase, sparse_deviation)
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
 
@@ -296,8 +296,6 @@ class TestRepresentation:
 
     def test_commutator_product_decomposition(self):
         # [D, pi(A1)][D, pi(A2)] = -(1/2l^2) pi(d0) + (i/2l^2) pi(d1) Gamma
-        from magnc.cocycles import deltas
-
         a1, a2 = random_element(21, 3, 1.0), random_element(22, 3, 1.0)
         d0, d1 = deltas(a1, a2)
         c1 = commutator_with_D(a1, CTX, check=False)
@@ -316,7 +314,6 @@ class TestRepresentation:
     def test_derivation_square_trace_nonnegative(self):
         # trace of d0(A*, A) equals the summed squared derivation norms
         from magnc.algebra import adjoint, compose, spatial_derivative, trace_int
-        from magnc.cocycles import deltas
 
         for seed in range(20):
             a = random_element(seed + 600, 4, 1.0)

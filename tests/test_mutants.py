@@ -55,8 +55,13 @@ def g2_sign_flip(size, which):
 
 
 def delta1_sign_flip(x, y):
-    """The curl bilinear with the opposite orientation."""
+    """The curl bilinear of the stacked gradients with the opposite orientation."""
     return -exact_delta1(x, y)
+
+
+def delta1_transposed(x, y):
+    """The curl bilinear transposed, so psi reads tr(A0 delta1^T): not cyclic."""
+    return np.swapaxes(exact_delta1(x, y), -1, -2)
 
 
 def phase_power_1_1(ctx, levels):
@@ -87,6 +92,8 @@ MUTANTS = [
     ((basis,), "number_ladders", k1_off_target, ["representation-consistency"]),
     ((basis,), "number_ladders", g2_sign_flip, ["representation-consistency"]),
     ((cocycles,), "_delta1", delta1_sign_flip, ["chern-integrality-streda", "connes-formula-2"]),
+    ((cocycles,), "_delta1", delta1_transposed,
+     ["quantized-calculus-structure", "chern-integrality-streda", "connes-formula-2"]),
     ((cocycles,), "sector_weights", phase_power_1_1, ["connes-formula-2"]),
     ((cocycles,), "_fredholm_kernels", route_ii_chi_signs, ["connes-formula-2"]),
     ((basis, kernel), "_basis_over_psi00_monomials", monomials_conjugated,

@@ -1,11 +1,13 @@
 """Singular-value machinery: Dixmier ladders, closed-form laws, decay classes."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from magnc import spectra
 from magnc.algebra import (MagneticElement, TruncationError, landau_projection, random_element,
                            upsilon)
 from magnc.basis import ladder_blocks_1d
@@ -227,7 +229,7 @@ class TestPolygamma:
         for xi in (-0.5, 0.5, 1.5):
             a = np.arange(len(diag)) + 1.0 + xi
             want = [np.sum(diag * (sp_digamma(n + a) - sp_digamma(a))) for n in DEFAULT_LADDER]
-            _, got = shifted_resolvent_ladder(a_el, xi)
+            _, got = shifted_resolvent_ladder(diag, xi)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         for eps in (0.25, 0.5, 2.0):
             ns, got = d4_partial_sums(eps)
@@ -303,17 +305,18 @@ class TestDixmierEstimation:
     def test_resolvent_ladder_projection(self):
         for j in range(3):
             est = dixmier_from_partial_sums(
-                *shifted_resolvent_ladder(landau_projection(j), 0.5))
+                *shifted_resolvent_ladder(np.diag(landau_projection(j).block), 0.5))
             assert est.value == pytest.approx(1.0, rel=0.01)
 
     def test_resolvent_ladder_offdiagonal_vanishes(self):
-        est = dixmier_from_partial_sums(*shifted_resolvent_ladder(upsilon(0, 1), 0.5))
+        est = dixmier_from_partial_sums(*shifted_resolvent_ladder(np.diag(upsilon(0, 1).block),
+                                                                  0.5))
         assert abs(est.value) < 1e-3
 
     def test_resolvent_shift_independence(self):
         # the extrapolated value does not depend on the diagonal shift
         a = random_element(3, 4, 1.0)
-        vals = [dixmier_from_partial_sums(*shifted_resolvent_ladder(a, xi)).value
+        vals = [dixmier_from_partial_sums(*shifted_resolvent_ladder(np.diag(a.block), xi)).value
                 for xi in (-0.5, 0.0, 0.7, 2.0)]
         for v in vals[1:]:
             assert v == pytest.approx(vals[0], rel=1e-3, abs=1e-6)
@@ -564,6 +567,37 @@ class TestQuasiEvenVerification:
         sv = stable_spectrum(build, ctx)
         assert sv.count >= 64
         assert np.all(np.diff(sv.mu) <= 1e-15)
+
+    def test_shared_blocks_are_decomposed_once(self, monkeypatch):
+        # the two truncations' L-block stacks agree bit for bit except at the
+        # edge slot 0; a block forced to differ in the middle of the smaller
+        # stack is decomposed too, and cuts the stable prefix
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=6, m_max=128, buffer=4)
+        mid = 40
+        decomposed = []
+        exact = spectra.singular_values
+
+        def recorded(stack):
+            decomposed.extend(stack)
+            return exact(stack)
+
+        monkeypatch.setattr(spectra, "singular_values", recorded)
+
+        def build(c, factor=1.0):
+            out = defect_stacks(upsilon(0, 1), c, 3)["F_comm"]
+            if c.m_max < ctx.m_max:
+                out[mid] *= factor
+            return out
+
+        clean = stable_spectrum(build, ctx)
+        big, small = build(ctx), build(replace(ctx, m_max=64))
+        assert len(decomposed) == len(big) + 1   # the edge slot of the smaller stack
+        decomposed.clear()
+        cut = stable_spectrum(lambda c: build(c, 1.0 + 1e-3), ctx)
+        assert len(decomposed) == len(big) + 2
+        assert any(np.array_equal(b, small[mid] * (1.0 + 1e-3)) for b in decomposed)
+        assert 64 <= cut.count < clean.count
+        assert np.array_equal(cut.mu, clean.mu[:cut.count])
 
     @pytest.mark.parametrize("m_max", [40, 64])
     def test_stable_prefix_needs_a_smaller_comparison(self, m_max):
