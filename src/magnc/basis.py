@@ -34,7 +34,6 @@ __all__ = [
     "PhaseConventionError",
     "eval_generalized_laguerre",
     "eval_basis_function",
-    "basis_with_gradient",
     "ladder_blocks_1d",
     "number_ladders",
     "verify_ladder_phases",
@@ -88,14 +87,6 @@ class QuadratureScheme:
         x, w = np.polynomial.legendre.leggauss(self.nodes_per_axis)
         r = self.radius * lb
         return x * r, w * r
-
-    def grid(self, lb: float = 1.0):
-        """Flattened 2D nodes (N,2) and weights (N,)."""
-        x, w = self.nodes_1d(lb)
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        ww = np.outer(w, w)
-        pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-        return pts, ww.ravel()
 
 
 class PhaseConventionError(RuntimeError):
@@ -249,40 +240,24 @@ def eval_basis_function(idx, x, lb=1.0):
     return val
 
 
-def basis_with_gradient(idx, x, lb=1.0):
-    """(psi, d psi/dx1, d psi/dx2) evaluated exactly (closed-form derivative).
+def _separable_basis(labels, t: np.ndarray, w: np.ndarray, lb: float):
+    """Monomial tables M and 1-D factors phi of the labels' states on the
+    tensor grid of nodes t and weights w.
 
-    Used by the quadrature oracle for first-order differential operators.
+    With v = t/(sqrt2 l) and phi[p][c] = exp(-v_c^2 / 2) v_c^p w_c,
+        psi_k(t_c, t_d) w_c w_d = sum_{p,q} M[k][p,q] phi[p][c] phi[q][d] / (sqrt(2 pi) l),
+    M[k] being ``_basis_over_psi00_monomials`` of label k, zero-padded to the
+    largest n + m among the labels.
     """
-    n, m = _index_pair(idx)
-    l = magnetic_length(lb)
-    x = np.asarray(x, dtype=float)
-    u, zeta, psi00 = _polar_parts(x, l)
-    # dzeta/dx_i = x_i / l^2
-    dz1, dz2 = x[..., 0] / l**2, x[..., 1] / l**2
-    amp, q, p, bar = _prefactor(n, m)  # q = min(n, m), p = |n - m|
-    base = np.conj(u) if bar else u
-    db1 = 1.0 / (np.sqrt(2.0) * l)                   # d base/dx1
-    db2 = (-1j if bar else 1j) / (np.sqrt(2.0) * l)  # d base/dx2
-
-    L = eval_generalized_laguerre(q, p, zeta)
-    dL = -eval_generalized_laguerre(q - 1, p + 1, zeta) if q > 0 else 0.0
-
-    pw = base ** p
-    psi = amp * psi00 * pw * L
-    # d psi = amp * [ d(psi00) pw L + psi00 d(pw) L + psi00 pw dL ]
-    if p > 0:
-        pw_m1 = base ** (p - 1)
-        dpw1, dpw2 = p * pw_m1 * db1, p * pw_m1 * db2
-    else:
-        dpw1 = dpw2 = 0.0
-    g1 = amp * (-0.5 * dz1 * psi00 * pw * L + psi00 * dpw1 * L + psi00 * pw * dL * dz1)
-    g2 = amp * (-0.5 * dz2 * psi00 * pw * L + psi00 * dpw2 * L + psi00 * pw * dL * dz2)
-    return (
-        np.asarray(psi, dtype=complex),
-        np.asarray(g1, dtype=complex),
-        np.asarray(g2, dtype=complex),
-    )
+    deg = max(n + m for n, m in labels)
+    M = np.zeros((len(labels), deg + 1, deg + 1), dtype=complex)
+    for k, (n, m) in enumerate(labels):
+        M[k, : n + m + 1, : n + m + 1] = _basis_over_psi00_monomials(n, m)
+    v = t / (np.sqrt(2.0) * lb)
+    phi = np.stack([v**p * np.exp(-0.5 * v**2) * w for p in range(deg + 1)])
+    if not np.all(np.isfinite(phi)):
+        raise FloatingPointError("basis quadrature tables are non-finite")
+    return M, phi
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +291,43 @@ def number_ladders(size: int, which: str) -> np.ndarray:
 # Quadrature oracle.
 # ---------------------------------------------------------------------------
 
-def _apply_momenta_pointwise(idx, pts, lb: float) -> dict:
-    """(Op psi_idx)(x) on sample points for all four momenta, from one exact
-    gradient evaluation."""
-    psi, g1, g2 = basis_with_gradient(idx, pts, lb)
-    x1, x2 = pts[..., 0], pts[..., 1]
-    return {
-        "K1": -1j * lb * g1 - x2 / (2.0 * lb) * psi,
-        "K2": -1j * lb * g2 + x1 / (2.0 * lb) * psi,
-        "G1": -1j * lb * g2 - x1 / (2.0 * lb) * psi,
-        "G2": -1j * lb * g1 + x2 / (2.0 * lb) * psi,
-    }
-
-
 def verify_ladder_phases(lb=1.0, n_sub: int = 3, m_sub: int = 3) -> float:
     """Compare the ladder tables against the quadrature oracle as whole matrices.
 
     For each momentum, every matrix element between the states n < n_sub,
     m < m_sub (index m * n_sub + n) is integrated and compared with the
-    table, so a wrong entry anywhere in the sub-block shows (the gradient
-    evaluations are shared across the four operators).  Returns the worst
-    deviation; raises PhaseConventionError beyond 1e-6.
+    table, so a wrong entry anywhere in the sub-block shows.  A state is its
+    ``_separable_basis`` table, sum_{p,q} M[p,q] phi_p(t1) phi_q(t2) with
+    phi_p = exp(-v^2/2) v^p, v = t/(sqrt2 l), on which the momenta
+        K1 = -i l d1 - x2/2l,  K2 = -i l d2 + x1/2l,
+        G1 = -i l d2 - x1/2l,  G2 = -i l d1 + x2/2l
+    act exactly as index shifts on each axis:
+        -i l d/dt phi_p = -i (p phi_{p-1} - phi_{p+1}) / sqrt2,  t/2l phi_p = phi_{p+1} / sqrt2.
+    Every matrix element is then a contraction with the 1-D Gram
+    G[p', p] = sum_c w_c exp(-v_c^2) v_c^(p'+p) on the Gauss-Legendre nodes:
+    the tensor quadrature summed in another order, with no function
+    evaluated on the 2-D grid.  Returns the worst deviation; raises
+    PhaseConventionError beyond 1e-6.
     """
     tol = 1e-6
     l = magnetic_length(lb)
-    pts, w = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1)).grid(l)
+    t, w = QuadratureScheme(default_radius(n_sub + 1, m_sub + 1)).nodes_1d(l)
     idxs = [(n, m) for m in range(m_sub) for n in range(n_sub)]
-    bras = np.stack([w * np.conj(eval_basis_function(ix, pts, l)) for ix in idxs])
-    kets = [_apply_momenta_pointwise(ix, pts, l) for ix in idxs]
+    # the top state's image (n_sub, m_sub - 1) sets the degree of the tables
+    M, phi = _separable_basis(idxs + [(n_sub, m_sub - 1)], t, np.ones_like(w), l)
+    M = M[:-1]
+    gram = (phi * w) @ phi.T
+    up = np.eye(len(phi), k=-1)                            # phi_p -> phi_{p+1}
+    d = np.diag(np.arange(1.0, len(phi)), 1) - up          # sqrt2 l d/dt
+    d1, d2, v1, v2 = d @ M, M @ d.T, up @ M, M @ up.T
+    images = {"K1": -1j * d1 - v2, "K2": -1j * d2 + v1,
+              "G1": -1j * d2 - v1, "G2": -1j * d1 + v2}
+    # got[bra, ket] = sum (G conj(M_bra) G)[p, q] image_ket[p, q] / (2 pi l^2),
+    # the momenta's common 1/sqrt2 taken into the bras
+    bras = (gram @ np.conj(M) @ gram).reshape(len(idxs), -1) / (2.0 * pi * l**2 * np.sqrt(2.0))
     worst = 0.0
     for which in MOMENTA:
-        op_kets = np.stack([k[which] for k in kets])
-        # got[bra, ket], each entry one sum over the points
-        got = np.stack([np.sum(bra * op_kets, axis=-1) for bra in bras])
+        got = bras @ images[which].reshape(len(idxs), -1).T
         want = (np.kron(np.eye(m_sub), number_ladders(n_sub, which)) if which[0] == "K"
                 else np.kron(number_ladders(m_sub, which), np.eye(n_sub)))
         worst = max(worst, float(np.abs(got - want).max()))

@@ -222,18 +222,23 @@ def _dixmier_functional(terms, ladder) -> CocycleValue:
     linearly across terms; the value is measurable when every block is.  A
     block whose top rung does not exceed its shift 1 + xi is not: its sector
     sums have not reached their logarithmic growth, and at a large enough
-    shift they vanish in floating point.  sigma_N takes the same weights."""
-    sums = [shifted_resolvent_ladder(diag, [xi for xi, _ in blocks], ladder)[1]
-            for _, diag, blocks in terms]
-    fits = iter(dixmier_fits(ladder, np.concatenate(sums), DIXMIER_REL_TOL))
-    value, error, sigma, measurable = 0.0, 0.0, 0.0, True
-    for coef, _, blocks in terms:
-        ests = [(w, next(fits)) for _, w in blocks]
-        value += coef * sum(w * e.value for w, e in ests)
-        error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
-        sigma = sigma + coef * sum(w * e.sigma for w, e in ests)
-        measurable &= all(e.measurable for _, e in ests)
-        measurable &= all(ladder[-1] > 1 + xi for xi, _ in blocks)
+    shift they vanish in floating point.  sigma_N takes the same weights.
+    The output is checked finite once: finite input whose ladders leave
+    double precision raises OverflowError, without floating-point warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [shifted_resolvent_ladder(diag, [xi for xi, _ in blocks], ladder)[1]
+                for _, diag, blocks in terms]
+        fits = iter(dixmier_fits(ladder, np.concatenate(sums), DIXMIER_REL_TOL))
+        value, error, sigma, measurable = 0.0, 0.0, 0.0, True
+        for coef, _, blocks in terms:
+            ests = [(w, next(fits)) for _, w in blocks]
+            value += coef * sum(w * e.value for w, e in ests)
+            error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
+            sigma = sigma + coef * sum(w * e.sigma for w, e in ests)
+            measurable &= all(e.measurable for _, e in ests)
+            measurable &= all(ladder[-1] > 1 + xi for xi, _ in blocks)
+    if not (np.isfinite(value) and np.isfinite(error) and np.isfinite(sigma).all()):
+        raise OverflowError("the Dixmier ladders of this input overflow double precision")
     return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma)
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .algebra import MagneticElement
 from .basis import (QuadratureScheme, _basis_over_psi00, _basis_over_psi00_monomials,
-                    _index_pair, _polar_parts, default_radius, magnetic_length)
+                    _index_pair, _polar_parts, _separable_basis, default_radius,
+                    magnetic_length)
 
 __all__ = [
     "KernelFunction",
@@ -108,26 +109,6 @@ def _axis_tables(f: KernelFunction, t: np.ndarray):
     if not all(np.all(np.isfinite(tab)) for tab in (D, Z, E)):
         raise FloatingPointError("kernel quadrature tables are non-finite")
     return D, Z, E
-
-
-def _separable_basis(labels, t: np.ndarray, w: np.ndarray, lb: float):
-    """Monomial tables M and 1-D factors phi of the labels' states on the
-    tensor grid of nodes t and weights w.
-
-    With v = t/(sqrt2 l) and phi[p][c] = exp(-v_c^2 / 2) v_c^p w_c,
-        psi_k(t_c, t_d) w_c w_d = sum_{p,q} M[k][p,q] phi[p][c] phi[q][d] / (sqrt(2 pi) l),
-    M[k] being ``_basis_over_psi00_monomials`` of label k, zero-padded to the
-    largest n + m among the labels.
-    """
-    deg = max(n + m for n, m in labels)
-    M = np.zeros((len(labels), deg + 1, deg + 1), dtype=complex)
-    for k, (n, m) in enumerate(labels):
-        M[k, : n + m + 1, : n + m + 1] = _basis_over_psi00_monomials(n, m)
-    v = t / (np.sqrt(2.0) * lb)
-    phi = np.stack([v**p * np.exp(-0.5 * v**2) * w for p in range(deg + 1)])
-    if not np.all(np.isfinite(phi)):
-        raise FloatingPointError("basis quadrature tables are non-finite")
-    return M, phi
 
 
 def gram_via_kernel(a: MagneticElement, bras, kets,

@@ -157,17 +157,22 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     of the value scale is marked not measurable at this truncation; so is
     one with a non-finite rung.
 
-    The fit has one design for every row, so all rows share one least-squares
-    solve.  LAPACK rescales a right-hand side by its largest entry when that
-    leaves [2^-970, 2^970], which would couple the rows: a row outside that
-    range (zero, tiny, huge or non-finite) is solved alone, so every row reads
-    exactly as it would on its own.
+    The fit has one design for every row, so it is one fixed linear map:
+    the design's pseudo-inverse, applied to each row elementwise for the
+    value and the residual, and every row reads the same bits alone or in a
+    batch.
     """
     ns = require_ladder(ns)
     sums = np.asarray(sums)
     logs = np.log(ns)
-    with np.errstate(invalid="ignore"):  # a complex infinite rung reads inf+nanj
+    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
+    # a complex infinite rung reads inf+nanj, and a non-finite or overflowing
+    # row is flagged below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
         sigma = sums / logs
+        coef = (sigma[:, None, :] * np.linalg.pinv(design)).sum(axis=-1)
+        resid = sigma - (design * coef[:, None, :]).sum(axis=-1)
+        resid_ms = np.sum(np.abs(resid) ** 2, axis=1) / max(len(ns) - 2, 1)
     top = np.abs(sigma).max(axis=1)
     finite = np.isfinite(sums).all(axis=1)
     summable = np.zeros(len(sums), dtype=bool)
@@ -181,17 +186,7 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
         # spectrum is borderline-harmonic; geometric decay means summable
         flat = inc[:, -2:] <= 1e-12 * np.where(peak > 0, peak, 1.0)[:, None]
         summable[finite] = flat.all(axis=1) | (ratios[:, -2:] < 0.45).all(axis=1)
-    value = np.zeros(len(sums), dtype=sigma.dtype)
-    resid_ms = np.zeros(len(sums))
-    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
-    shared = ~summable & (top >= 2.0**-970) & (top <= 2.0**970)
-    for rows in [np.flatnonzero(shared)] + [[i] for i in np.flatnonzero(~summable & ~shared)]:
-        if len(rows):
-            coef = np.linalg.lstsq(design, sigma[rows].T, rcond=None)[0].T.copy()
-            # one matrix-vector product per row, as a one-row fit forms it
-            resid = sigma[rows] - np.matmul(design, coef[:, :, None])[..., 0]
-            value[rows] = coef[:, 0]
-            resid_ms[rows] = np.sum(np.abs(resid) ** 2, axis=1) / max(len(ns) - 2, 1)
+    value = np.where(summable, 0.0, coef[:, 0])
     stderr = np.sqrt(resid_ms * np.linalg.inv(design.T @ design)[0, 0])
     stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
     measurable = summable | (np.sqrt(resid_ms) <= rel_tol * np.maximum(top, 1e-12))

@@ -8,7 +8,6 @@ from magnc.algebra import MagneticElement
 from magnc.basis import (
     QuadratureScheme,
     _basis_over_psi00_monomials,
-    basis_with_gradient,
     default_radius,
     eval_basis_function,
     eval_generalized_laguerre,
@@ -102,22 +101,6 @@ class TestBasisFunction:
             sign = (-1.0) ** ((n - m) % 2)
             assert np.allclose(a, sign * np.conj(b), atol=1e-13)
 
-    def test_gradient_matches_finite_differences(self):
-        h = 1e-6
-        x = np.array([0.37, -1.21])
-        for idx in [(0, 0), (2, 1), (1, 3)]:
-            _, g1, g2 = basis_with_gradient(idx, x, 1.0)
-            fd1 = (
-                eval_basis_function(idx, x + [h, 0.0], 1.0)
-                - eval_basis_function(idx, x - [h, 0.0], 1.0)
-            ) / (2 * h)
-            fd2 = (
-                eval_basis_function(idx, x + [0.0, h], 1.0)
-                - eval_basis_function(idx, x - [0.0, h], 1.0)
-            ) / (2 * h)
-            assert g1 == pytest.approx(fd1, rel=1e-6, abs=1e-8)
-            assert g2 == pytest.approx(fd2, rel=1e-6, abs=1e-8)
-
     def test_monomial_expansion_matches_closed_form(self):
         # sum D[r, s] v1^r v2^s times psi_00 against the Laguerre closed form
         rng = np.random.default_rng(8)
@@ -140,19 +123,17 @@ class TestBasisFunction:
         with pytest.raises(ValueError):
             QuadratureScheme(radius=5.0, nodes_per_axis=4)
 
-    @pytest.mark.parametrize("evaluate", [eval_basis_function, basis_with_gradient])
     @pytest.mark.parametrize("idx", [(1.9, 0), (0, 1.0), (True, 0), (0, np.True_)])
-    def test_non_integer_labels_raise_type_error(self, evaluate, idx):
+    def test_non_integer_labels_raise_type_error(self, idx):
         # a float label was truncated by int(): (1.9, 0) evaluated psi_{1,0}
         with pytest.raises(TypeError):
-            evaluate(idx, np.zeros((3, 2)))
+            eval_basis_function(idx, np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("evaluate", [eval_basis_function, basis_with_gradient])
-    def test_numpy_integer_labels_are_accepted(self, evaluate):
+    def test_numpy_integer_labels_are_accepted(self):
         pts = np.array([[0.3, -0.4], [1.1, 0.2]])
-        got = evaluate((np.int64(2), np.int32(1)), pts)
-        want = evaluate((2, 1), pts)
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        got = eval_basis_function((np.int64(2), np.int32(1)), pts)
+        want = eval_basis_function((2, 1), pts)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan"), float("inf"), float("-inf")])
     def test_quadrature_radius_must_be_positive_and_finite(self, radius):
@@ -235,8 +216,7 @@ class TestMomentumMatrices:
 @pytest.mark.parametrize("entry", [
     lambda lb: MagneticElement(np.eye(2), lb=lb),
     lambda lb: eval_basis_function((0, 0), np.zeros(2), lb=lb),
-    lambda lb: basis_with_gradient((0, 0), np.zeros(2), lb=lb),
-], ids=["MagneticElement", "eval_basis_function", "basis_with_gradient"])
+], ids=["MagneticElement", "eval_basis_function"])
 def test_bad_magnetic_length_rejected(entry, lb):
     with pytest.raises(ValueError, match="magnetic length"):
         entry(lb)

@@ -195,15 +195,22 @@ class TestElementInputs:
     def test_support_beyond_the_truncation_is_a_configuration_error(self, which):
         assert run_cli(["--nmax", "16", "invariant", which, "pi:40"]) == 2
 
-    @pytest.mark.parametrize("which", ["psi", "chern", "ch", "tau2"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [
+        ("invariant", "psi"), ("invariant", "chern"), ("invariant", "ch"), ("invariant", "tau2"),
+        ("invariant", "nc-integral"), ("dixmier-ladder", "ncint:"), ("dixmier-ladder", "ch:")],
+        ids=["psi", "chern", "ch", "tau2", "nc-integral", "ladder-ncint", "ladder-ch"])
     def test_cocycle_overflowing_double_precision_is_a_configuration_error(
-            self, tmp_path, capsys, which):
-        # finite coefficients whose cocycle products leave double precision:
-        # one configuration-error line, no floating-point warning
+            self, tmp_path, capsys, command):
+        # finite coefficients whose cocycle products or Dixmier ladders leave
+        # double precision: one configuration-error line and no floating-point
+        # warning (raised as an error here, a warning would exit 3)
         path = tmp_path / "big.json"
         path.write_text(json.dumps([{"j": j, "k": k, "re": 1e200, "im": 0.0}
                                     for j, k in ((0, 0), (1, 0), (0, 1))]))
-        assert run_cli(["invariant", which, str(path)]) == 2
+        verb, target = command
+        args = [verb, target + str(path)] if target.endswith(":") else [verb, target, str(path)]
+        assert run_cli(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:"), err
 

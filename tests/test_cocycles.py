@@ -268,6 +268,23 @@ class TestNcIntegral:
         with pytest.raises(ValueError):
             nc_integral(upsilon(0, CTX.n_max + 2, LB), CTX)
 
+    def test_level_weights_certify_the_trace(self):
+        # off the ratio-test branch the Dixmier tier is one linear map of
+        # diag A, so nc_integral(A) = sum_n A_nn phi_n with phi_n the value on
+        # Pi_n, and |nc_integral(A) - tau(A)| <= |diag A|_1 max_n |phi_n - 1|
+        cfg = RunConfig()
+        ctx = cfg.context()
+        phi = np.array([nc_integral(landau_projection(n), ctx, cfg.ladder).value
+                        for n in range(4)])
+        bound = np.abs(phi - 1.0).max()
+        for seed in range(50):
+            a = random_element(seed, 4)
+            diag = np.diag(a.block)
+            got = nc_integral(a, ctx, cfg.ladder).value
+            l1 = np.abs(diag).sum()
+            assert abs(got - diag @ phi) <= 1e-13 * l1
+            assert abs(got - trace_int(a)) <= l1 * bound
+
 
 class TestDiracCharacter:
     def test_lowest_projection(self):

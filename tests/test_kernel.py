@@ -13,10 +13,9 @@ from magnc.algebra import (
     upsilon,
     zero_element,
 )
-from magnc.basis import QuadratureScheme, default_radius, eval_basis_function
+from magnc.basis import QuadratureScheme, _separable_basis, default_radius, eval_basis_function
 from magnc.kernel import (
     _axis_tables,
-    _separable_basis,
     gram_via_kernel,
     kernel_of,
     magnetic_phase,
@@ -27,13 +26,20 @@ SCHEME = QuadratureScheme(default_radius(4, 4), 64)
 ACCEPTANCE_LABELS = [(n, m) for n in range(3) for m in range(2)]
 
 
+def tensor_grid(scheme, lb):
+    """Flattened 2-D nodes (N, 2) and weights (N,) of the tensor rule."""
+    x, w = scheme.nodes_1d(lb)
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    return np.stack([x1.ravel(), x2.ravel()], axis=-1), np.outer(w, w).ravel()
+
+
 def pointwise_gram(a, bras, kets, scheme):
     """The kernel quadrature as a plain double sum over node pairs: f(y - x),
     Phi(x, y) and the basis functions evaluated pointwise, contracted in row
     blocks (the oracle of the axis-by-axis contraction in ``gram_via_kernel``)."""
     lb = a.lb
     f = kernel_of(a)
-    pts, w = scheme.grid(lb)
+    pts, w = tensor_grid(scheme, lb)
     ket_mat = np.stack([eval_basis_function(kk, pts, lb) * w for kk in kets])
     bra_mat = np.stack([np.conj(eval_basis_function(bb, pts, lb)) * w for bb in bras])
     out = np.zeros((len(bras), len(kets)), dtype=complex)
@@ -164,7 +170,7 @@ class TestAxisFactorization:
         labels = [(n, k - n) for k in range(9) for n in range(k + 1)]
         scheme = QuadratureScheme(default_radius(8, 8), 56)
         t, w1 = scheme.nodes_1d(lb)
-        pts, w = scheme.grid(lb)
+        pts, w = tensor_grid(scheme, lb)
         M, phi = _separable_basis(labels, t, w1, lb)
         assert M.shape == (45, 9, 9) and phi.shape == (9, 56)
         got = np.einsum("kpq,pc,qd->kcd", M, phi, phi) / (np.sqrt(2.0 * pi) * lb)

@@ -21,6 +21,7 @@ exact_weights = cocycles.sector_weights
 exact_kernels = cocycles._fredholm_kernels
 exact_monomials = basis._basis_over_psi00_monomials
 exact_axis_tables = kernel._axis_tables
+exact_d4_partial_sums = spectra.d4_partial_sums
 
 
 def clear_caches():
@@ -77,7 +78,8 @@ def route_ii_chi_signs(a0, a1, a2, ctx, signs):
 
 def monomials_conjugated(n, m):
     """psi_{n,m}/psi_{0,0} with u and ubar exchanged, for the kernel and the
-    basis tables alike."""
+    basis tables alike; the basis tables feed both the kernel quadrature and
+    the ladder oracle."""
     return np.conj(exact_monomials(n, m))
 
 
@@ -86,6 +88,20 @@ def phase_conjugated(f, t):
     Phi(y, x)."""
     d, z, e = exact_axis_tables(f, t)
     return d, z, np.conj(e)
+
+
+def d4_multiplicity_doubled(eps, ladder):
+    """|D_eps|^-4 with level j counted 2j times in the partial sums instead of
+    j, at the same counts N."""
+    ns, sums = exact_d4_partial_sums(eps, ladder)
+    return ns, 2.0 * sums
+
+
+def nc_integral_half(a, ctx, ladder):
+    """The noncommutative integral with a half in place of the quarter."""
+    cocycles.require_fits(ctx, a)
+    return cocycles._dixmier_functional(
+        [(0.5, np.diag(a.block), [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
 
 
 MUTANTS = [
@@ -99,6 +115,8 @@ MUTANTS = [
     ((basis, kernel), "_basis_over_psi00_monomials", monomials_conjugated,
      ["representation-consistency"]),
     ((kernel,), "_axis_tables", phase_conjugated, ["representation-consistency"]),
+    ((spectra,), "d4_partial_sums", d4_multiplicity_doubled, ["dixmier-normalization"]),
+    ((cocycles,), "nc_integral", nc_integral_half, ["gap-labeling"]),
 ]
 
 

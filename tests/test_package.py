@@ -21,6 +21,8 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Public names whose only callers are tests, kept on purpose.
 KEPT_FOR_TESTS = {
     "element_to_records",  # writer of the element-file format the CLI reads
+    # public, traced by the benchmark, and the tests' pointwise oracle of psi_{n,m}
+    "eval_basis_function",
 }
 
 
@@ -117,7 +119,7 @@ def _option_census() -> int:
 
 def test_option_census_does_not_grow():
     # a new knob must show up in the diff: raise this only with a reason
-    assert _option_census() == 79
+    assert _option_census() == 77
 
 
 def test_cli_keeps_no_second_dixmier_path():

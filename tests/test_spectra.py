@@ -272,6 +272,14 @@ class TestDixmierEstimation:
         sums[1] = np.inf
         assert not dixmier_from_partial_sums(ns, sums).measurable
 
+    def test_overflowing_residuals_are_not_measurable(self):
+        # finite rungs whose squared residuals overflow: flagged, no warning
+        ns = np.array(DEFAULT_LADDER, dtype=float)
+        wavy = 1e200 * np.log(ns) * (1.0 + 0.3 * (-1.0) ** np.arange(len(ns)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not dixmier_from_partial_sums(ns, wavy).measurable
+
     def test_d4_normalization(self):
         ns, sums = d4_partial_sums(0.5)
         est = dixmier_from_partial_sums(ns, sums)
