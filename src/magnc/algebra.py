@@ -3,8 +3,8 @@
 An element A = sum a_{j,k} Y_{j->k} is stored through its operator block
 M[k, j] = a_{j,k} acting on the Landau-level index (Y_{j->k} maps level j to
 level k and is diagonal in the degeneracy index).  Products, adjoints, the
-trace, the two spatial derivations and all norms are finite exact
-computations on that block.
+trace and the two spatial derivations are finite exact computations on
+that block.
 """
 
 from __future__ import annotations
@@ -203,14 +203,6 @@ def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:
     else:
         out = 1j * a.lb * (k1 @ m - m @ k1)
     return MagneticElement(out, a.lb)
-
-
-def norms(a: MagneticElement) -> dict:
-    """Operator (spectral), Hilbert-Schmidt and summed-coefficient norms."""
-    op = float(np.linalg.norm(a.block, 2)) if a.block.size else 0.0
-    hs = float(np.linalg.norm(a.block))
-    l1 = float(np.abs(a.block).sum())
-    return {"operator_norm": op, "hs_norm": hs, "l1_norm": l1}
 
 
 def random_element(seed: int, support_bound: int, magnitude: float = 1.0,

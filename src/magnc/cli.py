@@ -24,7 +24,7 @@ from . import cocycles as cc
 from . import kernel as ker
 from . import spectra as spx
 from .basis import QuadratureScheme, default_radius, verify_ladder_phases
-from .dirac import DiracContext, phase_square_deviation
+from .dirac import DiracContext, phase_square_deviation, sector_blocks, sector_represent
 
 
 @dataclass
@@ -250,16 +250,19 @@ def check_singular_value_laws(cfg: RunConfig) -> dict:
         for (j, k) in [(0, 1), (0, 3), (0, 4), (3, 1), (2, 5), (2, 6)])
     # decay exponents on a reduced context
     ctx = DiracContext(lb=cfg.lb, eps=eps, n_max=8, m_max=384, buffer=4)
-    rep = spx.verify_quasi_even(ctx, [alg.upsilon(0, 1, cfg.lb),
-                                       alg.random_element(cfg.seed + 5, 3, 1.0, cfg.lb),
-                                       alg.random_element(cfg.seed + 6, 3, 1.0, cfg.lb)])
-    exps = [e["F_comm"].exponent for e in rep["elements"]]
-    exp_ok = all(abs(e + 0.5) <= 0.05 for e in exps)
+    verdicts = spx.verify_quasi_even(ctx, [alg.upsilon(0, 1, cfg.lb),
+                                            alg.random_element(cfg.seed + 5, 3, 1.0, cfg.lb),
+                                            alg.random_element(cfg.seed + 6, 3, 1.0, cfg.lb)])
+    # [F, pi(A)] in the weak ideal of order 2, every other product trace class
+    quasi_even_ok = (all(abs(v.exponent + 0.5) <= 0.05 for v in verdicts["F_comm"])
+                     and all(v.verdict == "trace-class" for key in
+                             ("Fsq_comm", "left", "right", "triple") for v in verdicts[key])
+                     and all(v.exponent <= -1.4 for v in verdicts["triple"]))
     got = {"law_deviation": worst_law, "alpha_bound_ok": bound_ok,
-           "F_comm_exponent": exps[0], "quasi_even_ok": rep["ok"]}
+           "F_comm_exponent": verdicts["F_comm"][0].exponent, "quasi_even_ok": quasi_even_ok}
     return _record("singular-value-laws", "resolvent-commutator-spectra",
                    "law to 1e-8; exponent -0.5 +- 0.05; trace-class products",
-                   got, worst_law, 1e-8, bound_ok and exp_ok and rep["ok"])
+                   got, worst_law, 1e-8, bound_ok and quasi_even_ok)
 
 
 def _d4_dixmier(cfg: RunConfig) -> spx.DixmierEstimate:
@@ -328,11 +331,25 @@ def check_connes_formula_2(cfg: RunConfig) -> dict:
 
 def check_chi_triviality(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    values = ([cc.ch_hat(*t, ctx, cfg.ladder) for t in _triple_corpus(cfg, 50)]
-              + [cc.ch_hat(p, p, p, ctx, cfg.ladder) for p in _projection_corpus(cfg)])
+    triples, projections = _triple_corpus(cfg, 50), _projection_corpus(cfg)
+    values = ([cc.ch_hat(*t, ctx, cfg.ladder) for t in triples]
+              + [cc.ch_hat(p, p, p, ctx, cfg.ladder) for p in projections])
     worst = _worst(abs(v.value) for v in values)
+    # the vanishing theorem's hypotheses on the grading ch_hat reads: chi is a
+    # self-adjoint involution that anticommutes with D's sector blocks,
+    # commutes with every represented element, and is traceless, alone and
+    # against Gamma
+    chi, elements = cc.CHI_GRADING, [a for t in triples for a in t] + projections
+    levels = max(a.support_bound for a in elements) + 1
+    window = np.kron(np.eye(levels), chi)
+    blocks = np.stack(sector_blocks(ctx, levels))
+    reps = np.stack([sector_represent(a, ctx, levels) for a in elements])
+    deviations = [chi @ chi - np.eye(4), chi - chi.conj().T,
+                  window @ blocks + blocks @ window, window @ reps - reps @ window,
+                  np.trace(chi), np.trace(chi @ cc.GAMMA_GRADING)]
+    hypotheses = _worst(np.abs(d).max() for d in deviations)
     return _record("chi-triviality", "anticommuting-grading-character",
-                   0.0, worst, worst, 1e-10, _measured(*values))
+                   0.0, worst, worst, 1e-10, _measured(*values) and hypotheses <= 1e-12)
 
 
 def check_quantized_calculus_structure(cfg: RunConfig) -> dict:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .algebra import MagneticElement
 from .basis import (QuadratureScheme, _basis_over_psi00, _basis_over_psi00_monomials,
-                    _index_pair, _polar_parts, _separable_basis, default_radius,
-                    magnetic_length)
+                    _index_pair, _polar_parts, _separable_basis, magnetic_length)
 
 __all__ = [
     "KernelFunction",
@@ -111,8 +110,7 @@ def _axis_tables(f: KernelFunction, t: np.ndarray):
     return D, Z, E
 
 
-def gram_via_kernel(a: MagneticElement, bras, kets,
-                    scheme: QuadratureScheme | None = None) -> np.ndarray:
+def gram_via_kernel(a: MagneticElement, bras, kets, scheme: QuadratureScheme) -> np.ndarray:
     """Matrix of <psi_bra, A psi_ket> with A acting through its kernel.
 
     The tensor Gauss-Legendre sum over x = (t_a, t_b) and y = (t_c, t_d) of
@@ -131,9 +129,6 @@ def gram_via_kernel(a: MagneticElement, bras, kets,
     bras, kets = [_index_pair(b) for b in bras], [_index_pair(k) for k in kets]
     if not (bras and kets):
         raise ValueError("need at least one bra and one ket")
-    if scheme is None:
-        hi = max(max(n, m) for (n, m) in bras + kets) + 1
-        scheme = QuadratureScheme(default_radius(hi, hi))
     t, w = scheme.nodes_1d(lb)
     D, Z, E = _axis_tables(kernel_of(a), t)
     M, phi = _separable_basis(bras + kets, t, w, lb)

@@ -18,7 +18,6 @@ from magnc.algebra import (
     is_projection,
     landau_projection,
     load_element,
-    norms,
     projection_sum,
     random_element,
     save_element,
@@ -118,7 +117,7 @@ class TestTrace:
             a = rand(seed)
             v = trace_int(compose(adjoint(a), a))
             assert v.real >= 0 and abs(v.imag) < 1e-12
-            assert v.real == pytest.approx(norms(a)["hs_norm"] ** 2, rel=1e-12)
+            assert v.real == pytest.approx(np.linalg.norm(a.block) ** 2, rel=1e-12)
 
 
 class TestPadded:
@@ -199,22 +198,6 @@ class TestDerivations:
         da = spatial_derivative(a, 1)
         db = spatial_derivative(b, 1)
         assert np.allclose(db.block, 3.0 * da.block)
-
-
-class TestNorms:
-    def test_projection_norms(self):
-        got = norms(landau_projection(0))
-        assert got["operator_norm"] == pytest.approx(1.0)
-        assert got["hs_norm"] == pytest.approx(1.0)
-
-    def test_offdiagonal_symmetric_combination(self):
-        a = upsilon(0, 1) + upsilon(1, 0)
-        assert norms(a)["operator_norm"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_operator_bounded_by_hilbert_schmidt(self):
-        for seed in range(100):
-            n = norms(rand(seed, 6))
-            assert n["operator_norm"] <= n["hs_norm"] + 1e-12
 
 
 class TestGenerators:

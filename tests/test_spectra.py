@@ -20,6 +20,7 @@ from magnc.dirac import (
 )
 from magnc.spectra import (
     DEFAULT_LADDER,
+    IdealVerdict,
     build_shifted_commutator,
     c_alpha,
     classify_decay,
@@ -514,12 +515,12 @@ class TestQuasiEvenVerification:
         # larger truncation; this covers the lowest projection and one
         # transition operator, with the single cross pair
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=256, buffer=4)
-        rep = verify_quasi_even(ctx, [landau_projection(0), upsilon(0, 1)])
-        for e in rep["elements"]:
-            assert abs(e["F_comm"].exponent + 0.5) <= 0.1
-            assert e["Fsq_comm"].verdict == "trace-class"
-        assert rep["pairs"][0]["ok"]
-        assert rep["ok"]
+        verdicts = verify_quasi_even(ctx, [landau_projection(0), upsilon(0, 1)])
+        assert {k: len(v) for k, v in verdicts.items()} == {
+            "F_comm": 2, "Fsq_comm": 2, "left": 1, "right": 1, "triple": 0}
+        assert all(abs(v.exponent + 0.5) <= 0.1 for v in verdicts["F_comm"])
+        assert all(v.verdict == "trace-class"
+                   for key in ("Fsq_comm", "left", "right") for v in verdicts[key])
 
     def test_defect_operators_built_once_per_element_and_truncation(self, monkeypatch):
         # criterion 2's inputs: 11 products read off one table per truncation
@@ -531,8 +532,15 @@ class TestQuasiEvenVerification:
                             lambda a, c, levels: calls.append(c) or build(a, c, levels))
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=384, buffer=4)
         test_set = [upsilon(0, 1), random_element(5, 3, 1.0), random_element(6, 3, 1.0)]
-        rep = verify_quasi_even(ctx, test_set)
-        assert rep["ok"]
+        verdicts = verify_quasi_even(ctx, test_set)
+        # measurements only: the bounds they must meet are the caller's
+        assert sorted(verdicts) == ["F_comm", "Fsq_comm", "left", "right", "triple"]
+        assert sum(len(vs) for vs in verdicts.values()) == 11
+        assert all(isinstance(v, IdealVerdict) for vs in verdicts.values() for v in vs)
+        assert all(abs(v.exponent + 0.5) <= 0.1 for v in verdicts["F_comm"])
+        assert all(v.verdict == "trace-class" for key in ("Fsq_comm", "left", "right", "triple")
+                   for v in verdicts[key])
+        assert verdicts["triple"][0].exponent <= -1.4
         assert len(calls) == 2 * len(test_set)
         assert sorted({c.m_max for c in calls}) == [192, 384]
 
