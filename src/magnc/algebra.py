@@ -46,19 +46,29 @@ class TruncationError(ValueError):
 class MagneticElement:
     """Finitely supported element of the magnetic algebra.
 
-    Immutable by convention: no method mutates ``block``.
+    Immutable: ``block`` is a read-only copy of the coefficients it was
+    built from, no attribute can be rebound, and ``support_bound``, K(A) =
+    one plus the largest index carrying a nonzero coefficient, is found once
+    at construction.
     """
 
-    __slots__ = ("block", "lb")
+    __slots__ = ("block", "lb", "support_bound")
 
     def __init__(self, block, lb=1.0):
-        block = np.atleast_2d(np.asarray(block, dtype=complex))
+        block = np.atleast_2d(np.array(block, dtype=complex))
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise ValueError("coefficient block must be square")
         if not np.all(np.isfinite(block)):
             raise ValueError("coefficients must be finite")
-        self.block = block
-        self.lb = magnetic_length(lb)
+        block.flags.writeable = False
+        rows, cols = np.nonzero(block)
+        support = int(max(rows.max(), cols.max())) + 1 if len(rows) else 0
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "lb", magnetic_length(lb))
+        object.__setattr__(self, "support_bound", support)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MagneticElement is immutable: cannot set {name!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -76,14 +86,6 @@ class MagneticElement:
         return cls(block, lb)
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def support_bound(self) -> int:
-        """K(A): one plus the largest index carrying a nonzero coefficient."""
-        nz = np.nonzero(self.block)
-        if len(nz[0]) == 0:
-            return 0
-        return int(max(nz[0].max(), nz[1].max())) + 1
 
     def coeff(self, j: int, k: int) -> complex:
         """a_{j,k}, zero outside the stored block."""
@@ -182,8 +184,12 @@ def trace_int(a: MagneticElement) -> complex:
 
 @lru_cache(maxsize=32)
 def _k_ladders(size: int):
-    """Dense K1, K2 on ``size`` levels; callers must not modify them."""
-    return number_ladders(size, "K1"), number_ladders(size, "K2")
+    """Dense K1, K2 on ``size`` levels as read-only complex arrays (K2's
+    entries are real: a product with a complex block casts it anyway)."""
+    ladders = number_ladders(size, "K1"), number_ladders(size, "K2").astype(complex)
+    for k in ladders:
+        k.flags.writeable = False
+    return ladders
 
 
 def spatial_derivative(a: MagneticElement, axis: int) -> MagneticElement:

@@ -10,9 +10,10 @@ tier is the content of the verification suite.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +32,15 @@ from .dirac import (
     GAMMA_GRADING,
     GAMMA_SIGNS,
     DiracContext,
+    _sector_blocks,
     require_fits,
-    sector_blocks,
     sector_represent,
     sector_weights,
 )
 from .spectra import (
     DEFAULT_LADDER,
     DIXMIER_REL_TOL,
-    dixmier_fits,
+    _fit_arrays,
     dixmier_from_partial_sums,
     shifted_resolvent_ladder,
 )
@@ -158,8 +159,10 @@ def _delta1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _deltas(z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
     """(delta0, delta1) of every pair, delta0 = grad_1 A1 grad_1 A2 +
-    grad_2 A1 grad_2 A2, on one gradient per element and axis."""
-    x, y = _gradient(z1), _gradient(z2)
+    grad_2 A1 grad_2 A2, from one gradient call on both slots' entries."""
+    b = len(z1.block)
+    g1, g2 = _gradient(_join(z1, z2))
+    x, y = (g1[:b], g2[:b]), (g1[b:], g2[b:])
     return x[0] @ y[0] + x[1] @ y[1], _delta1(x, y)
 
 
@@ -214,32 +217,47 @@ def chern_number(p: MagneticElement) -> float:
 # Dixmier tier: block ladders over the shifted oscillator resolvents.
 # ---------------------------------------------------------------------------
 
-def _dixmier_functional(terms, ladder) -> CocycleValue:
-    """sum_t coef_t sum_(xi, w) w Tr_Dix((Q + xi)^{-1} S_t) over terms
-    ``(coef, diag S, [(xi, w), ...])``: one ladder call per term for all its
-    shifted blocks, and one extrapolation (``dixmier_fits``) for the blocks of
-    every term.  The |w|-weighted stderrs add in quadrature within a term and
+def _dixmier_functional(terms, shifts, ladder) -> CocycleValue:
+    """sum_t coef_t sum_i w_ti Tr_Dix((Q + xi_i)^{-1} S_t) over terms
+    ``(coef, diag S, weights w_t)`` on one list of shifts xi: one ladder call
+    per term for all its shifted blocks, and one extrapolation
+    (``_fit_arrays``, the arrays of ``dixmier_fits``) for the blocks of every
+    term.  The |w|-weighted stderrs add in quadrature within a term and
     linearly across terms; the value is measurable when every block is.  A
     block whose top rung does not exceed its shift 1 + xi is not: its sector
     sums have not reached their logarithmic growth, and at a large enough
-    shift they vanish in floating point.  sigma_N takes the same weights.
+    shift they vanish in floating point.  sigma_N takes the same weights, in
+    the same order of operations as the value.
     The output is checked finite once: finite input whose ladders leave
     double precision raises OverflowError, without floating-point warnings."""
+    k = len(shifts)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [shifted_resolvent_ladder(diag, [xi for xi, _ in blocks], ladder)[1]
-                for _, diag, blocks in terms]
-        fits = iter(dixmier_fits(ladder, np.concatenate(sums), DIXMIER_REL_TOL))
-        value, error, sigma, measurable = 0.0, 0.0, 0.0, True
-        for coef, _, blocks in terms:
-            ests = [(w, next(fits)) for _, w in blocks]
-            value += coef * sum(w * e.value for w, e in ests)
-            error += abs(coef) * sqrt(sum((abs(w) * e.stderr) ** 2 for w, e in ests))
-            sigma = sigma + coef * sum(w * e.sigma for w, e in ests)
-            measurable &= all(e.measurable for _, e in ests)
-            measurable &= all(ladder[-1] > 1 + xi for xi, _ in blocks)
-    if not (np.isfinite(value) and np.isfinite(error) and np.isfinite(sigma).all()):
+        sums = [shifted_resolvent_ladder(diag, shifts, ladder)[1] for _, diag, _ in terms]
+        values, stderrs, sigmas, flags, _ = _fit_arrays(ladder, np.concatenate(sums),
+                                                        DIXMIER_REL_TOL)
+        values, stderrs = values.tolist(), stderrs.tolist()
+        value, error = 0.0, 0.0
+        for t, (coef, _, ws) in enumerate(terms):
+            value += coef * sum(w * v for w, v in zip(ws, values[t * k:]))
+            error += abs(coef) * sqrt(sum((abs(w) * e) ** 2 for w, e in zip(ws, stderrs[t * k:])))
+        # (terms, shifts, rungs) weighted rows, summed blockwise from 0 as
+        # the value is, then (terms, rungs) weighted by coef and summed
+        rows = (np.array([list(ws) for _, _, ws in terms], dtype=complex)[:, :, None]
+                * sigmas.reshape(len(terms), k, -1))
+        acc = 0 + rows[:, 0]
+        for i in range(1, k):
+            acc = acc + rows[:, i]
+        acc = acc * np.array([coef for coef, _, _ in terms], dtype=complex)[:, None]
+        sigma = 0.0
+        for row in acc:
+            sigma = sigma + row
+    measurable = bool(flags.all()) and all(ladder[-1] > 1 + xi for xi in shifts)
+    if not (cmath.isfinite(value) and isfinite(error) and np.isfinite(sigma).all()):
         raise OverflowError("the Dixmier ladders of this input overflow double precision")
     return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma)
+
+
+_ONES = (1.0,) * len(GAMMA_SIGNS)
 
 
 def nc_integral(a: MagneticElement, ctx: DiracContext,
@@ -250,21 +268,20 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
     on every finitely supported element.
     """
     require_fits(ctx, a)
-    return _dixmier_functional(
-        [(0.25, np.diag(a.block), [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
+    return _dixmier_functional([(0.25, np.diag(a.block), _ONES)], ctx.shifted_energies(),
+                               ladder)
 
 
 def _graded_terms(coefs, z0: _Stack, z1: _Stack, z2: _Stack, ctx: DiracContext) -> list:
     """Terms of coef |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ]
-    over the four shifted blocks, Gamma carrying ``GAMMA_SIGNS``, for each
-    batch entry and its coefficient in turn."""
+    over the four shifted blocks (``ctx.shifted_energies()``), Gamma carrying
+    ``GAMMA_SIGNS``, for each batch entry and its coefficient in turn."""
     p0, p1 = (np.einsum("bii->bi", p) for p in _exact(z0, z1, z2))
-    shifts = ctx.shifted_energies()
+    signs = GAMMA_SIGNS.tolist()
     terms = []
     for coef, g0, g1 in zip(coefs, p0, p1):
         c = coef / (2.0 * ctx.lb**2)
-        terms += [(-c, g0, list(zip(shifts, GAMMA_SIGNS))),
-                  (1j * c, g1, [(xi, 1.0) for xi in shifts])]
+        terms += [(-c, g0, signs), (1j * c, g1, _ONES)]
     return terms
 
 
@@ -276,7 +293,8 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     after extrapolation; the identity-weighted part carries the value.
     """
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    return _dixmier_functional(_graded_terms([0.5], *_stack(a0, a1, a2), ctx), ladder)
+    return _dixmier_functional(_graded_terms([0.5], *_stack(a0, a1, a2), ctx),
+                               ctx.shifted_energies(), ladder)
 
 
 def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -295,8 +313,8 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
     c = 0.5 / (2.0 * ctx.lb**2)
     (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
-    v = _dixmier_functional([(-c, g0, [(ctx.eps, tr_chi)]),
-                             (1j * c, g1, [(ctx.eps, tr_chi_gamma)])], ladder)
+    v = _dixmier_functional([(-c, g0, (tr_chi,)), (1j * c, g1, (tr_chi_gamma,))], (ctx.eps,),
+                            ladder)
     return replace(v, method="spin-trace-factorized")
 
 
@@ -308,7 +326,8 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     """
     require_fits(ctx, a1, a2, margin=ctx.buffer)
     return _dixmier_functional(
-        _graded_terms([1.0], *_stack(UnitalElement.unit(ctx.lb), a1, a2), ctx), ladder)
+        _graded_terms([1.0], *_stack(UnitalElement.unit(ctx.lb), a1, a2), ctx),
+        ctx.shifted_energies(), ladder)
 
 
 def two_form_scale(a1: MagneticElement, a2: MagneticElement, lb: float) -> float:
@@ -332,7 +351,7 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
     return _dixmier_functional(
         _graded_terms([1.0, -1.0], _join(x0, x0 @ x1), _join(x1 @ y0, y0), _join(y1, y1), ctx),
-        ladder)
+        ctx.shifted_energies(), ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +376,19 @@ def _fredholm_kernels(a0: MagneticElement, a1: MagneticElement, a2: MagneticElem
     (``GAMMA_SIGNS``).
     """
     levels = max(a.support_bound for a in (a0, a1, a2)) + 2
-    blocks = sector_blocks(ctx, levels)
     p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
     gp0 = np.tile(signs, levels)[:, None] * p0
-
-    def kernel(d_out, d_back):
-        # (X, Y) of the four terms, with D(m, m') = c' d_out, D(m', m) = c'' d_back
-        terms = ((p2 @ gp0 @ d_out, p1 @ d_back), (gp0 @ d_out, -p1 @ p2 @ d_back),
-                 (p2 @ gp0 @ p1 @ d_out, -d_back), (gp0 @ p1 @ d_out, p2 @ d_back))
-        return sum(y * x.T for x, y in terms)
-
-    return levels, np.stack([kernel(blocks.m0, blocks.m0), kernel(blocks.plus, blocks.minus),
-                             kernel(blocks.minus, blocks.plus)])
+    p2gp0 = p2 @ gp0
+    # the four terms (X, Y): X = L D(m, m') on four left factors L and Y =
+    # R D(m', m) (Y = -D(m', m) in the third), with D(m, m') = c' d_out and
+    # D(m', m) = c'' d_back, for every delta in one stacked product each;
+    # the window fits the context, as each sector_represent has checked
+    outs = _sector_blocks(levels)    # M0, M+, M-
+    backs = outs[[0, 2, 1]]
+    x = np.stack([p2gp0, gp0, p2gp0 @ p1, gp0 @ p1]) @ outs[:, None]
+    y = np.stack([p1, -p1 @ p2, p2]) @ backs[:, None]
+    ys = (y[:, 0], y[:, 1], -backs, y[:, 2])
+    return levels, sum(yt * x[:, t].swapaxes(-1, -2) for t, yt in enumerate(ys))
 
 
 def _route_ii_windows(ctx: DiracContext) -> list[int]:

@@ -193,15 +193,25 @@ def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
     """The blocks of D on the level window n < ``levels``, defined directly:
     M0 = (K1 g1 + K2 g2)/sqrt2, and M+- = 1 x (g3 +- i g4)/2, what
     (G1 g3 + G2 g4)/sqrt2 leaves once the degeneracy ladder's sqrt(m+1) and
-    sqrt(m) are factored out."""
+    sqrt(m) are factored out.  They depend on the window only: views of
+    the window's read-only ``_sector_blocks``."""
     if not 1 <= levels <= ctx.n_tot:
         raise TruncationError(f"level window {levels} outside 1..{ctx.n_tot}")
+    return SectorBlocks(*_sector_blocks(levels))
+
+
+@lru_cache(maxsize=32)
+def _sector_blocks(levels: int) -> np.ndarray:
+    """M0, M+ and M- of the level window n < ``levels`` stacked in one
+    read-only (3, 4 levels, 4 levels) array, built once per window."""
     s = 1 / np.sqrt(2.0)
     k1, k2 = (number_ladders(levels, k) for k in ("K1", "K2"))
     eye = np.eye(levels)
-    return SectorBlocks((np.kron(k1, GAMMA[0]) + np.kron(k2, GAMMA[1])) * s,
-                        np.kron(eye, s * GAMMA[2] + 1j * s * GAMMA[3]) * s,
-                        np.kron(eye, s * GAMMA[2] - 1j * s * GAMMA[3]) * s)
+    blocks = np.stack([(np.kron(k1, GAMMA[0]) + np.kron(k2, GAMMA[1])) * s,
+                       np.kron(eye, s * GAMMA[2] + 1j * s * GAMMA[3]) * s,
+                       np.kron(eye, s * GAMMA[2] - 1j * s * GAMMA[3]) * s])
+    blocks.flags.writeable = False
+    return blocks
 
 
 def build_dirac(ctx: DiracContext, check: bool = True) -> QuartetOperator:
@@ -358,12 +368,18 @@ def represent(a, ctx: DiracContext) -> QuartetOperator:
     return QuartetOperator(_each_sector(ctx, sector_represent(a, ctx, ctx.n_tot)), ctx)
 
 
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
+
+
 def sector_represent(a, ctx: DiracContext, levels: int) -> np.ndarray:
     """(c*1 + A) x 1_4 on the level window n < ``levels`` of one sector, the
-    window ``sector_blocks`` sees."""
+    window ``sector_blocks`` sees; A x 1_4 is A broadcast against 1_4, the
+    products ``np.kron`` forms."""
     u = UnitalElement.lift(a)
     require_fits(ctx, u.element)
-    return np.kron(u.element.padded(levels), np.eye(4)) + u.scalar * np.eye(4 * levels)
+    block = u.element.padded(levels)[:, None, :, None] * _EYE4[:, None, :]
+    return block.reshape(4 * levels, 4 * levels) + u.scalar * np.eye(4 * levels)
 
 
 def commutator_with_D(a: MagneticElement, ctx: DiracContext,

@@ -9,7 +9,8 @@ their affine extrapolation in 1/log N.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,13 +138,50 @@ def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> Dix
     return dixmier_fits(ns, np.asarray(sums)[None], rel_tol)[0]
 
 
-def require_ladder(ns) -> np.ndarray:
-    """The counts N of a Dixmier ladder as floats: at least three rungs,
-    strictly increasing from N >= 2, or ValueError."""
-    ns = np.asarray(ns, dtype=float)
+class _FitMap(NamedTuple):
+    """The parts of the Dixmier fit fixed by a ladder, all read-only: the
+    counts N, log N and its increments, the design [1, 1/log N], its
+    pseudo-inverse and inv(design^T design)[0, 0]."""
+
+    ns: np.ndarray
+    logs: np.ndarray
+    dlogs: np.ndarray
+    design: np.ndarray
+    pinv: np.ndarray
+    var0: float
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _fit_map(ladder: tuple) -> _FitMap:
+    """The fit map of a ladder tuple, built once: ``require_ladder``'s
+    check, then the parts every fit on that ladder shares."""
+    ns = np.array(ladder, dtype=float)
     if not (len(ns) >= 3 and ns[0] >= 2 and (np.diff(ns) > 0).all()):
         raise ValueError("a ladder needs three or more rungs, strictly increasing from N >= 2")
-    return ns
+    logs = np.log(ns)
+    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
+    var0 = float(np.linalg.inv(design.T @ design)[0, 0])
+    return _FitMap(*map(_read_only, (ns, logs, np.diff(logs), design, np.linalg.pinv(design))),
+                   var0)
+
+
+def _ladder_key(ns) -> tuple:
+    """A ladder as a tuple of floats, the key of the ladder caches."""
+    ns = np.asarray(ns, dtype=float)
+    if ns.ndim != 1:
+        raise ValueError("a ladder needs three or more rungs, strictly increasing from N >= 2")
+    return tuple(ns.tolist())
+
+
+def require_ladder(ns) -> np.ndarray:
+    """The counts N of a Dixmier ladder as a read-only float array: at least
+    three rungs, strictly increasing from N >= 2, or ValueError."""
+    return _fit_map(_ladder_key(ns)).ns
 
 
 def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
@@ -160,40 +198,59 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     The fit has one design for every row, so it is one fixed linear map:
     the design's pseudo-inverse, applied to each row elementwise for the
     value and the residual, and every row reads the same bits alone or in a
-    batch.
+    batch.  ``_fit_arrays`` is the fit; this wraps its rows.
     """
+    value, stderr, sigma, measurable, summable = _fit_arrays(ns, sums, rel_tol)
     ns = require_ladder(ns)
+    return [DixmierEstimate(v, float(e), ns, row, bool(m),
+                            "partial sums converge (summable spectrum)" if conv
+                            else "" if m else "not measurable at this truncation")
+            for v, e, row, m, conv in zip(value.tolist(), stderr, sigma, measurable, summable)]
+
+
+def _fit_arrays(ns, sums, rel_tol: float):
+    """The fit of ``dixmier_fits`` as arrays over the rows of ``sums``:
+    (value, stderr, sigma, measurable, summable), from the ladder's cached
+    ``_fit_map``."""
+    fit = _fit_map(_ladder_key(ns))
+    logs = fit.logs
     sums = np.asarray(sums)
-    logs = np.log(ns)
-    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
     # a complex infinite rung reads inf+nanj, and a non-finite or overflowing
     # row is flagged below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = sums / logs
-        coef = (sigma[:, None, :] * np.linalg.pinv(design)).sum(axis=-1)
-        resid = sigma - (design * coef[:, None, :]).sum(axis=-1)
-        resid_ms = np.sum(np.abs(resid) ** 2, axis=1) / max(len(ns) - 2, 1)
+        coef = (sigma[:, None, :] * fit.pinv).sum(axis=-1)
+        resid = sigma - (fit.design * coef[:, None, :]).sum(axis=-1)
+        resid_ms = (np.abs(resid) ** 2).sum(axis=1) / max(len(logs) - 2, 1)
     top = np.abs(sigma).max(axis=1)
     finite = np.isfinite(sums).all(axis=1)
     summable = np.zeros(len(sums), dtype=bool)
-    if len(ns) >= 4:
-        inc = np.abs(np.diff(sums[finite], axis=1))
+    if len(logs) >= 4:
+        rows = sums[finite]
+        inc = np.abs(rows[:, 1:] - rows[:, :-1])
         # increments per unit of log N: rungs closing up are not convergence
-        slope = inc / np.diff(logs)
+        slope = inc / fit.dlogs
         ratios = slope[:, 1:] / np.maximum(slope[:, :-1], 1e-300)
-        peak = np.abs(sums[finite]).max(axis=1)
+        peak = np.abs(rows).max(axis=1)
         # a log-spaced ladder has constant increments exactly when the
         # spectrum is borderline-harmonic; geometric decay means summable
         flat = inc[:, -2:] <= 1e-12 * np.where(peak > 0, peak, 1.0)[:, None]
         summable[finite] = flat.all(axis=1) | (ratios[:, -2:] < 0.45).all(axis=1)
     value = np.where(summable, 0.0, coef[:, 0])
-    stderr = np.sqrt(resid_ms * np.linalg.inv(design.T @ design)[0, 0])
-    stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
+    stderr = np.sqrt(resid_ms * fit.var0)
+    if summable.any():
+        stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
     measurable = summable | (np.sqrt(resid_ms) <= rel_tol * np.maximum(top, 1e-12))
-    return [DixmierEstimate(v, float(e), ns, row, bool(m),
-                            "partial sums converge (summable spectrum)" if conv
-                            else "" if m else "not measurable at this truncation")
-            for v, e, row, m, conv in zip(value.tolist(), stderr, sigma, measurable, summable)]
+    return value, stderr, sigma, measurable, summable
+
+
+@lru_cache(maxsize=64)
+def _resolvent_table(shifts: tuple, ladder: tuple, size: int) -> np.ndarray:
+    """digamma(N + n + 1 + xi) - digamma(n + 1 + xi), a read-only
+    (shifts, rungs, size) array, built once per (shifts, ladder, window)."""
+    a = (np.arange(size) + 1.0 + np.array(shifts)[:, None])[:, None, :]
+    psi = digamma(np.concatenate([a, np.array(ladder)[:, None] + a], axis=1))
+    return _read_only(psi[:, 1:] - psi[:, :1])
 
 
 def shifted_resolvent_ladder(diag, xi, ladder=DEFAULT_LADDER):
@@ -203,18 +260,18 @@ def shifted_resolvent_ladder(diag, xi, ladder=DEFAULT_LADDER):
     Each degeneracy sector contributes sum_n S_nn / (n + m + 1 + xi); summing
     m < N gives sum_n S_nn (digamma(N + n + 1 + xi) - digamma(n + 1 + xi)),
     with no truncation error in either index.  ``xi`` is one shift or an
-    array of them: the sums have shape xi.shape + (rungs,), from one digamma
-    call.
+    array of them: the sums have shape xi.shape + (rungs,), one product of
+    ``diag`` with the digamma table of the shifts, the ladder and the window
+    (``_resolvent_table``).
     """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= -1):
+    xi, diag = np.asarray(xi, dtype=float), np.asarray(diag)
+    if (xi <= -1).any():
         raise ValueError("diagonal shift must exceed -1")
     ns = np.asarray(ladder, dtype=float)
-    if len(diag) == 0 or not np.any(diag):
+    if not diag.any():
         return ns, np.zeros(xi.shape + ns.shape, dtype=complex)
-    a = (np.arange(len(diag)) + 1.0 + xi[..., None])[..., None, :]
-    psi = digamma(np.concatenate([a, ns[:, None] + a], axis=-2))
-    return ns, (psi[..., 1:, :] - psi[..., :1, :]) @ diag
+    table = _resolvent_table(tuple(xi.ravel().tolist()), _ladder_key(ns), len(diag))
+    return ns, table.reshape(xi.shape + table.shape[1:]) @ diag
 
 
 def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):

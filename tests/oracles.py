@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from magnc.algebra import UnitalElement, compose, spatial_derivative, trace_int
 from magnc.basis import number_ladders
 from magnc.cocycles import _fredholm_kernels
-from magnc.dirac import GAMMA_SIGNS, reg_inverse, sector_blocks, sector_weights
+from magnc.dirac import GAMMA_SIGNS, reg_inverse, sector_blocks, sector_represent, sector_weights
 
 
 def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
@@ -82,6 +82,24 @@ def fredholm_sector_traces(a0, a1, a2, ctx) -> np.ndarray:
     t += (m + 1) * form(w[1:], k_plus, v)
     t[1:] += m[1:] * form(w[:-2], k_minus, v[1:])
     return t
+
+
+def fredholm_kernels(a0, a1, a2, ctx, signs) -> np.ndarray:
+    """Route ii's (3, 4 levels, 4 levels) stack of K_delta, each delta's
+    kernel as twelve separate products: the arithmetic the stacked
+    ``_fredholm_kernels`` reproduces bit for bit."""
+    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
+    blocks = sector_blocks(ctx, levels)
+    p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
+    gp0 = np.tile(signs, levels)[:, None] * p0
+
+    def kernel(d_out, d_back):
+        terms = ((p2 @ gp0 @ d_out, p1 @ d_back), (gp0 @ d_out, -p1 @ p2 @ d_back),
+                 (p2 @ gp0 @ p1 @ d_out, -d_back), (gp0 @ p1 @ d_out, p2 @ d_back))
+        return sum(y * x.T for x, y in terms)
+
+    return np.stack([kernel(blocks.m0, blocks.m0), kernel(blocks.plus, blocks.minus),
+                     kernel(blocks.minus, blocks.plus)])
 
 
 def gradient(a):

@@ -120,6 +120,37 @@ class TestTrace:
             assert v.real == pytest.approx(np.linalg.norm(a.block) ** 2, rel=1e-12)
 
 
+class TestImmutability:
+    """An element is a value: its block is a read-only copy, its attributes
+    cannot be rebound, and its support is found once."""
+
+    def test_block_is_read_only(self):
+        a = rand(5, 3)
+        assert not a.block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.block[0, 0] = 7.0
+        with pytest.raises(AttributeError, match="immutable"):
+            a.block = np.zeros((3, 3))
+        with pytest.raises(AttributeError, match="immutable"):
+            a.support_bound = 1
+
+    def test_source_array_is_copied(self):
+        src = np.zeros((4, 4), dtype=complex)
+        src[1, 2] = 1.0
+        a = MagneticElement(src)
+        src[3, 3] = 5.0
+        src[1, 2] = 0.0
+        assert a.coeffs() == {(2, 1): 1.0} and a.support_bound == 3
+        # a read-only source is copied as well, so nothing is shared
+        assert not np.shares_memory(MagneticElement(a.block).block, a.block)
+
+    @pytest.mark.parametrize("block, support", [
+        (np.zeros((3, 3)), 0), (np.eye(1), 1), (np.pad([[0, 2.0], [0, 0]], (0, 3)), 2),
+        (np.diag([0, 0, 0, 1.0]), 4)])
+    def test_support_bound_is_the_largest_nonzero_index(self, block, support):
+        assert MagneticElement(block).support_bound == support
+
+
 class TestPadded:
     """The level window: exactly size x size, grown with zeros or cut past the
     support, and a TruncationError for a support past the window."""

@@ -49,6 +49,7 @@ from magnc.spectra import (
     DEFAULT_LADDER,
     d4_dixmier,
     dixmier_from_partial_sums,
+    require_ladder,
     shifted_resolvent_ladder,
 )
 from magnc.dirac import (
@@ -61,9 +62,11 @@ from magnc.dirac import (
     dirac_phase,
     reg_inverse,
     represent,
+    sector_blocks,
 )
 import oracles
 from oracles import fredholm_sector_traces
+from test_mutants import clear_caches
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=512, buffer=4)
 LB = 1.0
@@ -137,7 +140,7 @@ class TestExactTier:
             assert np.array_equal(p0, z0.block @ d0) and np.array_equal(p1, z0.block @ d1)
 
     def test_each_pair_takes_one_gradient_per_element_and_axis(self, monkeypatch):
-        # one stacked gradient, both axes, per derivation slot
+        # one stacked gradient, both axes, of both derivation slots at once
         calls = []
         exact = cocycles._gradient
 
@@ -152,7 +155,7 @@ class TestExactTier:
                    lambda: psi(a0, a1, a2)):
             calls.clear()
             fn()
-            assert calls == [(1, 5, 5)] * 2
+            assert calls == [(2, 5, 5)]
 
     def test_streda_equality(self):
         for seed in range(10):
@@ -357,7 +360,8 @@ class TestDixmierFunctional:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((cocycles, "dixmier_fits"), (cocycles, "dixmier_from_partial_sums"),
+        for module, name in ((cocycles, "_fit_arrays"), (spectra, "dixmier_fits"),
+                             (cocycles, "dixmier_from_partial_sums"),
                              (spectra, "dixmier_from_partial_sums"), (spectra, "digamma")):
             count(module, name)
         return counts
@@ -367,22 +371,28 @@ class TestDixmierFunctional:
         ("graded_one_form_product_trace", 4)])
     def test_one_batched_fit_per_functional(self, calls, name, terms):
         # a return to one fit per shifted block, or one ladder per shift,
-        # shows up as extra calls
+        # shows up as extra calls; a cold cache builds at most one digamma
+        # table per term, and a warm one builds none
         els = [rand(61), rand(62), rand(63), rand(64)]
         arity = {"nc_integral": 1, "graded_two_form_trace": 2,
                  "graded_one_form_product_trace": 4}.get(name, 3)
-        assert getattr(cocycles, name)(*els[:arity], CTX).measurable
-        assert calls["cocycles.dixmier_fits"] == 1
-        assert 1 <= calls["spectra.digamma"] <= terms
-        assert calls["cocycles.dixmier_from_partial_sums"] == 0
-        assert calls["spectra.dixmier_from_partial_sums"] == 0
+        clear_caches()
+        for warm in (False, True):
+            calls.clear()
+            assert getattr(cocycles, name)(*els[:arity], CTX).measurable
+            assert calls["cocycles._fit_arrays"] == 1
+            assert calls["spectra.dixmier_fits"] == 0
+            assert (calls["spectra.digamma"] == 0) if warm else (
+                1 <= calls["spectra.digamma"] <= terms)
+            assert calls["cocycles.dixmier_from_partial_sums"] == 0
+            assert calls["spectra.dixmier_from_partial_sums"] == 0
 
     def test_route_ii_and_d4_fit_one_ladder_each(self, calls):
         tau2(rand(61), rand(62), rand(63), CTX, "direct")
         assert calls["cocycles.dixmier_from_partial_sums"] == 1
         d4_dixmier(0.5, DEFAULT_LADDER)
         assert calls["spectra.dixmier_from_partial_sums"] == 1
-        assert calls["cocycles.dixmier_fits"] == 0
+        assert calls["cocycles._fit_arrays"] == 0
 
     def test_unmeasurable_block_flags_the_value(self):
         p = landau_projection(1, LB)
@@ -437,10 +447,8 @@ class TestChiTwistedCharacter:
         c = 0.5 / (2.0 * LB**2)
         shifts = CTX.shifted_energies()
         (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
-        v = _dixmier_functional(
-            [(-c, g0, list(zip(shifts, CHI_SIGNS))),
-             (1j * c, g1, list(zip(shifts, CHI_GAMMA_SIGNS)))],
-            DEFAULT_LADDER)
+        v = _dixmier_functional([(-c, g0, CHI_SIGNS), (1j * c, g1, CHI_GAMMA_SIGNS)], shifts,
+                                DEFAULT_LADDER)
         scale = max(abs((1j / LB**2) * psi(a0, a1, a2).value), 1e-9)
         assert abs(v.value) <= 3 * v.error + 0.01 * scale
 
@@ -607,6 +615,71 @@ class TestRouteIiWindowSums:
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4)
         with pytest.raises(ValueError):
             _window_correlations(ctx, 3)[0, 0, 0, 0] = 1.0
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestContextCaches:
+    """The Dixmier tier's and route ii's caches hold data fixed by the
+    context, the ladder and the level window (digamma tables, fit maps,
+    sector blocks, window correlations): every value reads the same bits
+    from a cold cache and from a warm one."""
+
+    def calls(self):
+        a0, a1, a2, a3 = rand(81), rand(82), rand(83), rand(84)
+        p = landau_projection(2, LB)
+        return {"nc_integral": lambda: nc_integral(p, CTX),
+                "nc_integral_random": lambda: nc_integral(a0, CTX),
+                "ch_dix": lambda: ch_dix(a0, a1, a2, CTX),
+                "ch_hat": lambda: ch_hat(a0, a1, a2, CTX),
+                "graded_two_form_trace": lambda: graded_two_form_trace(a1, a2, CTX),
+                "graded_one_form_product_trace":
+                    lambda: graded_one_form_product_trace(a0, a1, a2, a3, CTX),
+                "tau2_reduced": lambda: tau2(a0, a1, a2, CTX, "reduced"),
+                "tau2_direct": lambda: tau2(a0, a1, a2, CTX, "direct")}
+
+    def test_cold_and_warm_values_are_bit_identical(self):
+        for name, call in self.calls().items():
+            clear_caches()
+            cold, warm = call(), call()
+            assert same_bits(cold.value, warm.value) and same_bits(cold.error, warm.error), name
+            assert cold.measurable == warm.measurable and cold.method == warm.method, name
+            assert same_bits(cold.sigma, warm.sigma), name
+
+    def test_cached_tables_and_blocks_are_read_only(self):
+        ladder = tuple(float(n) for n in DEFAULT_LADDER)
+        shifts = tuple(CTX.shifted_energies().tolist())
+        fit = spectra._fit_map(ladder)
+        cached = [spectra._resolvent_table(shifts, ladder, 5), require_ladder(DEFAULT_LADDER),
+                  *fit[:5], *sector_blocks(CTX, 6)]
+        for arr in cached:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        # what a call returns is its own
+        assert shifted_resolvent_ladder(np.ones(5), shifts, DEFAULT_LADDER)[1].flags.writeable
+
+    def test_contexts_an_ulp_apart_share_no_table(self):
+        clear_caches()
+        near = DiracContext(lb=CTX.lb, eps=np.nextafter(CTX.eps, 1.0), n_max=CTX.n_max,
+                            m_max=CTX.m_max, buffer=CTX.buffer)
+        p = landau_projection(1, LB)
+        for ctx in (CTX, near):
+            nc_integral(p, ctx)
+        info = spectra._resolvent_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        for ctx in (near, CTX):
+            nc_integral(p, ctx)
+        assert spectra._resolvent_table.cache_info().hits == 2
+
+    def test_stacked_kernels_are_the_twelve_products(self):
+        for seed in range(4):
+            t = [rand(90 + 3 * seed + s, 1 + (seed + s) % 5) for s in range(3)]
+            for signs in (GAMMA_SIGNS, CHI_SIGNS):
+                levels, got = cocycles._fredholm_kernels(*t, CTX, signs)
+                assert same_bits(got, oracles.fredholm_kernels(*t, CTX, signs))
 
 
 class TestHochschild:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from magnc import basis, cli, cocycles, dirac, kernel, spectra
+from magnc.algebra import random_element
 
 exact_ladders = basis.number_ladders
 exact_delta1 = cocycles._delta1
@@ -110,8 +111,8 @@ def d4_multiplicity_doubled(eps, ladder):
 def nc_integral_half(a, ctx, ladder):
     """The noncommutative integral with a half in place of the quarter."""
     cocycles.require_fits(ctx, a)
-    return cocycles._dixmier_functional(
-        [(0.5, np.diag(a.block), [(xi, 1.0) for xi in ctx.shifted_energies()])], ladder)
+    return cocycles._dixmier_functional([(0.5, np.diag(a.block), (1.0,) * 4)],
+                                        ctx.shifted_energies(), ladder)
 
 
 def graded_terms_one_l(coefs, z0, z1, z2, ctx):
@@ -197,6 +198,28 @@ def test_phase_mutant_fails_right_after_a_clean_run(monkeypatch):
     clear_caches()
     monkeypatch.setattr(cocycles, "sector_weights", phase_power_1_1)
     assert_checks_fail(["connes-formula-2"])
+
+
+def test_clear_caches_empties_the_context_caches():
+    ctx = dirac.DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4)
+    a = random_element(5, 3, 1.0, 1.0)
+    cocycles.nc_integral(a, ctx)
+    cocycles.tau2(a, a, a, ctx, "direct")
+    caches = (spectra._fit_map, spectra._resolvent_table, dirac._sector_blocks)
+    assert all(c.cache_info().currsize > 0 for c in caches)
+    clear_caches()
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+
+
+def test_graded_terms_mutant_fails_right_after_a_clean_run(monkeypatch):
+    # the context caches keep only what no element changes: the clean run
+    # leaves them warm, and the mutant, run on them, still fails
+    assert run_check("connes-formula-1", LB_2)["pass"] is True
+    warm = spectra._resolvent_table.cache_info()
+    assert warm.currsize > 0
+    monkeypatch.setattr(cocycles, "_graded_terms", graded_terms_one_l)
+    assert_checks_fail(["connes-formula-1"], LB_2)
+    assert spectra._resolvent_table.cache_info().hits > warm.hits
 
 
 def test_block_shift_off_by_one_fails_its_checks():
