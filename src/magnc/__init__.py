@@ -38,7 +38,6 @@ from .dirac import DiracContext, QuartetOperator, build_dirac, dirac_phase, reg_
 from .kernel import KernelFunction, kernel_of, trace_per_unit_volume
 from .spectra import (
     SingularSpectrum,
-    DixmierEstimate,
     IdealVerdict,
     singular_values,
     closed_form_mu,

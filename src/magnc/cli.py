@@ -157,8 +157,7 @@ def _sound(error, sound: bool, tol: float) -> bool:
 
 
 def _measured(*values) -> bool:
-    """Every value (a ``CocycleValue`` or ``DixmierEstimate``) is finite and
-    measurable at this truncation."""
+    """Every ``CocycleValue`` is finite and measurable at this truncation."""
     return all(bool(np.isfinite(v.value)) and v.measurable for v in values)
 
 
@@ -265,7 +264,7 @@ def check_singular_value_laws(cfg: RunConfig) -> dict:
                    got, worst_law, 1e-8, bound_ok and quasi_even_ok)
 
 
-def _d4_dixmier(cfg: RunConfig) -> spx.DixmierEstimate:
+def _d4_dixmier(cfg: RunConfig) -> cc.CocycleValue:
     """The |D_eps|^-4 estimate at the configured counts.  Rungs that share one
     level cut are a bad --ladder for it, though not for the other ladders."""
     try:
@@ -293,9 +292,9 @@ def check_gap_labeling(cfg: RunConfig) -> dict:
 
 
 def check_chern_integrality_streda(cfg: RunConfig) -> dict:
+    # the first six corpus projections are the Landau levels 0..5
     pairs = [(cc.chern_number(p), cc.gap_label(p)) for p in _projection_corpus(cfg)]
-    got = {"level_dev": _worst(abs(cc.chern_number(alg.landau_projection(j, cfg.lb)) - 1.0)
-                               for j in range(6)),
+    got = {"level_dev": _worst(abs(c - 1.0) for c, _ in pairs[:6]),
            "integrality_dev": _worst(abs(c - round(c)) for c, _ in pairs),
            "streda_dev": _worst(abs(c - g) for c, g in pairs)}
     return _record("chern-integrality-streda", "streda-equality",
@@ -487,7 +486,7 @@ def cmd_invariant(cfg: RunConfig, which: str, input_text: str) -> int:
             raise ConfigError(f"{which} needs a projection input")
         val = cc.gap_label(el) if which == "gap-label" else cc.chern_number(el)
         ref, expected, tol = "integer-pairing", "integer", cfg.tol_exact
-        v = cc.CocycleValue(val, "exact-algebraic", abs(val - round(val)))
+        v = cc.CocycleValue(val, "exact-algebraic", abs(val - round(val)), True)
     elif which == "nc-integral":
         ref, tol = "volume-weighted-trace", cfg.tol_dixmier
         v = cc.nc_integral(el, ctx, cfg.ladder)
@@ -511,20 +510,17 @@ def cmd_dixmier_ladder(cfg: RunConfig, target: str) -> int:
     """A ladder's logarithmic means and their estimate: d4 from ``spectra``,
     ncint:X and ch:X from the evaluations of ``invariant nc-integral/ch X``."""
     if target == "d4":
-        est = _d4_dixmier(cfg)
-        ns, v = est.ns, cc.CocycleValue(est.value, "dixmier-extrapolated", est.stderr,
-                                        est.measurable, est.sigma)
+        v = _d4_dixmier(cfg)
     elif target.startswith(("ncint:", "ch:")):
         kind, text = target.split(":", 1)
         el = parse_element(text, cfg)
-        ns = cfg.ladder
         v = (cc.nc_integral(el, cfg.context(), cfg.ladder) if kind == "ncint"
              else cc.ch_dix(el, el, el, cfg.context(), cfg.ladder))
     else:
         raise ConfigError(f"unknown ladder target {target!r}")
     fit = complex(v.value)
     lines = ["N,sigma_re,sigma_im,fit_re,fit_im,fit_stderr"]
-    for n, sig in zip(ns, np.asarray(v.sigma, dtype=complex)):
+    for n, sig in zip(v.ns, np.asarray(v.sigma, dtype=complex)):
         lines.append(f"{int(n)},{sig.real:.12g},{sig.imag:.12g},"
                      f"{fit.real:.12g},{fit.imag:.12g},{v.error:.6g}")
     _write("\n".join(lines) + "\n", cfg)

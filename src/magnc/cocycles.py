@@ -11,7 +11,7 @@ tier is the content of the verification suite.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from math import isfinite, sqrt
 from typing import NamedTuple
@@ -40,6 +40,7 @@ from .dirac import (
 from .spectra import (
     DEFAULT_LADDER,
     DIXMIER_REL_TOL,
+    CocycleValue,
     _fit_arrays,
     dixmier_from_partial_sums,
     shifted_resolvent_ladder,
@@ -60,21 +61,6 @@ __all__ = [
     "hochschild_b",
     "psi_cochain",
 ]
-
-@dataclass
-class CocycleValue:
-    """A cocycle evaluation with its method tag, error bar, measurable flag
-    and, on the Dixmier tier, its combined logarithmic means sigma_N."""
-
-    value: complex
-    method: str
-    error: float = 0.0
-    measurable: bool = True
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.error < 0:
-            raise ValueError("error bar must be nonnegative")
 
 
 class Cochain:
@@ -187,7 +173,7 @@ def _psi(z0: _Stack, z1: _Stack, z2: _Stack) -> np.ndarray:
 
 def psi(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement) -> CocycleValue:
     """The derivation-trace 2-cocycle, an exact finite computation."""
-    return CocycleValue(complex(_psi(*_stack(a0, a1, a2))[0]), "exact-algebraic", 0.0)
+    return CocycleValue(complex(_psi(*_stack(a0, a1, a2))[0]), "exact-algebraic", 0.0, True)
 
 
 def _require_projection(p: MagneticElement):
@@ -221,20 +207,20 @@ def _dixmier_functional(terms, shifts, ladder) -> CocycleValue:
     """sum_t coef_t sum_i w_ti Tr_Dix((Q + xi_i)^{-1} S_t) over terms
     ``(coef, diag S, weights w_t)`` on one list of shifts xi: one ladder call
     per term for all its shifted blocks, and one extrapolation
-    (``_fit_arrays``, the arrays of ``dixmier_fits``) for the blocks of every
-    term.  The |w|-weighted stderrs add in quadrature within a term and
-    linearly across terms; the value is measurable when every block is.  A
-    block whose top rung does not exceed its shift 1 + xi is not: its sector
-    sums have not reached their logarithmic growth, and at a large enough
-    shift they vanish in floating point.  sigma_N takes the same weights, in
-    the same order of operations as the value.
+    (``_fit_arrays``) for the blocks of every term.  The |w|-weighted
+    stderrs add in quadrature within a term and linearly across terms; the
+    value is measurable when every block is.  A block whose top rung does
+    not exceed its shift 1 + xi is not: its sector sums have not reached
+    their logarithmic growth, and at a large enough shift they vanish in
+    floating point.  sigma_N, at the ladder's counts, takes the same
+    weights, in the same order of operations as the value.
     The output is checked finite once: finite input whose ladders leave
     double precision raises OverflowError, without floating-point warnings."""
     k = len(shifts)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [shifted_resolvent_ladder(diag, shifts, ladder)[1] for _, diag, _ in terms]
-        values, stderrs, sigmas, flags, _ = _fit_arrays(ladder, np.concatenate(sums),
-                                                        DIXMIER_REL_TOL)
+        ns, values, stderrs, sigmas, flags, _ = _fit_arrays(ladder, np.concatenate(sums),
+                                                            DIXMIER_REL_TOL)
         values, stderrs = values.tolist(), stderrs.tolist()
         value, error = 0.0, 0.0
         for t, (coef, _, ws) in enumerate(terms):
@@ -254,7 +240,7 @@ def _dixmier_functional(terms, shifts, ladder) -> CocycleValue:
     measurable = bool(flags.all()) and all(ladder[-1] > 1 + xi for xi in shifts)
     if not (cmath.isfinite(value) and isfinite(error) and np.isfinite(sigma).all()):
         raise OverflowError("the Dixmier ladders of this input overflow double precision")
-    return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma)
+    return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma, ns)
 
 
 _ONES = (1.0,) * len(GAMMA_SIGNS)
@@ -471,10 +457,8 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
         raise TruncationError(f"route ii needs three distinct sector windows; "
                               f"m_max {ctx.m_max} gives {ms}")
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    est = dixmier_from_partial_sums(np.array(ms, dtype=float), _route_ii_sums(a0, a1, a2, ctx),
-                                    rel_tol=0.2)
-    return CocycleValue(0.5 * est.value, "dixmier-direct-partial-trace", 0.5 * est.stderr,
-                        est.measurable)
+    # the fit is linear, so the fit of the halved sums is the half
+    return dixmier_from_partial_sums(ms, 0.5 * _route_ii_sums(a0, a1, a2, ctx), rel_tol=0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from .dirac import BLOCK_SHIFTS, DiracContext, defect_stacks
 
 __all__ = [
     "SingularSpectrum",
-    "DixmierEstimate",
+    "CocycleValue",
     "IdealVerdict",
     "singular_values",
     "dixmier_from_partial_sums",
-    "dixmier_fits",
     "require_ladder",
     "shifted_resolvent_ladder",
     "stable_spectrum",
@@ -61,16 +60,21 @@ class SingularSpectrum:
 
 
 @dataclass
-class DixmierEstimate:
-    """Extrapolated logarithmic mean with its ladder and fit diagnostics:
-    the logarithmic means ``sigma`` at the counts ``ns``."""
+class CocycleValue:
+    """A value of either tier with its method tag, error bar and measurable
+    flag and, from a Dixmier fit, its logarithmic means sigma_N at the
+    counts ``ns``."""
 
     value: complex
-    stderr: float
-    ns: np.ndarray
-    sigma: np.ndarray
+    method: str
+    error: float
     measurable: bool
-    note: str
+    sigma: np.ndarray | None = None
+    ns: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.error < 0:
+            raise ValueError("error bar must be nonnegative")
 
 
 @dataclass
@@ -130,12 +134,18 @@ def singular_values(stack: np.ndarray) -> SingularSpectrum:
 # Dixmier estimation: affine extrapolation of logarithmic means in 1/log N.
 # ---------------------------------------------------------------------------
 
-def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> DixmierEstimate:
+def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> CocycleValue:
     """Fit sigma_N = sum_N / log N against 1/log N; the intercept is the trace.
 
-    The one-ladder case of ``dixmier_fits``, which states the rules.
+    Row 0 of ``_fit_arrays``, which states the rules; the method tag is
+    "dixmier-summable" where the ratio test read the partial sums as
+    convergent, "dixmier-extrapolated" otherwise.
     """
-    return dixmier_fits(ns, np.asarray(sums)[None], rel_tol)[0]
+    ns, value, stderr, sigma, measurable, summable = _fit_arrays(ns, np.asarray(sums)[None],
+                                                                 rel_tol)
+    return CocycleValue(value.tolist()[0],
+                        "dixmier-summable" if summable[0] else "dixmier-extrapolated",
+                        float(stderr[0]), bool(measurable[0]), sigma[0], ns)
 
 
 class _FitMap(NamedTuple):
@@ -184,8 +194,10 @@ def require_ladder(ns) -> np.ndarray:
     return _fit_map(_ladder_key(ns)).ns
 
 
-def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
-    """One estimate per row of a (ladders, rungs) array of partial sums.
+def _fit_arrays(ns, sums, rel_tol: float):
+    """The Dixmier fit of every row of a (ladders, rungs) array of partial
+    sums, as arrays: (counts N, value, stderr, sigma, measurable, summable),
+    from the ladder's cached ``_fit_map``.
 
     The logarithmic means converge only at O(1/log N); the affine fit in
     1/log N removes the leading correction.  Ladders whose partial sums are
@@ -198,20 +210,8 @@ def dixmier_fits(ns, sums, rel_tol: float) -> list[DixmierEstimate]:
     The fit has one design for every row, so it is one fixed linear map:
     the design's pseudo-inverse, applied to each row elementwise for the
     value and the residual, and every row reads the same bits alone or in a
-    batch.  ``_fit_arrays`` is the fit; this wraps its rows.
+    batch.
     """
-    value, stderr, sigma, measurable, summable = _fit_arrays(ns, sums, rel_tol)
-    ns = require_ladder(ns)
-    return [DixmierEstimate(v, float(e), ns, row, bool(m),
-                            "partial sums converge (summable spectrum)" if conv
-                            else "" if m else "not measurable at this truncation")
-            for v, e, row, m, conv in zip(value.tolist(), stderr, sigma, measurable, summable)]
-
-
-def _fit_arrays(ns, sums, rel_tol: float):
-    """The fit of ``dixmier_fits`` as arrays over the rows of ``sums``:
-    (value, stderr, sigma, measurable, summable), from the ladder's cached
-    ``_fit_map``."""
     fit = _fit_map(_ladder_key(ns))
     logs = fit.logs
     sums = np.asarray(sums)
@@ -241,7 +241,7 @@ def _fit_arrays(ns, sums, rel_tol: float):
     if summable.any():
         stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
     measurable = summable | (np.sqrt(resid_ms) <= rel_tol * np.maximum(top, 1e-12))
-    return value, stderr, sigma, measurable, summable
+    return fit.ns, value, stderr, sigma, measurable, summable
 
 
 @lru_cache(maxsize=64)
@@ -268,8 +268,6 @@ def shifted_resolvent_ladder(diag, xi, ladder=DEFAULT_LADDER):
     if (xi <= -1).any():
         raise ValueError("diagonal shift must exceed -1")
     ns = np.asarray(ladder, dtype=float)
-    if not diag.any():
-        return ns, np.zeros(xi.shape + ns.shape, dtype=complex)
     table = _resolvent_table(tuple(xi.ravel().tolist()), _ladder_key(ns), len(diag))
     return ns, table.reshape(xi.shape + table.shape[1:]) @ diag
 
@@ -297,7 +295,7 @@ def d4_partial_sums(eps: float, ladder=DEFAULT_LADDER):
     return 2 * j * (j + 1), terms.sum(axis=1)
 
 
-def d4_dixmier(eps: float, ladder) -> DixmierEstimate:
+def d4_dixmier(eps: float, ladder) -> CocycleValue:
     """Tr_Dix |D_eps|^{-4} (2 in the paper's normalization) from ``d4_partial_sums``."""
     return dixmier_from_partial_sums(*d4_partial_sums(eps, ladder))
 

@@ -304,6 +304,16 @@ class TestSubcommands:
         fit = float(out.read_text().strip().splitlines()[1].split(",")[3])
         assert abs(fit - 1.0) < 0.02
 
+    @pytest.mark.parametrize("target, counts", [
+        ("d4", [1012, 10224, 100800, 1001112, 10003864]),   # J = 22, 71, 224, 707, 2236
+        ("ncint:pi:0", list(cli.spx.DEFAULT_LADDER)), ("ch:pi:1", list(cli.spx.DEFAULT_LADDER))])
+    def test_dixmier_ladder_n_column_holds_the_fitted_counts(self, tmp_path, target, counts):
+        # d4 sits at its level cuts N = 2 J (J + 1), the sector ladders at the ladder
+        out = tmp_path / "ladder.csv"
+        assert run_cli(["--out", str(out), "dixmier-ladder", target]) == 0
+        assert [int(line.split(",")[0]) for line in
+                out.read_text().strip().splitlines()[1:]] == counts
+
     def test_dixmier_ladder_non_finite_exits_one(self, tmp_path, monkeypatch):
         import magnc.spectra as spx
 
@@ -450,7 +460,7 @@ class TestVerifyAll:
         def ch_dix(a0, a1, a2, ctx, ladder):
             calls.append(None)
             want = 1j * cli.cc.psi(a0, a1, a2).value
-            return cli.cc.CocycleValue(np.nan if len(calls) == 3 else want, "stub")
+            return cli.cc.CocycleValue(np.nan if len(calls) == 3 else want, "stub", 0.0, True)
 
         monkeypatch.setattr(cli.cc, "ch_dix", ch_dix)
         rec = cli.check_connes_formula_1(RunConfig())

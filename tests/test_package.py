@@ -118,8 +118,10 @@ def _option_census() -> int:
 
 
 def test_option_census_does_not_grow():
-    # a new knob must show up in the diff: raise this only with a reason
-    assert _option_census() == 76
+    # a new knob must show up in the diff: raise this only with a reason.
+    # 75: one result type for both tiers, whose error and measurable flag
+    # every producer passes (no defaults) and whose counts ns default to None
+    assert _option_census() == 75
 
 
 def test_cli_keeps_no_second_dixmier_path():
@@ -127,6 +129,19 @@ def test_cli_keeps_no_second_dixmier_path():
     # produces its ladder: no fit, ladder or cocycle integrand of its own
     second_path = {"dixmier_from_partial_sums", "shifted_resolvent_ladder", "delta1", "compose"}
     assert sorted(_code_names(_tree("cli")) & second_path) == []
+
+
+def test_one_result_type_carries_a_measurable_flag():
+    # both tiers report through spectra.CocycleValue: no module defines a
+    # second dataclass with a measurable field
+    def defines_one(tree):
+        return any(isinstance(node, ast.ClassDef)
+                   and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+                   and any(isinstance(s, ast.AnnAssign) and ast.unparse(s.target) == "measurable"
+                           for s in node.body)
+                   for node in ast.walk(tree))
+
+    assert [m for m in MODULES + ["__init__"] if defines_one(_tree(m))] == ["spectra"]
 
 
 def test_support_is_compared_only_by_the_truncation_contract():

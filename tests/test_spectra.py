@@ -26,8 +26,8 @@ from magnc.spectra import (
     classify_decay,
     closed_form_mu,
     d4_partial_sums,
+    _fit_arrays,
     digamma,
-    dixmier_fits,
     dixmier_from_partial_sums,
     require_ladder,
     shifted_resolvent_ladder,
@@ -264,8 +264,8 @@ class TestDixmierEstimation:
         mu = harmonic(DEFAULT_LADDER[-1]) ** 1.5
         est = dixmier_from_partial_sums(*spectrum_ladder(mu))
         assert abs(est.value) < 1e-4
-        assert est.stderr < 1e-4
-        assert "summable" in est.note
+        assert est.error < 1e-4
+        assert est.method == "dixmier-summable"
 
     def test_non_finite_rung_is_not_measurable(self):
         # the ratio test would call this ladder summable and report a zero
@@ -301,7 +301,7 @@ class TestDixmierEstimation:
         merged = np.sort(np.concatenate([mu1, mu2]))[::-1][:n]
         e1, e2, em = (dixmier_from_partial_sums(*spectrum_ladder(mu))
                       for mu in (mu1, mu2, merged))
-        tol = 3 * (e1.stderr + e2.stderr + em.stderr) + 0.01 * 1.5
+        tol = 3 * (e1.error + e2.error + em.error) + 0.01 * 1.5
         assert abs(em.value - (e1.value + e2.value)) < tol
 
     def test_oscillating_ladder_flagged(self):
@@ -309,7 +309,7 @@ class TestDixmierEstimation:
         sums = np.log(ns) * (1.0 + 0.5 * (-1.0) ** np.arange(6))
         est = dixmier_from_partial_sums(ns, sums)
         assert not est.measurable
-        assert "not measurable" in est.note
+        assert est.method == "dixmier-extrapolated"
 
     def test_resolvent_ladder_projection(self):
         for j in range(3):
@@ -321,6 +321,14 @@ class TestDixmierEstimation:
         est = dixmier_from_partial_sums(*shifted_resolvent_ladder(np.diag(upsilon(0, 1).block),
                                                                   0.5))
         assert abs(est.value) < 1e-3
+
+    def test_zero_complex_diagonal_gives_positive_zeros(self):
+        # no branch of its own: the digamma table times +0 complex zeros
+        xi = np.array([[-0.5, 0.0], [0.7, 2.0]])
+        _, sums = shifted_resolvent_ladder(np.zeros(4, dtype=complex), xi)
+        assert sums.shape == xi.shape + (len(DEFAULT_LADDER),) and sums.dtype == complex
+        assert not sums.any()
+        assert not np.signbit(sums.real).any() and not np.signbit(sums.imag).any()
 
     def test_resolvent_shift_independence(self):
         # the extrapolated value does not depend on the diagonal shift
@@ -372,29 +380,28 @@ class TestBatchedDixmierFits:
         sums = scale * self.ladders()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = dixmier_fits(self.NS, sums, 0.05)
+            ns, value, stderr, sigma, measurable, summable = _fit_arrays(self.NS, sums, 0.05)
             alone = [dixmier_from_partial_sums(self.NS, row) for row in sums]
-        assert [f.note for f in fits] == [
-            "", "partial sums converge (summable spectrum)",
-            "partial sums converge (summable spectrum)", "not measurable at this truncation",
-            "not measurable at this truncation"]
-        for f, a in zip(fits, alone):
-            assert same_bits(f.value, a.value) and same_bits(f.stderr, a.stderr)
-            assert same_bits(f.sigma, a.sigma)
-            assert f.measurable is a.measurable
+        assert [a.method for a in alone] == [
+            "dixmier-extrapolated", "dixmier-summable", "dixmier-summable",
+            "dixmier-extrapolated", "dixmier-extrapolated"]
+        assert [a.measurable for a in alone] == [True, True, True, False, False]
+        assert summable.tolist() == [a.method == "dixmier-summable" for a in alone]
+        for i, a in enumerate(alone):
+            assert same_bits(value[i], a.value) and same_bits(stderr[i], a.error)
+            assert same_bits(sigma[i], a.sigma) and same_bits(ns, a.ns)
+            assert bool(measurable[i]) is a.measurable
 
     def test_permuting_rows_permutes_the_estimates(self):
         sums = self.ladders()
         perm = [3, 0, 4, 2, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = dixmier_fits(self.NS, sums, 0.05)
-            permuted = dixmier_fits(self.NS, sums[perm], 0.05)
+            fits = _fit_arrays(self.NS, sums, 0.05)[1:]
+            permuted = _fit_arrays(self.NS, sums[perm], 0.05)[1:]
         for j, i in enumerate(perm):
-            assert same_bits(permuted[j].value, fits[i].value)
-            assert same_bits(permuted[j].stderr, fits[i].stderr)
-            assert same_bits(permuted[j].sigma, fits[i].sigma)
-            assert permuted[j].measurable is fits[i].measurable
+            for got, want in zip(permuted, fits):
+                assert same_bits(got[j], want[i])
 
 
 class TestClosedFormLaws:
