@@ -10,10 +10,9 @@ tier is the content of the verification suite.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import replace
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -203,47 +202,45 @@ def chern_number(p: MagneticElement) -> float:
 # Dixmier tier: block ladders over the shifted oscillator resolvents.
 # ---------------------------------------------------------------------------
 
-def _dixmier_functional(terms, shifts, ladder) -> CocycleValue:
-    """sum_t coef_t sum_i w_ti Tr_Dix((Q + xi_i)^{-1} S_t) over terms
-    ``(coef, diag S, weights w_t)`` on one list of shifts xi: one ladder call
-    per term for all its shifted blocks, and one extrapolation
-    (``_fit_arrays``) for the blocks of every term.  The |w|-weighted
-    stderrs add in quadrature within a term and linearly across terms; the
-    value is measurable when every block is.  A block whose top rung does
-    not exceed its shift 1 + xi is not: its sector sums have not reached
+def _dixmier_functional(coefs, diags, weights, shifts, ladder) -> CocycleValue:
+    """sum_t coef_t sum_i w_ti Tr_Dix((Q + xi_i)^{-1} S_t) over the terms t
+    on one list of shifts xi: ``coefs`` (terms,), the diagonals ``diags``
+    (terms, s) of the S_t and ``weights`` w (terms, shifts).  One ladder
+    call per term for all its shifted blocks, one extrapolation
+    (``_fit_arrays``) for the blocks of every term, and one weighted
+    accumulation: each block's fitted value is the column beside its sigma_N
+    rungs (at the ladder's counts), summed over shifts from 0 and then over
+    terms.  The |w|-weighted stderrs add in quadrature within a term and
+    linearly across terms.
+
+    The value is measurable when every block is.  A block whose top rung
+    does not exceed its shift 1 + xi is not: its sector sums have not reached
     their logarithmic growth, and at a large enough shift they vanish in
-    floating point.  sigma_N, at the ladder's counts, takes the same
-    weights, in the same order of operations as the value.
-    The output is checked finite once: finite input whose ladders leave
-    double precision raises OverflowError, without floating-point warnings."""
-    k = len(shifts)
+    floating point.  The method is "dixmier-summable" when the fit reads
+    every block as summable (the value is then exactly zero) and
+    "dixmier-extrapolated" otherwise.  The output is checked finite once:
+    finite input whose ladders leave double precision raises OverflowError,
+    without floating-point warnings."""
+    shape = (len(coefs), len(shifts), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [shifted_resolvent_ladder(diag, shifts, ladder)[1] for _, diag, _ in terms]
-        ns, values, stderrs, sigmas, flags, _ = _fit_arrays(ladder, np.concatenate(sums),
-                                                            DIXMIER_REL_TOL)
-        values, stderrs = values.tolist(), stderrs.tolist()
-        value, error = 0.0, 0.0
-        for t, (coef, _, ws) in enumerate(terms):
-            value += coef * sum(w * v for w, v in zip(ws, values[t * k:]))
-            error += abs(coef) * sqrt(sum((abs(w) * e) ** 2 for w, e in zip(ws, stderrs[t * k:])))
-        # (terms, shifts, rungs) weighted rows, summed blockwise from 0 as
-        # the value is, then (terms, rungs) weighted by coef and summed
-        rows = (np.array([list(ws) for _, _, ws in terms], dtype=complex)[:, :, None]
-                * sigmas.reshape(len(terms), k, -1))
-        acc = 0 + rows[:, 0]
-        for i in range(1, k):
-            acc = acc + rows[:, i]
-        acc = acc * np.array([coef for coef, _, _ in terms], dtype=complex)[:, None]
-        sigma = 0.0
-        for row in acc:
-            sigma = sigma + row
-    measurable = bool(flags.all()) and all(ladder[-1] > 1 + xi for xi in shifts)
-    if not (cmath.isfinite(value) and isfinite(error) and np.isfinite(sigma).all()):
+        sums = np.concatenate([shifted_resolvent_ladder(d, shifts, ladder)[1] for d in diags])
+        ns, values, stderrs, sigmas, flags, summable = _fit_arrays(ladder, sums, DIXMIER_REL_TOL)
+        rows = weights[:, :, None] * np.column_stack([sigmas, values]).reshape(shape)
+        total = (coefs[:, None] * rows.sum(axis=1)).sum(axis=0)
+        # float_power squares with libm's pow, as Python's float ** 2 does
+        spread = np.float_power(np.abs(weights) * stderrs.reshape(shape[:2]), 2)
+        error = float((np.abs(coefs) * np.sqrt(spread.sum(axis=1))).sum())
+    measurable = bool(flags.all() and ladder[-1] > 1 + max(shifts))
+    if not (np.isfinite(total).all() and isfinite(error)):
         raise OverflowError("the Dixmier ladders of this input overflow double precision")
-    return CocycleValue(value, "dixmier-extrapolated", error, measurable, sigma, ns)
+    return CocycleValue(complex(total[-1]),
+                        "dixmier-summable" if summable.all() else "dixmier-extrapolated",
+                        error, measurable, total[:-1], ns)
 
 
-_ONES = (1.0,) * len(GAMMA_SIGNS)
+# weights of the four shifted blocks: Gamma's spin signs (row 0) and the
+# identity's (row 1)
+_BLOCK_WEIGHTS = np.stack([GAMMA_SIGNS, np.ones_like(GAMMA_SIGNS)])
 
 
 def nc_integral(a: MagneticElement, ctx: DiracContext,
@@ -254,21 +251,20 @@ def nc_integral(a: MagneticElement, ctx: DiracContext,
     on every finitely supported element.
     """
     require_fits(ctx, a)
-    return _dixmier_functional([(0.25, np.diag(a.block), _ONES)], ctx.shifted_energies(),
-                               ladder)
+    return _dixmier_functional(np.array([0.25]), np.diag(a.block)[None], _BLOCK_WEIGHTS[1:],
+                               ctx.shifted_energies(), ladder)
 
 
-def _graded_terms(coefs, z0: _Stack, z1: _Stack, z2: _Stack, ctx: DiracContext) -> list:
-    """Terms of coef |D_eps|^{-2} [ -(1/2l^2) pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ]
-    over the four shifted blocks (``ctx.shifted_energies()``), Gamma carrying
-    ``GAMMA_SIGNS``, for each batch entry and its coefficient in turn."""
+def _graded_terms(coefs, z0: _Stack, z1: _Stack, z2: _Stack, ctx: DiracContext) -> tuple:
+    """The terms (coefs, diags, weights) of coef |D_eps|^{-2} [ -(1/2l^2)
+    pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ] over the four shifted blocks
+    (``ctx.shifted_energies()``), Gamma carrying ``GAMMA_SIGNS``: the d0 and
+    the d1 term of each batch entry and its coefficient in turn."""
     p0, p1 = (np.einsum("bii->bi", p) for p in _exact(z0, z1, z2))
-    signs = GAMMA_SIGNS.tolist()
-    terms = []
-    for coef, g0, g1 in zip(coefs, p0, p1):
-        c = coef / (2.0 * ctx.lb**2)
-        terms += [(-c, g0, signs), (1j * c, g1, _ONES)]
-    return terms
+    c = np.asarray(coefs) / (2.0 * ctx.lb**2)
+    return (np.column_stack([-c, 1j * c]).ravel(),
+            np.stack([p0, p1], axis=1).reshape(-1, p0.shape[-1]),
+            np.concatenate([_BLOCK_WEIGHTS] * len(c)))
 
 
 def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -279,7 +275,7 @@ def ch_dix(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     after extrapolation; the identity-weighted part carries the value.
     """
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    return _dixmier_functional(_graded_terms([0.5], *_stack(a0, a1, a2), ctx),
+    return _dixmier_functional(*_graded_terms([0.5], *_stack(a0, a1, a2), ctx),
                                ctx.shifted_energies(), ladder)
 
 
@@ -295,12 +291,9 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     accuracy.
     """
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    tr_chi = complex(np.trace(CHI_GRADING))
-    tr_chi_gamma = complex(np.trace(CHI_GRADING @ GAMMA_GRADING))
-    c = 0.5 / (2.0 * ctx.lb**2)
-    (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
-    v = _dixmier_functional([(-c, g0, (tr_chi,)), (1j * c, g1, (tr_chi_gamma,))], (ctx.eps,),
-                            ladder)
+    coefs, diags, _ = _graded_terms([0.5], *_stack(a0, a1, a2), ctx)
+    traces = np.trace([[CHI_GRADING], [CHI_GRADING @ GAMMA_GRADING]], axis1=2, axis2=3)
+    v = _dixmier_functional(coefs, diags, traces, (ctx.eps,), ladder)
     return replace(v, method="spin-trace-factorized")
 
 
@@ -312,7 +305,7 @@ def graded_two_form_trace(a1: MagneticElement, a2: MagneticElement,
     """
     require_fits(ctx, a1, a2, margin=ctx.buffer)
     return _dixmier_functional(
-        _graded_terms([1.0], *_stack(UnitalElement.unit(ctx.lb), a1, a2), ctx),
+        *_graded_terms([1.0], *_stack(UnitalElement.unit(ctx.lb), a1, a2), ctx),
         ctx.shifted_energies(), ladder)
 
 
@@ -336,7 +329,7 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
     x0, x1, y0, y1 = _stack(x0, x1, y0, y1)
     # [F, pi(X1)] pi(Y0) = [F, pi(X1 Y0)] - pi(X1) [F, pi(Y0)]
     return _dixmier_functional(
-        _graded_terms([1.0, -1.0], _join(x0, x0 @ x1), _join(x1 @ y0, y0), _join(y1, y1), ctx),
+        *_graded_terms([1.0, -1.0], _join(x0, x0 @ x1), _join(x1 @ y0, y0), _join(y1, y1), ctx),
         ctx.shifted_energies(), ladder)
 
 

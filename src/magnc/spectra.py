@@ -221,7 +221,7 @@ def _fit_arrays(ns, sums, rel_tol: float):
         sigma = sums / logs
         coef = (sigma[:, None, :] * fit.pinv).sum(axis=-1)
         resid = sigma - (fit.design * coef[:, None, :]).sum(axis=-1)
-        resid_ms = (np.abs(resid) ** 2).sum(axis=1) / max(len(logs) - 2, 1)
+        resid_ms = (np.abs(resid) ** 2).sum(axis=1) / max(len(logs) - fit.design.shape[1], 1)
     top = np.abs(sigma).max(axis=1)
     finite = np.isfinite(sums).all(axis=1)
     summable = np.zeros(len(sums), dtype=bool)

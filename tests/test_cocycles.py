@@ -261,6 +261,20 @@ class TestNcIntegral:
         v = nc_integral(zero_element(LB), CTX)
         assert v.value == 0.0
 
+    def test_summable_blocks_tag_the_value(self):
+        # the diagonal of Y_{0->1} is zero, so every block ladder is flat and
+        # the fit reads all four as summable; Pi_1's ladders grow like log N
+        cfg = RunConfig()
+        ctx = cfg.context()
+        for a, summable, method in ((upsilon(0, 1), True, "dixmier-summable"),
+                                    (landau_projection(1), False, "dixmier-extrapolated")):
+            sums = shifted_resolvent_ladder(np.diag(a.block), ctx.shifted_energies(), cfg.ladder)[1]
+            flags = spectra._fit_arrays(cfg.ladder, sums, spectra.DIXMIER_REL_TOL)[5]
+            assert flags.tolist() == [summable] * 4
+            v = nc_integral(a, ctx, cfg.ladder)
+            assert v.method == method and v.measurable
+        assert nc_integral(upsilon(0, 1), ctx, cfg.ladder).value == 0j
+
     def test_matches_algebra_trace(self):
         for seed in range(5):
             a = rand(seed)
@@ -392,6 +406,54 @@ class TestDixmierFunctional:
         assert calls["spectra.dixmier_from_partial_sums"] == 1
         assert calls["cocycles._fit_arrays"] == 0
 
+    @pytest.fixture
+    def functional_inputs(self, monkeypatch):
+        """The (coefs, diags, weights, shifts, ladder) of every functional call."""
+        inputs = []
+        functional = cocycles._dixmier_functional
+
+        def spy(*args):
+            inputs.append(args)
+            return functional(*args)
+
+        monkeypatch.setattr(cocycles, "_dixmier_functional", spy)
+        return inputs
+
+    @pytest.mark.parametrize("name", ["graded_one_form_product_trace", "ch_hat"])
+    def test_value_stderr_and_sigma_weight_the_fitted_rows(self, functional_inputs, name):
+        # the contract of the one weighted accumulation, against an explicit
+        # weighting of _fit_arrays' rows: each term sums its shifts from 0,
+        # the terms add from 0, and the |w|-weighted stderrs add in
+        # quadrature within a term and linearly across terms
+        els = [rand(81), rand(82), rand(83), rand(84)]
+        v = (graded_one_form_product_trace(*els, CTX) if name != "ch_hat"
+             else ch_hat(*els[:3], CTX))
+        (coefs, diags, weights, shifts, ladder), = functional_inputs
+        c = (1.0 if name != "ch_hat" else 0.5) / (2.0 * LB**2)
+        if name == "ch_hat":
+            # the d0 and d1 terms at the one shift eps, weighted by the spin traces
+            assert coefs.tolist() == [-c, 1j * c] and list(shifts) == [CTX.eps]
+            assert weights.tolist() == [[np.trace(CHI_GRADING)],
+                                        [np.trace(CHI_GRADING @ GAMMA_GRADING)]]
+        else:
+            # the batch of two entries, coefficients +1 and -1
+            assert coefs.tolist() == [-c, 1j * c, c, -1j * c]
+            assert weights.tolist() == [list(GAMMA_SIGNS), [1.0] * 4] * 2
+            assert list(shifts) == list(CTX.shifted_energies())
+        k = len(shifts)
+        sums = np.concatenate([shifted_resolvent_ladder(d, shifts, ladder)[1] for d in diags])
+        ns, values, stderrs, sigmas, flags, _ = spectra._fit_arrays(ladder, sums,
+                                                                    spectra.DIXMIER_REL_TOL)
+        value, error, sigma = 0.0, 0.0, 0.0
+        for t, (coef, ws) in enumerate(zip(coefs.tolist(), weights.tolist())):
+            block = slice(t * k, (t + 1) * k)
+            value += coef * sum(w * x for w, x in zip(ws, values[block].tolist()))
+            error += abs(coef) * np.sqrt(sum((abs(w) * e) ** 2
+                                             for w, e in zip(ws, stderrs[block].tolist())))
+            sigma = sigma + coef * sum(w * row for w, row in zip(ws, sigmas[block]))
+        assert (v.value, v.error, v.measurable) == (value, error, bool(flags.all()))
+        assert v.sigma.tolist() == sigma.tolist() and v.ns is ns
+
     def test_unmeasurable_block_flags_the_value(self):
         p = landau_projection(1, LB)
         for v in (nc_integral(p, CTX, [3, 10, 100]), ch_dix(p, p, p, CTX, [3, 10, 100])):
@@ -445,8 +507,8 @@ class TestChiTwistedCharacter:
         c = 0.5 / (2.0 * LB**2)
         shifts = CTX.shifted_energies()
         (g0,), (g1,) = (np.einsum("bii->bi", p) for p in _exact(*_stack(a0, a1, a2)))
-        v = _dixmier_functional([(-c, g0, CHI_SIGNS), (1j * c, g1, CHI_GAMMA_SIGNS)], shifts,
-                                DEFAULT_LADDER)
+        v = _dixmier_functional(np.array([-c, 1j * c]), np.array([g0, g1]),
+                                np.array([CHI_SIGNS, CHI_GAMMA_SIGNS]), shifts, DEFAULT_LADDER)
         scale = max(abs((1j / LB**2) * psi(a0, a1, a2).value), 1e-9)
         assert abs(v.value) <= 3 * v.error + 0.01 * scale
 

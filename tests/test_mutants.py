@@ -111,7 +111,7 @@ def d4_multiplicity_doubled(eps, ladder):
 def nc_integral_half(a, ctx, ladder):
     """The noncommutative integral with a half in place of the quarter."""
     cocycles.require_fits(ctx, a)
-    return cocycles._dixmier_functional([(0.5, np.diag(a.block), (1.0,) * 4)],
+    return cocycles._dixmier_functional(np.array([0.5]), np.diag(a.block)[None], np.ones((1, 4)),
                                         ctx.shifted_energies(), ladder)
 
 
