@@ -225,7 +225,7 @@ def _dixmier_functional(coefs, diags, weights, shifts, ladder) -> CocycleValue:
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.concatenate([shifted_resolvent_ladder(d, shifts, ladder)[1] for d in diags])
         ns, values, stderrs, sigmas, flags, summable = _fit_arrays(ladder, sums, DIXMIER_REL_TOL)
-        rows = weights[:, :, None] * np.column_stack([sigmas, values]).reshape(shape)
+        rows = weights[:, :, None] * np.concatenate([sigmas, values[:, None]], 1).reshape(shape)
         total = (coefs[:, None] * rows.sum(axis=1)).sum(axis=0)
         # float_power squares with libm's pow, as Python's float ** 2 does
         spread = np.float_power(np.abs(weights) * stderrs.reshape(shape[:2]), 2)
@@ -260,10 +260,9 @@ def _graded_terms(coefs, z0: _Stack, z1: _Stack, z2: _Stack, ctx: DiracContext) 
     pi(Z0 d0) Gamma + (i/2l^2) pi(Z0 d1) ] over the four shifted blocks
     (``ctx.shifted_energies()``), Gamma carrying ``GAMMA_SIGNS``: the d0 and
     the d1 term of each batch entry and its coefficient in turn."""
-    p0, p1 = (np.einsum("bii->bi", p) for p in _exact(z0, z1, z2))
     c = np.asarray(coefs) / (2.0 * ctx.lb**2)
-    return (np.column_stack([-c, 1j * c]).ravel(),
-            np.stack([p0, p1], axis=1).reshape(-1, p0.shape[-1]),
+    diags = np.einsum("tbii->bti", np.array(_exact(z0, z1, z2)))
+    return (np.array([-c, 1j * c]).T.ravel(), diags.reshape(2 * len(c), -1),
             np.concatenate([_BLOCK_WEIGHTS] * len(c)))
 
 
@@ -292,8 +291,8 @@ def ch_hat(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
     """
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
     coefs, diags, _ = _graded_terms([0.5], *_stack(a0, a1, a2), ctx)
-    traces = np.trace([[CHI_GRADING], [CHI_GRADING @ GAMMA_GRADING]], axis1=2, axis2=3)
-    v = _dixmier_functional(coefs, diags, traces, (ctx.eps,), ladder)
+    traces = np.trace(np.array([CHI_GRADING, CHI_GRADING @ GAMMA_GRADING]), axis1=1, axis2=2)
+    v = _dixmier_functional(coefs, diags, traces[:, None], (ctx.eps,), ladder)
     return replace(v, method="spin-trace-factorized")
 
 
