@@ -227,7 +227,9 @@ def _dixmier_functional(coefs, diags, weights, shifts, ladder) -> CocycleValue:
         ns, values, stderrs, sigmas, flags, summable = _fit_arrays(ladder, sums, DIXMIER_REL_TOL)
         rows = weights[:, :, None] * np.concatenate([sigmas, values[:, None]], 1).reshape(shape)
         total = (coefs[:, None] * rows.sum(axis=1)).sum(axis=0)
-        # float_power squares with libm's pow, as Python's float ** 2 does
+        # squares rounded as Python's float ** 2 rounds them (libm pow, which
+        # can differ from x * x in the last bit), so a term's stderr is bit
+        # for bit the quadrature sum of its blocks' one-ladder stderrs
         spread = np.float_power(np.abs(weights) * stderrs.reshape(shape[:2]), 2)
         error = float((np.abs(coefs) * np.sqrt(spread.sum(axis=1))).sum())
     measurable = bool(flags.all() and ladder[-1] > 1 + max(shifts))
