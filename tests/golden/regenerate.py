@@ -19,6 +19,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from magnc import cli
+
 HERE = Path(__file__).resolve().parent
 
 VERIFY_ALL = {
@@ -46,11 +48,9 @@ LADDERS = {
 
 def run(args: list[str]) -> tuple[int, str]:
     """The exit code and the output file of ``magnc <args>``, run in process."""
-    from magnc.cli import main
-
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        code = main(["--out", str(out), *args])
+        code = cli.main(["--out", str(out), *args])
         return code, out.read_text() if out.exists() else ""
 
 
