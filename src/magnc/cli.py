@@ -341,7 +341,7 @@ def check_chi_triviality(cfg: RunConfig) -> dict:
     chi, elements = cc.CHI_GRADING, [a for t in triples for a in t] + projections
     levels = max(a.support_bound for a in elements) + 1
     window = np.kron(np.eye(levels), chi)
-    blocks = np.stack(sector_blocks(ctx, levels))
+    blocks = sector_blocks(ctx, levels)
     reps = np.stack([sector_represent(a, ctx, levels) for a in elements])
     deviations = [chi @ chi - np.eye(4), chi - chi.conj().T,
                   window @ blocks + blocks @ window, window @ reps - reps @ window,

@@ -31,8 +31,8 @@ from .dirac import (
     GAMMA_GRADING,
     GAMMA_SIGNS,
     DiracContext,
-    _sector_blocks,
     require_fits,
+    sector_blocks,
     sector_represent,
     sector_weights,
 )
@@ -227,10 +227,7 @@ def _dixmier_functional(coefs, diags, weights, shifts, ladder) -> CocycleValue:
         ns, values, stderrs, sigmas, flags, summable = _fit_arrays(ladder, sums, DIXMIER_REL_TOL)
         rows = weights[:, :, None] * np.concatenate([sigmas, values[:, None]], 1).reshape(shape)
         total = (coefs[:, None] * rows.sum(axis=1)).sum(axis=0)
-        # squares rounded as Python's float ** 2 rounds them (libm pow, which
-        # can differ from x * x in the last bit), so a term's stderr is bit
-        # for bit the quadrature sum of its blocks' one-ladder stderrs
-        spread = np.float_power(np.abs(weights) * stderrs.reshape(shape[:2]), 2)
+        spread = np.square(np.abs(weights) * stderrs.reshape(shape[:2]))
         error = float((np.abs(coefs) * np.sqrt(spread.sum(axis=1))).sum())
     measurable = bool(flags.all() and ladder[-1] > 1 + max(shifts))
     if not (np.isfinite(total).all() and isfinite(error)):
@@ -361,9 +358,8 @@ def _fredholm_kernels(a0: MagneticElement, a1: MagneticElement, a2: MagneticElem
     p2gp0 = p2 @ gp0
     # the four terms (X, Y): X = L D(m, m') on four left factors L and Y =
     # R D(m', m) (Y = -D(m', m) in the third), with D(m, m') = c' d_out and
-    # D(m', m) = c'' d_back, for every delta in one stacked product each;
-    # the window fits the context, as each sector_represent has checked
-    outs = _sector_blocks(levels)    # M0, M+, M-
+    # D(m', m) = c'' d_back, for every delta in one stacked product each
+    outs = sector_blocks(ctx, levels)    # M0, M+, M-
     backs = outs[[0, 2, 1]]
     x = np.stack([p2gp0, gp0, p2gp0 @ p1, gp0 @ p1]) @ outs[:, None]
     y = np.stack([p1, -p1 @ p2, p2]) @ backs[:, None]
@@ -376,14 +372,7 @@ def _route_ii_windows(ctx: DiracContext) -> list[int]:
     return sorted({max(4, ctx.m_max >> k) for k in range(6)})
 
 
-@lru_cache(maxsize=1)
-def _context_correlations(ctx: DiracContext) -> dict:
-    """Route ii's window correlations of one context by level window, filled
-    by ``_window_correlations``.  One slot, like ``dirac._lattice``: a sweep
-    over contexts holds only the last context's, and the next evicts them."""
-    return {}
-
-
+@lru_cache(maxsize=8)
 def _window_correlations(ctx: DiracContext, levels: int) -> np.ndarray:
     """A_delta(M) = sum_{m < M} c_delta(m) W(m + delta) W(m)^T at route ii's
     windows M, a read-only (windows, 3, 4 levels, 4 levels) real array.
@@ -392,13 +381,10 @@ def _window_correlations(ctx: DiracContext, levels: int) -> np.ndarray:
     sum_delta <K_delta, A_delta(M)> (``_fredholm_kernels``), and A depends
     on the context and the level window only: it is built once per
     (context, level window), one product per window segment with the three
-    shifted weight tables stacked, kept in ``_context_correlations`` (at most
-    one entry per level window) and shared by every triple, which must not
-    modify it.
+    shifted weight tables stacked, and shared by every triple, which must
+    not modify it.  At most 8 pairs are kept, 83 KB each at the window 6
+    every support-4 triple reads.
     """
-    store = _context_correlations(ctx)
-    if levels in store:
-        return store[levels]
     w = sector_weights(ctx, levels)   # rows m = 0..m_max
     edges = [0, *_route_ii_windows(ctx)]
     segments = []
@@ -413,7 +399,6 @@ def _window_correlations(ctx: DiracContext, levels: int) -> np.ndarray:
         segments.append(u.reshape(hi - lo, -1).T @ w[lo:hi])
     out = np.cumsum(segments, axis=0).reshape(len(segments), 3, 4 * levels, 4 * levels)
     out.flags.writeable = False
-    store[levels] = out
     return out
 
 

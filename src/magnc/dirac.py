@@ -10,13 +10,18 @@ lattice operators are the reference; the checks read the same operators off
 their sector blocks (``sector_blocks``) or as L-block stacks
 (``defect_stacks``, ``phase_square_deviation``) without building the
 lattice, so only the lattice builders import scipy.sparse.
+
+Two bounded caches hold tables no element changes, read-only for every
+caller: ``_lattice``, keyed on the context, one slot, the lattice D and F,
+and ``_sector_blocks``, keyed on the level window, at most 32 windows, the
+(3, 4 levels, 4 levels) stack M0, M+, M- that ``sector_blocks`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,7 +40,6 @@ __all__ = [
     "BLOCK_SHIFTS",
     "DiracContext",
     "QuartetOperator",
-    "SectorBlocks",
     "InteriorIdentityError",
     "require_fits",
     "build_dirac",
@@ -175,29 +179,22 @@ def _each_sector(ctx: DiracContext, block) -> sp.csr_matrix:
     return sp.kron(sp.identity(ctx.m_tot, format="csr"), block, format="csr")
 
 
-class SectorBlocks(NamedTuple):
-    """D on the level window of one degeneracy sector.
+def sector_blocks(ctx: DiracContext, levels: int) -> np.ndarray:
+    """D on the level window n < ``levels`` of one degeneracy sector: the
+    read-only (3, 4 levels, 4 levels) stack M0, M+, M- of ``_sector_blocks``.
 
-    D is block-tridiagonal in m: block (m, m) is ``m0``, block (m, m+1) is
-    sqrt(m+1) ``plus`` and block (m, m-1) is sqrt(m) ``minus``.  Rows and
-    columns are (n, i) in lattice order, n < the window's level count.
-    ``build_dirac`` assembles the lattice D from exactly these blocks.
-    """
-
-    m0: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-
-
-def sector_blocks(ctx: DiracContext, levels: int) -> SectorBlocks:
-    """The blocks of D on the level window n < ``levels``, defined directly:
-    M0 = (K1 g1 + K2 g2)/sqrt2, and M+- = 1 x (g3 +- i g4)/2, what
+    D is block-tridiagonal in m: block (m, m) is M0, block (m, m+1) is
+    sqrt(m+1) M+ and block (m, m-1) is sqrt(m) M-.  Rows and columns are
+    (n, i) in lattice order.  The blocks are defined directly,
+    M0 = (K1 g1 + K2 g2)/sqrt2 and M+- = 1 x (g3 +- i g4)/2, what
     (G1 g3 + G2 g4)/sqrt2 leaves once the degeneracy ladder's sqrt(m+1) and
-    sqrt(m) are factored out.  They depend on the window only: views of
-    the window's read-only ``_sector_blocks``."""
+    sqrt(m) are factored out, and depend on the window only; ``build_dirac``
+    assembles the lattice D from exactly these blocks.  A window outside
+    1..n_tot raises TruncationError.
+    """
     if not 1 <= levels <= ctx.n_tot:
         raise TruncationError(f"level window {levels} outside 1..{ctx.n_tot}")
-    return SectorBlocks(*_sector_blocks(levels))
+    return _sector_blocks(levels)
 
 
 @lru_cache(maxsize=32)
@@ -420,7 +417,7 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
     import scipy.sparse as sp
 
     require_fits(ctx, a, margin=ctx.buffer)
-    f = dirac_phase(ctx, check=False)
+    f = _lattice(ctx)[1]
     pa = represent(a, ctx)
     fcomm = (f.op @ pa.op - pa.op @ f.op).tocsr()
     signs = np.tile(GAMMA_SIGNS, ctx.dim // 4)

@@ -53,13 +53,11 @@ class KernelFunction:
     """Finite expansion of a kernel function over the basis family.
 
     ``terms`` is a tuple of ((n, m), coefficient) pairs meaning
-    f = sum c * psi_{n, m};  ``norm_sq`` is the exact L^2 norm squared
-    2 pi l^2 sum |a_{j,k}|^2.
+    f = sum c * psi_{n, m}.
     """
 
     terms: tuple
     lb: float
-    norm_sq: float
 
     def __call__(self, x):
         u, zeta, psi00 = _polar_parts(x, self.lb)
@@ -78,12 +76,10 @@ def kernel_of(a: MagneticElement) -> KernelFunction:
     """The kernel function of an element; f_A(0) equals the trace."""
     pref = np.sqrt(2.0 * pi) * a.lb
     terms = []
-    nsq = 0.0
     for (j, k), c in sorted(a.coeffs().items()):
         sign = -1.0 if (j - k) % 2 else 1.0
         terms.append(((k, j), pref * sign * c))
-        nsq += abs(c) ** 2
-    return KernelFunction(tuple(terms), a.lb, 2.0 * pi * a.lb**2 * nsq)
+    return KernelFunction(tuple(terms), a.lb)
 
 
 def _axis_tables(f: KernelFunction, t: np.ndarray):

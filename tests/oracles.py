@@ -89,7 +89,7 @@ def fredholm_kernels(a0, a1, a2, ctx, signs) -> np.ndarray:
     kernel as twelve separate products: the arithmetic the stacked
     ``_fredholm_kernels`` reproduces bit for bit."""
     levels = max(a.support_bound for a in (a0, a1, a2)) + 2
-    blocks = sector_blocks(ctx, levels)
+    m0, plus, minus = sector_blocks(ctx, levels)
     p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
     gp0 = np.tile(signs, levels)[:, None] * p0
 
@@ -98,8 +98,7 @@ def fredholm_kernels(a0, a1, a2, ctx, signs) -> np.ndarray:
                  (p2 @ gp0 @ p1 @ d_out, -d_back), (gp0 @ p1 @ d_out, p2 @ d_back))
         return sum(y * x.T for x, y in terms)
 
-    return np.stack([kernel(blocks.m0, blocks.m0), kernel(blocks.plus, blocks.minus),
-                     kernel(blocks.minus, blocks.plus)])
+    return np.stack([kernel(m0, m0), kernel(plus, minus), kernel(minus, plus)])
 
 
 def gradient(a):

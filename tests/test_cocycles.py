@@ -336,7 +336,7 @@ def per_shift_sum(coef, diag, signs):
     ests = [dixmier_from_partial_sums(*shifted_resolvent_ladder(diag, xi, DEFAULT_LADDER))
             for xi in CTX.shifted_energies()]
     return (coef * sum(s * e.value for s, e in zip(signs, ests)),
-            abs(coef) * np.sqrt(sum(e.error**2 for e in ests)),
+            abs(coef) * np.sqrt(sum(e.error * e.error for e in ests)),
             all(e.measurable for e in ests),
             coef * sum(s * e.sigma for s, e in zip(signs, ests)))
 
@@ -657,19 +657,26 @@ class TestRouteIiWindowSums:
             return exact(ctx, levels)
 
         monkeypatch.setattr(cocycles, "sector_weights", counted)
-        cocycles._context_correlations.cache_clear()
+        cache = cocycles._window_correlations
+        cache.cache_clear()
         ctxs = [DiracContext(lb=1.0, eps=eps, n_max=16, m_max=256, buffer=4) for eps in (0.5, 0.25)]
-        triples = [tuple(random_element(3 * t + s, 1 + t % 6, 1.0, 1.0) for s in range(3))
-                   for t in range(20)]
-        levels = {max(a.support_bound for a in t) + 2 for t in triples}
-        for ctx in ctxs:
-            for t in triples:
-                tau2(*t, ctx, "direct")
-            # one build per level window, and only this context's are kept
-            assert sorted(builds, key=lambda b: b[1]) == [(ctx, n) for n in sorted(levels)]
-            assert cocycles._context_correlations.cache_info().currsize == 1
-            assert sorted(cocycles._context_correlations(ctx)) == sorted(levels)
-            builds.clear()
+        # supports 1..4 give the level windows 3..6, four per context
+        triples = [tuple(random_element(3 * t + s, 1 + t % 4, 1.0, 1.0) for s in range(3))
+                   for t in range(12)]
+        pairs = {(ctx, max(a.support_bound for a in t) + 2) for ctx in ctxs for t in triples}
+        assert len(pairs) == 8 == cache.cache_parameters()["maxsize"]
+        for _ in range(2):
+            for ctx in ctxs:
+                for t in triples:
+                    tau2(*t, ctx, "direct")
+        # one build per (context, level window) pair, in a cache that holds them all
+        assert sorted(builds, key=str) == sorted(pairs, key=str)
+        assert cache.cache_info().currsize == len(pairs)
+        assert all(not cache(*pair).flags.writeable for pair in pairs)
+        # a ninth pair evicts the least recently used one, never grows the cache
+        ninth = DiracContext(lb=1.0, eps=0.75, n_max=16, m_max=256, buffer=4)
+        tau2(*triples[0], ninth, "direct")
+        assert cache.cache_info().currsize == len(pairs)
 
     def test_correlations_are_read_only(self):
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4)
@@ -713,7 +720,7 @@ class TestContextCaches:
         shifts = tuple(CTX.shifted_energies().tolist())
         fit = spectra._fit_map(ladder)
         cached = [spectra._resolvent_table(shifts, ladder, 5), require_ladder(DEFAULT_LADDER),
-                  *fit[:5], *sector_blocks(CTX, 6)]
+                  *fit[:5], sector_blocks(CTX, 6)]
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

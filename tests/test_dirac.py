@@ -386,6 +386,24 @@ class TestDefectOperators:
         for new, old in zip(again, (d, f)):
             assert_same_bytes(new.op, old.op)
 
+    def test_sweep_calls_dirac_phase_only_as_often_as_the_caller(self, monkeypatch):
+        # the lattice builders read F and D from the one cache, not through
+        # the public entry points: one context's truncation-sweep sequence
+        # makes exactly the caller's one dirac_phase call
+        import magnc.dirac as dirac
+
+        calls = []
+        phase = dirac.dirac_phase
+        monkeypatch.setattr(dirac, "dirac_phase",
+                            lambda ctx, check=True: calls.append(ctx) or phase(ctx, check))
+        ctx = DiracContext(lb=1.0, eps=0.375, n_max=8, m_max=40, buffer=4)
+        a = random_element(3, 3, 1.0)
+        dirac.dirac_phase(ctx, check=True)
+        build_dirac(ctx, check=True)
+        commutator_with_D(a, ctx, check=True)
+        defect_operators(a, ctx)
+        assert calls == [ctx]
+
     @pytest.mark.parametrize("ctx", [CTX, DiracContext(lb=1.3, eps=0.25, n_max=6,
                                                        m_max=20, buffer=2)])
     def test_r_equals_the_lattice_grading_sandwich(self, ctx):

@@ -72,11 +72,14 @@ class TestKernelFunction:
         assert np.abs(f(pts)).max() == 0.0
 
     def test_norm_identity(self):
-        a = random_element(3, 4, 1.0)
-        f = kernel_of(a)
-        assert f.norm_sq == pytest.approx(
-            2 * np.pi * np.sum(np.abs(a.block) ** 2), rel=1e-14
-        )
+        # ||f_A||^2 = 2 pi l^2 sum |a_{j,k}|^2, by quadrature of f_A itself
+        for lb in (1.0, 1.7):
+            a = random_element(3, 4, 1.0, lb)
+            pts, w = tensor_grid(QuadratureScheme(default_radius(8, 8), 64), lb)
+            norm_sq = np.sum(w * np.abs(kernel_of(a)(pts)) ** 2)
+            assert norm_sq == pytest.approx(
+                2 * np.pi * lb**2 * np.sum(np.abs(a.block) ** 2), rel=1e-12
+            )
 
     def test_matches_term_by_term_basis_sum(self):
         # shared u, zeta and Gaussian against one eval_basis_function per term

@@ -37,7 +37,7 @@ KNOWN_GAPS = {"singular-value-laws"}
 
 def clear_caches():
     """Empty every ``functools`` cache of the package (``dirac._lattice``,
-    ``cocycles._context_correlations``, ...)."""
+    ``cocycles._window_correlations``, ...)."""
     for name, module in list(sys.modules.items()):
         if name == "magnc" or name.startswith("magnc."):
             for obj in vars(module).values():
@@ -205,10 +205,11 @@ def test_clear_caches_empties_the_context_caches():
     a = random_element(5, 3, 1.0, 1.0)
     cocycles.nc_integral(a, ctx)
     cocycles.tau2(a, a, a, ctx, "direct")
-    caches = (spectra._fit_map, spectra._resolvent_table, dirac._sector_blocks)
+    caches = (spectra._fit_map, spectra._resolvent_table, dirac._sector_blocks,
+              cocycles._window_correlations)
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
-    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0, 0]
 
 
 def test_graded_terms_mutant_fails_right_after_a_clean_run(monkeypatch):

@@ -124,6 +124,21 @@ def test_option_census_does_not_grow():
     assert _option_census() == 75
 
 
+def test_every_module_level_cache_is_bounded():
+    # the package keeps its tables in functools caches that each hold at
+    # most a fixed number of entries: an unbounded one grows for the life of
+    # the process with every context, window or ladder it sees
+    sizes = {}
+    for name in MODULES:
+        module = importlib.import_module(f"magnc.{name}")
+        for key, obj in vars(module).items():
+            if callable(getattr(obj, "cache_parameters", None)) and obj.__module__ == module.__name__:
+                sizes[key] = obj.cache_parameters()["maxsize"]
+    assert sorted(sizes) == ["_fit_map", "_k_ladders", "_lattice", "_resolvent_table",
+                             "_sector_blocks", "_window_correlations"]
+    assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
+
+
 def test_cli_keeps_no_second_dixmier_path():
     # every Dixmier number the CLI prints comes from the module that
     # produces its ladder: no fit, ladder or cocycle integrand of its own
