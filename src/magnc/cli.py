@@ -5,6 +5,11 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or input
 error, 3 internal hard error.  Reports are JSON (deterministic module order,
 sorted keys; wall-clock timings live in a separate top-level object), ladders
 are CSV.
+
+The checks share one seeded corpus, ``_corpus``: 50 support-4 triples (element
+seeds 1000 seed + 3t + s), then Pi_0..Pi_5, Pi_0 + Pi_1 and the conjugates of
+Pi_0 at seeds seed + 100..105.  A run reads one (seed, lb), so the cache holds
+one entry, built by the first check that reads it; it holds inputs, no values.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields, asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -180,28 +186,23 @@ def _worst(errors) -> float:
     return float(np.max(list(errors)))
 
 
-def _triple_corpus(cfg: RunConfig, count: int):
-    base = cfg.seed * 1000
-    return [
-        tuple(alg.random_element(base + 3 * t + s, 4, 1.0, cfg.lb) for s in range(3))
-        for t in range(count)
-    ]
+@lru_cache(maxsize=1)
+def _corpus(seed: int, lb: float):
+    """The run's (triples, projections), as the module docstring lists them."""
+    triples = tuple(tuple(alg.random_element(1000 * seed + 3 * t + s, 4, 1.0, lb)
+                          for s in range(3)) for t in range(50))
+    projections = (*(alg.landau_projection(j, lb) for j in range(6)),
+                   alg.projection_sum((0, 1), lb),
+                   *(alg.conjugated_projection(seed + 100 + s, 5, lb) for s in range(6)))
+    return triples, projections
 
 
 def _cocycle_corpus(cfg: RunConfig, count: int):
-    """``count`` seeded triples, their targets (i/l^2) psi and the
-    relative-error floor, 2% of the targets' RMS."""
-    triples = _triple_corpus(cfg, count)
+    """The first ``count`` corpus triples, their targets (i/l^2) psi and 2% of their RMS."""
+    triples = _corpus(cfg.seed, cfg.lb)[0][:count]
     targets = [(1j / cfg.lb**2) * cc.psi(*t).value for t in triples]
     floor = 0.02 * float(np.sqrt(np.mean([abs(t) ** 2 for t in targets])))
     return triples, targets, floor
-
-
-def _projection_corpus(cfg: RunConfig):
-    ps = [alg.landau_projection(j, cfg.lb) for j in range(6)]
-    ps.append(alg.projection_sum((0, 1), cfg.lb))
-    ps += [alg.conjugated_projection(cfg.seed + 100 + s, 5, cfg.lb) for s in range(6)]
-    return ps
 
 
 def check_representation_consistency(cfg: RunConfig) -> dict:
@@ -214,7 +215,7 @@ def check_representation_consistency(cfg: RunConfig) -> dict:
     want = np.array([[a.coeff(kn, bn) if km == bm else 0.0 for (kn, km) in labels]
                      for (bn, bm) in labels])
     worst_kernel = float(np.abs(gram - want).max())
-    tpuv = ker.trace_per_unit_volume(alg.landau_projection(0, cfg.lb), 2.0 * cfg.lb, 5)
+    tpuv = ker.trace_per_unit_volume(_corpus(cfg.seed, cfg.lb)[1][0], 2.0 * cfg.lb, 5)
     small = DiracContext(lb=cfg.lb, eps=cfg.eps, n_max=8,
                          m_max=min(cfg.m_max, 64), buffer=cfg.buffer)
     worst_f = phase_square_deviation(small)
@@ -281,8 +282,7 @@ def check_dixmier_normalization(cfg: RunConfig) -> dict:
 
 
 def check_gap_labeling(cfg: RunConfig) -> dict:
-    ctx = cfg.context()
-    ps = [alg.landau_projection(j, cfg.lb) for j in range(6)]
+    ctx, ps = cfg.context(), _corpus(cfg.seed, cfg.lb)[1][:6]
     integrals = [cc.nc_integral(p, ctx, cfg.ladder) for p in ps]
     got = {"gap_label_dev": _worst(abs(cc.gap_label(p) - 1.0) for p in ps),
            "nc_integral_dev": _worst(abs(v.value - 1.0) for v in integrals)}
@@ -293,7 +293,7 @@ def check_gap_labeling(cfg: RunConfig) -> dict:
 
 def check_chern_integrality_streda(cfg: RunConfig) -> dict:
     # the first six corpus projections are the Landau levels 0..5
-    pairs = [(cc.chern_number(p), cc.gap_label(p)) for p in _projection_corpus(cfg)]
+    pairs = [(cc.chern_number(p), cc.gap_label(p)) for p in _corpus(cfg.seed, cfg.lb)[1]]
     got = {"level_dev": _worst(abs(c - 1.0) for c, _ in pairs[:6]),
            "integrality_dev": _worst(abs(c - round(c)) for c, _ in pairs),
            "streda_dev": _worst(abs(c - g) for c, g in pairs)}
@@ -330,7 +330,7 @@ def check_connes_formula_2(cfg: RunConfig) -> dict:
 
 def check_chi_triviality(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    triples, projections = _triple_corpus(cfg, 50), _projection_corpus(cfg)
+    triples, projections = _corpus(cfg.seed, cfg.lb)
     values = ([cc.ch_hat(*t, ctx, cfg.ladder) for t in triples]
               + [cc.ch_hat(p, p, p, ctx, cfg.ladder) for p in projections])
     worst = _worst(abs(v.value) for v in values)
@@ -338,7 +338,7 @@ def check_chi_triviality(cfg: RunConfig) -> dict:
     # self-adjoint involution that anticommutes with D's sector blocks,
     # commutes with every represented element, and is traceless, alone and
     # against Gamma
-    chi, elements = cc.CHI_GRADING, [a for t in triples for a in t] + projections
+    chi, elements = cc.CHI_GRADING, [*(a for t in triples for a in t), *projections]
     levels = max(a.support_bound for a in elements) + 1
     window = np.kron(np.eye(levels), chi)
     blocks = sector_blocks(ctx, levels)
@@ -353,21 +353,21 @@ def check_chi_triviality(cfg: RunConfig) -> dict:
 
 def check_quantized_calculus_structure(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    rng_base = cfg.seed * 4000
+    rng_base, triples = cfg.seed * 4000, _corpus(cfg.seed, cfg.lb)[0]
     phi = cc.psi_cochain()
     worst_b = _worst(
         abs(cc.hochschild_b(phi, [alg.random_element(rng_base + 4 * t + s, 4, 1.0, cfg.lb)
                                   for s in range(4)]))
         for t in range(100))
     worst_cyc = _worst(abs(cc.psi(*t).value - cc.psi(t[2], t[0], t[1]).value)
-                       for t in _triple_corpus(cfg, 25))
+                       for t in triples[:25])
     closed = [(cc.graded_two_form_trace(a1, a2, ctx, cfg.ladder), cc.two_form_scale(a1, a2, cfg.lb))
-              for a1, a2, _ in _triple_corpus(cfg, 5)]
+              for a1, a2, _ in triples[:5]]
     worst_closed = _worst(abs(v.value) / scale for v, scale in closed)
     y0 = alg.random_element(cfg.seed + 77, 4, 1.0, cfg.lb)
     swapped = [(cc.graded_one_form_product_trace(x0, x1, y0, y1, ctx, cfg.ladder),
                 cc.graded_one_form_product_trace(y0, y1, x0, x1, ctx, cfg.ladder))
-               for x0, x1, y1 in _triple_corpus(cfg, 3)]
+               for x0, x1, y1 in triples[:3]]
     anti_ok = all(abs(v12.value + v21.value) <= 3.0 * (v12.error + v21.error) + 1e-6
                   for v12, v21 in swapped)
     got = {"coboundary_of_cocycle": worst_b, "cyclicity": worst_cyc,

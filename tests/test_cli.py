@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import magnc.algebra as alg
 import magnc.cli as cli
 from magnc.algebra import random_element, save_element
 from magnc.cli import ConfigError, RunConfig, build_config, main, make_parser, parse_element
@@ -541,3 +542,52 @@ class TestVerifyAll:
         assert [r["pass"] for r in records] == [True, False] + [True] * 7
         assert records[1]["name"] == "unstable"
         assert records[1]["got"].startswith("RuntimeError: stable prefix too short")
+
+
+class TestCorpus:
+    @pytest.mark.parametrize("seed", [1, 370])
+    @pytest.mark.parametrize("lb", [1.0, 2.0])
+    def test_corpus_is_the_seeded_triples_and_projections(self, seed, lb):
+        # the checks' inputs, element for element and in order; the Landau
+        # levels come first, as chern-integrality-streda reads level_dev off
+        # the first six projections
+        triples = [[random_element(1000 * seed + 3 * t + s, 4, 1.0, lb) for s in range(3)]
+                   for t in range(50)]
+        projections = ([alg.landau_projection(j, lb) for j in range(6)]
+                       + [alg.projection_sum((0, 1), lb)]
+                       + [alg.conjugated_projection(seed + 100 + s, 5, lb) for s in range(6)])
+        got_triples, got_projections = cli._corpus(seed, lb)
+
+        def coefficients(elements):
+            return [(a.block.shape, a.block.tobytes(), a.lb) for a in elements]
+
+        assert [len(t) for t in got_triples] == [3] * 50
+        assert (coefficients(a for t in got_triples for a in t)
+                == coefficients(a for t in triples for a in t))
+        assert coefficients(got_projections) == coefficients(projections)
+
+    def test_a_pass_builds_the_corpus_once(self, monkeypatch):
+        # seed 1: quantized-calculus-structure's coboundary seeds (4000 seed
+        # onwards) stay clear of the corpus range [1000 seed, 1000 seed + 150)
+        seeds, conjugations = [], []
+        draw, conjugate = alg.random_element, alg.conjugated_projection
+
+        def counted_draw(seed, *args):
+            seeds.append(seed)
+            return draw(seed, *args)
+
+        def counted_conjugate(*args):
+            conjugations.append(args)
+            return conjugate(*args)
+
+        monkeypatch.setattr(alg, "random_element", counted_draw)
+        monkeypatch.setattr(alg, "conjugated_projection", counted_conjugate)
+        cli._corpus.cache_clear()
+        counts = []
+        for _ in range(2):
+            seeds.clear()
+            conjugations.clear()
+            for stage, fn in cli.CHECKS:
+                cli.run_check(stage, fn, RunConfig(seed=1))
+            counts.append((sum(1000 <= s < 1150 for s in seeds), len(conjugations)))
+        assert counts == [(150, 6), (0, 0)]

@@ -20,7 +20,7 @@ from magnc.algebra import (
     upsilon,
     zero_element,
 )
-from magnc.cli import RunConfig, _projection_corpus, _triple_corpus
+from magnc.cli import RunConfig, _corpus
 from magnc.cocycles import (
     Cochain,
     _coboundary,
@@ -599,7 +599,7 @@ def lattice_sector_traces(a0, a1, a2, ctx):
 
 
 class TestFredholmSectorTraces:
-    TRIPLES = _triple_corpus(RunConfig(), 5) + [(landau_projection(0, LB),) * 3]
+    TRIPLES = [*_corpus(RunConfig().seed, LB)[0][:5], (landau_projection(0, LB),) * 3]
 
     def test_sector_traces_shape(self):
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
@@ -622,7 +622,7 @@ class TestFredholmSectorTraces:
     def test_fredholm_pairing_converges_to_the_chern_number(self):
         # |tau2(P,P,P) - Ch(P)| falls like 1/m_max; 16x from 2^12 to 2^16
         cfg = RunConfig(seed=0)
-        for p in _projection_corpus(cfg):
+        for p in _corpus(cfg.seed, cfg.lb)[1]:
             want = chern_number(p)
             err = []
             for m_max in (2**12, 2**16):

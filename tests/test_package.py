@@ -134,7 +134,7 @@ def test_every_module_level_cache_is_bounded():
         for key, obj in vars(module).items():
             if callable(getattr(obj, "cache_parameters", None)) and obj.__module__ == module.__name__:
                 sizes[key] = obj.cache_parameters()["maxsize"]
-    assert sorted(sizes) == ["_fit_map", "_k_ladders", "_lattice", "_resolvent_table",
+    assert sorted(sizes) == ["_corpus", "_fit_map", "_k_ladders", "_lattice", "_resolvent_table",
                              "_sector_blocks", "_window_correlations"]
     assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
 
