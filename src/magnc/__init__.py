@@ -9,7 +9,6 @@ from .algebra import (
     MagneticElement,
     UnitalElement,
     compose,
-    adjoint,
     trace_int,
     spatial_derivative,
     random_element,

@@ -27,7 +27,6 @@ __all__ = [
     "projection_sum",
     "zero_element",
     "compose",
-    "adjoint",
     "trace_int",
     "spatial_derivative",
     "random_element",
@@ -171,10 +170,6 @@ def compose(a: MagneticElement, b: MagneticElement) -> MagneticElement:
     require_same_length(a.lb, b.lb, "elements")
     s = max(a.block.shape[0], b.block.shape[0])
     return MagneticElement(a.padded(s) @ b.padded(s), a.lb)
-
-
-def adjoint(a: MagneticElement) -> MagneticElement:
-    return a.adjoint()
 
 
 def trace_int(a: MagneticElement) -> complex:

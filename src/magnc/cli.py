@@ -230,15 +230,15 @@ def check_representation_consistency(cfg: RunConfig) -> dict:
 def check_singular_value_laws(cfg: RunConfig) -> dict:
     eps = cfg.eps
     # the square-root, resolvent and mixed commutator laws (C, D, J) against
-    # honestly built per-sector operators, in the first m_tot - 8 sectors
-    laws, m_tot, kinds = [], 72, ("C", "D", "J")
+    # honestly built per-sector operators in 64 sectors, on the levels A acts on
+    laws, sectors, kinds = [], 64, ("C", "D", "J")
     for (j, k, e1, e2) in [(0, 1, eps, eps), (1, 3, eps, eps), (2, 0, eps, eps),
                            (0, 1, 0.5, 0.5), (1, 3, 0.25, 1.25), (2, 0, 1.5, 0.5),
                            (0, 2, 0.5, 1.5)]:
         a = alg.upsilon(j, k, cfg.lb)
-        num = np.stack([spx.build_shifted_commutator(kind, a, 6 + max(j, k), m_tot, e1, e2, 1.5)
-                        for kind in kinds])[:, :m_tot - 8]
-        law = np.stack([spx.closed_form_mu(kind, j, k, e1, e2, 1.5, np.arange(m_tot - 8))
+        num = np.stack([spx.build_shifted_commutator(kind, a, 1 + max(j, k), sectors, e1, e2, 1.5)
+                        for kind in kinds])
+        law = np.stack([spx.closed_form_mu(kind, j, k, e1, e2, 1.5, np.arange(sectors))
                         for kind in kinds])
         laws.append(np.abs(np.abs(num).max(axis=(2, 3)) - law).max())
     worst_law = _worst(laws)

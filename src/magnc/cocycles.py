@@ -63,25 +63,15 @@ __all__ = [
 
 
 class Cochain:
-    """Multilinear functional on the unitized algebra.
-
-    The evaluator takes one ``_Stack`` per slot, all of one batch and one
-    level window, and returns the (batch,) array of values; a call on
-    elements stacks them as a batch of one.
-    """
+    """Multilinear functional on the unitized algebra, as ``hochschild_b``
+    reads it: the evaluator takes one ``_Stack`` per slot, all of one batch
+    and one level window, and returns the (batch,) array of values."""
 
     def __init__(self, degree: int, evaluator):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
         self.degree = degree
         self.evaluator = evaluator
-
-    def __call__(self, *args) -> complex:
-        if len(args) != self.degree + 1:
-            raise ValueError(
-                f"{self.degree}-cochain takes {self.degree + 1} arguments, got {len(args)}"
-            )
-        return complex(self.evaluator(*_stack(*args))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +132,25 @@ def _delta1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[0] @ y[1] - x[1] @ y[0]
 
 
-def _deltas(z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
-    """(delta0, delta1) of every pair, delta0 = grad_1 A1 grad_1 A2 +
-    grad_2 A1 grad_2 A2, from one gradient call on both slots' entries."""
+def _pair_gradients(z1: _Stack, z2: _Stack) -> tuple[tuple, tuple]:
+    """The gradients x of every A1 and y of every A2, from one gradient call
+    on both slots' entries."""
     b = len(z1.block)
     g1, g2 = _gradient(_join(z1, z2))
-    x, y = (g1[:b], g2[:b]), (g1[b:], g2[b:])
+    return (g1[:b], g2[:b]), (g1[b:], g2[b:])
+
+
+def _deltas(z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(delta0, delta1) of every pair, delta0 = grad_1 A1 grad_1 A2 +
+    grad_2 A1 grad_2 A2."""
+    x, y = _pair_gradients(z1, z2)
     return x[0] @ y[0] + x[1] @ y[1], _delta1(x, y)
 
 
 def _exact(z0: _Stack, z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
-    """(Z0 delta0(Z1, Z2), Z0 delta1(Z1, Z2)), two (batch, s, s) arrays: the
-    one path of the exact tier.  Its output is checked finite once: finite
-    input whose products leave double precision raises OverflowError,
-    without floating-point warnings."""
+    """(Z0 delta0(Z1, Z2), Z0 delta1(Z1, Z2)), two (batch, s, s) arrays,
+    checked finite once: finite input whose products leave double precision
+    raises OverflowError, without floating-point warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = z0.full()
         out = tuple(z @ d for d in _deltas(z1, z2))
@@ -165,13 +160,18 @@ def _exact(z0: _Stack, z1: _Stack, z2: _Stack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _psi(z0: _Stack, z1: _Stack, z2: _Stack) -> np.ndarray:
-    """psi of every entry, the trace of Z0 delta1(Z1, Z2): the scalar part of
-    the first slot multiplies the plain trace of delta1."""
-    return np.trace(_exact(z0, z1, z2)[1], axis1=1, axis2=2)
+    """psi of every entry, the trace of Z0 delta1(Z1, Z2) (delta0 is not
+    formed), with Z0 delta1 checked finite as ``_exact`` checks its output."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = z0.full() @ _delta1(*_pair_gradients(z1, z2))
+    if not np.isfinite(p).all():
+        raise OverflowError("the exact cocycle of this input overflows double precision")
+    return np.trace(p, axis1=1, axis2=2)
 
 
-def psi(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement) -> CocycleValue:
-    """The derivation-trace 2-cocycle, an exact finite computation."""
+def psi(a0, a1, a2) -> CocycleValue:
+    """The derivation-trace 2-cocycle on elements or unital elements, an
+    exact finite computation."""
     return CocycleValue(complex(_psi(*_stack(a0, a1, a2))[0]), "exact-algebraic", 0.0, True)
 
 

@@ -364,8 +364,9 @@ def build_shifted_commutator(kind: str, a: MagneticElement, levels: int,
 # Decay classification.
 # ---------------------------------------------------------------------------
 
-def classify_decay(mu) -> IdealVerdict:
-    """Log-log tail fit of the ranked singular values.
+def classify_decay(spectrum: SingularSpectrum) -> IdealVerdict:
+    """Log-log tail fit of a spectrum's ranked singular values (the
+    ``SingularSpectrum`` that ``stable_spectrum`` returns).
 
     Fits mu_r ~ (r+1)^e over the tail half, maps e to the weak-Schatten order
     p = -1/e, and upgrades to "trace-class" when consecutive octave sums of
@@ -373,10 +374,7 @@ def classify_decay(mu) -> IdealVerdict:
     below 1e-14 are dropped before the fit.  Poor fits (R^2 < 0.95) return
     "unclassified".
     """
-    if isinstance(mu, SingularSpectrum):
-        mu = mu.mu
-    else:
-        mu = np.sort(np.asarray(mu, dtype=float))[::-1]
+    mu = spectrum.mu
     if len(mu) < 64:
         raise ValueError("need at least 64 singular values to classify")
     mu = mu[mu > 1e-14]

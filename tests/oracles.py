@@ -2,7 +2,9 @@
 and the exact cocycle tier as a chain of ``MagneticElement`` objects."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from magnc.algebra import UnitalElement, compose, spatial_derivative, trace_int
 from magnc.basis import number_ladders
@@ -55,6 +57,21 @@ def defect_products(f: sp.csr_matrix, pa: sp.csr_matrix, fsq: sp.csr_matrix,
     even = signs[x.row] == signs[x.col]
     r = sp.csr_matrix((2 * x.data[even], (x.row[even], x.col[even])), shape=fcomm.shape)
     return {"R": r, "Fsq_comm": commutator(fsq, pa), "F_comm": fcomm}
+
+
+def pattern_block_svdvals(op: sp.spmatrix) -> np.ndarray:
+    """The min(shape) singular values of a sparse matrix, descending: one
+    dense SVD per connected block of its nonzero pattern (rows and columns
+    joined by a nonzero entry), and zeros for the rank the blocks lack."""
+    op = sp.csr_matrix(op)
+    pattern = op != 0
+    n_comp, labels = connected_components(sp.bmat([[None, pattern], [pattern.T, None]]),
+                                          directed=False)
+    rows, cols = labels[: op.shape[0]], labels[op.shape[0]:]
+    blocks = [scipy.linalg.svdvals(op[rows == c][:, cols == c].toarray())
+              for c in range(n_comp) if (rows == c).any() and (cols == c).any()]
+    mu = np.concatenate(blocks + [np.zeros(min(op.shape) - sum(map(len, blocks)))])
+    return np.sort(mu)[::-1]
 
 
 def sparse_deviation(x: sp.csr_matrix, y: sp.spmatrix, mask: np.ndarray) -> float:

@@ -9,7 +9,6 @@ from magnc.algebra import (
     MagneticElement,
     TruncationError,
     UnitalElement,
-    adjoint,
     compose,
     conjugated_projection,
     element_from_records,
@@ -54,14 +53,14 @@ class TestProductAndAdjoint:
         assert np.abs(compose(a, zero_element()).block).max() == 0.0
 
     def test_adjoint_of_transition(self):
-        assert adjoint(upsilon(0, 1)).allclose(upsilon(1, 0))
+        assert upsilon(0, 1).adjoint().allclose(upsilon(1, 0))
 
     def test_adjoint_projection_selfadjoint(self):
         p = landau_projection(2)
-        assert adjoint(p).allclose(p)
+        assert p.adjoint().allclose(p)
 
     def test_adjoint_conjugate_linear(self):
-        got = adjoint(1j * upsilon(2, 3))
+        got = (1j * upsilon(2, 3)).adjoint()
         assert got.allclose(-1j * upsilon(3, 2))
 
     def test_mixed_length_rejected(self):
@@ -77,10 +76,10 @@ class TestProductAndAdjoint:
             rhs = compose(a, compose(b, c))
             scale = max(np.abs(lhs.block).max(), 1e-30)
             worst = max(worst, np.abs((lhs - rhs).block).max() / scale)
-            ab_star = adjoint(compose(a, b))
-            ba_star = compose(adjoint(b), adjoint(a))
+            ab_star = compose(a, b).adjoint()
+            ba_star = compose(b.adjoint(), a.adjoint())
             worst = max(worst, np.abs((ab_star - ba_star).block).max() / scale)
-            worst = max(worst, np.abs((adjoint(adjoint(a)) - a).block).max())
+            worst = max(worst, np.abs((a.adjoint().adjoint() - a).block).max())
         assert worst < 1e-12
 
     def test_identity_on_supported_elements(self):
@@ -109,13 +108,13 @@ class TestTrace:
         for seed in range(50):
             a, b = rand(seed), rand(seed + 999)
             want = np.vdot(a.padded(5), b.padded(5))
-            got = trace_int(compose(adjoint(a), b))
+            got = trace_int(compose(a.adjoint(), b))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_positivity(self):
         for seed in range(50):
             a = rand(seed)
-            v = trace_int(compose(adjoint(a), a))
+            v = trace_int(compose(a.adjoint(), a))
             assert v.real >= 0 and abs(v.imag) < 1e-12
             assert v.real == pytest.approx(np.linalg.norm(a.block) ** 2, rel=1e-12)
 
@@ -179,12 +178,11 @@ class TestDerivations:
     def test_unit_part_killed(self):
         # the derivation slots of psi see their arguments only through the
         # derivations, which annihilate the unit part
-        from magnc.cocycles import psi_cochain
+        from magnc.cocycles import psi
 
-        phi = psi_cochain()
         a0, a1, a2 = rand(4), rand(5), rand(6)
-        lifted = phi(a0, UnitalElement(2.5 + 1j, a1), UnitalElement(-0.5, a2))
-        assert lifted == phi(a0, a1, a2)
+        lifted = psi(a0, UnitalElement(2.5 + 1j, a1), UnitalElement(-0.5, a2)).value
+        assert lifted == psi(a0, a1, a2).value
 
     def test_trace_of_derivative_vanishes(self):
         for seed in range(100):
@@ -243,7 +241,7 @@ class TestGenerators:
 
     def test_hermitize_fixed_point(self):
         h = hermitize(random_element(9, 5, 1.0))
-        assert adjoint(h).allclose(h)
+        assert h.adjoint().allclose(h)
 
     def test_conjugated_projection_is_projection(self):
         for seed in range(20):
@@ -311,4 +309,4 @@ class TestUnitization:
         u = UnitalElement(1 + 2j, rand(3))
         ua = u.adjoint()
         assert ua.scalar == np.conj(u.scalar)
-        assert ua.element.allclose(adjoint(u.element))
+        assert np.array_equal(ua.element.block, u.element.block.conj().T)

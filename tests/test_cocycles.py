@@ -87,11 +87,10 @@ class TestExactTier:
             assert val == pytest.approx(-1j * lb**2, abs=1e-12)
 
     def test_psi_kills_unit_slots(self):
-        phi = psi_cochain()
         a = rand(1)
         one = UnitalElement.unit(LB)
-        assert phi(a, one, a) == pytest.approx(0.0, abs=1e-14)
-        assert phi(a, a, one) == pytest.approx(0.0, abs=1e-14)
+        assert psi(a, one, a).value == pytest.approx(0.0, abs=1e-14)
+        assert psi(a, a, one).value == pytest.approx(0.0, abs=1e-14)
 
     def test_psi_cyclic(self):
         for seed in range(50):
@@ -224,7 +223,7 @@ class TestStackedPathAgainstObjectOracle:
         scale = operand_scale(lb, a0, a1, a2)
         assert abs(psi(a0, a1, a2).value - oracles.psi(a0, a1, a2)) <= 1e-13 * scale
         scale = operand_scale(lb, u0, u1, u2)
-        assert abs(psi_cochain()(u0, u1, u2) - oracles.psi(u0, u1, u2)) <= 1e-13 * scale
+        assert abs(psi(u0, u1, u2).value - oracles.psi(u0, u1, u2)) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), lb=LENGTHS)
@@ -241,7 +240,7 @@ class TestStackedPathAgainstObjectOracle:
         a, b = rand(1), random_element(2, 4, 1.0, lb)
         phi = psi_cochain()
         for call in (lambda: psi(a, a, b), lambda: psi(b, a, a),
-                     lambda: phi(UnitalElement(1.0, b), a, a),
+                     lambda: psi(UnitalElement(1.0, b), a, a),
                      lambda: hochschild_b(phi, (a, a, a, b)), lambda: two_form_scale(a, b, LB)):
             with pytest.raises(ValueError, match="different magnetic lengths"):
                 call()
@@ -772,20 +771,15 @@ class TestHochschild:
         def b(phi):
             return Cochain(phi.degree + 1, lambda *zs: _coboundary(phi, zs))
 
-        bb = b(b(phi1))
+        # b(b phi1) on four arguments is the coboundary sum of b phi1
         for seed in range(20):
             args = [rand(4 * seed + s, 3) for s in range(4)]
-            assert abs(bb(*args)) < 1e-10
+            assert abs(hochschild_b(b(phi1), args)) < 1e-10
 
     def test_arity_enforced(self):
         phi = psi_cochain()
         with pytest.raises(ValueError):
             hochschild_b(phi, (rand(0), rand(1)))
-
-    def test_cochain_call_arity(self):
-        phi = psi_cochain()
-        with pytest.raises(ValueError):
-            phi(rand(0), rand(1))
 
 
 class TestParameterIndependence:

@@ -313,14 +313,14 @@ class TestRepresentation:
 
     def test_derivation_square_trace_nonnegative(self):
         # trace of d0(A*, A) equals the summed squared derivation norms
-        from magnc.algebra import adjoint, compose, spatial_derivative, trace_int
+        from magnc.algebra import compose, spatial_derivative, trace_int
 
         for seed in range(20):
             a = random_element(seed + 600, 4, 1.0)
-            lhs = trace_int(deltas(adjoint(a), a)[0])
+            lhs = trace_int(deltas(a.adjoint(), a)[0])
             rhs = sum(
                 trace_int(
-                    compose(adjoint(spatial_derivative(a, j)), spatial_derivative(a, j))
+                    compose(spatial_derivative(a, j).adjoint(), spatial_derivative(a, j))
                 )
                 for j in (1, 2)
             )

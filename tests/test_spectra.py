@@ -21,6 +21,7 @@ from magnc.dirac import (
 from magnc.spectra import (
     DEFAULT_LADDER,
     IdealVerdict,
+    SingularSpectrum,
     build_shifted_commutator,
     c_alpha,
     classify_decay,
@@ -36,6 +37,7 @@ from magnc.spectra import (
     trigamma,
     verify_quasi_even,
 )
+from oracles import pattern_block_svdvals
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=96, buffer=4)
 SMALL = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=8, buffer=2)
@@ -125,24 +127,29 @@ class TestSingularValues:
 
     def test_blockwise_path_matches_dense(self):
         # the L-block stack of an operator whose nonzero pattern splits into
-        # many blocks, against one dense SVD of the lattice operator's window
+        # many blocks, against the lattice operator's window through the
+        # pattern-block oracle (checked against one dense SVD below)
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=256, buffer=2)
         mu_blocks = singular_values(defect_stacks(upsilon(0, 1), ctx, 3)["F_comm"]).mu
         d = defect_operators(upsilon(0, 1), ctx)["F_comm"]
         sel = level_window(d)
-        import scipy.linalg
+        want = pattern_block_svdvals(d.op[sel][:, sel])
+        assert len(mu_blocks) == len(want)
+        assert np.allclose(mu_blocks, want, atol=1e-9)
 
-        dense = scipy.linalg.svdvals(d.op[sel][:, sel].toarray())
-        assert len(mu_blocks) == len(dense)
-        assert np.allclose(mu_blocks, np.sort(dense)[::-1], atol=1e-9)
+    def test_pattern_block_oracle_matches_dense(self):
+        # the oracle's blocks against one dense SVD of a small lattice window
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=16, buffer=2)
+        d = defect_operators(upsilon(0, 1), ctx)["F_comm"]
+        sel = level_window(d)
+        window = d.op[sel][:, sel]
+        dense = np.linalg.svd(window.toarray(), compute_uv=False)
+        assert np.abs(pattern_block_svdvals(window) - dense).max() <= 1e-12
 
     @pytest.mark.parametrize("which", ["D", "F", "F_comm"])
     def test_stacked_path_matches_per_block_svd(self, which):
         # the lattice operator's L-blocks go through one stacked SVD; the
-        # oracle takes one scipy SVD per connected block of the nonzero pattern
-        import scipy.linalg
-        from scipy.sparse.csgraph import connected_components
-
+        # oracle takes one SVD per connected block of the nonzero pattern
         from magnc.dirac import dirac_phase
 
         ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=48, buffer=4)
@@ -150,17 +157,10 @@ class TestSingularValues:
              "F": lambda: dirac_phase(ctx, check=False),
              "F_comm": lambda: defect_operators(random_element(3, 3, 1.0), ctx)["F_comm"]}[which]()
         sel = level_window(t)
-        op = t.op[sel][:, sel].tocsr()
-        pattern = op != 0
-        n_comp, labels = connected_components(sp.bmat([[None, pattern], [pattern.T, None]]),
-                                              directed=False)
-        rows, cols = labels[: op.shape[0]], labels[op.shape[0]:]
-        want = [scipy.linalg.svdvals(op[rows == c][:, cols == c].toarray())
-                for c in range(n_comp) if (rows == c).any() and (cols == c).any()]
-        want = np.concatenate(want + [np.zeros(min(op.shape) - sum(map(len, want)))])
+        want = pattern_block_svdvals(t.op[sel][:, sel])
         got = singular_values(l_blocks(t)).mu
-        assert len(got) == len(want) == min(op.shape)
-        assert np.abs(got - np.sort(want)[::-1]).max() <= 1e-12
+        assert len(got) == len(want) == len(sel)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestDefectStacks:
@@ -481,26 +481,26 @@ class TestClosedFormLaws:
 class TestClassification:
     def test_exact_power_law_half(self):
         mu = np.arange(1.0, 5001.0) ** -0.5
-        v = classify_decay(mu)
+        v = classify_decay(SingularSpectrum(mu))
         assert v.exponent == pytest.approx(-0.5, abs=1e-3)
         assert v.verdict.startswith("weak-S2")
 
     def test_trace_class_power_law(self):
         mu = np.arange(1.0, 5001.0) ** -2.0
-        v = classify_decay(mu)
+        v = classify_decay(SingularSpectrum(mu))
         assert v.verdict == "trace-class"
 
     def test_rising_head_then_summable_tail(self):
         # a flat head makes the first octave sums rise (ratio 2); only the
         # r^-1.43 tail decides summability
         mu = np.maximum(np.arange(1.0, 4097.0), 256.0) ** -1.43
-        v = classify_decay(mu)
+        v = classify_decay(SingularSpectrum(mu))
         assert v.exponent == pytest.approx(-1.43, abs=1e-3)
         assert v.verdict == "trace-class"
 
     @pytest.mark.parametrize("exponent", [-1.0, -1.1, -0.5])
     def test_harmonic_and_slower_decay_not_trace_class(self, exponent):
-        v = classify_decay(np.arange(1.0, 4097.0) ** exponent)
+        v = classify_decay(SingularSpectrum(np.arange(1.0, 4097.0) ** exponent))
         assert v.exponent == pytest.approx(exponent, abs=1e-3)
         assert v.verdict != "trace-class"
 
@@ -508,12 +508,12 @@ class TestClassification:
         rng = np.random.default_rng(1)
         mu = np.sort(np.abs(rng.standard_normal(512)) + 0.5 * rng.random(512))[::-1]
         mu = mu * (1.0 + 0.5 * np.sin(np.arange(512)))
-        v = classify_decay(np.abs(mu))
+        v = classify_decay(SingularSpectrum(np.abs(mu)))
         assert v.verdict in ("unclassified", "trace-class") or v.r_squared >= 0.95
 
     def test_needs_enough_values(self):
         with pytest.raises(ValueError):
-            classify_decay(np.ones(16))
+            classify_decay(SingularSpectrum(np.ones(16)))
 
 
 class TestQuasiEvenVerification:
