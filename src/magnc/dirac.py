@@ -19,6 +19,7 @@ and ``_sector_blocks``, keyed on the level window, at most 32 windows, the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -334,11 +335,16 @@ def phase_square_deviation(ctx: DiracContext) -> float:
     on the full level window: F conserves L, so (F^2)_L = F_L F_L."""
     levels = ctx.n_tot
     f, e = _phase_stack(ctx, levels)
-    dev = f @ f - np.eye(4 * levels) * (1.0 - ctx.eps / e)[:, None, :]
+    dev = f @ f
+    del f
+    # the exact form is diagonal: subtracted from the diagonal in place
+    site = np.arange(4 * levels)
+    dev[:, site, site] -= 1.0 - ctx.eps / e
     # the sector of each site of slot L: L, or L - 1 for s in {1, 2}
     m = (np.arange(ctx.m_tot)[:, None] - np.tile(_UPPER_SPINS, levels)) % ctx.m_tot
     inside = (m < ctx.m_tot - 2) & (np.repeat(np.arange(levels), 4) < levels - 2)
-    return float(np.abs(dev[inside[:, :, None] & inside[:, None, :]]).max(initial=0.0))
+    dev[~(inside[:, :, None] & inside[:, None, :])] = 0
+    return float(np.abs(dev).max(initial=0.0))
 
 
 def exact_phase_square(ctx: DiracContext) -> QuartetOperator:
@@ -449,34 +455,64 @@ def _phase_stack(ctx: DiracContext, levels: int) -> tuple[np.ndarray, np.ndarray
     s in {0, 3} to s in {1, 2} (back), so D_L = M0 + sqrt(L) (M+ + M-).  The
     half-empty edge blocks L = 0 and L = m_tot fill complementary positions
     and share slot 0, where sqrt(0) keeps them apart.  F_L weights D_L's
-    columns by |D_eps|^-1 of their sites.
+    columns by |D_eps|^-1 of their sites.  The stack is formed in place, in
+    one array of its size.
     """
     m0, plus, minus = sector_blocks(ctx, levels)
     e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
     # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
     e = np.where(np.tile(_UPPER_SPINS, levels), np.roll(e, 1, axis=0), e)
-    root = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None]
-    return (m0 + root * (plus + minus)) * e[:, None, :] ** -0.5, e
+    f = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None] * (plus + minus)
+    f += m0
+    f *= e[:, None, :] ** -0.5
+    return f, e
 
 
-def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> dict:
+def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> Mapping:
     """The three ``defect_operators`` as stacked L-blocks, (m_tot, 4 levels,
     4 levels) arrays, on the level window n < ``levels``.
 
     Each operator conserves L = m + [s in {1, 2}] and is built from F's
     L-blocks (``_phase_stack``); a window one level past the support holds
-    every entry.
+    every entry.  [F, pi(A)] is formed here, in place, and held; R and
+    [F^2, pi(A)] are formed from it and from pi(A)'s block at each read, so
+    a caller holds each stack only while it needs it.
     """
     require_fits(ctx, a, margin=ctx.buffer)
     if a.support_bound >= levels:
         raise TruncationError(f"window {levels} must pass the support {a.support_bound}")
     p = sector_represent(a, ctx, levels)
     f, e = _phase_stack(ctx, levels)
-    fcomm = f @ p - p @ f
-    signs = np.tile(GAMMA_SIGNS, levels)
-    fsq = 1.0 - ctx.eps / e
-    return {
-        "R": np.where(signs[:, None] == signs[None, :], 2 * fcomm, 0),
-        "Fsq_comm": fsq[:, :, None] * p - p * fsq[:, None, :],
-        "F_comm": fcomm,
-    }
+    fcomm = f @ p
+    fcomm -= p @ f
+    return _DefectStacks(fcomm, p, 1.0 - ctx.eps / e, np.tile(GAMMA_SIGNS, levels))
+
+
+class _DefectStacks(Mapping):
+    """``defect_stacks``' read of one element: "F_comm" is the held stack,
+    "R" and "Fsq_comm" a new stack at each read, each formed in place."""
+
+    def __init__(self, fcomm: np.ndarray, p: np.ndarray, fsq: np.ndarray, signs: np.ndarray):
+        self._fcomm, self._p, self._fsq = fcomm, p, fsq
+        self._odd = signs[:, None] != signs[None, :]
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key == "F_comm":
+            return self._fcomm
+        if key == "R":
+            # Gamma's exact sign diagonal keeps the entries between equal signs
+            r = 2 * self._fcomm
+            r[:, self._odd] = 0
+            return r
+        if key == "Fsq_comm":
+            # F^2's exact diagonal scales pi(A)'s rows and columns
+            out = self._fsq[:, :, None] * self._p
+            out -= self._p * self._fsq[:, None, :]
+            return out
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(("R", "Fsq_comm", "F_comm"))
+
+    def __len__(self) -> int:
+        return 3

@@ -9,7 +9,7 @@ their affine extrapolation in 1/log N.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -477,27 +477,39 @@ def verify_quasi_even(ctx: DiracContext,
     per element; "left" and "right", R(A) [F, pi(A')] and [F, pi(A')] R(A)
     per consecutive pair (A, A'); "triple", the product of three consecutive
     [F, pi(A)].  All spectra are read on the truncation-stable prefix
-    (computed at two truncations).  The defect operators are built once per
-    element and truncation as L-block stacks on one level window, one level
-    past the largest support, so every product is a batched matmul.  The
-    bounds the verdicts must meet belong to the caller.
+    (computed at two truncations).  Every product is a batched matmul of
+    L-block stacks on one level window, one level past the largest support.
+    Each stack is read off ``defect_stacks`` once per element and truncation,
+    at its first product, and dropped after its last: [F^2, pi(A)] after its
+    own verdict, R(A) after "right", [F, pi(A)] after the last triple that
+    reads it.  The bounds the verdicts must meet belong to the caller.
     """
     levels = max(a.support_bound for a in test_set) + 1
-
-    @cache
-    def table(c: DiracContext) -> list[dict]:
-        return [defect_stacks(a, c, levels) for a in test_set]
-
-    def verdict(*factors):
-        """Decay verdict of the product of (element index, defect key) factors."""
-        def build(c):
-            return reduce(np.matmul, [table(c)[i][key] for i, key in factors])
-        return classify_decay(stable_spectrum(build, ctx))
-
     n = len(test_set)
-    return {"F_comm": [verdict((i, "F_comm")) for i in range(n)],
-            "Fsq_comm": [verdict((i, "Fsq_comm")) for i in range(n)],
-            "left": [verdict((i, "R"), (i + 1, "F_comm")) for i in range(n - 1)],
-            "right": [verdict((i + 1, "F_comm"), (i, "R")) for i in range(n - 1)],
-            "triple": [verdict((i, "F_comm"), (i + 1, "F_comm"), (i + 2, "F_comm"))
-                       for i in range(n - 2)]}
+    products = {"F_comm": [[(i, "F_comm")] for i in range(n)],
+                "Fsq_comm": [[(i, "Fsq_comm")] for i in range(n)],
+                "left": [[(i, "R"), (i + 1, "F_comm")] for i in range(n - 1)],
+                "right": [[(i + 1, "F_comm"), (i, "R")] for i in range(n - 1)],
+                "triple": [[(i, "F_comm"), (i + 1, "F_comm"), (i + 2, "F_comm")]
+                           for i in range(n - 2)]}
+    readers = [(name, factors) for name, by_product in products.items() for factors in by_product]
+    # the index of the last reader of each (element, key) stack and of each element
+    last = {factor: k for k, (_, factors) in enumerate(readers) for factor in factors}
+    last_of = {i: max(k for (j, _), k in last.items() if j == i) for i in range(n)}
+    defects, held = {}, {}   # keyed (truncation, element) and (truncation, element, key)
+
+    def stack(c, i, key):
+        if (c, i, key) not in held:
+            if (c, i) not in defects:
+                defects[c, i] = defect_stacks(test_set[i], c, levels)
+            held[c, i, key] = defects[c, i][key]
+        return held[c, i, key]
+
+    verdicts = {name: [] for name in products}
+    for k, (name, factors) in enumerate(readers):
+        def build(c):
+            return reduce(np.matmul, [stack(c, i, key) for i, key in factors])
+        verdicts[name].append(classify_decay(stable_spectrum(build, ctx)))
+        held = {h: v for h, v in held.items() if last[h[1:]] > k}
+        defects = {d: v for d, v in defects.items() if last_of[d[1]] > k}
+    return verdicts

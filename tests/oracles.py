@@ -1,6 +1,8 @@
 """Reference constructions shared by the tests: lattice-sized operators,
 and the exact cocycle tier as a chain of ``MagneticElement`` objects."""
 
+from functools import cache, reduce
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -9,7 +11,9 @@ from scipy.sparse.csgraph import connected_components
 from magnc.algebra import UnitalElement, compose, spatial_derivative, trace_int
 from magnc.basis import number_ladders
 from magnc.cocycles import _fredholm_kernels
-from magnc.dirac import GAMMA_SIGNS, reg_inverse, sector_blocks, sector_represent, sector_weights
+from magnc.dirac import (GAMMA_SIGNS, defect_stacks, reg_inverse, sector_blocks, sector_represent,
+                         sector_weights)
+from magnc.spectra import classify_decay, stable_spectrum
 
 
 def momentum_matrix(which: str, n_max: int, m_max: int) -> sp.csr_matrix:
@@ -151,3 +155,27 @@ def hochschild_b(phi, args) -> complex:
     for j in range(len(args) - 1):
         total += (-1.0) ** j * phi(*args[:j], args[j] @ args[j + 1], *args[j + 2:])
     return total + (-1.0) ** (len(args) - 1) * phi(args[-1] @ args[0], *args[1:-1])
+
+
+def quasi_even_from_one_table(ctx, test_set) -> dict:
+    """``spectra.verify_quasi_even`` with every defect stack of both
+    truncations built into one table at the first product and held to the
+    end: the verdicts any release order must reproduce exactly."""
+    levels = max(a.support_bound for a in test_set) + 1
+
+    @cache
+    def table(c) -> list[dict]:
+        return [dict(defect_stacks(a, c, levels)) for a in test_set]
+
+    def verdict(*factors):
+        def build(c):
+            return reduce(np.matmul, [table(c)[i][key] for i, key in factors])
+        return classify_decay(stable_spectrum(build, ctx))
+
+    n = len(test_set)
+    return {"F_comm": [verdict((i, "F_comm")) for i in range(n)],
+            "Fsq_comm": [verdict((i, "Fsq_comm")) for i in range(n)],
+            "left": [verdict((i, "R"), (i + 1, "F_comm")) for i in range(n - 1)],
+            "right": [verdict((i + 1, "F_comm"), (i, "R")) for i in range(n - 1)],
+            "triple": [verdict((i, "F_comm"), (i + 1, "F_comm"), (i + 2, "F_comm"))
+                       for i in range(n - 2)]}

@@ -808,6 +808,23 @@ class TestParameterIndependence:
             got = ch_dix(a0, a1, a2, ctx).value
             assert abs(got - want) / abs(want) < 0.05
 
+    @settings(max_examples=30, deadline=None)
+    @given(theta=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 10**6))
+    def test_rotation_covariance(self, theta, seed):
+        # A_jk -> e^{i theta (j - k)} A_jk is conjugation by e^{i theta N}: it
+        # keeps tau and rotates the two derivations into each other, so the
+        # cocycles, the character and the integral keep their values
+        def rotated(a):
+            j, k = np.indices(a.block.shape)
+            return MagneticElement(a.block * np.exp(1j * theta * (j - k)), a.lb)
+
+        triple = tuple(rand(3 * seed + s) for s in range(3))
+        turned = tuple(rotated(a) for a in triple)
+        for evaluate in (lambda t: psi(*t), lambda t: ch_dix(*t, CTX),
+                         lambda t: tau2(*t, CTX, "direct"), lambda t: nc_integral(t[0], CTX)):
+            want = evaluate(triple).value
+            assert abs(evaluate(turned).value - want) <= 1e-12 * abs(want)
+
 
 def alg_random(seed, lb):
     return random_element(seed, 4, 1.0, lb)

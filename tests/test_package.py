@@ -172,6 +172,29 @@ def test_every_module_level_cache_is_bounded():
     assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
 
 
+def test_no_cache_is_unbounded():
+    # functools.cache and lru_cache(maxsize=None) keep every entry they see,
+    # at module level for the life of the process, nested for the life of
+    # the closure: a table of large arrays held until its last reader is
+    # gone belongs in explicit lifetimes, not in one of these
+    names = {"cache", "functools.cache"}
+
+    def unbounded(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return any(ast.unparse(d) in names for d in node.decorator_list)
+        if not isinstance(node, ast.Call):
+            return False
+        if ast.unparse(node.func) in names:
+            return True
+        size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        return (ast.unparse(node.func) in ("lru_cache", "functools.lru_cache")
+                and any(isinstance(v, ast.Constant) and v.value is None for v in size))
+
+    found = [f"{m}:{node.lineno}" for m in MODULES + ["__init__"]
+             for node in ast.walk(_tree(m)) if unbounded(node)]
+    assert found == []
+
+
 def test_cli_keeps_no_second_dixmier_path():
     # every Dixmier number the CLI prints comes from the module that
     # produces its ladder: no fit, ladder or cocycle integrand of its own

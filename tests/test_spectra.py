@@ -1,6 +1,9 @@
 """Singular-value machinery: Dixmier ladders, closed-form laws, decay classes."""
 
+import tracemalloc
 import warnings
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +40,7 @@ from magnc.spectra import (
     trigamma,
     verify_quasi_even,
 )
-from oracles import pattern_block_svdvals
+from oracles import pattern_block_svdvals, quasi_even_from_one_table
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=96, buffer=4)
 SMALL = DiracContext(lb=1.0, eps=0.5, n_max=4, m_max=8, buffer=2)
@@ -550,6 +553,55 @@ class TestQuasiEvenVerification:
         assert verdicts["triple"][0].exponent <= -1.4
         assert len(calls) == 2 * len(test_set)
         assert sorted({c.m_max for c in calls}) == [192, 384]
+
+    @pytest.mark.parametrize("lb, eps, seed", [(1.0, 0.5, 1), (2.0, 0.5, 7), (1.0, 1.0, 370)])
+    def test_memory_budget_at_criterion_2(self, lb, eps, seed):
+        # criterion 2's inputs: every stack of both truncations held from the
+        # first product to the last took 23.7 MiB; each held from its first
+        # reader to its last takes under 16
+        ctx = DiracContext(lb=lb, eps=eps, n_max=8, m_max=384, buffer=4)
+        test_set = [upsilon(0, 1, lb), random_element(seed + 5, 3, 1.0, lb),
+                    random_element(seed + 6, 3, 1.0, lb)]
+        tracemalloc.start()
+        try:
+            verify_quasi_even(ctx, test_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_verdicts_equal_one_table_held_to_the_end(self, size, monkeypatch):
+        # each stack is read off defect_stacks once per element and
+        # truncation, and released after its last reader, for any number of
+        # elements: the verdicts are those of the table that holds them all
+        ctx = DiracContext(lb=1.0, eps=0.5, n_max=8, m_max=384, buffer=4)
+        test_set = [upsilon(0, 1), random_element(5, 3, 1.0), random_element(6, 3, 1.0),
+                    random_element(7, 3, 1.0)][:size]
+        want = quasi_even_from_one_table(ctx, test_set)
+        reads = Counter()
+        build = spectra.defect_stacks
+
+        class Counted(Mapping):
+            def __init__(self, a, c, levels):
+                self.stacks = build(a, c, levels)
+                self.tag = next(i for i, b in enumerate(test_set) if b is a), c.m_max
+
+            def __getitem__(self, key):
+                reads[(*self.tag, key)] += 1
+                return self.stacks[key]
+
+            def __iter__(self):
+                return iter(self.stacks)
+
+            def __len__(self):
+                return len(self.stacks)
+
+        monkeypatch.setattr(spectra, "defect_stacks", Counted)
+        assert verify_quasi_even(ctx, test_set) == want
+        # every key of every element, but R of the last, at both truncations
+        assert len(reads) == 2 * (3 * size - 1)
+        assert set(reads.values()) == {1}
 
     def test_criterion_2_builds_no_lattice_operator(self, monkeypatch):
         import magnc.dirac as dirac
