@@ -5,13 +5,15 @@ gap label and the Chern number are exact finite computations on coefficient
 blocks.  The phase-module quantities (noncommutative integral, the two
 Dirac-operator characters, the graded two-form traces) are honest Dixmier
 extrapolations over the degeneracy ladder; their agreement with the exact
-tier is the content of the verification suite.
+tier is the content of the verification suite.  The Fredholm-module
+character's direct route is a finite trace too: the 1/L coefficient of its
+L-block traces, read off the Dirac operator's sector blocks and witnessed
+by an extrapolation of the phase's blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 from math import isfinite
 from typing import NamedTuple
 
@@ -31,17 +33,16 @@ from .dirac import (
     GAMMA_GRADING,
     GAMMA_SIGNS,
     DiracContext,
+    _phase_blocks,
     require_fits,
     sector_blocks,
     sector_represent,
-    sector_weights,
 )
 from .spectra import (
     DEFAULT_LADDER,
     DIXMIER_REL_TOL,
     CocycleValue,
     _fit_arrays,
-    dixmier_from_partial_sums,
     shifted_resolvent_ladder,
 )
 
@@ -335,81 +336,15 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
 # The Fredholm-module character, both evaluation routes.
 # ---------------------------------------------------------------------------
 
-def _fredholm_kernels(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
-                      ctx: DiracContext, signs: np.ndarray) -> tuple[int, np.ndarray]:
-    """The level window and the window matrices K_delta of route ii.
-
-    The sector trace T(m) of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] is
-    T(m) = sum_delta c_delta(m) W(m + delta)^T K_delta W(m), W(m) the row m
-    of ``sector_weights``.  F = D diag(W), and D is block-tridiagonal in m
-    (``sector_blocks``), so sector m's trace runs over the intermediate
-    sectors m + delta, delta in (0, +1, -1), whose two D blocks carry the
-    factor c = 1, m + 1, m.  Each of the four terms of [F, pi1][F, pi2] is
-    tr(X diag(u) Y diag(v)) = u^T (Y o X^T) v with u = W(m + delta),
-    v = W(m).  The window n < max support + 2 holds every level the product
-    passes through, so T(m) is the lattice product's sector trace.  Returns
-    the window's level count and the (3, 4 levels, 4 levels) stack of K_delta
-    in the order delta = 0, +1, -1; ``signs`` are Gamma's spin signs
-    (``GAMMA_SIGNS``).
-    """
-    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
-    p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
-    gp0 = np.tile(signs, levels)[:, None] * p0
-    p2gp0 = p2 @ gp0
-    # the four terms (X, Y): X = L D(m, m') on four left factors L and Y =
-    # R D(m', m) (Y = -D(m', m) in the third), with D(m, m') = c' d_out and
-    # D(m', m) = c'' d_back, for every delta in one stacked product each
-    outs = sector_blocks(ctx, levels)    # M0, M+, M-
-    backs = outs[[0, 2, 1]]
-    x = np.stack([p2gp0, gp0, p2gp0 @ p1, gp0 @ p1]) @ outs[:, None]
-    y = np.stack([p1, -p1 @ p2, p2]) @ backs[:, None]
-    ys = (y[:, 0], y[:, 1], -backs, y[:, 2])
-    return levels, sum(yt * x[:, t].swapaxes(-1, -2) for t, yt in enumerate(ys))
+# 16 u, u = 2^-53 the unit roundoff: a computed sum lies within 16 u times
+# the sum of the absolute values of its terms
+_ROUNDING = 8 * np.finfo(float).eps
 
 
-def _route_ii_windows(ctx: DiracContext) -> list[int]:
-    """Route ii's sector windows m_max / 2^k, k < 6, at least 4 sectors each."""
-    return sorted({max(4, ctx.m_max >> k) for k in range(6)})
-
-
-@lru_cache(maxsize=8)
-def _window_correlations(ctx: DiracContext, levels: int) -> np.ndarray:
-    """A_delta(M) = sum_{m < M} c_delta(m) W(m + delta) W(m)^T at route ii's
-    windows M, a read-only (windows, 3, 4 levels, 4 levels) real array.
-
-    Route ii's window sums are bilinear, sum_{m < M} T(m) =
-    sum_delta <K_delta, A_delta(M)> (``_fredholm_kernels``), and A depends
-    on the context and the level window only: it is built once per
-    (context, level window), one product per window segment with the three
-    shifted weight tables stacked, and shared by every triple, which must
-    not modify it.  At most 8 pairs are kept, 83 KB each at the window 6
-    every support-4 triple reads.
-    """
-    w = sector_weights(ctx, levels)   # rows m = 0..m_max
-    edges = [0, *_route_ii_windows(ctx)]
-    segments = []
-    for lo, hi in zip(edges, edges[1:]):
-        c = np.arange(lo, hi, dtype=float)[:, None]
-        # rows c_delta(m) W(m + delta), delta = 0, +1, -1, for m in [lo, hi)
-        u = np.zeros((hi - lo, 3, 4 * levels))
-        u[:, 0] = w[lo:hi]
-        np.multiply(c + 1, w[lo + 1:hi + 1], out=u[:, 1])
-        start = max(lo, 1)   # c = m is 0 at m = 0
-        np.multiply(c[start - lo:], w[start - 1:hi - 1], out=u[start - lo:, 2])
-        segments.append(u.reshape(hi - lo, -1).T @ w[lo:hi])
-    out = np.cumsum(segments, axis=0).reshape(len(segments), 3, 4 * levels, 4 * levels)
-    out.flags.writeable = False
-    return out
-
-
-def _route_ii_sums(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
-                   ctx: DiracContext) -> np.ndarray:
-    """sum_{m < M} T(m) at route ii's windows M, one contraction of the
-    triple's kernels with the context's cached correlations."""
-    levels, k = _fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
-    a = _window_correlations(ctx, levels).reshape(-1, k.size)
-    # real products, since a real-by-complex matmul costs more
-    return a @ k.real.ravel() + 1j * (a @ k.imag.ravel())
+def _weights_at_zero(ls: np.ndarray) -> np.ndarray:
+    """The Lagrange weights at 1/L = 0 of the interpolant in 1/L through the
+    distinct labels ``ls``: the product over j != k of L_k / (L_k - L_j)."""
+    return np.prod(ls[:, None] / (ls[:, None] - ls + np.diag(ls)), axis=1)
 
 
 def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
@@ -419,25 +354,63 @@ def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
 
     route "reduced": replace the two-form by its volume-weighted reduction
     (trace-class remainder dropped) and extrapolate the exact sector ladders.
-    route "direct": the degeneracy-sector traces of
-    Gamma pi(A0) [F, pi(A1)] [F, pi(A2)] at the context's truncation, summed
-    over growing sector windows (``_route_ii_sums``: per-sector quadratic
-    forms in the phase weights, contracted with the context's window
-    correlations) and fitted against the logarithm of the sector count;
-    coarser, with the larger provisional tolerance carried by the caller.
+
+    route "direct": the leading coefficient of the Fredholm module.  F's
+    L-blocks are F_L = (sqrt(L) P + M0) (L + b)^-1/2 with P = M+ + M- and
+    D_L^2 = L + b diagonal (``sector_blocks``): a series in L^-1/2 whose odd
+    terms are Gamma-odd.  P commutes with pi(A), so the block trace
+    T_L = tr(Gamma pi(A0) [F_L, pi(A1)] [F_L, pi(A2)]) starts at 1/L and has
+    integer powers of 1/L only, and the Dixmier trace reads its 1/L
+    coefficient: tau2 = 1/2 tr(Gamma pi(A0) [M0, pi(A1)] [M0, pi(A2)]) on
+    the level window max support + 2, which holds every level the product
+    passes through.  The error is 16 u times a bound on the sum of |terms|
+    of that trace (u = 2^-53).  The value is measurable when [P, pi(A1)] and
+    [P, pi(A2)] vanish within the same rule and the witness agrees: L T_L at
+    the five L = m_max / 2^k, k < 5, from F's blocks, extrapolated to
+    1/L = 0 at degree 4 and halved, lies within half its gap |degree 4 -
+    degree 3| plus the rounding bounds of both.  The witness alone reads F,
+    and needs its five L above the series radius max b = levels + eps, else
+    TruncationError.
     """
     if route == "reduced":
         # with the trace-class remainder dropped, tau2 is the Dirac character
         return ch_dix(a0, a1, a2, ctx, ladder)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    ms = _route_ii_windows(ctx)
-    if len(ms) < 3:
-        raise TruncationError(f"route ii needs three distinct sector windows; "
-                              f"m_max {ctx.m_max} gives {ms}")
     require_fits(ctx, a0, a1, a2, margin=ctx.buffer)
-    # the fit is linear, so the fit of the halved sums is the half
-    return dixmier_from_partial_sums(ms, 0.5 * _route_ii_sums(a0, a1, a2, ctx), rel_tol=0.2)
+    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
+    ls = ctx.m_max >> np.arange(5)
+    if not ls[-1] > levels + ctx.eps:
+        raise TruncationError(f"route ii's witness needs five distinct L = m_max / 2^k, k < 5, "
+                              f"above the series radius max b = {levels + ctx.eps:g}; "
+                              f"m_max {ctx.m_max} gives {ls.tolist()}")
+    m0, plus, minus = sector_blocks(ctx, levels)
+    p = plus + minus
+    p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))
+    gp0 = np.tile(GAMMA_SIGNS, levels)[:, None] * p0
+    # tr(Gamma pi(A0) [X, pi(A1)] [X, pi(A2)]) for X = M0 (the value), P
+    # (which must commute) and the F_L (the witness)
+    x = np.concatenate([m0[None], p[None], _phase_blocks(ctx, levels, ls)[0]])
+    weights = _weights_at_zero(ls)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1, c2 = (x @ q - q @ x for q in (p1, p2))
+        t = np.sum((gp0 @ c1) * c2.swapaxes(-1, -2), axis=(-1, -2))
+        # the sums of |terms| bounded by Frobenius norms: |tr(X Y Z)| <=
+        # |X| |Y| |Z| and |[X, q]| <= 2 |X| |q|, with |F_L| <= |P| + |M0|
+        # entrywise since (L + b)^-1/2 <= min(1, L^-1/2) on block L
+        n0, n1, n2, n_m0, n_p = (np.linalg.norm(y) for y in (p0, p1, p2, m0, p))
+        error = 2 * _ROUNDING * n0 * n1 * n2 * n_m0**2
+        rounding = 2 * _ROUNDING * n0 * n1 * n2 * (n_m0 + n_p)**2 * (np.abs(weights) @ ls)
+    if not (np.isfinite(t).all() and isfinite(rounding)):
+        raise OverflowError("route ii's traces of this input overflow double precision")
+    value = 0.5 * t[0]
+    commuting = (np.abs(c1[1]).max() <= 2 * _ROUNDING * n_p * n1
+                 and np.abs(c2[1]).max() <= 2 * _ROUNDING * n_p * n2)
+    witness = weights @ (ls * t[2:])
+    gap = abs(witness - _weights_at_zero(ls[:4]) @ (ls[:4] * t[2:6]))
+    agrees = abs(value - 0.5 * witness) <= 0.5 * gap + rounding + error
+    return CocycleValue(complex(value), "fredholm-leading-coefficient", float(error),
+                        bool(commuting and agrees))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "phase_square_deviation",
     "represent",
     "sector_blocks",
-    "sector_weights",
     "sector_represent",
     "commutator_with_D",
     "defect_operators",
@@ -277,7 +276,7 @@ def oscillator_energies(ctx: DiracContext, include_eps: bool = True) -> np.ndarr
 
     The entry at site (m, n, i) depends on k = m + n and i only: the energies
     are formed once per k < m_tot + n_tot - 1, and sector m's row is the
-    window of that table from k = m on (as in ``sector_weights``)."""
+    window of that table from k = m on."""
     table = _energies(ctx.eps if include_eps else None, ctx.m_tot + ctx.n_tot - 1, 1)
     return sliding_window_view(table, 4 * ctx.n_tot)[::4].ravel()
 
@@ -293,17 +292,6 @@ def reg_inverse(ctx: DiracContext, s: float) -> QuartetOperator:
     if e.min() <= 0:
         raise ValueError("regularized spectrum not positive; need eps > 0")
     return QuartetOperator(sp.diags(e ** (-s / 2.0)), ctx)
-
-
-def sector_weights(ctx: DiracContext, levels: int) -> np.ndarray:
-    """Row m is the diagonal of |D_eps|^-1 on the level window n < ``levels``
-    of sector m, for m = 0..m_max (the sectors the first m_max couple to).
-
-    The entry at (m, n) depends on k = m + n only: the power is taken once
-    per k < m_max + levels, on the same energies, and row m is the window of
-    that table from k = m on."""
-    table = _energies(ctx.eps, ctx.m_max + levels, 1) ** -0.5
-    return sliding_window_view(table, 4 * levels)[::4].copy()
 
 
 def dirac_phase(ctx: DiracContext, check: bool = True) -> QuartetOperator:
@@ -334,7 +322,7 @@ def phase_square_deviation(ctx: DiracContext) -> float:
     the lattice deviation of ``dirac_phase``'s check read off F's L-blocks
     on the full level window: F conserves L, so (F^2)_L = F_L F_L."""
     levels = ctx.n_tot
-    f, e = _phase_stack(ctx, levels)
+    f, e = _phase_blocks(ctx, levels, np.arange(ctx.m_tot))
     dev = f @ f
     del f
     # the exact form is diagonal: subtracted from the diagonal in place
@@ -445,24 +433,25 @@ def defect_operators(a: MagneticElement, ctx: DiracContext) -> dict:
 _UPPER_SPINS = np.array([False, True, True, False])   # s in {1, 2}
 
 
-def _phase_stack(ctx: DiracContext, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """F as its (m_tot, 4 levels, 4 levels) stack of L-blocks on the level
-    window n < ``levels``, with the (m_tot, 4 levels) energies (+ eps) of the
-    blocks' sites.
+def _phase_blocks(ctx: DiracContext, levels: int,
+                  ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F's L-blocks at the labels ``ls`` (0 <= L < m_tot) on the level window
+    n < ``levels``, a (len(ls), 4 levels, 4 levels) stack, with the
+    (len(ls), 4 levels) energies (+ eps) of the blocks' sites.
 
     Block L holds the sites (m = L, s in {0, 3}) and (m = L - 1, s in
     {1, 2}) at position 4 n + s.  M0 keeps both groups and M+ (M-) maps
     s in {0, 3} to s in {1, 2} (back), so D_L = M0 + sqrt(L) (M+ + M-).  The
     half-empty edge blocks L = 0 and L = m_tot fill complementary positions
-    and share slot 0, where sqrt(0) keeps them apart.  F_L weights D_L's
+    and share label 0, where sqrt(0) keeps them apart.  F_L weights D_L's
     columns by |D_eps|^-1 of their sites.  The stack is formed in place, in
     one array of its size.
     """
     m0, plus, minus = sector_blocks(ctx, levels)
-    e = _energies(ctx.eps, ctx.m_tot, levels).reshape(ctx.m_tot, -1)
-    # the s in {1, 2} sites of block L sit in sector L - 1 (slot 0: m_tot - 1)
-    e = np.where(np.tile(_UPPER_SPINS, levels), np.roll(e, 1, axis=0), e)
-    f = np.sqrt(np.arange(float(ctx.m_tot)))[:, None, None] * (plus + minus)
+    # the sector of each site: L, or L - 1 for s in {1, 2} (label 0: m_tot - 1)
+    m = (ls[:, None] - np.tile(_UPPER_SPINS, levels)) % ctx.m_tot
+    e = (m + np.repeat(np.arange(levels), 4) + 1.0) + np.tile(BLOCK_SHIFTS, levels) + ctx.eps
+    f = np.sqrt(ls.astype(float))[:, None, None] * (plus + minus)
     f += m0
     f *= e[:, None, :] ** -0.5
     return f, e
@@ -473,7 +462,7 @@ def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> Mapping
     4 levels) arrays, on the level window n < ``levels``.
 
     Each operator conserves L = m + [s in {1, 2}] and is built from F's
-    L-blocks (``_phase_stack``); a window one level past the support holds
+    L-blocks (``_phase_blocks``); a window one level past the support holds
     every entry.  [F, pi(A)] is formed here, in place, and held; R and
     [F^2, pi(A)] are formed from it and from pi(A)'s block at each read, so
     a caller holds each stack only while it needs it.
@@ -482,7 +471,7 @@ def defect_stacks(a: MagneticElement, ctx: DiracContext, levels: int) -> Mapping
     if a.support_bound >= levels:
         raise TruncationError(f"window {levels} must pass the support {a.support_bound}")
     p = sector_represent(a, ctx, levels)
-    f, e = _phase_stack(ctx, levels)
+    f, e = _phase_blocks(ctx, levels, np.arange(ctx.m_tot))
     fcomm = f @ p
     fcomm -= p @ f
     return _DefectStacks(fcomm, p, 1.0 - ctx.eps / e, np.tile(GAMMA_SIGNS, levels))

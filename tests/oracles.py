@@ -10,9 +10,8 @@ from scipy.sparse.csgraph import connected_components
 
 from magnc.algebra import UnitalElement, compose, spatial_derivative, trace_int
 from magnc.basis import number_ladders
-from magnc.cocycles import _fredholm_kernels
-from magnc.dirac import (GAMMA_SIGNS, defect_stacks, reg_inverse, sector_blocks, sector_represent,
-                         sector_weights)
+from magnc.dirac import (BLOCK_SHIFTS, GAMMA_SIGNS, defect_stacks, reg_inverse, sector_blocks,
+                         sector_represent)
 from magnc.spectra import classify_decay, stable_spectrum
 
 
@@ -86,17 +85,27 @@ def sparse_deviation(x: sp.csr_matrix, y: sp.spmatrix, mask: np.ndarray) -> floa
     return float(np.abs(d.data[keep]).max()) if np.any(keep) else 0.0
 
 
+def sector_energies(ctx, levels: int, sectors: int) -> np.ndarray:
+    """Row m is the diagonal of D^2 + eps on the level window n < ``levels``
+    of sector m, for m < ``sectors``."""
+    m = np.arange(sectors)[:, None, None]
+    n = np.arange(levels)[None, :, None]
+    return ((m + n + 1.0) + BLOCK_SHIFTS + ctx.eps).reshape(sectors, 4 * levels)
+
+
 def fredholm_sector_traces(a0, a1, a2, ctx) -> np.ndarray:
     """Sector traces T(m), m < m_max, of Gamma pi(A0) [F, pi(A1)] [F, pi(A2)]
     as one quadratic form per sector, T(m) = sum_delta c_delta(m)
-    W(m + delta)^T K_delta W(m), on the production kernels K_delta."""
-    levels, (k0, k_plus, k_minus) = _fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
+    W(m + delta)^T K_delta W(m), W(m) the diagonal of |D_eps|^-1 on sector m
+    (``fredholm_kernels`` states the kernels K_delta)."""
+    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
+    k0, k_plus, k_minus = fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
 
     def form(u, k, v):
         # u^T k v row by row, in real products
         return np.sum((u @ k.real) * v, axis=1) + 1j * np.sum((u @ k.imag) * v, axis=1)
 
-    w = sector_weights(ctx, levels)   # rows m = 0..m_max
+    w = sector_energies(ctx, levels, ctx.m_max + 1) ** -0.5   # rows m = 0..m_max
     v = w[:-1]
     m = np.arange(ctx.m_max)
     t = form(v, k0, v)
@@ -105,10 +114,27 @@ def fredholm_sector_traces(a0, a1, a2, ctx) -> np.ndarray:
     return t
 
 
+def fredholm_closed_form(a0, a1, a2, ctx) -> tuple[complex, complex]:
+    """The 1/m coefficient c of the sector traces, expanded in 1/m with
+    W(m)_i = (m + a_i)^-1/2: c = 1^T K0 1 - 1/2 sum_ij (K+ + K-)_ij (a_i + a_j),
+    a the energies of sector 0.  Returns (c / 2, 1^T (K+ + K-) 1); the first
+    is tau2 when the second, the O(1) coefficient, vanishes."""
+    levels = max(a.support_bound for a in (a0, a1, a2)) + 2
+    k0, k_plus, k_minus = fredholm_kernels(a0, a1, a2, ctx, GAMMA_SIGNS)
+    a = sector_energies(ctx, levels, 1)[0]
+    k = k_plus + k_minus
+    return 0.5 * (k0.sum() - 0.5 * np.sum(k * (a[:, None] + a[None, :]))), k.sum()
+
+
 def fredholm_kernels(a0, a1, a2, ctx, signs) -> np.ndarray:
-    """Route ii's (3, 4 levels, 4 levels) stack of K_delta, each delta's
-    kernel as twelve separate products: the arithmetic the stacked
-    ``_fredholm_kernels`` reproduces bit for bit."""
+    """The (3, 4 levels, 4 levels) stack of K_delta, delta = 0, +1, -1, on the
+    level window max support + 2, each kernel as twelve separate products.
+
+    F = D diag(W), and D is block-tridiagonal in m (``sector_blocks``), so
+    sector m's trace runs over the intermediate sectors m + delta, whose two
+    D blocks carry the factor c = 1, m + 1, m.  Each of the four terms of
+    [F, pi1][F, pi2] is tr(X diag(u) Y diag(v)) = u^T (Y o X^T) v with
+    u = W(m + delta), v = W(m); ``signs`` are Gamma's spin signs."""
     levels = max(a.support_bound for a in (a0, a1, a2)) + 2
     m0, plus, minus = sector_blocks(ctx, levels)
     p0, p1, p2 = (sector_represent(a, ctx, levels) for a in (a0, a1, a2))

@@ -96,22 +96,19 @@ def test_connes_formula_1_at_its_hardest_seeds(seed):
 
 # Known estimator defect (ROADMAP item 1): the Dixmier fits take
 # sigma_N = a + b / log N with none of the ladders' known correction terms,
-# which sets the whole error budget.  Route ii of connes-formula-2 then reads
-# 0.143, 0.111 and 0.154 at seeds 163, 274 and 370 against its 0.10, and
-# dixmier-normalization reads 0.0217 and 0.0423 at eps 1 and 2 against 0.02.
-# The strict xfails turn into failures once the corrections land, so the
-# marks must go with them.
+# which sets the whole error budget.  dixmier-normalization reads 0.0217 and
+# 0.0423 at eps 1 and 2 against 0.02.  The strict xfails turn into failures
+# once the corrections land, so the marks must go with them.
 ESTIMATOR_DEFECT = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 1: Dixmier ladders lack their correction terms")
 
 
-@pytest.mark.parametrize("seed", [40, 142] + [pytest.param(s, marks=ESTIMATOR_DEFECT)
-                                              for s in (163, 274, 370)])
+@pytest.mark.parametrize("seed", [40, 142, 163, 274, 370])
 def test_connes_formula_2_at_its_hardest_seeds(seed):
-    # over seeds 0-399 route ii is worst at these five; 40 and 142 pass
-    # (0.088 and 0.096)
+    # over seeds 0-399 the fitted route ii was worst at these five (0.088 to
+    # 0.154); route ii now reads the leading coefficient, within 1.4e-14
     rec = cli.check_connes_formula_2(cli.RunConfig(seed=seed))
-    assert rec["pass"], rec
+    assert rec["pass"] and rec["got"]["route_ii"] <= 1e-12, rec
 
 
 @pytest.mark.parametrize("eps", [pytest.param(e, marks=ESTIMATOR_DEFECT) for e in (1.0, 2.0)])

@@ -514,11 +514,12 @@ class TestVerifyAll:
         payload = json.loads(out.read_text())
         assert "precondition failure" in payload["checks"][0]["got"]
 
-    def test_too_few_sectors_for_route_ii_is_a_precondition_failure(self):
+    def test_too_few_labels_for_route_ii_is_a_precondition_failure(self):
         from magnc.cli import check_connes_formula_2, run_check
 
-        rec = run_check("s", check_connes_formula_2, RunConfig(m_max=3))
-        assert rec["got"].startswith("precondition failure: route ii needs three")
+        rec = run_check("s", check_connes_formula_2, RunConfig(m_max=64))
+        assert rec["got"].startswith("precondition failure: route ii's witness needs five "
+                                     "distinct L = m_max / 2^k, k < 5, above the series radius")
         assert not rec["pass"]
 
     def test_runtime_error_keeps_the_other_records(self, tmp_path, monkeypatch):

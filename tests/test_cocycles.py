@@ -1,6 +1,7 @@
 """The three 2-cocycles, the integer pairings, and the Hochschild machinery."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,7 @@ from magnc.cocycles import (
     _dixmier_functional,
     _exact,
     _gradient,
-    _route_ii_sums,
     _stack,
-    _route_ii_windows,
-    _window_correlations,
     chern_number,
     ch_dix,
     ch_hat,
@@ -65,8 +63,8 @@ from magnc.dirac import (
     sector_blocks,
 )
 import oracles
-from oracles import fredholm_sector_traces
-from test_mutants import clear_caches
+from oracles import fredholm_closed_form, fredholm_sector_traces
+from test_mutants import clear_caches, phase_power_1_1
 
 CTX = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=512, buffer=4)
 LB = 1.0
@@ -373,8 +371,8 @@ class TestDixmierFunctional:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((cocycles, "_fit_arrays"), (cocycles, "dixmier_from_partial_sums"),
-                             (spectra, "dixmier_from_partial_sums"), (spectra, "digamma")):
+        for module, name in ((cocycles, "_fit_arrays"), (spectra, "dixmier_from_partial_sums"),
+                             (spectra, "digamma")):
             count(module, name)
         return counts
 
@@ -395,12 +393,12 @@ class TestDixmierFunctional:
             assert calls["cocycles._fit_arrays"] == 1
             assert (calls["spectra.digamma"] == 0) if warm else (
                 1 <= calls["spectra.digamma"] <= terms)
-            assert calls["cocycles.dixmier_from_partial_sums"] == 0
             assert calls["spectra.dixmier_from_partial_sums"] == 0
 
-    def test_route_ii_and_d4_fit_one_ladder_each(self, calls):
+    def test_route_ii_fits_nothing_and_d4_one_ladder(self, calls):
+        clear_caches()
         tau2(rand(61), rand(62), rand(63), CTX, "direct")
-        assert calls["cocycles.dixmier_from_partial_sums"] == 1
+        assert sum(calls.values()) == 0
         d4_dixmier(0.5, DEFAULT_LADDER)
         assert calls["spectra.dixmier_from_partial_sums"] == 1
         assert calls["cocycles._fit_arrays"] == 0
@@ -539,7 +537,8 @@ class TestFredholmCharacter:
     def test_direct_route_projection(self):
         p = landau_projection(0, LB)
         v = tau2(p, p, p, CTX, "direct")
-        assert v.value == pytest.approx(1.0, rel=0.10)
+        assert v.measurable and v.method == "fredholm-leading-coefficient"
+        assert abs(v.value - 1.0) <= v.error
 
     def test_unit_derivation_slot(self):
         a = rand(41)
@@ -553,26 +552,59 @@ class TestFredholmCharacter:
             v_i = tau2(a0, a1, a2, CTX, "reduced")
             v_ii = tau2(a0, a1, a2, CTX, "direct")
             assert abs(v_i.value - want) / abs(want) < 0.05
-            assert abs(v_ii.value - want) / abs(want) < 0.10
+            assert abs(v_ii.value - want) / abs(want) < 1e-12 and v_ii.measurable
 
-    @pytest.mark.parametrize("m_max", [2, 3, 9])
-    def test_direct_route_needs_three_sector_windows(self, m_max):
-        # the windows max(4, m_max >> k): one (beyond the truncation) at
-        # m_max 2 and 3, two at 4..9
+    @pytest.mark.parametrize("m_max", [2, 3, 15, 48, 55])
+    def test_direct_route_needs_five_labels_above_the_series_radius(self, m_max):
+        # P0's window has 3 levels, so the radius max b is 3 + eps = 3.5; the
+        # labels m_max >> k, k < 5, repeat below m_max 16 and end at 3 below 64
         p = landau_projection(0, LB)
         ctx = DiracContext(lb=LB, eps=0.5, n_max=8, m_max=m_max, buffer=4)
-        with pytest.raises(TruncationError, match=f"m_max {m_max} gives"):
+        with pytest.raises(TruncationError, match=f"radius max b = 3.5; m_max {m_max} gives"):
             tau2(p, p, p, ctx, "direct")
 
-    def test_direct_route_computes_from_three_sector_windows(self):
+    def test_direct_route_computes_at_the_smallest_truncation(self):
         p = landau_projection(0, LB)
-        v = tau2(p, p, p, DiracContext(lb=LB, eps=0.5, n_max=8, m_max=10, buffer=4), "direct")
-        assert np.isfinite(v.value) and np.isfinite(v.error)
+        v = tau2(p, p, p, DiracContext(lb=LB, eps=0.5, n_max=8, m_max=64, buffer=4), "direct")
+        assert v.measurable and abs(v.value - 1.0) <= v.error
+
+    def test_witness_rejects_a_wrong_phase_power(self, monkeypatch):
+        # F = D |D_eps|^-1.1 leaves the value (it reads no F) and moves the
+        # witness off it, far past the witness's gap
+        triple = rand(71), rand(72), rand(73)
+        v = tau2(*triple, CTX, "direct")
+        monkeypatch.setattr(cocycles, "_phase_blocks", phase_power_1_1)
+        w = tau2(*triple, CTX, "direct")
+        assert v.measurable and not w.measurable
+        assert (w.value, w.error) == (v.value, v.error)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), lb=st.floats(0.5, 3.0), support=st.integers(1, 6))
+    def test_direct_route_is_independent_of_eps(self, seed, lb, support):
+        # the value reads M0 alone, so every eps gives the same bits; the
+        # witness reads eps through F and must agree at each
+        triple = [random_element(3 * seed + s, support, 1.0, lb) for s in range(3)]
+        want = (1j / lb**2) * psi(*triple).value
+        values = [tau2(*triple, DiracContext(lb=lb, eps=eps, n_max=16, m_max=4096, buffer=4),
+                       "direct") for eps in (0.1, 0.5, 2.0)]
+        assert all(v.measurable for v in values)
+        assert len({(v.value, v.error) for v in values}) == 1
+        assert abs(values[0].value - want) <= values[0].error
 
     def test_unknown_route_rejected(self):
         a = rand(1)
         with pytest.raises(ValueError):
             tau2(a, a, a, CTX, "sideways")
+
+    @pytest.mark.filterwarnings("error")
+    def test_direct_route_overflow_raises_without_warnings(self):
+        # finite coefficients whose traces leave double precision, as the
+        # exact tier and the Dixmier functional report them
+        block = np.zeros((2, 2), complex)
+        block[0, 0] = block[1, 0] = block[0, 1] = 1e200
+        a = MagneticElement(block, LB)
+        with pytest.raises(OverflowError):
+            tau2(a, a, a, CTX, "direct")
 
 
 def sector_traces(t: QuartetOperator, m_stop: int | None = None) -> np.ndarray:
@@ -618,69 +650,39 @@ class TestFredholmSectorTraces:
             assert got.shape == (ctx.m_max,)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_fredholm_pairing_converges_to_the_chern_number(self):
-        # |tau2(P,P,P) - Ch(P)| falls like 1/m_max; 16x from 2^12 to 2^16
+    @pytest.mark.parametrize("triple", TRIPLES,
+                             ids=[f"corpus-{i}" for i in range(5)] + ["P0-P0-P0"])
+    def test_value_is_the_sector_traces_1_over_m_coefficient(self, triple):
+        # T(m) = 2 tau2 / m + d / m^2 + ..., so r(m) = m (m T(m) - 2 tau2)
+        # settles on d; a tau2 off by delta adds 2 delta m to r
+        v = tau2(*triple, CTX, "direct")
+        ms = 2 ** np.arange(10, 15)
+        traces = fredholm_sector_traces(*triple, replace(CTX, m_max=ms[-1] + 1))
+        r = ms * (ms * traces[ms] - 2 * v.value)
+        assert np.ptp(r.real) + np.ptp(r.imag) <= 0.01 * np.abs(r).max()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])
+    def test_value_is_the_closed_form_of_the_sector_expansion(self, eps):
+        ctx = replace(CTX, eps=eps)
+        for triple in self.TRIPLES:
+            half_c, leading = fredholm_closed_form(*triple, ctx)
+            v = tau2(*triple, ctx, "direct")
+            assert abs(leading) <= v.error
+            assert abs(v.value - half_c) <= v.error
+
+    def test_fredholm_pairing_is_the_chern_number(self):
+        # the leading coefficient needs no large truncation: tau2(P, P, P)
+        # equals Ch(P) within its rounding bound (plus 1e-13 for Ch's own
+        # rounding) at 2^12 and 2^16 alike
         cfg = RunConfig(seed=0)
         for p in _corpus(cfg.seed, cfg.lb)[1]:
             want = chern_number(p)
-            err = []
             for m_max in (2**12, 2**16):
                 ctx = DiracContext(lb=cfg.lb, eps=cfg.eps, n_max=cfg.n_max, m_max=m_max,
                                    buffer=cfg.buffer)
                 v = tau2(p, p, p, ctx, "direct")
                 assert v.measurable
-                err.append(abs(v.value - want) / abs(want))
-            assert err[1] < 2e-3
-            assert err[0] >= 8 * err[1]
-
-
-class TestRouteIiWindowSums:
-    @pytest.mark.parametrize("support", [1, 4, 6])
-    @pytest.mark.parametrize("m_max", [10, 64, 1024, 4096])
-    def test_cached_sums_equal_the_per_sector_oracle(self, support, m_max):
-        for eps in (0.25, 0.5, 1.0):
-            for lb in (0.7, 1.0, 2.0):
-                t = [random_element(900 + 10 * support + s, support, 1.0, lb) for s in range(3)]
-                ctx = DiracContext(lb=lb, eps=eps, n_max=16, m_max=m_max, buffer=4)
-                want = np.cumsum(fredholm_sector_traces(*t, ctx))[
-                    np.array(_route_ii_windows(ctx)) - 1]
-                got = _route_ii_sums(*t, ctx)
-                assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
-
-    def test_correlations_are_built_once_per_context_and_window(self, monkeypatch):
-        builds = []
-        exact = cocycles.sector_weights
-
-        def counted(ctx, levels):
-            builds.append((ctx, levels))
-            return exact(ctx, levels)
-
-        monkeypatch.setattr(cocycles, "sector_weights", counted)
-        cache = cocycles._window_correlations
-        cache.cache_clear()
-        ctxs = [DiracContext(lb=1.0, eps=eps, n_max=16, m_max=256, buffer=4) for eps in (0.5, 0.25)]
-        # supports 1..4 give the level windows 3..6, four per context
-        triples = [tuple(random_element(3 * t + s, 1 + t % 4, 1.0, 1.0) for s in range(3))
-                   for t in range(12)]
-        pairs = {(ctx, max(a.support_bound for a in t) + 2) for ctx in ctxs for t in triples}
-        assert len(pairs) == 8 == cache.cache_parameters()["maxsize"]
-        for _ in range(2):
-            for ctx in ctxs:
-                for t in triples:
-                    tau2(*t, ctx, "direct")
-        # one build per (context, level window) pair, in a cache that holds them all
-        assert sorted(builds, key=str) == sorted(pairs, key=str)
-        assert cache.cache_info().currsize == len(pairs)
-        assert all(not cache(*pair).flags.writeable for pair in pairs)
-        # a ninth pair evicts the least recently used one, never grows the cache
-        ninth = DiracContext(lb=1.0, eps=0.75, n_max=16, m_max=256, buffer=4)
-        tau2(*triples[0], ninth, "direct")
-        assert cache.cache_info().currsize == len(pairs)
-
-    def test_correlations_are_read_only(self):
-        ctx = DiracContext(lb=1.0, eps=0.5, n_max=16, m_max=64, buffer=4)
-        with pytest.raises(ValueError):
-            _window_correlations(ctx, 3)[0, 0, 0, 0] = 1.0
+                assert abs(v.value - want) <= v.error + 1e-13
 
 
 def same_bits(x, y) -> bool:
@@ -690,8 +692,8 @@ def same_bits(x, y) -> bool:
 class TestContextCaches:
     """The Dixmier tier's and route ii's caches hold data fixed by the
     context, the ladder and the level window (digamma tables, fit maps,
-    sector blocks, window correlations): every value reads the same bits
-    from a cold cache and from a warm one."""
+    sector blocks): every value reads the same bits from a cold cache and
+    from a warm one."""
 
     def calls(self):
         a0, a1, a2, a3 = rand(81), rand(82), rand(83), rand(84)
@@ -739,13 +741,6 @@ class TestContextCaches:
         for ctx in (near, CTX):
             nc_integral(p, ctx)
         assert spectra._resolvent_table.cache_info().hits == 2
-
-    def test_stacked_kernels_are_the_twelve_products(self):
-        for seed in range(4):
-            t = [rand(90 + 3 * seed + s, 1 + (seed + s) % 5) for s in range(3)]
-            for signs in (GAMMA_SIGNS, CHI_SIGNS):
-                levels, got = cocycles._fredholm_kernels(*t, CTX, signs)
-                assert same_bits(got, oracles.fredholm_kernels(*t, CTX, signs))
 
 
 class TestHochschild:

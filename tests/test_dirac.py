@@ -18,6 +18,7 @@ from magnc.dirac import (
     DiracContext,
     InteriorIdentityError,
     QuartetOperator,
+    _phase_blocks,
     build_dirac,
     commutator_with_D,
     defect_operators,
@@ -31,7 +32,6 @@ from magnc.dirac import (
     represent,
     sector_blocks,
     sector_represent,
-    sector_weights,
 )
 from oracles import (commutator, defect_products, deltas, kron_dirac, momentum_matrix,
                      product_phase, sparse_deviation)
@@ -547,7 +547,6 @@ class TestSectorBlocks:
         a = random_element(5, 4, 1.0)
         pa = sector_represent(a, ctx, levels)
         g, p = lattice_gamma(ctx).op, represent(a, ctx).op
-        assert sector_weights(ctx, levels).shape == (ctx.m_max + 1, 4 * levels)
         self.assert_weights_are_the_lattice_diagonal(ctx)
         w_ = slice(0, 4 * levels)
         for m in range(ctx.m_tot):
@@ -556,12 +555,16 @@ class TestSectorBlocks:
 
     @staticmethod
     def assert_weights_are_the_lattice_diagonal(ctx):
-        # the weights are read from one table indexed by k = m + n: every
-        # window must hold the lattice's own |D_eps|^-1 entries, bit for bit
+        # F's L-blocks (criterion 2's stacks, route ii's witness) weight each
+        # site by the lattice's own |D_eps|^-1 entry, bit for bit: sector L,
+        # or L - 1 for s in {1, 2}, and m_tot - 1 for those of label 0
         rinv = reg_inverse(ctx, 1.0).op.diagonal().reshape(ctx.m_tot, -1)
+        ls = np.arange(ctx.m_tot)
         for levels in range(1, ctx.n_tot + 1):
-            assert np.array_equal(sector_weights(ctx, levels),
-                                  rinv[: ctx.m_max + 1, : 4 * levels])
+            sector = (ls[:, None] - np.tile([0, 1, 1, 0], levels)) % ctx.m_tot
+            want = rinv[sector, np.arange(4 * levels)]
+            assert np.array_equal(_phase_blocks(ctx, levels, ls)[1] ** -0.5, want)
+            assert np.array_equal(_phase_blocks(ctx, levels, ls[1::3])[1] ** -0.5, want[1::3])
 
     def test_weights_are_the_lattice_diagonal_at_the_default_context(self):
         self.assert_weights_are_the_lattice_diagonal(DiracContext())
