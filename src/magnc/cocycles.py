@@ -42,7 +42,9 @@ from .spectra import (
     DEFAULT_LADDER,
     DIXMIER_REL_TOL,
     CocycleValue,
-    _fit_arrays,
+    _dixmier_arrays,
+    _ROUNDING,
+    _weights_at_zero,
     shifted_resolvent_ladder,
 )
 
@@ -208,34 +210,30 @@ def _dixmier_functional(coefs, diags, weights, shifts, ladder) -> CocycleValue:
     on one list of shifts xi: ``coefs`` (terms,), the diagonals ``diags``
     (terms, s) of the S_t and ``weights`` w (terms, shifts).  One ladder
     call per term for all its shifted blocks, one extrapolation
-    (``_fit_arrays``) for the blocks of every term, and one weighted
-    accumulation: each block's fitted value is the column beside its sigma_N
-    rungs (at the ladder's counts), summed over shifts from 0 and then over
-    terms.  The |w|-weighted stderrs add in quadrature within a term and
-    linearly across terms.
+    (``_dixmier_arrays``) for the blocks of every term, and one weighted
+    accumulation: each block's value is the column beside its sigma_N rungs
+    (at the ladder's counts), summed over shifts from 0 and then over terms.
+    The error is the linear bound sum_t |coef_t| sum_i |w_ti| error_ti.
 
     The value is measurable when every block is.  A block whose top rung
     does not exceed its shift 1 + xi is not: its sector sums have not reached
     their logarithmic growth, and at a large enough shift they vanish in
-    floating point.  The method is "dixmier-summable" when the fit reads
-    every block as summable (the value is then exactly zero) and
-    "dixmier-extrapolated" otherwise.  The output is checked finite once:
+    floating point.  The output is checked finite once:
     finite input whose ladders leave double precision raises OverflowError,
     without floating-point warnings."""
     shape = (len(coefs), len(shifts), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.concatenate([shifted_resolvent_ladder(d, shifts, ladder)[1] for d in diags])
-        ns, values, stderrs, sigmas, flags, summable = _fit_arrays(ladder, sums, DIXMIER_REL_TOL)
+        ns, values, errors, sigmas, flags = _dixmier_arrays(ladder, sums, DIXMIER_REL_TOL)
         rows = weights[:, :, None] * np.concatenate([sigmas, values[:, None]], 1).reshape(shape)
         total = (coefs[:, None] * rows.sum(axis=1)).sum(axis=0)
-        spread = np.square(np.abs(weights) * stderrs.reshape(shape[:2]))
-        error = float((np.abs(coefs) * np.sqrt(spread.sum(axis=1))).sum())
+        spread = np.abs(weights) * errors.reshape(shape[:2])
+        error = float((np.abs(coefs) * spread.sum(axis=1)).sum())
     measurable = bool(flags.all() and ladder[-1] > 1 + max(shifts))
     if not (np.isfinite(total).all() and isfinite(error)):
         raise OverflowError("the Dixmier ladders of this input overflow double precision")
-    return CocycleValue(complex(total[-1]),
-                        "dixmier-summable" if summable.all() else "dixmier-extrapolated",
-                        error, measurable, total[:-1], ns)
+    return CocycleValue(complex(total[-1]), "dixmier-extrapolated", error, measurable,
+                        total[:-1], ns)
 
 
 # weights of the four shifted blocks: Gamma's spin signs (row 0) and the
@@ -335,17 +333,6 @@ def graded_one_form_product_trace(x0, x1: MagneticElement, y0, y1: MagneticEleme
 # ---------------------------------------------------------------------------
 # The Fredholm-module character, both evaluation routes.
 # ---------------------------------------------------------------------------
-
-# 16 u, u = 2^-53 the unit roundoff: a computed sum lies within 16 u times
-# the sum of the absolute values of its terms
-_ROUNDING = 8 * np.finfo(float).eps
-
-
-def _weights_at_zero(ls: np.ndarray) -> np.ndarray:
-    """The Lagrange weights at 1/L = 0 of the interpolant in 1/L through the
-    distinct labels ``ls``: the product over j != k of L_k / (L_k - L_j)."""
-    return np.prod(ls[:, None] / (ls[:, None] - ls + np.diag(ls)), axis=1)
-
 
 def tau2(a0: MagneticElement, a1: MagneticElement, a2: MagneticElement,
          ctx: DiracContext, route: str = "reduced",

@@ -3,14 +3,13 @@
 Two independent routes run through this module everywhere: closed-form
 singular-value laws vs numerically computed spectra, and logarithmic-mean
 ladders (exact digamma partial sums for degeneracy-diagonal integrands) vs
-their affine extrapolation in 1/log N.
+their residue, the growth of the sums per unit of log N at N = infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_LADDER = (10**3, 10**4, 10**5, 10**6, 10**7)
-# residual bound of a measurable Dixmier fit, relative to its largest sigma_N
+# error bound of a measurable Dixmier value, relative to its largest sigma_N
 DIXMIER_REL_TOL = 0.05
 
 
@@ -62,8 +61,9 @@ class SingularSpectrum:
 @dataclass
 class CocycleValue:
     """A value of either tier with its method tag, error bar and measurable
-    flag and, from a Dixmier fit, its logarithmic means sigma_N at the
-    counts ``ns``."""
+    flag and, from a Dixmier ladder, its logarithmic means sigma_N at the
+    counts ``ns``.  A Dixmier error is the gap between two orders of the
+    extrapolation plus a rounding bound (``spectra._dixmier_arrays``)."""
 
     value: complex
     method: str
@@ -131,53 +131,25 @@ def singular_values(stack: np.ndarray) -> SingularSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Dixmier estimation: affine extrapolation of logarithmic means in 1/log N.
+# Dixmier estimation: the residue of the partial sums, at N = infinity.
 # ---------------------------------------------------------------------------
 
+# 16 u, u = 2^-53 the unit roundoff: a computed sum lies within 16 u times
+# the sum of the absolute values of its terms
+_ROUNDING = 8 * np.finfo(float).eps
+
+
 def dixmier_from_partial_sums(ns, sums, rel_tol: float = DIXMIER_REL_TOL) -> CocycleValue:
-    """Fit sigma_N = sum_N / log N against 1/log N; the intercept is the trace.
-
-    Row 0 of ``_fit_arrays``, which states the rules; the method tag is
-    "dixmier-summable" where the ratio test read the partial sums as
-    convergent, "dixmier-extrapolated" otherwise.
-    """
-    ns, value, stderr, sigma, measurable, summable = _fit_arrays(ns, np.asarray(sums)[None],
-                                                                 rel_tol)
-    return CocycleValue(value.tolist()[0],
-                        "dixmier-summable" if summable[0] else "dixmier-extrapolated",
-                        float(stderr[0]), bool(measurable[0]), sigma[0], ns)
-
-
-class _FitMap(NamedTuple):
-    """The parts of the Dixmier fit fixed by a ladder, all read-only: the
-    counts N, log N and its increments, the design [1, 1/log N], its
-    pseudo-inverse and inv(design^T design)[0, 0]."""
-
-    ns: np.ndarray
-    logs: np.ndarray
-    dlogs: np.ndarray
-    design: np.ndarray
-    pinv: np.ndarray
-    var0: float
+    """The Dixmier trace of one ladder of partial sums: row 0 of
+    ``_dixmier_arrays``, which states the rule."""
+    ns, value, error, sigma, measurable = _dixmier_arrays(ns, np.asarray(sums)[None], rel_tol)
+    return CocycleValue(value.tolist()[0], "dixmier-extrapolated", float(error[0]),
+                        bool(measurable[0]), sigma[0], ns)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@lru_cache(maxsize=16)
-def _fit_map(ladder: tuple) -> _FitMap:
-    """The fit map of a ladder tuple, built once: ``require_ladder``'s
-    check, then the parts every fit on that ladder shares."""
-    ns = np.array(ladder, dtype=float)
-    if not (len(ns) >= 3 and ns[0] >= 2 and (np.diff(ns) > 0).all()):
-        raise ValueError("a ladder needs three or more rungs, strictly increasing from N >= 2")
-    logs = np.log(ns)
-    design = np.stack([np.ones_like(logs), 1.0 / logs], axis=-1)
-    var0 = float(np.linalg.inv(design.T @ design)[0, 0])
-    return _FitMap(*map(_read_only, (ns, logs, np.diff(logs), design, np.linalg.pinv(design))),
-                   var0)
 
 
 def _ladder_key(ns) -> tuple:
@@ -189,59 +161,58 @@ def _ladder_key(ns) -> tuple:
 
 
 def require_ladder(ns) -> np.ndarray:
-    """The counts N of a Dixmier ladder as a read-only float array: at least
-    three rungs, strictly increasing from N >= 2, or ValueError."""
-    return _fit_map(_ladder_key(ns)).ns
+    """The counts N of a Dixmier ladder as a new float array: at least three
+    rungs, strictly increasing from N >= 2, or ValueError."""
+    ns = np.array(ns, dtype=float)
+    if not (ns.ndim == 1 and len(ns) >= 3 and ns[0] >= 2 and (ns[1:] > ns[:-1]).all()):
+        raise ValueError("a ladder needs three or more rungs, strictly increasing from N >= 2")
+    return ns
 
 
-def _fit_arrays(ns, sums, rel_tol: float):
-    """The Dixmier fit of every row of a (ladders, rungs) array of partial
-    sums, as arrays: (counts N, value, stderr, sigma, measurable, summable),
-    from the ladder's cached ``_fit_map``.
+def _weights_at_zero(ls: np.ndarray) -> np.ndarray:
+    """The Lagrange weights at 1/L = 0 of the interpolant in 1/L through the
+    distinct labels ``ls``: the product over j != k of L_k / (L_k - L_j)."""
+    return np.prod(ls[:, None] / (ls[:, None] - ls + np.diag(ls)), axis=1)
 
-    The logarithmic means converge only at O(1/log N); the affine fit in
-    1/log N removes the leading correction.  Ladders whose partial sums are
-    outright convergent (increments per unit of log N decaying geometrically
-    across the finite rungs, the ratio test) belong to summable spectra,
-    whose value is exactly zero.  A ladder whose residuals exceed ``rel_tol``
-    of the value scale is marked not measurable at this truncation; so is
-    one with a non-finite rung.
 
-    The fit has one design for every row, so it is one fixed linear map:
-    the design's pseudo-inverse, applied to each row elementwise for the
-    value and the residual, and every row reads the same bits alone or in a
-    batch.
+def _dixmier_arrays(ns, sums, rel_tol: float):
+    """The Dixmier trace of every row of a (ladders, rungs) array of partial
+    sums S at the counts N, as arrays: (counts N, value, error, sigma,
+    measurable), sigma_N = S_N / log N the logarithmic means.
+
+    By Stolz-Cesaro the logarithmic means tend to the limit of the growth of
+    S per unit of log N.  The rule reads the secant ratios r_k = (S_k+1 -
+    S_k) / (log N_k+1 - log N_k), each at h_k = (N_k N_k+1)^-1/4 (d4's 1/J at
+    its level cuts; the sector ladders' corrections run in 1/N = h^2), and
+    takes the value of the interpolant in h of the last k = min(3, rungs - 1)
+    ratios at h = 0.  The error is its gap to the interpolant of the last
+    k - 1, plus 16 u times the |weight|-weighted (|S_k| + |S_k+1|) / (log
+    N_k+1 - log N_k), the rounding of the ratios.  A summable ladder reads 0
+    within its error.  A row is measurable when its rungs are finite and
+    its error is at most ``rel_tol`` of its largest |sigma_N|.
+
+    The weights are fixed by the ladder, and each weighted sum is an
+    elementwise product summed over the rungs, so every row reads the same
+    bits alone or in a batch.
     """
-    fit = _fit_map(_ladder_key(ns))
-    logs = fit.logs
+    ns = require_ladder(ns)
+    logs = np.log(ns)
+    dlogs = logs[1:] - logs[:-1]
+    k = min(3, len(dlogs))
+    labels = (ns[:-1] * ns[1:]) ** 0.25
+    w, w_lower = _weights_at_zero(labels[-k:]), _weights_at_zero(labels[1 - k:])
     sums = np.asarray(sums)
     # a complex infinite rung reads inf+nanj, and a non-finite or overflowing
-    # row is flagged below rather than warned about
+    # row is flagged rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = sums / logs
-        coef = (sigma[:, None, :] * fit.pinv).sum(axis=-1)
-        resid = sigma - (fit.design * coef[:, None, :]).sum(axis=-1)
-        resid_ms = (np.abs(resid) ** 2).sum(axis=1) / max(len(logs) - fit.design.shape[1], 1)
-    top = np.abs(sigma).max(axis=1)
-    finite = np.isfinite(sums).all(axis=1)
-    summable = np.zeros(len(sums), dtype=bool)
-    if len(logs) >= 4:
-        rows = sums[finite]
-        inc = np.abs(rows[:, 1:] - rows[:, :-1])
-        # increments per unit of log N: rungs closing up are not convergence
-        slope = inc / fit.dlogs
-        ratios = slope[:, 1:] / np.maximum(slope[:, :-1], 1e-300)
-        peak = np.abs(rows).max(axis=1)
-        # a log-spaced ladder has constant increments exactly when the
-        # spectrum is borderline-harmonic; geometric decay means summable
-        flat = inc[:, -2:] <= 1e-12 * np.where(peak > 0, peak, 1.0)[:, None]
-        summable[finite] = flat.all(axis=1) | (ratios[:, -2:] < 0.45).all(axis=1)
-    value = np.where(summable, 0.0, coef[:, 0])
-    stderr = np.sqrt(resid_ms * fit.var0)
-    if summable.any():
-        stderr[summable] = np.abs(sums[summable, -1] - sums[summable, -2]) / logs[-1]
-    measurable = summable | (np.sqrt(resid_ms) <= rel_tol * np.maximum(top, 1e-12))
-    return fit.ns, value, stderr, sigma, measurable, summable
+        ratio = ((sums[:, 1:] - sums[:, :-1]) / dlogs)[:, -k:]
+        value = (ratio * w).sum(axis=-1)
+        size = ((np.abs(sums[:, :-1]) + np.abs(sums[:, 1:])) / dlogs)[:, -k:]
+        error = (np.abs(value - (ratio[:, 1:] * w_lower).sum(axis=-1))
+                 + _ROUNDING * (size * np.abs(w)).sum(axis=-1))
+        measurable = np.isfinite(sums).all(axis=1) & (error <= rel_tol * np.abs(sigma).max(axis=1))
+    return ns, value, error, sigma, measurable
 
 
 @lru_cache(maxsize=64)

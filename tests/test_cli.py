@@ -196,24 +196,45 @@ class TestElementInputs:
     def test_support_beyond_the_truncation_is_a_configuration_error(self, which):
         assert run_cli(["--nmax", "16", "invariant", which, "pi:40"]) == 2
 
+    @staticmethod
+    def big_element(tmp_path, coefficient: float) -> str:
+        """A three-record element file whose coefficients are all ``coefficient``."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([{"j": j, "k": k, "re": coefficient, "im": 0.0}
+                                    for j, k in ((0, 0), (1, 0), (0, 1))]))
+        return str(path)
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", [
-        ("invariant", "psi"), ("invariant", "chern"), ("invariant", "ch"), ("invariant", "tau2"),
-        ("invariant", "nc-integral"), ("dixmier-ladder", "ncint:"), ("dixmier-ladder", "ch:")],
+    @pytest.mark.parametrize("command, coefficient", [
+        (("invariant", "psi"), 1e200), (("invariant", "chern"), 1e200),
+        (("invariant", "ch"), 1e200), (("invariant", "tau2"), 1e200),
+        (("invariant", "nc-integral"), 1e307), (("dixmier-ladder", "ncint:"), 1e307),
+        (("dixmier-ladder", "ch:"), 1e200)],
         ids=["psi", "chern", "ch", "tau2", "nc-integral", "ladder-ncint", "ladder-ch"])
     def test_cocycle_overflowing_double_precision_is_a_configuration_error(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys, command, coefficient):
         # finite coefficients whose cocycle products or Dixmier ladders leave
         # double precision: one configuration-error line and no floating-point
-        # warning (raised as an error here, a warning would exit 3)
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps([{"j": j, "k": k, "re": 1e200, "im": 0.0}
-                                    for j, k in ((0, 0), (1, 0), (0, 1))]))
+        # warning (raised as an error here, a warning would exit 3).  The
+        # trace is linear, so its ladders overflow only near the top of the
+        # double range
+        path = self.big_element(tmp_path, coefficient)
         verb, target = command
-        args = [verb, target + str(path)] if target.endswith(":") else [verb, target, str(path)]
+        args = [verb, target + path] if target.endswith(":") else [verb, target, path]
         assert run_cli(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:"), err
+
+    @pytest.mark.filterwarnings("error")
+    def test_representable_trace_of_a_large_element_is_read(self, tmp_path):
+        # tau(A) = 1e200 is a double: the ladder reads it within its error,
+        # and the record is judged, not refused as a configuration error
+        out = tmp_path / "r.json"
+        assert run_cli(["--out", str(out), "invariant", "nc-integral",
+                        self.big_element(tmp_path, 1e200)]) in (0, 1)
+        rec = json.loads(out.read_text())["checks"][0]
+        assert rec["got"]["im"] == 0.0
+        assert abs(rec["got"]["re"] - 1e200) <= rec["error"] <= 1e-5 * 1e200
 
     def test_internal_value_error_still_exits_three(self, monkeypatch, capsys):
         def broken(*args):

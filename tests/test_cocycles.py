@@ -21,7 +21,7 @@ from magnc.algebra import (
     upsilon,
     zero_element,
 )
-from magnc.cli import RunConfig, _corpus
+from magnc.cli import RunConfig, _cocycle_corpus, _corpus
 from magnc.cocycles import (
     Cochain,
     _coboundary,
@@ -46,8 +46,8 @@ from magnc.cocycles import (
 from magnc.spectra import (
     DEFAULT_LADDER,
     d4_dixmier,
+    d4_partial_sums,
     dixmier_from_partial_sums,
-    require_ladder,
     shifted_resolvent_ladder,
 )
 from magnc.dirac import (
@@ -258,18 +258,18 @@ class TestNcIntegral:
         v = nc_integral(zero_element(LB), CTX)
         assert v.value == 0.0
 
-    def test_summable_blocks_tag_the_value(self):
+    def test_each_block_of_upsilon_reads_zero_within_its_error(self):
         # the diagonal of Y_{0->1} is zero, so every block ladder is flat and
-        # the fit reads all four as summable; Pi_1's ladders grow like log N
+        # reads 0; Pi_1's ladders grow like log N and read 1 per block
         cfg = RunConfig()
         ctx = cfg.context()
-        for a, summable, method in ((upsilon(0, 1), True, "dixmier-summable"),
-                                    (landau_projection(1), False, "dixmier-extrapolated")):
+        for a, want in ((upsilon(0, 1), 0.0), (landau_projection(1), 1.0)):
             sums = shifted_resolvent_ladder(np.diag(a.block), ctx.shifted_energies(), cfg.ladder)[1]
-            flags = spectra._fit_arrays(cfg.ladder, sums, spectra.DIXMIER_REL_TOL)[5]
-            assert flags.tolist() == [summable] * 4
+            _, values, errors, _, flags = spectra._dixmier_arrays(cfg.ladder, sums,
+                                                                  spectra.DIXMIER_REL_TOL)
+            assert (np.abs(values - want) <= errors).all() and flags.all()
             v = nc_integral(a, ctx, cfg.ladder)
-            assert v.method == method and v.measurable
+            assert v.method == "dixmier-extrapolated" and v.measurable
         assert nc_integral(upsilon(0, 1), ctx, cfg.ladder).value == 0j
 
     def test_matches_algebra_trace(self):
@@ -328,12 +328,12 @@ class TestDiracCharacter:
 
 def per_shift_sum(coef, diag, signs):
     """Oracle: coef sum_i signs_i Tr_Dix((Q + xi_i)^{-1} S) from one
-    ``dixmier_from_partial_sums`` per shift, with the quadrature stderr, and
+    ``dixmier_from_partial_sums`` per shift, with the linear error sum, and
     the same sum of the shifts' logarithmic means; ``diag`` is S's diagonal."""
     ests = [dixmier_from_partial_sums(*shifted_resolvent_ladder(diag, xi, DEFAULT_LADDER))
             for xi in CTX.shifted_energies()]
     return (coef * sum(s * e.value for s, e in zip(signs, ests)),
-            abs(coef) * np.sqrt(sum(e.error * e.error for e in ests)),
+            abs(coef) * sum(abs(s) * e.error for s, e in zip(signs, ests)),
             all(e.measurable for e in ests),
             coef * sum(s * e.sigma for s, e in zip(signs, ests)))
 
@@ -359,7 +359,7 @@ class TestDixmierFunctional:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls into the fit and digamma entry points, keyed module.name."""
+        """Calls into the Dixmier rule and digamma entry points, keyed module.name."""
         counts = Counter()
 
         def count(module, name):
@@ -371,7 +371,7 @@ class TestDixmierFunctional:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((cocycles, "_fit_arrays"), (spectra, "dixmier_from_partial_sums"),
+        for module, name in ((cocycles, "_dixmier_arrays"), (spectra, "dixmier_from_partial_sums"),
                              (spectra, "digamma")):
             count(module, name)
         return counts
@@ -390,7 +390,7 @@ class TestDixmierFunctional:
         for warm in (False, True):
             calls.clear()
             assert getattr(cocycles, name)(*els[:arity], CTX).measurable
-            assert calls["cocycles._fit_arrays"] == 1
+            assert calls["cocycles._dixmier_arrays"] == 1
             assert (calls["spectra.digamma"] == 0) if warm else (
                 1 <= calls["spectra.digamma"] <= terms)
             assert calls["spectra.dixmier_from_partial_sums"] == 0
@@ -401,7 +401,7 @@ class TestDixmierFunctional:
         assert sum(calls.values()) == 0
         d4_dixmier(0.5, DEFAULT_LADDER)
         assert calls["spectra.dixmier_from_partial_sums"] == 1
-        assert calls["cocycles._fit_arrays"] == 0
+        assert calls["cocycles._dixmier_arrays"] == 0
 
     @pytest.fixture
     def functional_inputs(self, monkeypatch):
@@ -419,9 +419,9 @@ class TestDixmierFunctional:
     @pytest.mark.parametrize("name", ["graded_one_form_product_trace", "ch_hat"])
     def test_value_stderr_and_sigma_weight_the_fitted_rows(self, functional_inputs, name):
         # the contract of the one weighted accumulation, against an explicit
-        # weighting of _fit_arrays' rows: each term sums its shifts from 0,
-        # the terms add from 0, and the |w|-weighted stderrs add in
-        # quadrature within a term and linearly across terms
+        # weighting of _dixmier_arrays' rows: each term sums its shifts from
+        # 0, the terms add from 0, and the |coef| |w|-weighted errors add
+        # linearly
         els = [rand(81), rand(82), rand(83), rand(84)]
         v = (graded_one_form_product_trace(*els, CTX) if name != "ch_hat"
              else ch_hat(*els[:3], CTX))
@@ -439,17 +439,16 @@ class TestDixmierFunctional:
             assert list(shifts) == list(CTX.shifted_energies())
         k = len(shifts)
         sums = np.concatenate([shifted_resolvent_ladder(d, shifts, ladder)[1] for d in diags])
-        ns, values, stderrs, sigmas, flags, _ = spectra._fit_arrays(ladder, sums,
+        ns, values, errors, sigmas, flags = spectra._dixmier_arrays(ladder, sums,
                                                                     spectra.DIXMIER_REL_TOL)
         value, error, sigma = 0.0, 0.0, 0.0
         for t, (coef, ws) in enumerate(zip(coefs.tolist(), weights.tolist())):
             block = slice(t * k, (t + 1) * k)
             value += coef * sum(w * x for w, x in zip(ws, values[block].tolist()))
-            error += abs(coef) * np.sqrt(sum((abs(w) * e) ** 2
-                                             for w, e in zip(ws, stderrs[block].tolist())))
+            error += abs(coef) * sum(abs(w) * e for w, e in zip(ws, errors[block].tolist()))
             sigma = sigma + coef * sum(w * row for w, row in zip(ws, sigmas[block]))
         assert (v.value, v.error, v.measurable) == (value, error, bool(flags.all()))
-        assert v.sigma.tolist() == sigma.tolist() and v.ns is ns
+        assert v.sigma.tolist() == sigma.tolist() and v.ns.tolist() == ns.tolist()
 
     def test_unmeasurable_block_flags_the_value(self):
         p = landau_projection(1, LB)
@@ -479,6 +478,50 @@ class TestDixmierFunctional:
         x, y = 1e-300 * rand(71), 1e-300 * rand(72)
         v = graded_one_form_product_trace(x, y, x, y, CTX)
         assert v.value == 0 and v.measurable
+
+
+class TestDixmierCoverage:
+    """Each Dixmier error covers the distance to a known limit, and stays
+    below a tenth of the tolerance of the check that reads it, so a vacuous
+    bar cannot pass."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 1.0, 2.0])
+    def test_d4_reads_two(self, eps):
+        # dixmier-normalization: |value - 2| / 2 <= 0.02
+        v = d4_dixmier(eps, DEFAULT_LADDER)
+        assert abs(v.value - 2.0) <= v.error <= 0.1 * 0.02 * 2.0 and v.measurable
+
+    @pytest.mark.parametrize("lb", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 1.0, 2.0])
+    def test_nc_integral_reads_one_on_each_landau_level(self, eps, lb):
+        # gap-labeling: |value - 1| <= 0.02
+        ctx = RunConfig(eps=eps, lb=lb).context()
+        for j in range(6):
+            v = nc_integral(landau_projection(j, lb), ctx)
+            assert abs(v.value - 1.0) <= v.error <= 0.1 * 0.02 and v.measurable, j
+
+    @pytest.mark.parametrize("seed", [0, 1, 370])
+    def test_ch_dix_reads_the_derivation_cocycle_on_the_corpus(self, seed):
+        # connes-formula-1: |value - (i/l^2) psi| <= 0.05 max(|(i/l^2) psi|, floor)
+        cfg = RunConfig(seed=seed)
+        triples, targets, floor = _cocycle_corpus(cfg, 50)
+        for t, want in zip(triples, targets):
+            v = ch_dix(*t, cfg.context(), cfg.ladder)
+            assert abs(v.value - want) <= v.error <= 0.1 * 0.05 * max(abs(want), floor)
+            assert v.measurable
+
+    def test_each_added_degree_lowers_the_d4_error(self):
+        # the residue at eps 2 through the last 1, 2 and 3 secant ratios at
+        # h = (N_k N_k+1)^-1/4 reads 6.7e-3, 6.7e-5 and 4.0e-6 from 2
+        ns, sums = d4_partial_sums(2.0, DEFAULT_LADDER)
+        ratio = np.diff(sums) / np.diff(np.log(ns))
+        labels = (ns[:-1] * ns[1:]) ** 0.25
+        values = [(ratio[-k:] * spectra._weights_at_zero(labels[-k:])).sum() for k in (1, 2, 3)]
+        errors = [abs(v - 2.0) for v in values]
+        assert errors[0] > errors[1] > errors[2]
+        # degree 2 is the value; degree 1 is the value of the last three rungs
+        assert values[2] == d4_dixmier(2.0, DEFAULT_LADDER).value
+        assert values[1] == dixmier_from_partial_sums(ns[-3:], sums[-3:]).value
 
 
 class TestChiTwistedCharacter:
@@ -719,9 +762,7 @@ class TestContextCaches:
     def test_cached_tables_and_blocks_are_read_only(self):
         ladder = tuple(float(n) for n in DEFAULT_LADDER)
         shifts = tuple(CTX.shifted_energies().tolist())
-        fit = spectra._fit_map(ladder)
-        cached = [spectra._resolvent_table(shifts, ladder, 5), require_ladder(DEFAULT_LADDER),
-                  *fit[:5], sector_blocks(CTX, 6)]
+        cached = [spectra._resolvent_table(shifts, ladder, 5), sector_blocks(CTX, 6)]
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
